@@ -3,7 +3,8 @@
 Subcommands:
   run             train an experiment config across its seeds, write results
   gradcheck       verify analytic loss gradients against finite differences
-  segregate-eval  reference training + pool segregation only, dump scores
+  segregate-eval  the same per-step walk as run up to pool segregation (ursl
+                  only): dump per-task split metrics and per-sample scores
   report          summarize one or more results directories into a table
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or usage.
@@ -108,14 +109,19 @@ def _prepare_out_dir(out, force):
     os.makedirs(out, exist_ok=True)
 
 
-def _resolve_run(args):
+def _resolve_run(args, segregates=False):
     """Load config, apply --seeds/--out overrides, prepare the directory.
 
     Returns (experiment, resolved echo dict, seeds, out dir). The echo has
     the effective seeds and output_dir folded in, so feeding it back to
-    `run` reproduces this invocation exactly.
+    `run` reproduces this invocation exactly. With segregates, a method
+    that does not segregate its pool is rejected before anything is written.
     """
     exp = load_experiment(args.config)
+    if segregates and not exp.method.uses_segregation:
+        raise ConfigError(f"config.method.method: segregate-eval needs a method "
+                          f"that segregates its pool (ursl), got "
+                          f"{exp.method.method!r}")
     seeds = exp.seeds
     if args.seeds:
         try:
@@ -211,7 +217,7 @@ _SCORE_FIELDS = ("task", "index", "score", "nearest_class", "related",
 
 
 def cmd_segregate_eval(args):
-    exp, resolved, seeds, out = _resolve_run(args)
+    exp, resolved, seeds, out = _resolve_run(args, segregates=True)
     del resolved
     main, peripherals = exp.build_datasets()
     for seed in seeds:
@@ -302,7 +308,8 @@ def build_parser():
     grad_p.set_defaults(func=cmd_gradcheck)
 
     seg_p = sub.add_parser("segregate-eval",
-                           help="reference + segregation only, dump scores")
+                           help="run's walk up to segregation, dump scores "
+                                "(ursl only)")
     seg_p.add_argument("--config", required=True)
     seg_p.add_argument("--out", help="output directory (overrides config)")
     seg_p.add_argument("--force", action="store_true")

@@ -12,7 +12,7 @@ Conventions shared by every loss here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,35 +58,6 @@ class LossWeights:
         for name in ("td_weight", "kd_weight"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-
-@dataclass(frozen=True)
-class ViewBatch:
-    """2N augmented views plus per-source annotations.
-
-    views holds the raw inputs (not embeddings) interleaved by source;
-    labels and pseudo_flags are per-source (length N) and are expanded to
-    per-view internally by the losses. labels may be None for unlabeled
-    batches; pseudo_flags True marks sources whose label is a pseudo-label.
-    """
-
-    views: np.ndarray
-    labels: np.ndarray | None = None
-    pseudo_flags: np.ndarray | None = None
-    current_classes: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.views.ndim != 2 or self.views.shape[0] % 2 != 0:
-            raise ValueError("views must be [2N, D] with interleaved pairs")
-        n = self.views.shape[0] // 2
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError(f"labels length {len(self.labels)} != n_sources {n}")
-        if self.pseudo_flags is not None and len(self.pseudo_flags) != n:
-            raise ValueError(f"pseudo_flags length {len(self.pseudo_flags)} != n_sources {n}")
-
-    @property
-    def n_sources(self):
-        return self.views.shape[0] // 2
 
 
 def _offdiag_mask(n):

@@ -213,20 +213,19 @@ def l2_normalize_rows(x):
     return out
 
 
-def pairwise_cosine(a, b, check_unit=True):
+def pairwise_cosine(a, b):
     """a @ b.T for unit-row inputs a [M, D], b [N, D].
 
-    The inputs must already be row-normalized; with check_unit the norms are
-    verified to 1e-4. Passing the same tensor for a and b is supported and the
-    two gradient contributions accumulate.
+    The inputs must already be row-normalized; the norms are verified to
+    1e-4. Passing the same tensor for a and b is supported and the two
+    gradient contributions accumulate.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"pairwise_cosine shape mismatch: {a.shape} vs {b.shape}")
-    if check_unit:
-        for name, t in (("a", a), ("b", b)):
-            norms = np.sqrt((t.data * t.data).sum(axis=1))
-            if norms.size and np.abs(norms - 1.0).max() > 1e-4:
-                raise ShapeError(f"pairwise_cosine input {name} has non-unit rows")
+    for name, t in (("a", a), ("b", b)):
+        norms = np.sqrt((t.data * t.data).sum(axis=1))
+        if norms.size and np.abs(norms - 1.0).max() > 1e-4:
+            raise ShapeError(f"pairwise_cosine input {name} has non-unit rows")
     out_data = a.data @ b.data.T
     _check_finite(out_data, "pairwise_cosine")
     out = Tensor(out_data, requires_grad=_requires(a, b))

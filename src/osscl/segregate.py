@@ -187,12 +187,6 @@ def segregate_scores(scores_u, nearest_classes, stats):
     )
 
 
-def segregate(reference, prototypes, stats, unlabeled_xs):
-    """Score a raw unlabeled pool and split it; see segregate_scores."""
-    scores_u, nearest = score(prototypes, unlabeled_xs, reference=reference)
-    return segregate_scores(scores_u, nearest, stats)
-
-
 def auroc_from_scores(scores_u, positive_mask):
     """Mann-Whitney AUROC with average-rank tie handling.
 

@@ -7,6 +7,12 @@ combined objective (supervised contrastive, past-self distillation,
 reference distillation). After the last step a linear classifier is fitted
 on the final labeled data and evaluated class-incrementally.
 
+One private walker (_TaskWalk) owns the reference, the memory buffer and
+the role RNGs, and per step trains the reference, segregates the pool and,
+after its caller's work, updates memory. run_continual adds the learner
+side to each step; run_segregation_eval adds only per-sample score rows, so
+the split it reports is the split the run feeds its learner.
+
 Determinism: every stochastic role draws from its own seeded Generator, so
 disabling a component (a loss term, the confident set) leaves the remaining
 streams untouched. Two runs with the same config and seed are bitwise equal.
@@ -138,13 +144,12 @@ class MethodConfig:
 
 @dataclass
 class RunState:
-    """Mutable state carried across task steps."""
+    """Mutable state carried across task steps; learner is None on a
+    segregation-only walk."""
 
     reference: EncoderProjector | None
-    learner: EncoderProjector
-    snapshot: object | None
+    learner: EncoderProjector | None
     memory: sc.MemoryBuffer
-    t: int
     rngs: dict
 
 
@@ -153,7 +158,7 @@ class RunReport:
     """Everything one run reports.
 
     metrics_dict() holds only deterministic values (the rerun contract);
-    wall_clock stays separate.
+    wall_clock and the final networks and memory (state) stay separate.
     """
 
     method: str
@@ -167,6 +172,7 @@ class RunReport:
     loss_curves: dict
     memory_counts: list
     wall_clock: dict
+    state: RunState | None = field(default=None, repr=False, compare=False)
 
     def metrics_dict(self):
         return {
@@ -258,10 +264,12 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
     Per optimizer step: supervised batch (also the past-distillation batch),
     then an independently drawn reference-distillation batch, then an
     independently drawn unsupervised batch; disabled terms draw nothing.
-    Before the weights apply, each term of the objective is reduced to a mean
-    over the views that anchor it (L.learner_objective): the supervised term
-    over its active anchors (current-task, non-pseudo views with a positive),
-    each distillation term over the views of its batch. The joint
+    Both teachers embed their batches before the learner's tape opens, so
+    the tape holds only the learner's graph. Before the weights apply, each
+    term of the objective is reduced to a mean over the views that anchor it
+    (L.learner_objective): the supervised term over its active anchors
+    (current-task, non-pseudo views with a positive), each distillation term
+    over the views of its batch. The joint
     unsupervised term is the NT-Xent mean over its 2N views. Returns
     per-epoch mean losses.
     """
@@ -282,17 +290,16 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
         epoch_losses = []
         for idx in sc.epoch_batches(len(sup_x), cfg.batch_size, rng):
             views = augmenter.pair_views(sup_x[idx], rng)
+            td_z = td_teacher.embed(views) if td_teacher is not None else None
+            kviews = kd_z = zk = None
+            if kd_teacher is not None:
+                kidx = sc.sample_batch(len(kd_pool), cfg.batch_size, rng)
+                kviews = augmenter.pair_views(kd_pool[kidx], rng)
+                kd_z = kd_teacher.embed(kviews)
             with Tape() as tape:
                 z = learner.embed(views)
-                td_z = None
-                if td_teacher is not None:
-                    td_z = td_teacher.embed(views)
-                kd_z = zk = None
-                if kd_teacher is not None:
-                    kidx = sc.sample_batch(len(kd_pool), cfg.batch_size, rng)
-                    kviews = augmenter.pair_views(kd_pool[kidx], rng)
+                if kviews is not None:
                     zk = learner.embed(kviews)
-                    kd_z = kd_teacher.embed(kviews)
                 total = L.learner_objective(
                     z, t, cfg.weights, sup_y[idx], current,
                     pseudo_flags=sup_pseudo[idx],
@@ -388,9 +395,9 @@ def _labeled_union(step, memory):
     return xs, ys, len(step.labeled_y)
 
 
-def _segregation_pass(state, step, cfg, augmenter, observed):
+def _segregation_pass(state, step, labeled, cfg, augmenter, observed):
     """Prototypes, thresholds, pool split, and quality metrics for one step."""
-    lab_x, lab_y, n_cur = _labeled_union(step, state.memory)
+    lab_x, lab_y, _ = labeled
     protos = sg.build_prototypes(state.reference, lab_x, lab_y, observed,
                                  augmenter, state.rngs["proto"], n_aug=cfg.n_aug)
     labeled_scores, _ = sg.score(protos, lab_x, reference=state.reference)
@@ -406,7 +413,6 @@ def _segregation_pass(state, step, cfg, augmenter, observed):
         "pool_scores": pool_scores,
         "nearest": nearest,
         "labeled_scores": labeled_scores,
-        "n_current_labeled": n_cur,
         "quality": quality,
     }
 
@@ -437,129 +443,153 @@ def _memory_confidence(cfg, seg, n_current):
     return seg["labeled_scores"][:n_current]
 
 
+class _TaskWalk:
+    """The one walk over a stream behind run_continual and run_segregation_eval.
+
+    Owns the reference, the memory buffer and the role RNGs (`state`). It
+    pretrains the reference when cfg.pretrain_reference, trains it on the
+    method's schedule (ursl every step, co2l_p at t=1 only) and segregates
+    each step's pool when the method does. Iterating yields one
+    (step, labeled union, segregation pass or None) per step; once the
+    caller hands control back, memory takes in the step's labeled set. It
+    records what it owns: reference_curves, task_metrics, memory_counts.
+    With learner=False no learner is built, nor any of its RNGs.
+    """
+
+    def __init__(self, cfg, stream, augmenter, seed, arch, clock, learner):
+        if not stream.steps:
+            raise ValueError("stream is empty")
+        self.cfg, self.stream, self.augmenter, self.clock = (
+            cfg, stream, augmenter, clock)
+        dim = stream.steps[0].labeled_x.shape[1]
+
+        def net(role):
+            return EncoderProjector(dim, arch.hidden, arch.proj_hidden,
+                                    arch.embed_dim, rng=role_rng(seed, role))
+
+        rngs = {
+            "ref": role_rng(seed, _ROLE_REF_TRAIN),
+            "proto": role_rng(seed, _ROLE_PROTO),
+            "memory": role_rng(seed, _ROLE_MEMORY),
+        }
+        if learner:
+            rngs.update(learner=role_rng(seed, _ROLE_LEARNER_TRAIN),
+                        cls_init=role_rng(seed, _ROLE_CLS_INIT),
+                        cls_train=role_rng(seed, _ROLE_CLS_TRAIN))
+        self.state = RunState(
+            reference=net(_ROLE_REF_INIT) if cfg.uses_reference else None,
+            learner=net(_ROLE_LEARNER_INIT) if learner else None,
+            memory=sc.MemoryBuffer(cfg.memory_size, cfg.memory_policy),
+            rngs=rngs,
+        )
+        self.reference_curves = {}
+        self.task_metrics = []
+        self.memory_counts = []
+
+    def __iter__(self):
+        cfg, state, clock, augmenter = (self.cfg, self.state, self.clock,
+                                        self.augmenter)
+        if cfg.pretrain_reference:
+            pooled = np.concatenate([s.unlabeled_x for s in self.stream.steps])
+            with _timed(clock, "reference"):
+                train_reference(state.reference, pooled, cfg.epochs_first, cfg,
+                                augmenter, state.rngs["ref"])
+        observed = []
+        for step in self.stream.steps:
+            t = step.index
+            observed.extend(step.task_classes)
+            if ((cfg.method == "ursl" and not cfg.pretrain_reference)
+                    or (cfg.method == "co2l_p" and t == 1)):
+                epochs = cfg.epochs_first if t == 1 else cfg.epochs_later
+                with _timed(clock, "reference"):
+                    self.reference_curves[f"t{t}"] = train_reference(
+                        state.reference, step.unlabeled_x, epochs, cfg,
+                        augmenter, state.rngs["ref"])
+
+            labeled = _labeled_union(step, state.memory)
+            seg = None
+            if cfg.uses_segregation:
+                with _timed(clock, "segregation"):
+                    seg = _segregation_pass(state, step, labeled, cfg,
+                                            augmenter, observed)
+                row = _metrics_row(t, step, seg)
+                self.task_metrics.append(row)
+                log.debug("t=%d |U_hat|=%d |T_hat|=%d auroc=%.3f", t,
+                          row["n_u_hat"], row["n_t_hat"], row["auroc"])
+
+            yield step, labeled, seg
+
+            with _timed(clock, "memory"):
+                conf = _memory_confidence(cfg, seg, labeled[2])
+                state.memory.update(step.labeled_x, step.labeled_y,
+                                    state.rngs["memory"], confidence=conf)
+            self.memory_counts.append(
+                {str(k): int(v) for k, v in state.memory.class_counts().items()})
+
+
 def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
     """Walk the stream once under one method config; returns a RunReport.
 
     The test split of `dataset` provides the class-incremental evaluation
     set. Stochastic phases draw from role-separated streams derived from
-    `seed`.
+    `seed`. On top of the shared walk (_TaskWalk) each step adds the learner
+    side: the co2l_p initialization, the supervised and distillation
+    batches, and learner training; the classifier and evaluation follow the
+    last step.
     """
-    if not stream.steps:
-        raise ValueError("stream is empty")
     clock = _PhaseClock()
     start_total = time.perf_counter()
-    dim = stream.steps[0].labeled_x.shape[1]
+    walk = _TaskWalk(cfg, stream, augmenter, seed, arch, clock, learner=True)
+    state = walk.state
+    learner_curves = {}
 
-    reference = None
-    if cfg.uses_reference:
-        reference = EncoderProjector(dim, arch.hidden, arch.proj_hidden,
-                                     arch.embed_dim,
-                                     rng=role_rng(seed, _ROLE_REF_INIT))
-    learner = EncoderProjector(dim, arch.hidden, arch.proj_hidden,
-                               arch.embed_dim,
-                               rng=role_rng(seed, _ROLE_LEARNER_INIT))
-    state = RunState(
-        reference=reference,
-        learner=learner,
-        snapshot=None,
-        memory=sc.MemoryBuffer(cfg.memory_size, cfg.memory_policy),
-        t=0,
-        rngs={
-            "ref": role_rng(seed, _ROLE_REF_TRAIN),
-            "learner": role_rng(seed, _ROLE_LEARNER_TRAIN),
-            "proto": role_rng(seed, _ROLE_PROTO),
-            "memory": role_rng(seed, _ROLE_MEMORY),
-        },
-    )
-
-    if cfg.pretrain_reference:
-        pooled = np.concatenate([s.unlabeled_x for s in stream.steps])
-        with _timed(clock, "reference"):
-            train_reference(state.reference, pooled, cfg.epochs_first, cfg,
-                            augmenter, state.rngs["ref"])
-
-    task_metrics = []
-    loss_curves = {"reference": {}, "learner": {}}
-    memory_counts = []
-    observed = []
-
-    for step in stream.steps:
+    for step, (lab_x, lab_y, _), seg in walk:
         t = step.index
-        state.t = t
-        observed.extend(step.task_classes)
-        state.snapshot = state.learner.snapshot()
-
-        trains_reference = ((cfg.method == "ursl" and not cfg.pretrain_reference)
-                            or (cfg.method == "co2l_p" and t == 1))
-        if trains_reference:
-            epochs = cfg.epochs_first if t == 1 else cfg.epochs_later
-            with _timed(clock, "reference"):
-                curve = train_reference(state.reference, step.unlabeled_x,
-                                        epochs, cfg, augmenter,
-                                        state.rngs["ref"])
-            loss_curves["reference"][f"t{t}"] = curve
         if cfg.method == "co2l_p" and t == 1:
             state.learner.copy_params_from(state.reference)
 
-        seg = None
-        if cfg.uses_segregation:
-            with _timed(clock, "segregation"):
-                seg = _segregation_pass(state, step, cfg, augmenter, observed)
-            task_metrics.append(_metrics_row(t, step, seg))
-            log.debug("t=%d |U_hat|=%d |T_hat|=%d auroc=%.3f", t,
-                      task_metrics[-1]["n_u_hat"], task_metrics[-1]["n_t_hat"],
-                      task_metrics[-1]["auroc"])
-
-        sup_x, sup_y, n_cur = _labeled_union(step, state.memory)
+        sup_x, sup_y = lab_x, lab_y
         sup_pseudo = np.zeros(len(sup_y), dtype=bool)
-        if cfg.uses_segregation and cfg.seg_variant in ("v3", "v4"):
+        kd_teacher = kd_pool = None
+        if seg is not None:
             out = seg["output"]
-            if out.t_hat_indices.size:
+            if cfg.seg_variant in ("v3", "v4") and out.t_hat_indices.size:
                 sup_x = np.concatenate([sup_x, step.unlabeled_x[out.t_hat_indices]])
                 sup_y = np.concatenate([sup_y, out.t_hat_labels])
                 sup_pseudo = np.concatenate(
                     [sup_pseudo, np.ones(out.t_hat_indices.size, dtype=bool)])
+            if cfg.use_kd:
+                if cfg.seg_variant in ("v1", "v3"):
+                    pool_part = step.unlabeled_x
+                else:
+                    pool_part = step.unlabeled_x[out.u_hat_indices]
+                kd_pool = np.concatenate([lab_x, pool_part])
+                kd_teacher = state.reference
 
-        kd_teacher = kd_pool = None
-        if cfg.use_kd and cfg.method == "ursl":
-            lab_x, _, _ = _labeled_union(step, state.memory)
-            if cfg.seg_variant in ("v1", "v3"):
-                pool_part = step.unlabeled_x
-            else:
-                pool_part = step.unlabeled_x[seg["output"].u_hat_indices]
-            kd_pool = np.concatenate([lab_x, pool_part])
-            kd_teacher = state.reference
-
-        td_teacher = state.snapshot if (cfg.use_td and t > 1) else None
+        # the learner as the previous step left it; at t > 1 nothing has
+        # touched it yet in this step
+        snapshot = state.learner.snapshot() if (cfg.use_td and t > 1) else None
         unsup_pool = step.unlabeled_x if cfg.method == "co2l_j" else None
 
         with _timed(clock, "learner"):
-            curve = train_learner_task(
+            learner_curves[f"t{t}"] = train_learner_task(
                 state.learner, sup_x, sup_y, sup_pseudo, step.task_classes, t,
                 cfg, augmenter, state.rngs["learner"],
-                td_teacher=td_teacher, kd_teacher=kd_teacher,
+                td_teacher=snapshot, kd_teacher=kd_teacher,
                 kd_pool=kd_pool, unsup_pool=unsup_pool)
-        loss_curves["learner"][f"t{t}"] = curve
-
-        with _timed(clock, "memory"):
-            conf = _memory_confidence(cfg, seg, n_cur)
-            state.memory.update(step.labeled_x, step.labeled_y,
-                                state.rngs["memory"], confidence=conf)
-        memory_counts.append({str(k): int(v)
-                              for k, v in state.memory.class_counts().items()})
 
     final_x, final_y, _ = _labeled_union(stream.steps[-1], state.memory)
     with _timed(clock, "classifier"):
         head, class_ids = fit_classifier(
-            state.learner, final_x, final_y, observed, cfg,
-            role_rng(seed, _ROLE_CLS_INIT), role_rng(seed, _ROLE_CLS_TRAIN))
+            state.learner, final_x, final_y, stream.all_classes, cfg,
+            state.rngs["cls_init"], state.rngs["cls_train"])
     with _timed(clock, "evaluate"):
         final_acc, per_task = evaluate(head, state.learner, class_ids,
                                        dataset.test_x, dataset.test_y,
                                        stream.task_classes)
     clock.add("total", time.perf_counter() - start_total)
 
-    report = RunReport(
+    return RunReport(
         method=cfg.method,
         seg_variant=cfg.seg_variant,
         seed=int(seed),
@@ -567,51 +597,29 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
         task_class_sets=[list(c) for c in stream.task_classes],
         per_task_accuracy=per_task,
         final_accuracy=final_acc,
-        task_metrics=task_metrics,
-        loss_curves=loss_curves,
-        memory_counts=memory_counts,
+        task_metrics=walk.task_metrics,
+        loss_curves={"reference": walk.reference_curves,
+                     "learner": learner_curves},
+        memory_counts=walk.memory_counts,
         wall_clock={k: float(v) for k, v in clock.totals.items()},
+        state=state,
     )
-    report._state = state  # exposed for tests and checkpointing
-    return report
 
 
 def run_segregation_eval(cfg, stream, augmenter, seed, arch=NetArch()):
-    """Reference-and-segregation-only walk: trains no learner.
+    """The run's own walk (_TaskWalk) up to segregation; trains no learner.
 
     Returns (per-task metric rows, per-sample score rows) for offline
-    analysis of the pool split quality.
+    analysis of the pool split quality. The metric rows equal
+    run_continual(cfg, ...).task_metrics for the same stream and seed.
+    Raises ValueError for a method that does not segregate its pool.
     """
-    if not stream.steps:
-        raise ValueError("stream is empty")
-    dim = stream.steps[0].labeled_x.shape[1]
-    reference = EncoderProjector(dim, arch.hidden, arch.proj_hidden,
-                                 arch.embed_dim,
-                                 rng=role_rng(seed, _ROLE_REF_INIT))
-    state = RunState(
-        reference=reference,
-        learner=EncoderProjector(dim, arch.hidden, arch.proj_hidden,
-                                 arch.embed_dim,
-                                 rng=role_rng(seed, _ROLE_LEARNER_INIT)),
-        snapshot=None,
-        memory=sc.MemoryBuffer(cfg.memory_size, cfg.memory_policy),
-        t=0,
-        rngs={
-            "ref": role_rng(seed, _ROLE_REF_TRAIN),
-            "proto": role_rng(seed, _ROLE_PROTO),
-            "memory": role_rng(seed, _ROLE_MEMORY),
-        },
-    )
-    rows, samples = [], []
-    observed = []
-    for step in stream.steps:
-        t = step.index
-        observed.extend(step.task_classes)
-        epochs = cfg.epochs_first if t == 1 else cfg.epochs_later
-        train_reference(state.reference, step.unlabeled_x, epochs, cfg,
-                        augmenter, state.rngs["ref"])
-        seg = _segregation_pass(state, step, cfg, augmenter, observed)
-        rows.append(_metrics_row(t, step, seg))
+    if not cfg.uses_segregation:
+        raise ValueError(f"method {cfg.method!r} does not segregate its pool")
+    walk = _TaskWalk(cfg, stream, augmenter, seed, arch, _PhaseClock(),
+                     learner=False)
+    samples = []
+    for step, _, seg in walk:
         related, true_classes = step.provenance.reveal()
         out = seg["output"]
         in_u = np.zeros(len(step.unlabeled_x), dtype=bool)
@@ -622,7 +630,7 @@ def run_segregation_eval(cfg, stream, augmenter, seed, arch=NetArch()):
         pseudo[out.t_hat_indices] = out.t_hat_labels
         for i in range(len(step.unlabeled_x)):
             samples.append({
-                "task": t,
+                "task": step.index,
                 "index": i,
                 "score": float(seg["pool_scores"][i]),
                 "nearest_class": int(seg["nearest"][i]),
@@ -632,7 +640,4 @@ def run_segregation_eval(cfg, stream, augmenter, seed, arch=NetArch()):
                 "in_t_hat": bool(in_t[i]),
                 "pseudo_label": int(pseudo[i]),
             })
-        conf = _memory_confidence(cfg, seg, len(step.labeled_y))
-        state.memory.update(step.labeled_x, step.labeled_y,
-                            state.rngs["memory"], confidence=conf)
-    return rows, samples
+    return walk.task_metrics, samples

@@ -205,7 +205,8 @@ def test_criterion_3_segregation_matches_brute_force(capsys):
         labeled_scores, _ = segregate.score(protos, labeled_z)
         stats = segregate.compute_thresholds(labeled_scores, eta_id, eta_pl)
         pool = rng.standard_normal((pool_n, dim)) * 2.0
-        out = segregate.segregate(ref, protos, stats, pool)
+        out = segregate.segregate_scores(
+            *segregate.score(protos, pool, reference=ref), stats)
 
         # independent loop-based re-derivation
         pool_z = ref.embed(pool).data

@@ -246,6 +246,18 @@ class TestSegregateEval:
             related = np.array([s["related"] == "True" for s in batch])
             assert auroc_from_scores(scores, related) == float(row["auroc"])
 
+    def test_rejects_method_without_segregation(self, tmp_path, capsys):
+        spec = json.loads(json.dumps(TINY))
+        spec["method"]["method"] = "co2l"
+        cfg_path = tmp_path / "co2l.json"
+        cfg_path.write_text(json.dumps(spec))
+        out = tmp_path / "never"
+        rc = cli.main(["segregate-eval", "--config", str(cfg_path),
+                       "--out", str(out)])
+        assert rc == 2
+        assert "config.method.method" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReport:
     def test_table_text_and_csv(self, workspace, tmp_path, capsys):

@@ -352,12 +352,3 @@ def test_loss_weights_validation():
         losses.LossWeights(tau=0.0)
     with pytest.raises(ValueError):
         losses.LossWeights(td_weight=-0.1)
-
-
-def test_view_batch_validation():
-    with pytest.raises(ValueError):
-        losses.ViewBatch(views=np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        losses.ViewBatch(views=np.zeros((4, 2)), labels=np.zeros(3))
-    vb = losses.ViewBatch(views=np.zeros((4, 2)), labels=np.array([0, 1]))
-    assert vb.n_sources == 2

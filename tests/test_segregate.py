@@ -188,7 +188,8 @@ def test_segregation_matches_brute_force(seed):
 
     pool = rng.standard_normal((pool_n, dim)) * 2.0
     pool_z = ref.embed(pool).data
-    out = segregate.segregate(ref, protos, stats, pool)
+    out = segregate.segregate_scores(
+        *segregate.score(protos, pool, reference=ref), stats)
     scores_u, _ = segregate.score(protos, pool_z)
 
     tau_id, tau_pl, u_hat, t_hat, t_lab = brute_force_split(

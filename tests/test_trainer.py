@@ -230,6 +230,40 @@ def test_reference_and_learner_gradients_are_isolated(tiny_world):
     assert reference.snapshot().digest() != ref_digest
 
 
+def test_teachers_stay_off_the_learner_tape(tiny_world, monkeypatch):
+    """No teacher forward pass is recorded on the learner's tape: nothing
+    there may descend from a reference parameter."""
+    main, _, aug = tiny_world
+    tapes = []
+
+    class KeptTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(tr, "Tape", KeptTape)
+    learner = EncoderProjector(DIM, (32, 32), 16, 8,
+                               rng=np.random.default_rng(0))
+    reference = EncoderProjector(DIM, (32, 32), 16, 8,
+                                 rng=np.random.default_rng(1))
+    sel = np.isin(main.train_y, [0, 1])
+    flags = np.zeros(sel.sum(), dtype=bool)
+    tr.train_learner_task(learner, main.train_x[sel], main.train_y[sel], flags,
+                          (0, 1), 2, tiny_cfg(epochs_learner=1), aug,
+                          np.random.default_rng(3),
+                          td_teacher=learner.snapshot(), kd_teacher=reference,
+                          kd_pool=main.train_x[:60])
+    assert tapes and all(len(tape) for tape in tapes)
+    for tape in tapes:
+        from_reference = {id(p) for p in reference.params}
+        tainted = []
+        for out, parents, _ in tape._entries:
+            if any(id(p) in from_reference for p in parents):
+                from_reference.add(id(out))
+                tainted.append(out)
+        assert tainted == []
+
+
 # ---------------------------------------------------------------------------
 # Classifier and evaluation
 # ---------------------------------------------------------------------------
@@ -316,8 +350,8 @@ def test_rerun_is_bitwise_identical(tiny_world):
     b = tr.run_continual(cfg, stream, main, aug, seed=5)
     assert json.dumps(a.metrics_dict(), sort_keys=True) == \
         json.dumps(b.metrics_dict(), sort_keys=True)
-    assert a._state.learner.snapshot().digest() == \
-        b._state.learner.snapshot().digest()
+    assert a.state.learner.snapshot().digest() == \
+        b.state.learner.snapshot().digest()
 
 
 def test_seed_changes_the_run(tiny_world):
@@ -325,8 +359,8 @@ def test_seed_changes_the_run(tiny_world):
     cfg = tiny_cfg()
     a = tr.run_continual(cfg, stream, main, aug, seed=5)
     b = tr.run_continual(cfg, stream, main, aug, seed=6)
-    assert a._state.learner.snapshot().digest() != \
-        b._state.learner.snapshot().digest()
+    assert a.state.learner.snapshot().digest() != \
+        b.state.learner.snapshot().digest()
 
 
 def test_ursl_with_extras_disabled_reduces_to_co2l(tiny_world):
@@ -370,8 +404,8 @@ def test_v4_with_extreme_thresholds_reproduces_v1(tiny_world):
     assert a.per_task_accuracy == b.per_task_accuracy
     assert a.loss_curves == b.loss_curves
     assert a.memory_counts == b.memory_counts
-    assert a._state.learner.snapshot().digest() == \
-        b._state.learner.snapshot().digest()
+    assert a.state.learner.snapshot().digest() == \
+        b.state.learner.snapshot().digest()
 
 
 def test_co2l_never_builds_a_reference(tiny_world):
@@ -379,16 +413,19 @@ def test_co2l_never_builds_a_reference(tiny_world):
     for method in ("co2l", "co2l_j"):
         rep = tr.run_continual(tiny_cfg(method=method), stream, main, aug,
                                seed=2)
-        assert rep._state.reference is None
+        assert rep.state.reference is None
         assert rep.loss_curves["reference"] == {}
         assert rep.task_metrics == []
+        with pytest.raises(ValueError):
+            tr.run_segregation_eval(tiny_cfg(method=method), stream, aug,
+                                    seed=2)
 
 
 def test_co2l_p_initializes_learner_from_reference(tiny_world):
     main, stream, aug = tiny_world
     rep = tr.run_continual(tiny_cfg(method="co2l_p", epochs_learner=0),
                            stream, main, aug, seed=2)
-    state = rep._state
+    state = rep.state
     assert list(rep.loss_curves["reference"]) == ["t1"]
     for ours, theirs in zip(state.learner.param_arrays(),
                             state.reference.param_arrays()):
@@ -455,3 +492,14 @@ def test_segregation_eval_rows_and_samples(tiny_world):
     for r in rows:
         assert 0.0 <= r["auroc"] <= 1.0
         assert r["n_t_hat"] <= r["n_u_hat"] <= r["n_unlabeled"]
+
+
+@pytest.mark.parametrize("overrides", [{}, {"pretrain_reference": True}],
+                         ids=["ursl_v4", "pretrained_reference"])
+def test_segregation_eval_rows_match_the_run(tiny_world, overrides):
+    """segregate-eval reports the split the run feeds its learner."""
+    main, stream, aug = tiny_world
+    cfg = tiny_cfg(**overrides)
+    rows, _ = tr.run_segregation_eval(cfg, stream, aug, seed=5)
+    report = tr.run_continual(cfg, stream, main, aug, seed=5)
+    assert rows == report.task_metrics
