@@ -37,6 +37,10 @@ log = logging.getLogger("osscl.cli")
 _SEG_FIELDS = ("n_unlabeled", "n_u_hat", "n_t_hat", "tau_id", "tau_pl",
                "score_mean", "score_spread", "auroc", "precision",
                "pseudo_accuracy")
+# recorded in version.json as launched
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_THREAD_LIMIT")
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +142,22 @@ def _resolve_run(args, segregates=False):
     exp = from_dict(resolved)
     _prepare_out_dir(out, args.force)
     write_json(os.path.join(out, "config.json"), resolved)
-    write_json(os.path.join(out, "version.json"),
-               {"package": "osscl", "version": __version__})
+    write_json(os.path.join(out, "version.json"), _version_stamp())
     return exp, resolved, seeds, out
+
+
+def _version_stamp():
+    """The package version, the numpy and BLAS builds, and the BLAS/OpenMP
+    thread variables as launched (None when unset): what a float result of
+    this run can depend on besides its config."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # older numpy has no mode="dicts"
+        blas = {}
+    return {"package": "osscl", "version": __version__,
+            "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "thread_vars": {v: os.environ.get(v) for v in THREAD_VARS}}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ float64 ndarray; ops executed inside a `with Tape()` block append entries to
 the tape in forward order, and `backprop` walks them once in reverse. There is
 no graph object beyond the tape, no broadcasting beyond what each op states,
 and no in-place mutation of op inputs.
+
+Besides generic ops, one fused op, softmax_xent, computes the off-diagonal
+softmax cross-entropy that every contrastive loss is made of, in one forward
+pass and one tape entry with a closed-form backward, with the arithmetic of
+the generic chain it stands for.
 """
 
 from __future__ import annotations
@@ -277,6 +282,96 @@ def row_log_softmax(logits, mask=None):
         return ((g - softmax * g.sum(axis=1, keepdims=True)) * kept,)
 
     _record(out, (logits,), backward)
+    return out
+
+
+def softmax_xent(z, tau, target, factor):
+    """factor * sum_ij W_ij log p_ij, p_i = softmax_{k != i}(z_i . z_k / tau).
+
+    The fused form of pairwise_cosine(z, z) -> scale(1/tau) ->
+    row_log_softmax over the off-diagonal -> (gather2d | mask_fill, mul) ->
+    total_sum -> scale(factor): the same float arithmetic in the same order,
+    so the loss and the gradient are bitwise those of that chain, recorded as
+    one tape entry. The backward is dS = (W - rowsum(W) * p) * factor / tau
+    times the output gradient, returned as (dS @ z, dS.T @ z) to the parent
+    pair (z, z) as pairwise_cosine does.
+
+    Args:
+        z: Tensor [V, d], V >= 2, unit rows (verified to 1e-4).
+        tau: temperature > 0.
+        target: constant W, either an integer index vector [V] naming one
+            off-diagonal column per row (W is its one-hot and the V picked
+            log-probabilities are summed, as gather2d + total_sum do), or a
+            dense float [V, V] matrix whose diagonal is ignored.
+        factor: finite python scalar applied to the sum.
+
+    Raises ShapeError on shape or index errors and non-unit rows, ValueError
+    on tau <= 0, and NonFiniteError when the similarity, a kept
+    log-probability or the loss is not finite.
+    """
+    if z.ndim != 2 or z.shape[0] < 2:
+        raise ShapeError(f"softmax_xent expects z [V>=2, d], got {z.shape}")
+    if not tau > 0:
+        raise ValueError("softmax_xent tau must be positive")
+    factor = float(factor)
+    if not math.isfinite(factor):
+        raise NonFiniteError("softmax_xent factor must be finite")
+    data = z.data
+    v = data.shape[0]
+    rows = np.arange(v)
+    target = np.asarray(target)
+    if target.ndim == 1:
+        if (target.shape != (v,) or target.dtype.kind not in "iu"
+                or (target == rows).any() or target.min() < 0
+                or target.max() >= v):
+            raise ShapeError("softmax_xent index target must name one "
+                             "off-diagonal column per row")
+        w = None
+    elif target.shape == (v, v):
+        w = np.array(target, dtype=data.dtype)
+        np.fill_diagonal(w, 0.0)
+    else:
+        raise ShapeError(f"softmax_xent target shape {target.shape} is neither "
+                         f"({v},) nor ({v}, {v})")
+    norms = np.sqrt((data * data).sum(axis=1))
+    if np.abs(norms - 1.0).max() > 1e-4:
+        raise ShapeError("softmax_xent input has non-unit rows")
+
+    # a python float, so it rounds to the data dtype as scale's factor does
+    inv_tau = float(1.0 / tau)
+    logp = data @ data.T
+    logp *= data.dtype.type(inv_tau)
+    _check_finite(logp, "softmax_xent similarity")
+    np.fill_diagonal(logp, -np.inf)
+    logp -= logp.max(axis=1, keepdims=True)
+    ex = np.exp(logp)
+    denom = ex.sum(axis=1, keepdims=True)
+    logp -= np.log(denom)
+    # the diagonal is -inf here; the chain's mask_fill puts 0 there
+    np.fill_diagonal(logp, 0.0)
+    _check_finite(logp, "softmax_xent log-probabilities")
+    total = logp[rows, target].sum() if w is None else (logp * w).sum()
+    out_data = np.asarray(total * data.dtype.type(factor))
+    _check_finite(out_data, "softmax_xent loss")
+    out = Tensor(out_data, requires_grad=z.requires_grad)
+
+    def backward(g):
+        g = g * factor
+        if w is None:
+            dlogp = np.zeros_like(logp)
+            # 0 + g as gather2d's np.add.at computes it (a -0 g gives +0)
+            dlogp[rows, target] += g
+        else:
+            dlogp = g * w
+        # the chain's off-diagonal masks are no-ops here: the diagonals of
+        # dlogp and of the softmax are already signed zeros
+        ds = ex / denom
+        ds *= dlogp.sum(axis=1, keepdims=True)
+        np.subtract(dlogp, ds, out=ds)
+        ds *= inv_tau
+        return ds @ data, ds.T @ data
+
+    _record(out, (z, z), backward)
     return out
 
 

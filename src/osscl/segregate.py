@@ -117,10 +117,8 @@ def build_prototypes(reference, xs, ys, observed_classes, augmenter, rng, n_aug=
         members = xs[ys == c]
         if members.shape[0] == 0:
             raise EmptyClassError(f"no labeled samples for class {c}")
-        acc = np.zeros(reference.embed(members[:1]).data.shape[1], dtype=np.float64)
-        for _ in range(n_aug):
-            z = _embed_data(reference, augmenter.apply_batch(members, rng))
-            acc += z.sum(axis=0, dtype=np.float64)
+        acc = sum(_embed_data(reference, augmenter.apply_batch(members, rng))
+                  .sum(axis=0, dtype=np.float64) for _ in range(n_aug))
         centroid = acc / (n_aug * members.shape[0])
         norm = np.linalg.norm(centroid)
         if norm < 1e-12:

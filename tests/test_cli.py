@@ -143,7 +143,13 @@ class TestRun:
     def test_version_stamp(self, workspace):
         import osscl
         stamp = _read(workspace["out"] / "version.json")
-        assert stamp == {"package": "osscl", "version": osscl.__version__}
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert stamp == {
+            "package": "osscl", "version": osscl.__version__,
+            "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "thread_vars": {v: os.environ.get(v) for v in cli.THREAD_VARS}}
+        assert "OPENBLAS_NUM_THREADS" in stamp["thread_vars"]
 
 
 class TestErrors:

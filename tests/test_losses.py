@@ -270,6 +270,120 @@ def test_distillation_gradient_check(seed):
 
 
 # ---------------------------------------------------------------------------
+# The fused similarity op against the chain of generic ops it replaces
+# ---------------------------------------------------------------------------
+
+
+def chain_loss(z, tau, target, factor):
+    """factor * sum W * log softmax_offdiag(z z^T / tau) from the generic ops."""
+    v = z.shape[0]
+    offdiag = ~np.eye(v, dtype=bool)
+    sim = nc.scale(nc.pairwise_cosine(z, z), 1.0 / tau)
+    logp = nc.row_log_softmax(sim, offdiag)
+    if target.ndim == 1:
+        picked = nc.gather2d(logp, np.arange(v), target)
+    else:
+        picked = nc.mul(nc.mask_fill(logp, offdiag, 0.0),
+                        nc.Tensor(target.astype(logp.dtype)))
+    return nc.scale(nc.total_sum(picked), factor)
+
+
+def supcon_weights(labels, current, pseudo):
+    active, positives = losses.supcon_anchors(labels, current, pseudo)
+    v = 2 * len(labels)
+    weights = np.zeros((v, v))
+    if active.any():
+        weights[active] = (positives[active]
+                           / positives[active].sum(axis=1, keepdims=True))
+    return weights / v
+
+
+def loss_and_grad(fn, z):
+    # an upstream factor other than 1, as learner_objective puts above a loss
+    with nc.Tape() as tape:
+        loss = fn(z)
+        grads = nc.backprop(tape, nc.scale(loss, 0.37))
+    return loss.data.tobytes(), grads[z].tobytes()
+
+
+CASES = ("ntxent", "supcon", "supcon_no_anchor", "distill")
+
+
+def fused_and_chain(case, v, rng):
+    """(the loss as losses builds it, the same loss from the chain)."""
+    labels = rng.integers(0, 3, size=v // 2)
+    pseudo = rng.random(v // 2) < 0.3
+    current = {7} if case == "supcon_no_anchor" else {0, 1}
+    teacher = unit(rng.standard_normal((v, 16)))
+    if case == "ntxent":
+        return (lambda z: losses.ntxent_loss(z, 0.3),
+                lambda z: chain_loss(z, 0.3, np.arange(v) ^ 1, -1.0 / v))
+    if case == "distill":
+        target = losses.similarity_distribution(teacher, 0.01).probs
+        return (lambda z: losses.distillation_loss(teacher, z, 0.01, 0.15),
+                lambda z: chain_loss(z, 0.15, target, -1.0))
+    weights = supcon_weights(labels, current, pseudo)
+    return (lambda z: losses.asym_supcon_loss(z, labels, current, 0.07,
+                                              pseudo_flags=pseudo),
+            lambda z: chain_loss(z, 0.07, weights, -1.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("v", [2, 6, 256])
+@pytest.mark.parametrize("case", CASES)
+def test_fused_op_is_bitwise_the_chain(case, v, dtype):
+    rng = np.random.default_rng(v)
+    fused, chain = fused_and_chain(case, v, rng)
+    z = nc.Tensor(unit(rng.standard_normal((v, 16))).astype(dtype),
+                  requires_grad=True)
+    assert loss_and_grad(fused, z) == loss_and_grad(chain, z)
+    with nc.Tape() as tape:
+        loss = fused(z)
+    assert len(tape) == 1
+    if case == "supcon_no_anchor":
+        assert float(loss.data) == 0.0
+
+
+def test_fused_op_names_itself_on_a_nan_row():
+    z = unit(np.random.default_rng(0).standard_normal((6, 4)))
+    z[3] = np.nan
+    with pytest.raises(nc.NonFiniteError, match="softmax_xent"):
+        losses.ntxent_loss(nc.Tensor(z), 0.5)
+
+
+def test_fused_op_rejects_non_unit_rows():
+    z = unit(np.random.default_rng(0).standard_normal((6, 4)))
+    z[2] *= 1.01
+    with pytest.raises(nc.ShapeError):
+        nc.softmax_xent(nc.Tensor(z), 0.5, np.zeros((6, 6)), -1.0)
+
+
+def test_fused_op_ignores_the_target_diagonal():
+    z = tensor_views(np.random.default_rng(0).standard_normal((4, 3)),
+                     requires_grad=True)
+    weights = np.random.default_rng(1).random((4, 4))
+    zero_diagonal = weights * ~np.eye(4, dtype=bool)
+    assert (loss_and_grad(lambda t: nc.softmax_xent(t, 0.3, weights, -1.0), z)
+            == loss_and_grad(lambda t: nc.softmax_xent(t, 0.3, zero_diagonal,
+                                                       -1.0), z))
+
+
+def test_fused_op_rejects_a_diagonal_index():
+    z = tensor_views(np.random.default_rng(0).standard_normal((4, 3)))
+    with pytest.raises(nc.ShapeError):
+        nc.softmax_xent(z, 0.5, np.array([1, 0, 2, 2]), -1.0)
+
+
+def test_fused_op_single_pair_has_zero_loss_and_gradient():
+    z = tensor_views([[1.0, 0.0], [0.6, 0.8]], requires_grad=True)
+    with nc.Tape() as tape:
+        loss = losses.ntxent_loss(z, 0.1)
+        grads = nc.backprop(tape, loss)
+    assert float(loss.data) == 0.0
+    np.testing.assert_array_equal(grads[z], 0.0)
+
+
+# ---------------------------------------------------------------------------
 # Combined objective
 # ---------------------------------------------------------------------------
 

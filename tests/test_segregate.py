@@ -44,8 +44,19 @@ def blobs(rng, n_classes, per_class, dim, radius=4.0):
 def test_prototypes_unit_rows_and_sorted_ids():
     rng = np.random.default_rng(0)
     xs, ys = blobs(rng, 4, 10, 6)
-    protos = segregate.build_prototypes(make_reference(), xs, ys, {2, 0, 1, 3},
-                                        null_augmenter(), rng, n_aug=2)
+    ref = make_reference()
+    embedded = []
+
+    class CountingReference:
+        def embed(self, x):
+            embedded.append(len(x))
+            return ref.embed(x)
+
+    protos = segregate.build_prototypes(CountingReference(), xs, ys,
+                                        {2, 0, 1, 3}, null_augmenter(), rng,
+                                        n_aug=2)
+    # one forward pass per augmented copy of each class, nothing else
+    assert embedded == [10] * 8
     np.testing.assert_array_equal(protos.class_ids, [0, 1, 2, 3])
     np.testing.assert_allclose(np.linalg.norm(protos.prototypes, axis=1), 1.0,
                                atol=1e-9)
