@@ -12,7 +12,9 @@ The OSSCL_LOG environment variable sets the logging level (DEBUG, INFO, ...).
 
 All JSON is written with sorted keys so reruns are byte-identical; CSV
 numeric fields use shortest-round-trip formatting so parsing them back
-recovers the exact float values.
+recovers the exact float values. Every file is written to a temp file in
+its directory and renamed into place, so none is ever seen half-written,
+and `run` writes aggregate.json only after every seed's files.
 """
 
 from __future__ import annotations
@@ -55,18 +57,34 @@ def _fmt(value):
     return "" if value is None else str(value)
 
 
+def _write_atomic(path, write, newline=None):
+    """Call write(f) on a temp file beside path, then rename it over path:
+    a crash or error leaves either the old file or none, never a part."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as f:
+            write(f)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as f:
+    def write(f):
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
+    _write_atomic(path, write)
 
 
 def write_csv(path, fieldnames, rows):
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    def write(f):
         writer = csv.writer(f)
         writer.writerow(fieldnames)
         for row in rows:
             writer.writerow([_fmt(row.get(name)) for name in fieldnames])
+    _write_atomic(path, write, newline="")
 
 
 def _per_task_rows(metrics):
@@ -293,8 +311,8 @@ def cmd_report(args):
     for line in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            csv.writer(f).writerows(table)
+        _write_atomic(args.out, lambda f: csv.writer(f).writerows(table),
+                      newline="")
         print(f"wrote {args.out}")
     return 0
 

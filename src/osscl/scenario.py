@@ -223,6 +223,15 @@ class Augmenter:
     independently; with sigma=0 and dropout=0 it is the identity. image mode
     treats rows as channel-major 3 x hw x hw images and applies random
     resized crop, horizontal flip, color jitter, and grayscale.
+
+    Reproducibility contract of image mode: for each image in row order the
+    generator is drawn exactly as uniform(*crop_scale) for the crop area,
+    integers(0, hw - side + 1) for the top and then the left edge,
+    random() < flip_p, random() < jitter_p, then only when jittered
+    uniform(1 +/- brightness), uniform(1 +/- contrast), uniform(1 +/-
+    saturation) and uniform(-hue, hue), and last random() < gray_p. Views
+    and the generator state after a call are fixed by that sequence; the
+    array work runs on the whole batch afterwards and consumes no draws.
     """
 
     mode: str = "vector"
@@ -240,6 +249,17 @@ class Augmenter:
             raise ValueError(f"unknown augmenter mode {self.mode!r}")
         if self.sigma < 0 or not 0 <= self.dropout <= 1:
             raise ValueError("sigma must be >= 0 and dropout in [0, 1]")
+        low, high = self.crop_scale
+        if not 0 <= low <= high < math.inf:
+            raise ValueError(f"crop_scale must be finite (low, high) with "
+                             f"0 <= low <= high, got {self.crop_scale}")
+        for name in ("flip_p", "jitter_p", "gray_p"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if len(self.jitter_strengths) != 4 or not all(
+                0 <= s < math.inf for s in self.jitter_strengths):
+            raise ValueError("jitter_strengths must be four finite values "
+                             ">= 0 (brightness, contrast, saturation, hue)")
 
     def apply_batch(self, xs, rng):
         """One augmented view per row of xs; consumes rng deterministically."""
@@ -264,54 +284,110 @@ class Augmenter:
     # image helpers -----------------------------------------------------
 
     def _apply_images(self, xs, rng):
+        """Draw every image's parameters (class docstring order), then crop,
+        resize, flip, jitter and gray the whole batch in float64."""
         hw = self.image_hw
-        imgs = xs.reshape(len(xs), 3, hw, hw).astype(np.float64)
-        out = np.empty_like(imgs)
-        for i in range(len(imgs)):
-            out[i] = self._augment_one(imgs[i], rng)
-        return out.reshape(len(xs), 3 * hw * hw).astype(xs.dtype)
+        n = len(xs)
+        xs = xs.reshape(n, 3 * hw * hw)
+        (side, top, left, flip), jittered, factors, grayed = \
+            self._draw_images(n, rng)
+        # random resized crop (square, nearest neighbour) and flip as one
+        # gather: output pixel (r, c) reads crop pixel (r*side//hw, c*side//hw)
+        steps = (np.arange(hw) * side[:, None]) // hw
+        rows = top[:, None] + steps
+        cols = left[:, None] + steps
+        cols = np.where(flip[:, None], cols[:, ::-1], cols)
+        planes = np.arange(3 * n).reshape(n, 3, 1, 1) * (hw * hw)
+        pixels = rows[:, :, None] * hw + cols[:, None, :]
+        imgs = np.take(xs, planes + pixels[:, None]).astype(np.float64)
+        for k in range(0, len(jittered), _JITTER_CHUNK):
+            sel = jittered[k:k + _JITTER_CHUNK]
+            imgs[sel] = _jitter(imgs[sel], *factors[:, k:k + _JITTER_CHUNK])
+        imgs[grayed] = _luma(imgs[grayed])[:, None]
+        return imgs.reshape(n, 3 * hw * hw).astype(xs.dtype)
 
-    def _augment_one(self, img, rng):
+    def _draw_images(self, n, rng):
+        """Per-image parameters of one batch, drawn in the contract order.
+
+        Returns [4, n] ints (side, top, left, flip), the indices of the
+        jittered images with their [5, len(jittered)] factors (brightness,
+        contrast, saturation, cos and sin of the hue angle), and the indices
+        of the grayed images.
+        """
         hw = self.image_hw
-        # random resized crop: square side from the area-scale range
-        area_scale = rng.uniform(*self.crop_scale)
-        side = max(1, min(hw, round(hw * math.sqrt(area_scale))))
-        top = rng.integers(0, hw - side + 1)
-        left = rng.integers(0, hw - side + 1)
-        crop = img[:, top:top + side, left:left + side]
-        idx = np.clip((np.arange(hw) * side) // hw, 0, side - 1)
-        img = crop[:, idx][:, :, idx]
-        if rng.random() < self.flip_p:
-            img = img[:, :, ::-1]
-        if rng.random() < self.jitter_p:
-            img = self._jitter(img, rng)
-        if rng.random() < self.gray_p:
-            luma = 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
-            img = np.stack([luma, luma, luma])
-        return img
-
-    def _jitter(self, img, rng):
         sb, sc, ss, sh = self.jitter_strengths
-        img = img * rng.uniform(1 - sb, 1 + sb)
-        mean = img.mean()
-        img = mean + (img - mean) * rng.uniform(1 - sc, 1 + sc)
-        luma = 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
-        sat = rng.uniform(1 - ss, 1 + ss)
-        img = luma[None] + (img - luma[None]) * sat
-        # hue: rotate the chroma plane in YIQ space
-        theta = 2.0 * math.pi * rng.uniform(-sh, sh)
-        yiq = np.tensordot(_RGB2YIQ, img, axes=1)
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-        i_rot = yiq[1] * cos_t - yiq[2] * sin_t
-        q_rot = yiq[1] * sin_t + yiq[2] * cos_t
-        yiq = np.stack([yiq[0], i_rot, q_rot])
-        return np.tensordot(_YIQ2RGB, yiq, axes=1)
+        geometry, jittered, factors, grayed = [], [], [], []
+        for i in range(n):
+            area_scale = rng.uniform(*self.crop_scale)
+            side = max(1, min(hw, round(hw * math.sqrt(area_scale))))
+            top = rng.integers(0, hw - side + 1)
+            left = rng.integers(0, hw - side + 1)
+            geometry.append((side, top, left, rng.random() < self.flip_p))
+            if rng.random() < self.jitter_p:
+                bright = rng.uniform(1 - sb, 1 + sb)
+                contrast = rng.uniform(1 - sc, 1 + sc)
+                sat = rng.uniform(1 - ss, 1 + ss)
+                # hue: a rotation of the chroma plane in YIQ space
+                theta = 2.0 * math.pi * rng.uniform(-sh, sh)
+                jittered.append(i)
+                factors.append((bright, contrast, sat, math.cos(theta),
+                                math.sin(theta)))
+            if rng.random() < self.gray_p:
+                grayed.append(i)
+        return (np.array(geometry, dtype=np.int64).reshape(n, 4).T,
+                np.array(jittered, dtype=np.int64),
+                np.array(factors, dtype=np.float64).reshape(-1, 5).T,
+                np.array(grayed, dtype=np.int64))
 
+
+# images per in-place jitter pass: 16 float64 32x32 images are 384 KiB, so a
+# chunk stays cache-resident through its dozen-odd elementwise passes
+_JITTER_CHUNK = 16
 
 _RGB2YIQ = np.array([[0.299, 0.587, 0.114],
                      [0.596, -0.274, -0.322],
                      [0.211, -0.523, 0.312]])
 _YIQ2RGB = np.linalg.inv(_RGB2YIQ)
+
+
+def _luma(imgs):
+    """Rec. 601 luma of [m, 3, hw, hw] images, [m, hw, hw]."""
+    return 0.299 * imgs[:, 0] + 0.587 * imgs[:, 1] + 0.114 * imgs[:, 2]
+
+
+def _jitter(imgs, bright, contrast, sat, cos_t, sin_t):
+    """Brightness, contrast, saturation and hue of [m, 3, hw, hw] float64
+    images, in place, with per-image factors [m]; returns the result.
+
+    Each image goes through the same float64 operations in the same order
+    as the one-image-at-a-time reference kept in tests/test_scenario.py:
+    scale, the mean as sum / size, mean-centred scale, luma-centred scale,
+    and the YIQ round trip as one 3x3 matrix product per image (one BLAS
+    dgemm each, the call np.tensordot makes for one image).
+    """
+    m, _, hw, _ = imgs.shape
+    per_image = (slice(None), None, None, None)
+    imgs *= bright[per_image]
+    # summed column by column, row by row, channel fastest, the order the
+    # reference sums in (its crop comes out of fancy indexing in that memory
+    # layout); pairwise summation rounds differently in any other order
+    by_column = np.empty((m, hw, hw, 3))
+    for ch in range(3):
+        by_column[..., ch] = imgs[:, ch].transpose(0, 2, 1)
+    mean = (by_column.sum(axis=(1, 2, 3)) / (3 * hw * hw))[per_image]
+    imgs -= mean
+    imgs *= contrast[per_image]
+    imgs += mean
+    luma = _luma(imgs)[:, None]
+    imgs -= luma
+    imgs *= sat[per_image]
+    imgs += luma
+    yiq = np.matmul(_RGB2YIQ, imgs.reshape(m, 3, hw * hw))
+    cos_t, sin_t = cos_t[:, None], sin_t[:, None]
+    i_rot = yiq[:, 1] * cos_t - yiq[:, 2] * sin_t
+    yiq[:, 2] = yiq[:, 1] * sin_t + yiq[:, 2] * cos_t
+    yiq[:, 1] = i_rot
+    return np.matmul(_YIQ2RGB, yiq).reshape(imgs.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -204,10 +204,55 @@ class TestErrors:
         assert rc == 2
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [{"crop_scale": [-1, 1]},
+                                     {"crop_scale": [0.9, 0.1]},
+                                     {"flip_p": 2},
+                                     {"jitter_strengths": [0.4, 0.4, -0.4, 0.1]}])
+    def test_bad_augmenter_exit_2_before_any_output(self, tmp_path, capsys,
+                                                    bad):
+        spec = json.loads(json.dumps(TINY))
+        spec["augmenter"].update(mode="image", **bad)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(spec))
+        out = tmp_path / "never"
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert "config.augmenter" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestAtomicWrites:
+    @staticmethod
+    def _failing_dump(obj, f, **kwargs):
+        f.write('{"partial": ')
+        raise RuntimeError("disk full")
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.json, "dump", self._failing_dump)
+        with pytest.raises(RuntimeError):
+            cli.write_json(str(tmp_path / "metrics.json"), {"a": 1})
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_rewrite_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "metrics.json")
+        cli.write_json(path, {"a": 1})
+        before = (tmp_path / "metrics.json").read_bytes()
+        monkeypatch.setattr(cli.json, "dump", self._failing_dump)
+        with pytest.raises(RuntimeError):
+            cli.write_json(path, {"a": 2})
+        assert os.listdir(tmp_path) == ["metrics.json"]
+        assert (tmp_path / "metrics.json").read_bytes() == before
+
+    def test_csv_bytes_and_no_temp_file_left(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        cli.write_csv(path, ("a", "b"), [{"a": 0.1, "b": None}])
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n0.1,\r\n"
+        assert os.listdir(tmp_path) == ["t.csv"]
 
 
 class TestGradcheck:

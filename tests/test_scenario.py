@@ -1,5 +1,7 @@
 """Tests for datasets, augmentation, stream invariants, and exemplar memory."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,112 @@ def test_augmenter_validation():
         scenario.Augmenter(mode="audio")
     with pytest.raises(ValueError):
         scenario.Augmenter(sigma=-1.0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"crop_scale": (-1.0, 1.0)}, {"crop_scale": (0.9, 0.1)},
+    {"crop_scale": (0.2, float("inf"))}, {"crop_scale": (float("nan"), 1.0)},
+    {"flip_p": 2.0}, {"flip_p": -0.1}, {"jitter_p": 1.5}, {"gray_p": -1.0},
+    {"gray_p": float("nan")}, {"jitter_strengths": (0.4, -0.1, 0.4, 0.1)},
+    {"jitter_strengths": (0.4, 0.4, 0.4)}])
+def test_augmenter_rejects_bad_image_settings(bad):
+    with pytest.raises(ValueError):
+        scenario.Augmenter(mode="image", **bad)
+
+
+def test_augmenter_accepts_edge_image_settings():
+    scenario.Augmenter(mode="image", crop_scale=(0.0, 0.0), flip_p=0.0,
+                       jitter_p=1.0, gray_p=1.0,
+                       jitter_strengths=(0.0, 0.0, 0.0, 0.0))
+
+
+# The per-image loop the batched image path replaced, kept as its oracle:
+# the batched path must give the same bytes and leave the generator in the
+# same state.
+
+def _oracle_images(aug, xs, rng):
+    hw = aug.image_hw
+    imgs = xs.reshape(len(xs), 3, hw, hw).astype(np.float64)
+    out = np.empty_like(imgs)
+    for i in range(len(imgs)):
+        out[i] = _oracle_one(aug, imgs[i], rng)
+    return out.reshape(len(xs), 3 * hw * hw).astype(xs.dtype)
+
+
+def _oracle_one(aug, img, rng):
+    hw = aug.image_hw
+    area_scale = rng.uniform(*aug.crop_scale)
+    side = max(1, min(hw, round(hw * math.sqrt(area_scale))))
+    top = rng.integers(0, hw - side + 1)
+    left = rng.integers(0, hw - side + 1)
+    crop = img[:, top:top + side, left:left + side]
+    idx = np.clip((np.arange(hw) * side) // hw, 0, side - 1)
+    img = crop[:, idx][:, :, idx]
+    if rng.random() < aug.flip_p:
+        img = img[:, :, ::-1]
+    if rng.random() < aug.jitter_p:
+        img = _oracle_jitter(aug, img, rng)
+    if rng.random() < aug.gray_p:
+        luma = 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
+        img = np.stack([luma, luma, luma])
+    return img
+
+
+def _oracle_jitter(aug, img, rng):
+    sb, sc, ss, sh = aug.jitter_strengths
+    img = img * rng.uniform(1 - sb, 1 + sb)
+    mean = img.mean()
+    img = mean + (img - mean) * rng.uniform(1 - sc, 1 + sc)
+    luma = 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
+    sat = rng.uniform(1 - ss, 1 + ss)
+    img = luma[None] + (img - luma[None]) * sat
+    theta = 2.0 * math.pi * rng.uniform(-sh, sh)
+    yiq = np.tensordot(scenario._RGB2YIQ, img, axes=1)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    i_rot = yiq[1] * cos_t - yiq[2] * sin_t
+    q_rot = yiq[1] * sin_t + yiq[2] * cos_t
+    yiq = np.stack([yiq[0], i_rot, q_rot])
+    return np.tensordot(scenario._YIQ2RGB, yiq, axes=1)
+
+
+def _image_settings():
+    """(flip_p, jitter_p, gray_p) all-or-nothing combinations, plus the
+    defaults, which mix jittered and plain images inside one chunk."""
+    flags = [dict(flip_p=f, jitter_p=j, gray_p=g)
+             for f in (0.0, 1.0) for j in (0.0, 1.0) for g in (0.0, 1.0)]
+    return flags + [{}]
+
+
+@pytest.mark.parametrize("hw", [4, 8, 32])
+@pytest.mark.parametrize("batch", [0, 1, 17, 129])
+@pytest.mark.parametrize("crop_scale", [(1.0, 1.0), (0.01, 0.05),
+                                        (0.2, 1.0)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_image_views_match_the_per_image_oracle(hw, batch, crop_scale, dtype):
+    # float64 rows keep the last bits the float32 cast would round away
+    x = np.random.default_rng(hw * 1000 + batch).standard_normal(
+        (batch, 3 * hw * hw)).astype(dtype)
+    for probs in _image_settings():
+        for strengths in ((0.0, 0.0, 0.0, 0.0), (0.4, 0.4, 0.4, 0.1)):
+            aug = scenario.Augmenter(mode="image", image_hw=hw,
+                                     crop_scale=crop_scale,
+                                     jitter_strengths=strengths, **probs)
+            got_rng = np.random.default_rng(batch + 17)
+            want_rng = np.random.default_rng(batch + 17)
+            got = aug.apply_batch(x, got_rng)
+            want = _oracle_images(aug, x, want_rng)
+            case = f"{probs} strengths {strengths}"
+            assert got.dtype == want.dtype == dtype, case
+            assert got.tobytes() == want.tobytes(), case
+            assert got_rng.bit_generator.state == \
+                want_rng.bit_generator.state, case
+
+
+def test_image_mode_rejects_rows_of_the_wrong_width():
+    aug = scenario.Augmenter(mode="image", image_hw=8)
+    with pytest.raises(ValueError):
+        aug.apply_batch(np.zeros((2, 100), dtype=np.float32),
+                        np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ gradient isolation, determinism, and the classifier/eval protocol.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ import pytest
 from osscl import losses as L
 from osscl import scenario as sc
 from osscl import trainer as tr
+from osscl.cli import THREAD_VARS
 from osscl.nets import EncoderProjector
 from osscl.numcore import Tape
 
@@ -22,16 +26,20 @@ from osscl.numcore import Tape
 DIM = 8
 
 
-@pytest.fixture(scope="module")
-def tiny_world():
-    main = sc.synth_dataset(4, DIM, 40, 20, seed=7)
-    peri = sc.synth_dataset(4, DIM, 80, 0, seed=70)
+def build_tiny_world(aug, dim=DIM):
+    main = sc.synth_dataset(4, dim, 40, 20, seed=7)
+    peri = sc.synth_dataset(4, dim, 80, 0, seed=70)
     stream = sc.build_stream(
         sc.ScenarioConfig(n_tasks=2, classes_per_task=2, labeled_fraction=0.1,
                           n_related=60, n_unrelated=60, seed=3),
         main, [peri])
-    aug = sc.Augmenter(mode="vector", sigma=0.5, dropout=0.1)
     return main, stream, aug
+
+
+@pytest.fixture(scope="module")
+def tiny_world():
+    return build_tiny_world(sc.Augmenter(mode="vector", sigma=0.5,
+                                         dropout=0.1))
 
 
 def tiny_cfg(**overrides):
@@ -352,6 +360,43 @@ def test_rerun_is_bitwise_identical(tiny_world):
         json.dumps(b.metrics_dict(), sort_keys=True)
     assert a.state.learner.snapshot().digest() == \
         b.state.learner.snapshot().digest()
+
+
+# Runs the tiny world and its image-mode twin (8x8 RGB rows) under ursl,
+# seed 5, and prints each run's metrics digest.
+_DIGEST_SCRIPT = """
+import hashlib, json, sys
+sys.path[:0] = sys.argv[1:3]
+import test_trainer as T
+from osscl import scenario as sc, trainer as tr
+for world in (T.build_tiny_world(sc.Augmenter(mode="vector", sigma=0.5,
+                                              dropout=0.1)),
+              T.build_tiny_world(sc.Augmenter(mode="image", image_hw=8),
+                                 dim=3 * 8 * 8)):
+    main, stream, aug = world
+    rep = tr.run_continual(T.tiny_cfg(), stream, main, aug, seed=5)
+    text = json.dumps(rep.metrics_dict(), sort_keys=True)
+    print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def test_rerun_is_bitwise_identical_across_blas_thread_counts():
+    """The same run in fresh processes whose BLAS/OpenMP thread variables
+    are all 1, then all 2, gives byte-identical metrics (one process at a
+    time)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env.update({var: threads for var in THREAD_VARS})
+        done = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT, src, tests], env=env,
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]
 
 
 def test_seed_changes_the_run(tiny_world):
