@@ -6,15 +6,27 @@ compute; every error names the offending key path and unknown keys are
 rejected. `Experiment.resolved()` returns the fully-defaulted dictionary,
 which is written next to results and loads back to an identical experiment
 (the echo closure property).
+
+Where each check lives:
+  * augmenter, arch and method (with method.weights) are read from the
+    dataclasses they build: scenario.Augmenter, trainer.NetArch,
+    trainer.MethodConfig and losses.LossWeights. Every key is a field and
+    defaults to the field's default. This module checks each value's type
+    against that default; ranges and cross-field rules live in the
+    dataclass's __post_init__, so direct construction gets them too, and
+    their errors are reported under the section path.
+  * datasets and scenario keep hand-written readers here for kind dispatch,
+    required keys and minimums; scenario.ScenarioConfig checks the rest.
+  * The image row width, 3 x image_hw x image_hw, is checked by
+    Experiment.build_datasets, where the data is first known.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 from . import scenario as sc
-from .losses import LossWeights
 from .trainer import MethodConfig, NetArch
 
 
@@ -38,59 +50,78 @@ def _check_keys(obj, path, required, optional=()):
             _fail(f"{path}.{key}", "missing required key")
 
 
-def _get_int(obj, path, key, default=None, minimum=None):
+def _get(obj, path, key, default, minimum=None):
+    """obj[key] read as the type of default; default when the key is absent,
+    unless default is a type, which makes the key required."""
     if key not in obj:
-        if default is None:
+        if isinstance(default, type):
             _fail(f"{path}.{key}", "missing required key")
         return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"{path}.{key}", "expected an integer")
+    example = default() if isinstance(default, type) else default
+    value = _read_value(example, obj[key], f"{path}.{key}")
     if minimum is not None and value < minimum:
         _fail(f"{path}.{key}", f"must be >= {minimum}")
     return value
 
 
-def _get_float(obj, path, key, default=None):
-    if key not in obj:
-        if default is None:
-            _fail(f"{path}.{key}", "missing required key")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{path}.{key}", "expected a number")
-    return float(value)
+def _read_value(default, value, path):
+    """value checked against the type of default and converted like it.
+
+    bool is tested before int, and an int is accepted for a float. A tuple
+    reads a list whose items have the type of the default's first item; a
+    tuple of floats also keeps the default's length. A dataclass reads a
+    nested section.
+    """
+    if is_dataclass(default):
+        return _read_section(type(default), value, path)
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            _fail(path, "expected true or false")
+        return value
+    if isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            _fail(path, "expected an integer")
+        return value
+    if isinstance(default, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            _fail(path, "expected a number")
+        return float(value)
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            _fail(path, "expected a string")
+        return value
+    if not isinstance(default, tuple):
+        raise TypeError(f"{path}: no reader for {type(default).__name__}")
+    if not isinstance(value, list):
+        _fail(path, "expected a list")
+    if isinstance(default[0], float) and len(value) != len(default):
+        _fail(path, f"expected exactly {len(default)} values")
+    return tuple(_read_value(default[0], v, f"{path}[{i}]")
+                 for i, v in enumerate(value))
 
 
-def _get_bool(obj, path, key, default):
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        _fail(f"{path}.{key}", "expected true or false")
-    return value
+def _read_section(cls, obj, path):
+    """Build the dataclass cls from a JSON object whose keys are its fields.
+
+    Every key is optional and defaults to the field's default; an unknown
+    key is rejected. Range checks live in cls.__post_init__ and are reported
+    under path.
+    """
+    _check_keys(obj, path, required=(), optional=[f.name for f in fields(cls)])
+    defaults = cls()
+    kwargs = {key: _read_value(getattr(defaults, key), value, f"{path}.{key}")
+              for key, value in obj.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
-def _get_str(obj, path, key, default=None):
-    if key not in obj:
-        if default is None:
-            _fail(f"{path}.{key}", "missing required key")
-        return default
-    value = obj[key]
-    if not isinstance(value, str):
-        _fail(f"{path}.{key}", "expected a string")
-    return value
-
-
-def _get_number_list(obj, path, key, default, length=None):
-    value = obj.get(key)
-    if value is None:
-        return list(default)
-    if not isinstance(value, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in value):
-        _fail(f"{path}.{key}", "expected a list of numbers")
-    if length is not None and len(value) != length:
-        _fail(f"{path}.{key}", f"expected exactly {length} values")
-    return [float(v) for v in value]
+def _echo(section):
+    """A dataclass section as JSON data: its fields, tuples as lists."""
+    return asdict(section, dict_factory=lambda items: {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in items})
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +132,7 @@ def _get_number_list(obj, path, key, default, length=None):
 def _parse_dataset(obj, path):
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
-    kind = _get_str(obj, path, "kind")
+    kind = _get(obj, path, "kind", str)
     if kind == "synthetic":
         _check_keys(obj, path,
                     required=("kind", "classes", "dim", "train_per_class",
@@ -109,27 +140,27 @@ def _parse_dataset(obj, path):
                     optional=("mean_radius", "noise_sigma", "name"))
         return {
             "kind": "synthetic",
-            "classes": _get_int(obj, path, "classes", minimum=1),
-            "dim": _get_int(obj, path, "dim", minimum=1),
-            "train_per_class": _get_int(obj, path, "train_per_class", minimum=1),
-            "test_per_class": _get_int(obj, path, "test_per_class", minimum=0),
-            "seed": _get_int(obj, path, "seed", minimum=0),
-            "mean_radius": _get_float(obj, path, "mean_radius", 4.0),
-            "noise_sigma": _get_float(obj, path, "noise_sigma", 1.0),
-            "name": _get_str(obj, path, "name", ""),
+            "classes": _get(obj, path, "classes", int, minimum=1),
+            "dim": _get(obj, path, "dim", int, minimum=1),
+            "train_per_class": _get(obj, path, "train_per_class", int, minimum=1),
+            "test_per_class": _get(obj, path, "test_per_class", int, minimum=0),
+            "seed": _get(obj, path, "seed", int, minimum=0),
+            "mean_radius": _get(obj, path, "mean_radius", 4.0),
+            "noise_sigma": _get(obj, path, "noise_sigma", 1.0),
+            "name": _get(obj, path, "name", ""),
         }
     if kind == "cifar":
         _check_keys(obj, path, required=("kind", "train_path"),
                     optional=("test_path", "name"))
         return {
             "kind": "cifar",
-            "train_path": _get_str(obj, path, "train_path"),
-            "test_path": _get_str(obj, path, "test_path", ""),
-            "name": _get_str(obj, path, "name", "cifar"),
+            "train_path": _get(obj, path, "train_path", str),
+            "test_path": _get(obj, path, "test_path", ""),
+            "name": _get(obj, path, "name", "cifar"),
         }
     if kind == "file":
         _check_keys(obj, path, required=("kind", "path"))
-        return {"kind": "file", "path": _get_str(obj, path, "path")}
+        return {"kind": "file", "path": _get(obj, path, "path", str)}
     _fail(f"{path}.kind", "expected one of synthetic, cifar, file")
 
 
@@ -139,101 +170,19 @@ def _parse_scenario(obj, path):
                           "n_related", "n_unrelated"),
                 optional=("variant", "non_iid_fraction"))
     kwargs = {
-        "n_tasks": _get_int(obj, path, "n_tasks", minimum=1),
-        "classes_per_task": _get_int(obj, path, "classes_per_task", minimum=1),
-        "labeled_fraction": _get_float(obj, path, "labeled_fraction"),
-        "n_related": _get_int(obj, path, "n_related", minimum=0),
-        "n_unrelated": _get_int(obj, path, "n_unrelated", minimum=0),
-        "variant": _get_str(obj, path, "variant", "standard"),
-        "non_iid_fraction": _get_float(obj, path, "non_iid_fraction", 0.5),
+        "n_tasks": _get(obj, path, "n_tasks", int, minimum=1),
+        "classes_per_task": _get(obj, path, "classes_per_task", int, minimum=1),
+        "labeled_fraction": _get(obj, path, "labeled_fraction", float),
+        "n_related": _get(obj, path, "n_related", int, minimum=0),
+        "n_unrelated": _get(obj, path, "n_unrelated", int, minimum=0),
+        "variant": _get(obj, path, "variant", "standard"),
+        "non_iid_fraction": _get(obj, path, "non_iid_fraction", 0.5),
     }
     try:
         sc.ScenarioConfig(seed=0, **kwargs)
     except ValueError as exc:
         _fail(path, str(exc))
     return kwargs
-
-
-def _parse_augmenter(obj, path):
-    _check_keys(obj, path, required=(),
-                optional=("mode", "sigma", "dropout", "crop_scale", "flip_p",
-                          "jitter_p", "jitter_strengths", "gray_p",
-                          "image_hw"))
-    kwargs = {
-        "mode": _get_str(obj, path, "mode", "vector"),
-        "sigma": _get_float(obj, path, "sigma", 0.5),
-        "dropout": _get_float(obj, path, "dropout", 0.1),
-        "crop_scale": tuple(_get_number_list(obj, path, "crop_scale",
-                                             (0.2, 1.0), length=2)),
-        "flip_p": _get_float(obj, path, "flip_p", 0.5),
-        "jitter_p": _get_float(obj, path, "jitter_p", 0.8),
-        "jitter_strengths": tuple(_get_number_list(
-            obj, path, "jitter_strengths", (0.4, 0.4, 0.4, 0.1), length=4)),
-        "gray_p": _get_float(obj, path, "gray_p", 0.2),
-        "image_hw": _get_int(obj, path, "image_hw", 32, minimum=1),
-    }
-    try:
-        return sc.Augmenter(**kwargs)
-    except ValueError as exc:
-        _fail(path, str(exc))
-
-
-def _parse_arch(obj, path):
-    _check_keys(obj, path, required=(),
-                optional=("hidden", "proj_hidden", "embed_dim"))
-    hidden = obj.get("hidden", [64, 64])
-    if (not isinstance(hidden, list) or not hidden or not all(
-            isinstance(h, int) and not isinstance(h, bool) and h >= 1
-            for h in hidden)):
-        _fail(f"{path}.hidden", "expected a non-empty list of positive ints")
-    return NetArch(hidden=tuple(hidden),
-                   proj_hidden=_get_int(obj, path, "proj_hidden", 32, minimum=1),
-                   embed_dim=_get_int(obj, path, "embed_dim", 16, minimum=1))
-
-
-def _parse_weights(obj, path):
-    defaults = LossWeights()
-    _check_keys(obj, path, required=(),
-                optional=("tau", "tau_teacher", "tau_student", "td_weight",
-                          "kd_weight"))
-    kwargs = {name: _get_float(obj, path, name, getattr(defaults, name))
-              for name in ("tau", "tau_teacher", "tau_student", "td_weight",
-                           "kd_weight")}
-    try:
-        return LossWeights(**kwargs)
-    except ValueError as exc:
-        _fail(path, str(exc))
-
-
-_METHOD_INTS = ("n_aug", "memory_size", "epochs_first", "epochs_later",
-                "epochs_learner", "batch_size", "classifier_epochs",
-                "classifier_batch")
-_METHOD_FLOATS = ("eta_id", "eta_pl", "lr", "min_lr", "classifier_lr")
-_METHOD_BOOLS = ("use_sup", "use_td", "use_kd", "pretrain_reference",
-                 "pseudo_anchor", "pseudo_positive")
-_METHOD_STRS = ("method", "seg_variant", "spread_mode", "memory_policy")
-
-
-def _parse_method(obj, path):
-    defaults = MethodConfig()
-    _check_keys(obj, path, required=(),
-                optional=_METHOD_INTS + _METHOD_FLOATS + _METHOD_BOOLS
-                + _METHOD_STRS + ("weights",))
-    kwargs = {}
-    for name in _METHOD_STRS:
-        kwargs[name] = _get_str(obj, path, name, getattr(defaults, name))
-    for name in _METHOD_BOOLS:
-        kwargs[name] = _get_bool(obj, path, name, getattr(defaults, name))
-    for name in _METHOD_INTS:
-        kwargs[name] = _get_int(obj, path, name, getattr(defaults, name))
-    for name in _METHOD_FLOATS:
-        kwargs[name] = _get_float(obj, path, name, getattr(defaults, name))
-    kwargs["weights"] = _parse_weights(obj.get("weights", {}),
-                                       f"{path}.weights")
-    try:
-        return MethodConfig(**kwargs)
-    except ValueError as exc:
-        _fail(path, str(exc))
 
 
 def _parse_seeds(obj, path):
@@ -268,14 +217,6 @@ class Experiment:
 
     def resolved(self):
         """Fully-defaulted JSON-ready dictionary; loads back identically."""
-        method = {name: getattr(self.method, name)
-                  for name in _METHOD_STRS + _METHOD_BOOLS + _METHOD_INTS
-                  + _METHOD_FLOATS}
-        method["weights"] = {
-            name: getattr(self.method.weights, name)
-            for name in ("tau", "tau_teacher", "tau_student", "td_weight",
-                         "kd_weight")}
-        aug = self.augmenter
         return {
             "name": self.name,
             "datasets": {
@@ -283,31 +224,31 @@ class Experiment:
                 "peripheral": [dict(p) for p in self.peripheral_datasets],
             },
             "scenario": dict(self.scenario_kwargs),
-            "augmenter": {
-                "mode": aug.mode,
-                "sigma": aug.sigma,
-                "dropout": aug.dropout,
-                "crop_scale": list(aug.crop_scale),
-                "flip_p": aug.flip_p,
-                "jitter_p": aug.jitter_p,
-                "jitter_strengths": list(aug.jitter_strengths),
-                "gray_p": aug.gray_p,
-                "image_hw": aug.image_hw,
-            },
-            "arch": {
-                "hidden": list(self.arch.hidden),
-                "proj_hidden": self.arch.proj_hidden,
-                "embed_dim": self.arch.embed_dim,
-            },
-            "method": method,
+            "augmenter": _echo(self.augmenter),
+            "arch": _echo(self.arch),
+            "method": _echo(self.method),
             "seeds": list(self.seeds),
             "output_dir": self.output_dir,
         }
 
     def build_datasets(self):
-        """Materialize (main, peripherals) from their specs."""
-        return (_build_dataset(self.main_dataset),
-                [_build_dataset(p) for p in self.peripheral_datasets])
+        """Materialize (main, peripherals) from their specs.
+
+        In image mode every row must hold a 3 x image_hw x image_hw image;
+        the width is known only here, so a mismatch is a ConfigError before
+        any training.
+        """
+        main = _build_dataset(self.main_dataset)
+        peripherals = [_build_dataset(p) for p in self.peripheral_datasets]
+        hw = self.augmenter.image_hw
+        named = [("main", main)] + [(f"peripheral[{i}]", p)
+                                    for i, p in enumerate(peripherals)]
+        for where, data in named:
+            if self.augmenter.mode == "image" and data.dim != 3 * hw * hw:
+                _fail("config.augmenter.image_hw",
+                      f"image mode needs rows of 3*{hw}*{hw} = {3 * hw * hw} "
+                      f"values, datasets.{where} has {data.dim}")
+        return main, peripherals
 
     def scenario_config(self, seed):
         return sc.ScenarioConfig(seed=int(seed), **self.scenario_kwargs)
@@ -340,18 +281,19 @@ def from_dict(data, path="config"):
     if not isinstance(peripheral, list):
         _fail(f"{path}.datasets.peripheral", "expected a list")
     return Experiment(
-        name=_get_str(data, path, "name", "experiment"),
+        name=_get(data, path, "name", "experiment"),
         main_dataset=_parse_dataset(ds["main"], f"{path}.datasets.main"),
         peripheral_datasets=tuple(
             _parse_dataset(p, f"{path}.datasets.peripheral[{i}]")
             for i, p in enumerate(peripheral)),
         scenario_kwargs=_parse_scenario(data["scenario"], f"{path}.scenario"),
-        augmenter=_parse_augmenter(data.get("augmenter", {}),
-                                   f"{path}.augmenter"),
-        arch=_parse_arch(data.get("arch", {}), f"{path}.arch"),
-        method=_parse_method(data.get("method", {}), f"{path}.method"),
+        augmenter=_read_section(sc.Augmenter, data.get("augmenter", {}),
+                                f"{path}.augmenter"),
+        arch=_read_section(NetArch, data.get("arch", {}), f"{path}.arch"),
+        method=_read_section(MethodConfig, data.get("method", {}),
+                             f"{path}.method"),
         seeds=_parse_seeds(data, path),
-        output_dir=_get_str(data, path, "output_dir", ""),
+        output_dir=_get(data, path, "output_dir", ""),
     )
 
 

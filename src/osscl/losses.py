@@ -36,7 +36,8 @@ class LossWeights:
     distillation, td_weight scales past-self distillation and kd_weight
     scales reference distillation. Both weights act on per-anchor means (see
     learner_objective), so they mean the same at any batch size and any mix
-    of memory and pseudo-labeled views.
+    of memory and pseudo-labeled views. A config's `method.weights` section
+    holds these fields with these defaults; their ranges are checked here.
     """
 
     tau: float = 0.1
@@ -150,26 +151,12 @@ def asym_supcon_loss(embeddings, labels, current_classes, tau,
     return softmax_xent(embeddings, tau, weights, -1.0)
 
 
-@dataclass(frozen=True)
-class SimilarityDistribution:
-    """Per-view softmax over the other views' similarities, self excluded.
-
-    probs is [2N, 2N] with an exact zero diagonal; each row sums to 1.
-    """
-
-    probs: np.ndarray
-
-    def row(self, i):
-        """Probability vector of view i over the other 2N-1 views."""
-        n = self.probs.shape[0]
-        return self.probs[i][np.arange(n) != i]
-
-
 def similarity_distribution(embeddings, tau):
     """Softmax over pairwise cosines at temperature tau, diagonal excluded.
 
-    Pure numpy, no tape involvement; both distillation teachers go through
-    this path.
+    Returns [2N, 2N] probabilities with an exact zero diagonal; each row
+    sums to 1. Pure numpy, no tape involvement; both distillation teachers
+    go through this path.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -180,8 +167,7 @@ def similarity_distribution(embeddings, tau):
     np.fill_diagonal(sim, -np.inf)
     sim -= sim.max(axis=1, keepdims=True)
     ex = np.exp(sim)
-    probs = ex / ex.sum(axis=1, keepdims=True)
-    return SimilarityDistribution(probs=probs)
+    return ex / ex.sum(axis=1, keepdims=True)
 
 
 def distillation_loss(teacher_embeddings, student_embeddings, tau_teacher, tau_student):
@@ -202,7 +188,7 @@ def distillation_loss(teacher_embeddings, student_embeddings, tau_teacher, tau_s
     v = student_embeddings.shape[0]
     if teacher.shape[0] != v:
         raise ValueError(f"teacher has {teacher.shape[0]} views, student has {v}")
-    target = similarity_distribution(teacher, tau_teacher).probs
+    target = similarity_distribution(teacher, tau_teacher)
     return softmax_xent(student_embeddings, tau_student, target, -1.0)
 
 

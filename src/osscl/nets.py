@@ -8,7 +8,6 @@ projection head whose output is L2-normalized onto the unit sphere.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 
 import numpy as np
@@ -133,13 +132,6 @@ class ParamSnapshot:
 
     def param_arrays(self):
         return [p.data for p in self._net.params]
-
-    def digest(self):
-        """sha256 over the concatenated parameter bytes, for immutability checks."""
-        h = hashlib.sha256()
-        for a in self.param_arrays():
-            h.update(np.ascontiguousarray(a).tobytes())
-        return h.hexdigest()
 
 
 class LinearClassifier:

@@ -232,6 +232,10 @@ class Augmenter:
     saturation) and uniform(-hue, hue), and last random() < gray_p. Views
     and the generator state after a call are fixed by that sequence; the
     array work runs on the whole batch afterwards and consumes no draws.
+
+    Every field is range-checked in __post_init__; a config's `augmenter`
+    section holds these fields with these defaults. That dataset rows are
+    3 x image_hw x image_hw wide is checked by config.Experiment.build_datasets.
     """
 
     mode: str = "vector"
@@ -247,6 +251,8 @@ class Augmenter:
     def __post_init__(self):
         if self.mode not in ("vector", "image"):
             raise ValueError(f"unknown augmenter mode {self.mode!r}")
+        if self.image_hw < 1:
+            raise ValueError("image_hw must be >= 1")
         if self.sigma < 0 or not 0 <= self.dropout <= 1:
             raise ValueError("sigma must be >= 0 and dropout in [0, 1]")
         low, high = self.crop_scale

@@ -55,11 +55,23 @@ def role_rng(seed, role):
 
 @dataclass(frozen=True)
 class NetArch:
-    """Encoder/projector widths shared by reference and learner."""
+    """Encoder/projector widths shared by reference and learner.
+
+    Every width is checked here (at least one hidden layer, each width >= 1),
+    so a config's `arch` section and a direct construction fail alike.
+    """
 
     hidden: tuple = (64, 64)
     proj_hidden: int = 32
     embed_dim: int = 16
+
+    def __post_init__(self):
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError(f"hidden must be a non-empty list of widths "
+                             f">= 1, got {list(self.hidden)}")
+        for name in ("proj_hidden", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -75,6 +87,9 @@ class MethodConfig:
     pretrain_reference trains the reference once on all pools up front and
     freezes it. Epoch defaults are desk scale; full-scale values are
     epochs_first=400, epochs_later=100, epochs_learner=200, batch 512.
+
+    A config's `method` section holds these fields with these defaults;
+    every range and cross-field rule is checked in __post_init__.
     """
 
     method: str = "ursl"

@@ -220,6 +220,23 @@ class TestErrors:
         assert "config.augmenter" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_image_row_width_exit_2_before_training(self, tmp_path, capsys,
+                                                    threads):
+        spec = json.loads(json.dumps(TINY))
+        spec["augmenter"] = {"mode": "image"}
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                       "--threads", threads])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config.augmenter.image_hw" in err
+        assert "3072" in err and "has 8" in err
+        assert not list(out.glob("seed_*"))
+        assert not (out / "aggregate.json").exists()
+
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

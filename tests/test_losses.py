@@ -174,31 +174,31 @@ def test_asym_supcon_gradient_check(seed):
 
 def test_similarity_distribution_two_views():
     z = unit([[1, 0], [0, 1]])
-    dist = losses.similarity_distribution(z, tau=1.0)
-    np.testing.assert_allclose(dist.probs, [[0, 1], [1, 0]])
+    probs = losses.similarity_distribution(z, tau=1.0)
+    np.testing.assert_allclose(probs, [[0, 1], [1, 0]])
 
 
 def test_similarity_distribution_known_row():
     # view 0 similar to view 1 (cos 1) and orthogonal to view 2 (cos 0), tau=1
     z = unit([[1, 0], [1, 0], [0, 1]])
-    dist = losses.similarity_distribution(z, tau=1.0)
+    probs = losses.similarity_distribution(z, tau=1.0)
     e = math.e
-    np.testing.assert_allclose(dist.row(0), [e / (e + 1), 1 / (e + 1)], rtol=1e-12)
+    np.testing.assert_allclose(probs[0, 1:], [e / (e + 1), 1 / (e + 1)], rtol=1e-12)
 
 
 def test_similarity_distribution_rows_sum_to_one():
     rng = np.random.default_rng(5)
     z = unit(rng.standard_normal((6, 3)))
-    dist = losses.similarity_distribution(z, tau=0.2)
-    np.testing.assert_allclose(dist.probs.sum(axis=1), 1.0, atol=1e-12)
-    np.testing.assert_array_equal(np.diag(dist.probs), np.zeros(6))
+    probs = losses.similarity_distribution(z, tau=0.2)
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(np.diag(probs), np.zeros(6))
 
 
 def test_similarity_distribution_sharpens_with_low_tau():
     rng = np.random.default_rng(6)
     z = unit(rng.standard_normal((6, 3)))
-    sharp = losses.similarity_distribution(z, tau=0.01).probs
-    soft = losses.similarity_distribution(z, tau=1.0).probs
+    sharp = losses.similarity_distribution(z, tau=0.01)
+    soft = losses.similarity_distribution(z, tau=1.0)
     assert sharp.max() > soft.max()
 
 
@@ -319,7 +319,7 @@ def fused_and_chain(case, v, rng):
         return (lambda z: losses.ntxent_loss(z, 0.3),
                 lambda z: chain_loss(z, 0.3, np.arange(v) ^ 1, -1.0 / v))
     if case == "distill":
-        target = losses.similarity_distribution(teacher, 0.01).probs
+        target = losses.similarity_distribution(teacher, 0.01)
         return (lambda z: losses.distillation_loss(teacher, z, 0.01, 0.15),
                 lambda z: chain_loss(z, 0.15, target, -1.0))
     weights = supcon_weights(labels, current, pseudo)
@@ -459,6 +459,35 @@ def test_learner_objective_without_anchors_is_zero():
     out = losses.learner_objective(z, 1, losses.LossWeights(), labels=[3, 4],
                                    current_classes={0, 1})
     assert float(out.data) == 0.0
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 0, 2], [3, 3, 4, 4]],
+                         ids=["anchors", "no_anchors"])
+@pytest.mark.parametrize("seed", range(3))
+def test_learner_objective_gradient_check(seed, labels):
+    """The objective the learner trains on: one z shared by supervision and
+    time distillation, a separate zk for reference distillation, and every
+    per-anchor rescale, checked end to end (labels 3 and 4 are past classes,
+    so the second case has no active anchor)."""
+    rng = np.random.default_rng(seed)
+    params = make_embedder(rng)
+    views = rng.standard_normal((8, 5))
+    kd_views = rng.standard_normal((6, 5))
+    td_teacher = unit(rng.standard_normal((8, 4)))
+    kd_teacher = unit(rng.standard_normal((6, 4)))
+    weights = losses.LossWeights(tau=0.3, tau_teacher=0.05, tau_student=0.2,
+                                 td_weight=0.4, kd_weight=0.3)
+
+    def loss_fn():
+        z = embed_via_net(params, views)
+        return losses.learner_objective(
+            z, 2, weights, labels, {0, 1},
+            pseudo_flags=[False, False, True, seed == 2],
+            pseudo_anchor=seed == 1, pseudo_positive=seed != 2,
+            td_teacher=td_teacher, kd_teacher=kd_teacher,
+            kd_student=embed_via_net(params, kd_views))
+
+    assert nc.check_gradients(loss_fn, params) < 1e-6
 
 
 def test_loss_weights_validation():

@@ -21,6 +21,7 @@ from osscl import trainer as tr
 from osscl.cli import THREAD_VARS
 from osscl.nets import EncoderProjector
 from osscl.numcore import Tape
+from test_nets import param_digest
 
 
 DIM = 8
@@ -153,11 +154,11 @@ def test_reference_training_reduces_contrastive_loss(tiny_world):
 def test_reference_zero_epochs_is_noop(tiny_world):
     main, _, aug = tiny_world
     net = EncoderProjector(DIM, (32, 32), 16, 8, rng=np.random.default_rng(0))
-    digest = net.snapshot().digest()
+    digest = param_digest(net)
     curve = tr.train_reference(net, main.train_x[:50], 0, tiny_cfg(), aug,
                                np.random.default_rng(1))
     assert curve == []
-    assert net.snapshot().digest() == digest
+    assert param_digest(net) == digest
 
 
 def test_reference_empty_pool_raises(tiny_world):
@@ -222,20 +223,20 @@ def test_reference_and_learner_gradients_are_isolated(tiny_world):
                                rng=np.random.default_rng(0))
     reference = EncoderProjector(DIM, (32, 32), 16, 8,
                                  rng=np.random.default_rng(1))
-    ref_digest = reference.snapshot().digest()
+    ref_digest = param_digest(reference)
     sel = np.isin(main.train_y, [0, 1])
     flags = np.zeros(sel.sum(), dtype=bool)
     tr.train_learner_task(learner, main.train_x[sel], main.train_y[sel], flags,
                           (0, 1), 1, tiny_cfg(), aug,
                           np.random.default_rng(3), kd_teacher=reference,
                           kd_pool=main.train_x[:60])
-    assert reference.snapshot().digest() == ref_digest
+    assert param_digest(reference) == ref_digest
 
-    learner_digest = learner.snapshot().digest()
+    learner_digest = param_digest(learner)
     tr.train_reference(reference, main.train_x[:60], 2, tiny_cfg(), aug,
                        np.random.default_rng(4))
-    assert learner.snapshot().digest() == learner_digest
-    assert reference.snapshot().digest() != ref_digest
+    assert param_digest(learner) == learner_digest
+    assert param_digest(reference) != ref_digest
 
 
 def test_teachers_stay_off_the_learner_tape(tiny_world, monkeypatch):
@@ -358,8 +359,7 @@ def test_rerun_is_bitwise_identical(tiny_world):
     b = tr.run_continual(cfg, stream, main, aug, seed=5)
     assert json.dumps(a.metrics_dict(), sort_keys=True) == \
         json.dumps(b.metrics_dict(), sort_keys=True)
-    assert a.state.learner.snapshot().digest() == \
-        b.state.learner.snapshot().digest()
+    assert param_digest(a.state.learner) == param_digest(b.state.learner)
 
 
 # Runs the tiny world and its image-mode twin (8x8 RGB rows) under ursl,
@@ -404,8 +404,7 @@ def test_seed_changes_the_run(tiny_world):
     cfg = tiny_cfg()
     a = tr.run_continual(cfg, stream, main, aug, seed=5)
     b = tr.run_continual(cfg, stream, main, aug, seed=6)
-    assert a.state.learner.snapshot().digest() != \
-        b.state.learner.snapshot().digest()
+    assert param_digest(a.state.learner) != param_digest(b.state.learner)
 
 
 def test_ursl_with_extras_disabled_reduces_to_co2l(tiny_world):
@@ -449,8 +448,7 @@ def test_v4_with_extreme_thresholds_reproduces_v1(tiny_world):
     assert a.per_task_accuracy == b.per_task_accuracy
     assert a.loss_curves == b.loss_curves
     assert a.memory_counts == b.memory_counts
-    assert a.state.learner.snapshot().digest() == \
-        b.state.learner.snapshot().digest()
+    assert param_digest(a.state.learner) == param_digest(b.state.learner)
 
 
 def test_co2l_never_builds_a_reference(tiny_world):
