@@ -25,7 +25,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -205,6 +204,9 @@ def cmd_run(args):
     del exp
     jobs = [(seed, os.path.join(out, f"seed_{seed}")) for seed in seeds]
     if args.threads > 1 and len(jobs) > 1:
+        # imported here: loading it costs every serial start about 30 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(args.threads,
                                                  len(jobs))) as pool:
             futures = [pool.submit(_run_seed_job, resolved, seed, seed_dir)

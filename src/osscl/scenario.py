@@ -125,7 +125,8 @@ def load_cifar_binary(train_path, test_path=None, name="cifar"):
         labels = rec[:, 0].astype(np.int64)
         if labels.max() > 9:
             raise ValueError(f"{path}: label {labels.max()} out of range")
-        pixels = rec[:, 1:].astype(np.float32) / 255.0
+        pixels = rec[:, 1:].astype(np.float32)
+        pixels /= 255.0
         return pixels, labels
 
     train_px, train_y = read(train_path)
@@ -135,9 +136,9 @@ def load_cifar_binary(train_path, test_path=None, name="cifar"):
     std[std == 0] = 1.0
 
     def standardize(px):
-        shaped = px.reshape(-1, 3, 1024)
-        shaped = (shaped - mean[None, :, None]) / std[None, :, None]
-        return shaped.reshape(-1, 3072).astype(np.float32)
+        shaped = px.reshape(-1, 3, 1024) - mean[None, :, None]
+        shaped /= std[None, :, None]
+        return shaped.reshape(-1, 3072)
 
     n_train = len(train_y)
     if test_path is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 SPREAD_MODES = ("variance", "stddev")
 
@@ -185,6 +184,27 @@ def segregate_scores(scores_u, nearest_classes, stats):
     )
 
 
+def _average_ranks(x):
+    """1-based float64 ranks of the flattened x, tied values sharing the mean
+    of their ranks; all NaN if x holds a NaN.
+
+    Exact in float64: a stable sort, dense ids of the tie groups, and each
+    group's mean rank from its cumulative count bounds. tests/test_segregate.py
+    pins it bitwise to a reference average-rank implementation.
+    """
+    x = np.asarray(x).ravel()
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="mergesort")
+    inverse = np.empty(x.size, dtype=np.intp)
+    inverse[order] = np.arange(x.size)
+    xs = x[order]
+    starts = np.r_[True, xs[1:] != xs[:-1]]
+    dense = starts.cumsum()[inverse]
+    count = np.r_[np.nonzero(starts)[0], x.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def auroc_from_scores(scores_u, positive_mask):
     """Mann-Whitney AUROC with average-rank tie handling.
 
@@ -195,7 +215,7 @@ def auroc_from_scores(scores_u, positive_mask):
     n_neg = int(positive_mask.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    ranks = rankdata(np.asarray(scores_u), method="average")
+    ranks = _average_ranks(scores_u)
     r_pos = ranks[positive_mask].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -348,3 +350,22 @@ class TestReport:
         rc = cli.main(["report", str(tmp_path)])
         assert rc == 2
         assert "aggregate.json" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_cli_imports_no_scipy_and_no_process_pool(self):
+        """The benchmark worker's import set, in a fresh interpreter, loads
+        neither scipy (about 1.2 s per process) nor the process pool, which
+        only `run --threads N` needs."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                  "import osscl.cli, osscl.trainer; "
+                  "print('\\n'.join(sorted(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", script, src],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        loaded = done.stdout.split()
+        assert "osscl.trainer" in loaded
+        assert [m for m in loaded if m == "scipy"
+                or m.startswith("scipy.")] == []
+        assert "concurrent.futures.process" not in loaded

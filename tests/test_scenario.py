@@ -108,6 +108,44 @@ def test_cifar_binary_roundtrip(tmp_path):
     np.testing.assert_allclose(shaped.std(axis=(0, 2)), 1.0, atol=1e-4)
 
 
+def _oracle_cifar_features(path, mean=None, std=None):
+    """The loader's scaling and standardization as first written, with a
+    full-size temporary per step; returns (features, mean, std)."""
+    rec = np.fromfile(path, dtype=np.uint8).reshape(-1, 3073)
+    pixels = rec[:, 1:].astype(np.float32) / 255.0
+    if mean is None:
+        per_channel = pixels.reshape(-1, 3, 1024)
+        mean = per_channel.mean(axis=(0, 2))
+        std = per_channel.std(axis=(0, 2))
+        std[std == 0] = 1.0
+    shaped = pixels.reshape(-1, 3, 1024)
+    shaped = (shaped - mean[None, :, None]) / std[None, :, None]
+    return shaped.reshape(-1, 3072).astype(np.float32), mean, std
+
+
+@pytest.mark.parametrize("n_train,flat_channel", [(24, None), (37, 2)])
+def test_cifar_binary_features_match_copying_formula(tmp_path, n_train,
+                                                     flat_channel):
+    rng = np.random.default_rng(n_train)
+    labels = np.arange(n_train) % 10
+    pixels = rng.integers(0, 256, size=(n_train, 3072)).astype(np.uint8)
+    if flat_channel is not None:
+        # a constant channel has std 0, which the loader replaces by 1
+        pixels[:, flat_channel * 1024:(flat_channel + 1) * 1024] = 17
+    train = tmp_path / "train.bin"
+    test = tmp_path / "test.bin"
+    scenario.write_cifar_binary(train, labels, pixels)
+    scenario.write_cifar_binary(test, labels[:9], pixels[::-1][:9])
+    ds = scenario.load_cifar_binary(train, test)
+    want_train, mean, std = _oracle_cifar_features(train)
+    want_test, _, _ = _oracle_cifar_features(test, mean, std)
+    for got, want in ((ds.train_x, want_train), (ds.test_x, want_test)):
+        assert got.dtype == np.float32
+        assert got.flags.c_contiguous
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_cifar_binary_rejects_bad_sizes(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\x00" * 100)

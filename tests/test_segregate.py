@@ -259,6 +259,31 @@ def test_auroc_matches_pair_counting():
     assert segregate.auroc_from_scores(scores, related) == pytest.approx(expected)
 
 
+def _rank_oracle_cases():
+    rng = np.random.default_rng(2024)
+    draws = (
+        lambda n: rng.normal(size=n),
+        lambda n: rng.integers(0, 4, size=n).astype(np.float64),
+        lambda n: np.round(rng.normal(size=n), 1),
+    )
+    for i in range(300):
+        x = draws[i % 3](int(rng.integers(1, 401)))
+        yield x if i % 2 else x.astype(np.float32)
+    for dtype in (np.float64, np.float32):
+        yield np.array([0.25], dtype=dtype)
+        yield np.full(57, 0.5, dtype=dtype)
+        yield np.array([0.3, np.nan, 0.1], dtype=dtype)
+
+
+def test_average_ranks_match_scipy_bitwise():
+    stats = pytest.importorskip("scipy.stats")
+    for x in _rank_oracle_cases():
+        got = segregate._average_ranks(x)
+        want = stats.rankdata(x, method="average")
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), (x.dtype, x.size)
+
+
 def test_ood_metrics_precision_and_pseudo_accuracy():
     out = segregate.SegregationOutput(
         u_hat_indices=np.array([0, 1, 2]),

@@ -7,6 +7,7 @@ the orchestration: method reduction, variant equivalence, snapshot and
 gradient isolation, determinism, and the classifier/eval protocol.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -397,6 +398,63 @@ def test_rerun_is_bitwise_identical_across_blas_thread_counts():
         digests.append(done.stdout.split())
     assert len(digests[0]) == 2
     assert digests[0] == digests[1]
+
+
+# The bitwise rerun contract as literals: sha256[:16] of the sorted-key
+# metrics JSON of run_continual(tiny_cfg(**overrides), ..., seed=5) on the tiny
+# world (vector) and its image-mode twin. Float bytes depend on the numpy and
+# BLAS build, so the pins hold only on the build they were taken on.
+_PINNED_NUMPY = "2.4.6"
+_PINNED_BLAS = ("OpenBLAS 0.3.31.188.0 USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
+                "Haswell MAX_THREADS=64")
+_PINNED_DIGESTS = [
+    ("vector", {}, "33871226241a3e12"),
+    ("vector", {"method": "co2l"}, "5381dbc73994197f"),
+    ("vector", {"method": "co2l_j"}, "1b9c0f19a0388f16"),
+    ("vector", {"method": "co2l_p"}, "c785011811e5dcbf"),
+    ("vector", {"seg_variant": "v1"}, "9947cb4fdfc38b4f"),
+    ("vector", {"seg_variant": "v2"}, "e1d98c3b9ddd8c04"),
+    ("vector", {"seg_variant": "v3"}, "235b0e65b1faed4d"),
+    ("vector", {"use_td": False}, "698b89714c686ba7"),
+    ("vector", {"use_kd": False}, "6faf86086e7f6df6"),
+    ("vector", {"use_sup": False}, "4f03b37d3be39b29"),
+    ("vector", {"pretrain_reference": True}, "5f4472a70960499b"),
+    ("vector", {"memory_policy": "rainbow"}, "3827dbfcb2d99993"),
+    ("vector", {"memory_policy": "high_confidence"}, "c71f882a2a14ee0c"),
+    ("image", {}, "1403dcb9ef113d3f"),
+    ("image", {"method": "co2l_j"}, "404a25547534e86f"),
+]
+
+
+def _blas_configuration():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        return None
+    return " ".join(str(blas.get("openblas configuration")).split())
+
+
+@pytest.fixture(scope="module")
+def image_world():
+    return build_tiny_world(sc.Augmenter(mode="image", image_hw=8),
+                            dim=3 * 8 * 8)
+
+
+@pytest.mark.parametrize(
+    "mode,overrides,digest", _PINNED_DIGESTS,
+    ids=[f"{m}-" + ("-".join(f"{k}={v}" for k, v in o.items()) or "ursl")
+         for m, o, _ in _PINNED_DIGESTS])
+def test_metrics_digest_is_pinned(tiny_world, image_world, mode, overrides,
+                                  digest):
+    build = (np.__version__, _blas_configuration())
+    if build != (_PINNED_NUMPY, _PINNED_BLAS):
+        pytest.skip(f"digests pinned on numpy {_PINNED_NUMPY} with "
+                    f"{_PINNED_BLAS!r}; this is numpy {build[0]} with "
+                    f"{build[1]!r}")
+    main, stream, aug = tiny_world if mode == "vector" else image_world
+    rep = tr.run_continual(tiny_cfg(**overrides), stream, main, aug, seed=5)
+    text = json.dumps(rep.metrics_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_seed_changes_the_run(tiny_world):
