@@ -1,10 +1,12 @@
-"""Finite-difference verification of every loss gradient.
+"""Finite-difference verification of every loss gradient and of the network.
 
 Each named loss gets a batch of randomized configurations (shapes, labels,
 temperatures, flag combinations). For each configuration the tape gradient
 of the loss with respect to the raw (pre-normalization) embeddings is
-compared against central differences in double precision. The suite is the
-backing for the `gradcheck` CLI command and the acceptance gate.
+compared against central differences in double precision. The last check,
+mlp_embed, differences an NT-Xent loss of a float64 EncoderProjector's
+embeddings with respect to the net's flat parameter buffer. The suite is
+the backing for the `gradcheck` CLI command and the acceptance gate.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses as L
+from .nets import EncoderProjector
 from .numcore import Tensor, check_gradients, l2_normalize_rows
 
 LOSS_NAMES = ("ntxent", "supcon", "distill_time", "distill_reference",
-              "combined")
+              "combined", "mlp_embed")
 DEFAULT_TOL = 1e-4
 
 
@@ -102,17 +105,33 @@ def _combined_case(rng):
     return fn, [x_sup, x_kd]
 
 
+def _mlp_embed_case(rng):
+    n = int(rng.integers(2, 5))
+    input_dim = int(rng.integers(3, 7))
+    hidden = tuple(int(h) for h in rng.integers(6, 11, size=rng.integers(1, 3)))
+    net = EncoderProjector(input_dim, hidden, int(rng.integers(4, 9)),
+                           int(rng.integers(3, 7)), rng=rng, dtype=np.float64)
+    # positive biases keep units alive (init leaves them at zero), so that
+    # every layer passes gradient and no embedding row is all zero
+    for b in net.param_arrays()[1::2]:
+        b[...] = rng.uniform(0.1, 0.5, size=b.shape)
+    x = rng.normal(0.0, 1.0, size=(2 * n, input_dim))
+    tau = float(rng.uniform(0.1, 0.5))
+    return lambda: L.ntxent_loss(net.embed(x), tau), [net.params]
+
+
 _CASES = {
     "ntxent": _ntxent_case,
     "supcon": _supcon_case,
     "distill_time": lambda rng: _distill_case(rng, (0.02, 0.1)),
     "distill_reference": lambda rng: _distill_case(rng, (0.02, 0.1)),
     "combined": _combined_case,
+    "mlp_embed": _mlp_embed_case,
 }
 
 
 def run_suite(n_configs=20, seed=2024, tol=DEFAULT_TOL):
-    """Gradcheck every loss on n_configs random setups each.
+    """Gradcheck every loss, and the network, on n_configs random setups each.
 
     Returns {loss_name: worst relative error}. A suite passes when every
     entry is strictly below tol.

@@ -112,7 +112,8 @@ def supcon_anchors(labels, current_classes, pseudo_flags=None,
 
 
 def asym_supcon_loss(embeddings, labels, current_classes, tau,
-                     pseudo_flags=None, pseudo_anchor=False, pseudo_positive=True):
+                     pseudo_flags=None, pseudo_anchor=False, pseudo_positive=True,
+                     *, _anchors=None):
     """Supervised contrastive loss with anchors restricted to current-task views.
 
     Views whose label is in current_classes act as anchors; every same-label
@@ -130,6 +131,8 @@ def asym_supcon_loss(embeddings, labels, current_classes, tau,
         pseudo_flags: optional per-source bools, True = pseudo-labeled.
         pseudo_anchor: let pseudo-labeled views anchor.
         pseudo_positive: let pseudo-labeled views serve as positives.
+        _anchors: supcon_anchors of these arguments when the caller already
+            has them (learner_objective); not part of the public interface.
 
     Returns a 0-d Tensor; exactly 0 when no view anchors or no anchor has a
     positive.
@@ -141,8 +144,10 @@ def asym_supcon_loss(embeddings, labels, current_classes, tau,
     v = embeddings.shape[0]
     if 2 * len(labels) != v:
         raise ValueError(f"labels length {len(labels)} != n_sources {v // 2}")
-    active, positives = supcon_anchors(labels, current_classes, pseudo_flags,
-                                       pseudo_anchor, pseudo_positive)
+    if _anchors is None:
+        _anchors = supcon_anchors(labels, current_classes, pseudo_flags,
+                                  pseudo_anchor, pseudo_positive)
+    active, positives = _anchors
     weights = np.zeros((v, v))
     if active.any():
         weights[active] = (positives[active]
@@ -255,12 +260,14 @@ def learner_objective(z, t, weights, labels, current_classes, pseudo_flags=None,
     v = z.shape[0]
     l_sup = l_td = l_kd = None
     if use_sup:
+        anchors = supcon_anchors(labels, current_classes, pseudo_flags,
+                                 pseudo_anchor, pseudo_positive)
         l_sup = asym_supcon_loss(z, labels, current_classes, weights.tau,
                                  pseudo_flags=pseudo_flags,
                                  pseudo_anchor=pseudo_anchor,
-                                 pseudo_positive=pseudo_positive)
-        n_active = int(supcon_anchors(labels, current_classes, pseudo_flags,
-                                      pseudo_anchor, pseudo_positive)[0].sum())
+                                 pseudo_positive=pseudo_positive,
+                                 _anchors=anchors)
+        n_active = int(anchors[0].sum())
         if n_active:
             l_sup = scale(l_sup, v / n_active)
     if td_teacher is not None:

@@ -8,11 +8,12 @@ projection head whose output is L2-normalized onto the unit sphere.
 
 from __future__ import annotations
 
+import copy
 import struct
 
 import numpy as np
 
-from .numcore import Tensor, affine, l2_normalize_rows, relu
+from .numcore import Tensor, affine, mlp_embed, mlp_size, mlp_views
 
 _CHECKPOINT_MAGIC = b"OSSCLEP1"
 
@@ -25,6 +26,12 @@ def kaiming_uniform(rng, fan_in, fan_out):
 
 class EncoderProjector:
     """MLP encoder plus projection head with unit-norm embeddings.
+
+    All weights and biases live in one contiguous array, `params.data`, in
+    construction order (w, b of each encoder layer, then of the two head
+    layers; see numcore.mlp_views); `params` is the single leaf Tensor the
+    optimizer updates and backprop returns one flat gradient for. Both
+    forwards are one numcore.mlp_embed call.
 
     Args:
         input_dim: flat input dimensionality.
@@ -51,14 +58,12 @@ class EncoderProjector:
         if rng is None:
             rng = np.random.default_rng(0)
 
-        dims = [self.input_dim, *hidden, self.proj_hidden, self.embed_dim]
-        self.params = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w = Tensor(kaiming_uniform(rng, fan_in, fan_out).astype(self.dtype),
-                       requires_grad=True)
-            b = Tensor(np.zeros(fan_out, dtype=self.dtype), requires_grad=True)
-            self.params.extend((w, b))
-        self._n_encoder_layers = len(hidden)
+        self.dims = (self.input_dim, *hidden, self.proj_hidden, self.embed_dim)
+        flat = np.empty(mlp_size(self.dims), dtype=self.dtype)
+        for w, b in mlp_views(flat, self.dims):
+            w[...] = kaiming_uniform(rng, *w.shape).astype(self.dtype)
+            b[...] = 0
+        self.params = Tensor(flat, requires_grad=True)
 
     @property
     def feature_dim(self):
@@ -71,19 +76,12 @@ class EncoderProjector:
 
     def encoder_features(self, x):
         """Forward through the encoder only; relu after every layer."""
-        h = self._as_tensor(x)
-        for i in range(self._n_encoder_layers):
-            w, b = self.params[2 * i], self.params[2 * i + 1]
-            h = relu(affine(h, w, b))
-        return h
+        return mlp_embed(self._as_tensor(x), self.params,
+                         self.dims[:len(self.hidden) + 1], unit=False)
 
     def embed(self, x):
         """Forward through encoder and head; rows come back unit-normalized."""
-        h = self.encoder_features(x)
-        k = 2 * self._n_encoder_layers
-        h = relu(affine(h, self.params[k], self.params[k + 1]))
-        h = affine(h, self.params[k + 2], self.params[k + 3])
-        return l2_normalize_rows(h)
+        return mlp_embed(self._as_tensor(x), self.params, self.dims)
 
     def snapshot(self):
         """Frozen copy of the current parameters; see ParamSnapshot."""
@@ -91,38 +89,39 @@ class EncoderProjector:
 
     def copy_params_from(self, other):
         """Overwrite parameters with a bitwise copy of another net or snapshot."""
-        arrays = other.param_arrays()
-        if len(arrays) != len(self.params):
-            raise ValueError("parameter count mismatch")
-        for p, a in zip(self.params, arrays):
-            if p.data.shape != a.shape:
-                raise ValueError(f"parameter shape mismatch: {p.data.shape} vs {a.shape}")
-            p.data = a.astype(self.dtype, copy=True)
+        ours = [a.shape for a in self.param_arrays()]
+        theirs = [a.shape for a in other.param_arrays()]
+        if ours != theirs:
+            raise ValueError(f"parameter shape mismatch: {ours} vs {theirs}")
+        np.copyto(self.params.data, other.params.data)
 
     def param_arrays(self):
-        return [p.data for p in self.params]
+        """Views of each weight and bias in construction order."""
+        return [a for layer in mlp_views(self.params.data, self.dims)
+                for a in layer]
 
     def arch_tuple(self):
         return (self.input_dim, self.hidden, self.proj_hidden, self.embed_dim)
 
 
 class ParamSnapshot:
-    """Read-only view of an EncoderProjector's parameters at one instant.
+    """Read-only copy of an EncoderProjector's parameters at one instant.
 
     Used as the frozen teacher for distillation: forward passes share the
     live net's code path (so snapshot.embed equals net.embed bitwise at the
-    moment of capture) but the arrays are copies and not writable.
+    moment of capture) but `params` is a copy that is not writable and takes
+    no gradient.
     """
 
     def __init__(self, net):
-        self._net = EncoderProjector(net.input_dim, net.hidden, net.proj_hidden,
-                                     net.embed_dim, rng=np.random.default_rng(0),
-                                     dtype=net.dtype)
-        for p, src in zip(self._net.params, net.params):
-            frozen = src.data.copy()
-            frozen.flags.writeable = False
-            p.data = frozen
-            p.requires_grad = False
+        frozen = net.params.data.copy()
+        frozen.flags.writeable = False
+        self._net = copy.copy(net)
+        self._net.params = Tensor(frozen)
+
+    @property
+    def params(self):
+        return self._net.params
 
     def encoder_features(self, x):
         return self._net.encoder_features(x)
@@ -131,7 +130,7 @@ class ParamSnapshot:
         return self._net.embed(x)
 
     def param_arrays(self):
-        return [p.data for p in self._net.params]
+        return self._net.param_arrays()
 
 
 class LinearClassifier:
@@ -162,15 +161,15 @@ def save_net(net, path):
 
     Layout: magic, u32 input_dim, u32 n_hidden, n_hidden x u32 widths,
     u32 proj_hidden, u32 embed_dim, then each parameter's float32 bytes in
-    construction order. Shapes are implied by the architecture header.
+    construction order, which is the flat parameter buffer. Shapes are
+    implied by the architecture header.
     """
     with open(path, "wb") as f:
         f.write(_CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", net.input_dim, len(net.hidden)))
         f.write(struct.pack(f"<{len(net.hidden)}I", *net.hidden))
         f.write(struct.pack("<II", net.proj_hidden, net.embed_dim))
-        for a in net.param_arrays():
-            f.write(np.ascontiguousarray(a, dtype=np.float32).tobytes())
+        f.write(net.params.data.astype(np.float32, copy=False).tobytes())
 
 
 def load_net(path):
@@ -184,11 +183,11 @@ def load_net(path):
         proj_hidden, embed_dim = struct.unpack("<II", f.read(8))
         net = EncoderProjector(input_dim, hidden, proj_hidden, embed_dim,
                                rng=np.random.default_rng(0))
-        for p in net.params:
-            raw = f.read(4 * p.data.size)
-            if len(raw) != 4 * p.data.size:
-                raise ValueError("checkpoint truncated")
-            p.data = np.frombuffer(raw, dtype=np.float32).reshape(p.data.shape).copy()
+        size = net.params.data.size
+        raw = f.read(4 * size)
+        if len(raw) != 4 * size:
+            raise ValueError("checkpoint truncated")
+        net.params.data[...] = np.frombuffer(raw, dtype=np.float32)
         tail = f.read(1)
         if tail:
             raise ValueError("trailing bytes after checkpoint payload")

@@ -7,10 +7,11 @@ the tape in forward order, and `backprop` walks them once in reverse. There is
 no graph object beyond the tape, no broadcasting beyond what each op states,
 and no in-place mutation of op inputs.
 
-Besides generic ops, one fused op, softmax_xent, computes the off-diagonal
-softmax cross-entropy that every contrastive loss is made of, in one forward
-pass and one tape entry with a closed-form backward, with the arithmetic of
-the generic chain it stands for.
+Besides generic ops, two fused ops each stand for a chain of generic ops
+with that chain's arithmetic, in one forward pass and one tape entry:
+mlp_embed runs a whole MLP off one flat parameter buffer, and softmax_xent
+computes the off-diagonal softmax cross-entropy that every contrastive loss
+is made of, with a closed-form backward.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def _record(out, parents, backward):
 
 
 def _check_finite(arr, op_name):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op_name} produced non-finite values")
 
 
@@ -215,6 +216,109 @@ def l2_normalize_rows(x):
         return ((g - y * inner) / norms,)
 
     _record(out, (x,), backward)
+    return out
+
+
+def mlp_size(dims):
+    """Parameter count of an MLP with layer widths dims = (d0, d1, ..., dL)."""
+    return sum((fan_in + 1) * fan_out
+               for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
+def mlp_views(flat, dims):
+    """Per-layer (w [I, O], b [O]) views into a flat parameter buffer.
+
+    For layer widths dims = (d0, d1, ..., dL) the buffer holds, from its
+    start and back to back, each layer's weight [d_k, d_k+1] (row-major) and
+    then its bias [d_k+1]; values past mlp_size(dims) belong to no layer.
+    """
+    views = []
+    k = 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        w = flat[k:k + fan_in * fan_out].reshape(fan_in, fan_out)
+        k += fan_in * fan_out
+        views.append((w, flat[k:k + fan_out]))
+        k += fan_out
+    return views
+
+
+def mlp_embed(x, params, dims, unit=True):
+    """An MLP over one flat parameter buffer, recorded as one tape entry.
+
+    Layer k computes h @ w_k + b_k with the views of mlp_views(params, dims).
+    With unit=True every layer but the last is followed by relu and the
+    output rows are scaled to unit L2 norm (an embedding); with unit=False
+    every layer is followed by relu (encoder features). The forward is the
+    arithmetic of the chain affine -> relu -> ... -> affine ->
+    l2_normalize_rows, with its finite checks and error names. The backward
+    computes that chain's products and writes each layer's weight and bias
+    gradient into its view of one flat gradient, zero past the layers used,
+    so the loss and every parameter gradient are bitwise the chain's. The
+    input takes no gradient: the first layer's x-gradient is never computed,
+    and an input that requires one is rejected.
+
+    Args:
+        x: Tensor [B, dims[0]] that does not require gradient.
+        params: 1-d Tensor of at least mlp_size(dims) values; the op's only
+            tape parent.
+        dims: layer widths (d0, ..., dL), L >= 1.
+        unit: end in a linear layer and row normalization.
+
+    Raises ValueError on an input that requires gradient, ShapeError on
+    shape errors, NonFiniteError naming affine or l2_normalize_rows, and
+    DegenerateNormError.
+    """
+    if x.requires_grad:
+        raise ValueError("mlp_embed computes no input gradient; its input "
+                         "must not require gradient")
+    flat = params.data
+    used = mlp_size(dims)
+    if (len(dims) < 2 or x.ndim != 2 or x.shape[1] != dims[0]
+            or flat.ndim != 1 or flat.size < used):
+        raise ShapeError(f"mlp_embed shape mismatch: x {x.shape}, params "
+                         f"{flat.shape}, dims {tuple(dims)}")
+    layers = mlp_views(flat, dims)
+    last = len(layers) - 1
+    # inputs[k] feeds layer k; after layer 0 it is a relu output, whose
+    # positive entries are where the chain's relu passed gradient
+    inputs = []
+    h = x.data
+    for k, (w, b) in enumerate(layers):
+        inputs.append(h)
+        h = h @ w
+        h += b
+        _check_finite(h, "affine")
+        if k < last or not unit:
+            np.maximum(h, 0, out=h)
+    if unit:
+        norms = np.sqrt((h * h).sum(axis=1, keepdims=True))
+        if norms.min() < EPS_NORM:
+            raise DegenerateNormError(
+                f"row norm {norms.min():g} below {EPS_NORM:g}")
+        y = h / norms
+        _check_finite(y, "l2_normalize_rows")
+    else:
+        y = h
+    out = Tensor(y, requires_grad=params.requires_grad)
+
+    def backward(g):
+        grad = np.empty_like(flat)
+        grad[used:] = 0
+        if unit:
+            # d(h/|h|) = (g - y * <g, y>) / |h| per row
+            inner = (g * y).sum(axis=1, keepdims=True)
+            g = (g - y * inner) / norms
+        else:
+            g = g * (y > 0)
+        for k, (gw, gb) in reversed(list(enumerate(mlp_views(grad, dims)))):
+            np.matmul(inputs[k].T, g, out=gw)
+            np.sum(g, axis=0, out=gb)
+            if k:
+                g = g @ layers[k][0].T
+                g *= inputs[k] > 0
+        return (grad,)
+
+    _record(out, (params,), backward)
     return out
 
 
@@ -485,6 +589,10 @@ class Adam:
     """Adam with bias correction over a fixed parameter list.
 
     Update order follows the parameter list, so steps are deterministic.
+    Each parameter is updated in place (views into it stay live) through two
+    scratch arrays of its shape, with the elementwise arithmetic of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    p = p - lr (m / bc1) / (sqrt(v / bc2) + eps).
     Parameters missing from the gradient dict are treated as zero-gradient
     (their moments still decay, the step counter is shared).
     """
@@ -498,6 +606,8 @@ class Adam:
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = [(np.empty_like(p.data), np.empty_like(p.data))
+                         for p in self.params]
 
     def step(self, grads):
         """Apply one update from a dict {Tensor: ndarray} as backprop returns."""
@@ -505,22 +615,29 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for i, p in enumerate(self.params):
+        for p, m, v, (s1, s2) in zip(self.params, self._m, self._v,
+                                     self._scratch):
             g = grads.get(p)
             if g is None:
-                g = np.zeros_like(p.data)
+                g = s2
+                g.fill(0)
             elif g.shape != p.data.shape:
                 raise ShapeError(
                     f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-            m = self._m[i]
-            v = self._v[i]
             m *= b1
-            m += (1.0 - b1) * g
+            np.multiply(1.0 - b1, g, out=s1)
+            m += s1
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, g, out=s1)
+            s1 *= 1.0 - b2
+            v += s1
+            np.divide(m, bc1, out=s1)
+            s1 *= self.lr
+            np.divide(v, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            p.data -= s1
 
 
 class CosineSchedule:

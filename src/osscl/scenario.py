@@ -230,7 +230,9 @@ class Augmenter:
     integers(0, hw - side + 1) for the top and then the left edge,
     random() < flip_p, random() < jitter_p, then only when jittered
     uniform(1 +/- brightness), uniform(1 +/- contrast), uniform(1 +/-
-    saturation) and uniform(-hue, hue), and last random() < gray_p. Views
+    saturation) and uniform(-hue, hue), and last random() < gray_p. Each
+    uniform(a, b) is computed as a + (b - a) * random(), the formula and the
+    single draw of Generator.uniform, so it gives that call's value. Views
     and the generator state after a call are fixed by that sequence; the
     array work runs on the whole batch afterwards and consumes no draws.
 
@@ -323,23 +325,30 @@ class Augmenter:
         """
         hw = self.image_hw
         sb, sc, ss, sh = self.jitter_strengths
+        # each uniform(a, b) is drawn as a + (b - a) * random(), the formula
+        # of Generator.uniform, with (a, b - a) worked out once per batch
+        (crop_lo, crop_span), (b_lo, b_span), (c_lo, c_span), (s_lo, s_span), \
+            (h_lo, h_span) = [(a, b - a) for a, b in (
+                self.crop_scale, (1 - sb, 1 + sb), (1 - sc, 1 + sc),
+                (1 - ss, 1 + ss), (-sh, sh))]
+        random = rng.random
         geometry, jittered, factors, grayed = [], [], [], []
         for i in range(n):
-            area_scale = rng.uniform(*self.crop_scale)
+            area_scale = crop_lo + crop_span * random()
             side = max(1, min(hw, round(hw * math.sqrt(area_scale))))
             top = rng.integers(0, hw - side + 1)
             left = rng.integers(0, hw - side + 1)
-            geometry.append((side, top, left, rng.random() < self.flip_p))
-            if rng.random() < self.jitter_p:
-                bright = rng.uniform(1 - sb, 1 + sb)
-                contrast = rng.uniform(1 - sc, 1 + sc)
-                sat = rng.uniform(1 - ss, 1 + ss)
+            geometry.append((side, top, left, random() < self.flip_p))
+            if random() < self.jitter_p:
+                bright = b_lo + b_span * random()
+                contrast = c_lo + c_span * random()
+                sat = s_lo + s_span * random()
                 # hue: a rotation of the chroma plane in YIQ space
-                theta = 2.0 * math.pi * rng.uniform(-sh, sh)
+                theta = 2.0 * math.pi * (h_lo + h_span * random())
                 jittered.append(i)
                 factors.append((bright, contrast, sat, math.cos(theta),
                                 math.sin(theta)))
-            if rng.random() < self.gray_p:
+            if random() < self.gray_p:
                 grayed.append(i)
         return (np.array(geometry, dtype=np.int64).reshape(n, 4).T,
                 np.array(jittered, dtype=np.int64),

@@ -242,7 +242,7 @@ def train_reference(net, pool_x, epochs, cfg, augmenter, rng):
         raise ValueError("reference training needs a non-empty unlabeled pool")
     if epochs == 0:
         return []
-    opt = Adam(net.params, lr=cfg.lr)
+    opt = Adam([net.params], lr=cfg.lr)
     schedule = CosineSchedule(cfg.lr, cfg.min_lr, epochs)
     curve = []
     for epoch in range(epochs):
@@ -297,7 +297,7 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
     if cfg.epochs_learner == 0:
         return []
     current = frozenset(int(c) for c in task_classes)
-    opt = Adam(learner.params, lr=cfg.lr)
+    opt = Adam([learner.params], lr=cfg.lr)
     schedule = CosineSchedule(cfg.lr, cfg.min_lr, cfg.epochs_learner)
     curve = []
     for epoch in range(cfg.epochs_learner):

@@ -139,7 +139,7 @@ def test_criterion_1_gradient_checks(capsys):
     ok = (gradcheck.suite_passes(results) and rc == 0
           and set(results) == set(gradcheck.LOSS_NAMES) and elapsed < 60.0)
     with capsys.disabled():
-        _verdict(1, ok, f"five losses, 20 configs each, worst rel err "
+        _verdict(1, ok, f"five losses and the network, 20 configs each, worst rel err "
                         f"{worst:.2e} < 1e-4, cli exit {rc}, {elapsed:.1f}s")
 
 

@@ -280,7 +280,7 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert rc == 0
         for name in ("ntxent", "supcon", "distill_time",
-                     "distill_reference", "combined"):
+                     "distill_reference", "combined", "mlp_embed"):
             assert f"{name}: max rel err" in out
         assert "gradcheck PASS" in out
 

@@ -461,6 +461,26 @@ def test_learner_objective_without_anchors_is_zero():
     assert float(out.data) == 0.0
 
 
+def test_learner_objective_finds_the_anchors_once(monkeypatch):
+    calls = []
+    original = losses.supcon_anchors
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(losses, "supcon_anchors", counted)
+    z = tensor_views([[1, 0], [1, 0], [0, 1], [0, 1], [0, 1], [0, 1]])
+    out = losses.learner_objective(z, 1, losses.LossWeights(tau=1.0),
+                                   labels=[0, 1, 0], current_classes={0},
+                                   pseudo_flags=[False, False, True])
+    assert len(calls) == 1
+    monkeypatch.undo()
+    raw = losses.asym_supcon_loss(z, [0, 1, 0], {0}, tau=1.0,
+                                  pseudo_flags=[False, False, True])
+    assert out.data.tobytes() == nc.scale(raw, 6 / 2).data.tobytes()
+
+
 @pytest.mark.parametrize("labels", [[0, 1, 0, 2], [3, 3, 4, 4]],
                          ids=["anchors", "no_anchors"])
 @pytest.mark.parametrize("seed", range(3))

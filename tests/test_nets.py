@@ -39,10 +39,9 @@ def test_feature_dim_is_last_hidden_width():
 
 def test_init_is_seed_deterministic():
     a, b = make_net(5), make_net(5)
-    for pa, pb in zip(a.params, b.params):
-        np.testing.assert_array_equal(pa.data, pb.data)
+    np.testing.assert_array_equal(a.params.data, b.params.data)
     c = make_net(6)
-    assert any((pa.data != pc.data).any() for pa, pc in zip(a.params, c.params))
+    assert (a.params.data != c.params.data).any()
 
 
 def test_zero_width_rejected():
@@ -59,8 +58,9 @@ def test_gradients_reach_every_parameter():
         z = net.embed(x)
         loss = nc.total_sum(nc.mul(z, z))
         grads = nc.backprop(tape, loss)
-    for p in net.params:
-        assert p in grads, "every parameter should receive gradient"
+    # one flat gradient covers every weight and bias
+    assert list(grads) == [net.params]
+    assert grads[net.params].shape == net.params.data.shape
 
 
 def test_snapshot_matches_net_then_freezes():
@@ -71,7 +71,7 @@ def test_snapshot_matches_net_then_freezes():
     digest_before = param_digest(snap)
 
     # train the live net a little; the snapshot must not move
-    opt = nc.Adam(net.params, lr=0.05)
+    opt = nc.Adam([net.params], lr=0.05)
     with nc.Tape() as tape:
         loss = nc.total_sum(net.embed(x))
         grads = nc.backprop(tape, loss)
@@ -99,12 +99,10 @@ def test_snapshot_forward_takes_no_gradient():
 def test_copy_params_from_net_and_snapshot():
     a, b = make_net(1), make_net(2)
     b.copy_params_from(a)
-    for pa, pb in zip(a.params, b.params):
-        np.testing.assert_array_equal(pa.data, pb.data)
+    np.testing.assert_array_equal(a.params.data, b.params.data)
     c = make_net(3)
     c.copy_params_from(a.snapshot())
-    for pa, pc in zip(a.params, c.params):
-        np.testing.assert_array_equal(pa.data, pc.data)
+    np.testing.assert_array_equal(a.params.data, c.params.data)
 
 
 def test_copy_params_shape_mismatch():
@@ -152,3 +150,159 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(ValueError):
         nets.load_net(path)
+
+
+# ---------------------------------------------------------------------------
+# The flat parameter buffer and the fused embed op
+# ---------------------------------------------------------------------------
+
+
+def chain_embed(x, params, unit=True):
+    """The generic-op chain the fused op stands for, over separate parameter
+    tensors: affine -> relu -> ... -> affine -> l2_normalize_rows (every
+    affine followed by relu when not unit)."""
+    h = nc.Tensor(x)
+    last = len(params) // 2 - 1
+    for k in range(last + 1):
+        h = nc.affine(h, params[2 * k], params[2 * k + 1])
+        if k < last or not unit:
+            h = nc.relu(h)
+    return nc.l2_normalize_rows(h) if unit else h
+
+
+def leaf_copies(net):
+    return [nc.Tensor(a.copy(), requires_grad=True) for a in net.param_arrays()]
+
+
+def weighted_sum(z, seed):
+    """A scalar loss whose gradient with respect to z is a fixed random array."""
+    c = np.random.default_rng(seed).standard_normal(z.shape).astype(z.dtype)
+    return nc.total_sum(nc.mul(z, nc.Tensor(c)))
+
+
+def flat_grad_views(grad, net):
+    return [a for layer in nc.mlp_views(grad, net.dims) for a in layer]
+
+
+@pytest.mark.parametrize("batch", [1, 2, 256])
+@pytest.mark.parametrize("width", [8, 3072])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_embed_is_bitwise_the_chain(dtype, width, batch):
+    net = nets.EncoderProjector(width, hidden=(64, 64), proj_hidden=32,
+                                embed_dim=16, rng=np.random.default_rng(batch),
+                                dtype=dtype)
+    x = np.random.default_rng(width).standard_normal((batch, width)).astype(dtype)
+    for unit, forward in ((True, net.embed), (False, net.encoder_features)):
+        params = leaf_copies(net)
+        if not unit:
+            params = params[:2 * len(net.hidden)]
+        with nc.Tape() as tape:
+            z = chain_embed(x, params, unit)
+            grads = nc.backprop(tape, weighted_sum(z, 5))
+        with nc.Tape() as tape:
+            zf = forward(x)
+            assert len(tape) == 1
+            fgrads = nc.backprop(tape, weighted_sum(zf, 5))
+        assert zf.data.dtype == z.data.dtype
+        assert zf.data.tobytes() == z.data.tobytes()
+        views = flat_grad_views(fgrads[net.params], net)
+        for view, p in zip(views, params):
+            assert view.tobytes() == grads[p].tobytes()
+        # the head takes no gradient from the encoder features
+        assert not any(v.any() for v in views[len(params):])
+
+
+def test_two_embeddings_sum_flat_gradients_in_tape_order():
+    net = make_net(3)
+    rng = np.random.default_rng(4)
+    x1, x2, x3 = (rng.standard_normal((6, 8)).astype(np.float32)
+                  for _ in range(3))
+    params = leaf_copies(net)
+    with nc.Tape() as tape:
+        loss = nc.add(nc.add(weighted_sum(chain_embed(x1, params), 1),
+                             weighted_sum(chain_embed(x2, params), 2)),
+                      weighted_sum(chain_embed(x3, params), 3))
+        grads = nc.backprop(tape, loss)
+    with nc.Tape() as tape:
+        loss = nc.add(nc.add(weighted_sum(net.embed(x1), 1),
+                             weighted_sum(net.embed(x2), 2)),
+                      weighted_sum(net.embed(x3), 3))
+        assert len(tape) == 3 + 3 * 2 + 2
+        flat = nc.backprop(tape, loss)[net.params]
+    for view, p in zip(flat_grad_views(flat, net), params):
+        assert view.tobytes() == grads[p].tobytes()
+    # the reverse walk adds the later embedding's gradient first
+    alone = []
+    for x, seed in ((x1, 1), (x2, 2), (x3, 3)):
+        with nc.Tape() as tape:
+            alone.append(nc.backprop(tape, weighted_sum(net.embed(x), seed))
+                         [net.params])
+    assert flat.tobytes() == ((alone[2] + alone[1]) + alone[0]).tobytes()
+
+
+def test_fused_embed_rejects_an_input_that_requires_grad():
+    net = make_net()
+    x = nc.Tensor(np.ones((3, 8), dtype=np.float32), requires_grad=True)
+    with pytest.raises(ValueError, match="input"):
+        net.embed(x)
+    with pytest.raises(ValueError, match="input"):
+        net.encoder_features(x)
+
+
+def test_fused_embed_checks_shapes_and_names_failing_steps():
+    net = make_net()
+    with pytest.raises(nc.ShapeError):
+        net.embed(np.ones((3, 7), dtype=np.float32))
+    with pytest.raises(nc.ShapeError):
+        nc.mlp_embed(nc.Tensor(np.ones((3, 8))), nc.Tensor(np.ones(10)),
+                     net.dims)
+    x = np.ones((2, 8), dtype=np.float32)
+    x[1, 0] = np.inf
+    with pytest.raises(nc.NonFiniteError, match="affine"):
+        net.embed(x)
+    dead = make_net()
+    dead.params.data[...] = 0
+    with pytest.raises(nc.DegenerateNormError):
+        dead.embed(np.ones((2, 8), dtype=np.float32))
+
+
+def test_weights_are_views_of_the_flat_buffer():
+    net = make_net(2)
+    arrays = net.param_arrays()
+    assert [a.shape for a in arrays] == [(8, 16), (16,), (16, 16), (16,),
+                                         (16, 8), (8,), (8, 4), (4,)]
+    assert all(np.shares_memory(a, net.params.data) for a in arrays)
+    assert sum(a.size for a in arrays) == net.params.data.size
+    assert (np.concatenate([a.ravel() for a in arrays]).tobytes()
+            == net.params.data.tobytes())
+    # the optimizer writes in place, so views taken before a step see it
+    with nc.Tape() as tape:
+        grads = nc.backprop(tape, weighted_sum(net.embed(np.ones((2, 8))), 0))
+    before = arrays[0].copy()
+    nc.Adam([net.params], lr=0.05).step(grads)
+    assert (arrays[0] != before).any()
+    assert arrays[0].tobytes() == net.param_arrays()[0].tobytes()
+
+
+def test_snapshot_params_are_one_frozen_copy():
+    net = make_net(4)
+    snap = net.snapshot()
+    assert not snap.params.requires_grad
+    assert not snap.params.data.flags.writeable
+    assert not np.shares_memory(snap.params.data, net.params.data)
+    assert snap.params.data.tobytes() == net.params.data.tobytes()
+
+
+def test_save_net_bytes_are_the_per_parameter_layout(tmp_path):
+    import struct
+
+    for dtype in (np.float32, np.float64):
+        net = make_net(9, dtype=dtype)
+        path = tmp_path / "net.bin"
+        nets.save_net(net, path)
+        # the checkpoint as written one parameter at a time
+        expected = b"OSSCLEP1" + struct.pack("<II", 8, 2) + struct.pack(
+            "<2I", 16, 16) + struct.pack("<II", 8, 4)
+        for a in net.param_arrays():
+            expected += np.ascontiguousarray(a, dtype=np.float32).tobytes()
+        assert path.read_bytes() == expected

@@ -315,6 +315,57 @@ def test_adam_deterministic():
     np.testing.assert_array_equal(run(), run())
 
 
+def adam_oracle_step(params, ms, vs, grads, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-parameter Adam loop that allocates its temporaries: the
+    arithmetic the in-place update must reproduce bit for bit."""
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for i, p in enumerate(params):
+        g = grads.get(i)
+        if g is None:
+            g = np.zeros_like(p)
+        ms[i] = ms[i] * b1
+        ms[i] += (1.0 - b1) * g
+        vs[i] = vs[i] * b2
+        vs[i] += (1.0 - b2) * (g * g)
+        m_hat = ms[i] / bc1
+        v_hat = vs[i] / bc2
+        params[i] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_place_is_bitwise_the_allocating_loop(dtype):
+    rng = np.random.default_rng(11)
+    shapes = [(203,), (7, 3)]
+    start = [rng.standard_normal(s).astype(dtype) for s in shapes]
+    tensors = [nc.Tensor(a.copy(), requires_grad=True) for a in start]
+    views = [t.data for t in tensors]
+    opt = nc.Adam(tensors, lr=0.03)
+    ref_p = [a.copy() for a in start]
+    ref_m = [np.zeros_like(a) for a in start]
+    ref_v = [np.zeros_like(a) for a in start]
+    for step in range(1, 6):
+        grads = {i: (rng.standard_normal(s) * 10.0 ** (step - 3)).astype(dtype)
+                 for i, s in enumerate(shapes)}
+        if step == 3:
+            del grads[1]  # a missing gradient decays the moments only
+        grads[0][:5] = 0.0
+        opt.step({tensors[i]: g for i, g in grads.items()})
+        adam_oracle_step(ref_p, ref_m, ref_v, grads, step, lr=0.03)
+        for i in range(len(shapes)):
+            assert tensors[i].data.tobytes() == ref_p[i].tobytes()
+            assert opt._m[i].tobytes() == ref_m[i].tobytes()
+            assert opt._v[i].tobytes() == ref_v[i].tobytes()
+            # updated in place: views taken before the first step stay live
+            assert tensors[i].data is views[i]
+
+
+def test_adam_rejects_a_gradient_of_the_wrong_shape():
+    p = nc.Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
+    with pytest.raises(nc.ShapeError):
+        nc.Adam([p]).step({p: np.zeros(4)})
+
+
 def test_cosine_schedule_endpoints():
     s = nc.CosineSchedule(0.01, 1e-4, 100)
     assert s.at(0) == pytest.approx(0.01)

@@ -265,7 +265,7 @@ def test_teachers_stay_off_the_learner_tape(tiny_world, monkeypatch):
                           kd_pool=main.train_x[:60])
     assert tapes and all(len(tape) for tape in tapes)
     for tape in tapes:
-        from_reference = {id(p) for p in reference.params}
+        from_reference = {id(reference.params)}
         tainted = []
         for out, parents, _ in tape._entries:
             if any(id(p) in from_reference for p in parents):
