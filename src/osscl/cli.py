@@ -38,7 +38,8 @@ log = logging.getLogger("osscl.cli")
 _SEG_FIELDS = ("n_unlabeled", "n_u_hat", "n_t_hat", "tau_id", "tau_pl",
                "score_mean", "score_spread", "auroc", "precision",
                "pseudo_accuracy")
-# recorded in version.json as launched
+# recorded in version.json as launched; `run --threads N` workers start
+# with each unset one at 1
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                "NUMEXPR_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_THREAD_LIMIT")
@@ -199,19 +200,47 @@ def _run_seed_job(resolved, seed, seed_dir):
     return metrics
 
 
+def _worker_thread_vars(environ):
+    """What `run --threads N` adds to environ for its workers: each of
+    THREAD_VARS that environ leaves unset, at "1"; a value the user set is
+    kept. Without it each of N workers sizes its BLAS pool to every core and
+    they oversubscribe the machine. Results are bitwise the same at any
+    BLAS thread count."""
+    return {var: "1" for var in THREAD_VARS if var not in environ}
+
+
+def _run_pool(jobs, resolved, workers):
+    """_run_seed_job over jobs in `workers` spawned processes, in job order.
+
+    A spawned worker is a fresh interpreter that copies os.environ as it is
+    at its start, before it loads numpy, so the pool runs while os.environ
+    holds _worker_thread_vars (a forked one would keep the BLAS pool numpy
+    loaded here with). os.environ is restored when the pool is done.
+    """
+    # imported here: loading them costs every serial start about 30 ms
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pinned = _worker_thread_vars(os.environ)
+    os.environ.update(pinned)
+    try:
+        with ProcessPoolExecutor(
+                max_workers=workers, initializer=_configure_logging,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            futures = [pool.submit(_run_seed_job, resolved, seed, seed_dir)
+                       for seed, seed_dir in jobs]
+            return [f.result() for f in futures]
+    finally:
+        for var in pinned:
+            del os.environ[var]
+
+
 def cmd_run(args):
     exp, resolved, seeds, out = _resolve_run(args)
     del exp
     jobs = [(seed, os.path.join(out, f"seed_{seed}")) for seed in seeds]
     if args.threads > 1 and len(jobs) > 1:
-        # imported here: loading it costs every serial start about 30 ms
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(args.threads,
-                                                 len(jobs))) as pool:
-            futures = [pool.submit(_run_seed_job, resolved, seed, seed_dir)
-                       for seed, seed_dir in jobs]
-            results = [f.result() for f in futures]
+        results = _run_pool(jobs, resolved, min(args.threads, len(jobs)))
     else:
         results = [_run_seed_job(resolved, seed, seed_dir)
                    for seed, seed_dir in jobs]
@@ -337,7 +366,9 @@ def build_parser():
                        help="allow writing into a non-empty directory")
     run_p.add_argument("--seeds", help="comma-separated seed override")
     run_p.add_argument("--threads", type=int, default=1,
-                       help="run seeds in up to N parallel processes")
+                       help="run seeds in up to N parallel processes, each "
+                            "with one BLAS thread unless the thread "
+                            "variables are set")
     run_p.set_defaults(func=cmd_run)
 
     grad_p = sub.add_parser("gradcheck",
@@ -362,12 +393,17 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
+def _configure_logging():
+    """Log at the level OSSCL_LOG names (WARNING by default)."""
     level = getattr(logging, os.environ.get("OSSCL_LOG", "WARNING").upper(),
                     logging.WARNING)
     logging.basicConfig(level=level,
                         format="%(asctime)s %(name)s %(levelname)s "
                                "%(message)s")
+
+
+def main(argv=None):
+    _configure_logging()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

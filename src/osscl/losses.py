@@ -9,6 +9,7 @@ Conventions shared by every loss here:
     differs only in its constant target W, so each one builds W and makes one
     call to the fused op numcore.softmax_xent. Self-similarity never takes
     part in a softmax.
+  * Z Z^T, here and inside softmax_xent, is numcore._gram's product.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import Tensor, add, scale, softmax_xent
+from .numcore import Tensor, _gram, add, scale, softmax_xent
 # pairwise_cosine stays a name of this module: the benchmark's tracer patches
 # and checks the bindings it finds here
 from .numcore import pairwise_cosine  # noqa: F401
@@ -101,8 +102,8 @@ def supcon_anchors(labels, current_classes, pseudo_flags=None,
         view_pseudo = np.zeros(v, dtype=bool)
     else:
         view_pseudo = expand_per_view(np.asarray(pseudo_flags, dtype=bool))
-    current = np.asarray(sorted(current_classes), dtype=view_labels.dtype)
-    anchors = np.isin(view_labels, current)
+    current = np.asarray(list(current_classes), dtype=view_labels.dtype)
+    anchors = (view_labels[:, None] == current).any(axis=1)
     if not pseudo_anchor:
         anchors &= ~view_pseudo
     positives = (view_labels[:, None] == view_labels[None, :]) & ~np.eye(v, dtype=bool)
@@ -148,11 +149,11 @@ def asym_supcon_loss(embeddings, labels, current_classes, tau,
         _anchors = supcon_anchors(labels, current_classes, pseudo_flags,
                                   pseudo_anchor, pseudo_positive)
     active, positives = _anchors
-    weights = np.zeros((v, v))
+    # each active row in float64, then one rounding to the embedding dtype
+    weights = np.zeros((v, v), dtype=embeddings.dtype)
     if active.any():
-        weights[active] = (positives[active]
-                           / positives[active].sum(axis=1, keepdims=True))
-    weights /= v
+        rows = positives[active]
+        weights[active] = rows / rows.sum(axis=1, keepdims=True) / v
     return softmax_xent(embeddings, tau, weights, -1.0)
 
 
@@ -161,18 +162,21 @@ def similarity_distribution(embeddings, tau):
 
     Returns [2N, 2N] probabilities with an exact zero diagonal; each row
     sums to 1. Pure numpy, no tape involvement; both distillation teachers
-    go through this path.
+    go through this path. The logits are numcore._gram(z) / tau, and the
+    softmax is computed in place in that one array.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     z = _as_constant(embeddings)
     if z.ndim != 2 or z.shape[0] < 2:
         raise ValueError("need at least two views")
-    sim = (z @ z.T) / tau
+    sim = _gram(z)
+    sim /= tau
     np.fill_diagonal(sim, -np.inf)
     sim -= sim.max(axis=1, keepdims=True)
-    ex = np.exp(sim)
-    return ex / ex.sum(axis=1, keepdims=True)
+    np.exp(sim, out=sim)
+    sim /= sim.sum(axis=1, keepdims=True)
+    return sim
 
 
 def distillation_loss(teacher_embeddings, student_embeddings, tau_teacher, tau_student):

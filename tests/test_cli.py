@@ -95,13 +95,26 @@ class TestRun:
 
     def test_parallel_seeds_match_serial(self, workspace, tmp_path):
         out = tmp_path / "par"
+        environ = dict(os.environ)
         rc = cli.main(["run", "--config", str(workspace["config"]),
                        "--out", str(out), "--seeds", "1,2", "--threads", "2"])
         assert rc == 0
+        # the workers' thread variables were set for the pool's life only
+        assert dict(os.environ) == environ
         for seed in (1, 2):
             a = (workspace["out"] / f"seed_{seed}" / "metrics.json").read_bytes()
             b = (out / f"seed_{seed}" / "metrics.json").read_bytes()
             assert a == b
+
+    def test_workers_get_one_blas_thread_unless_the_user_set_one(self):
+        pinned = cli._worker_thread_vars({"OPENBLAS_NUM_THREADS": "3",
+                                          "OMP_NUM_THREADS": "",
+                                          "PATH": "/bin"})
+        assert pinned == {var: "1" for var in cli.THREAD_VARS
+                          if var not in ("OPENBLAS_NUM_THREADS",
+                                         "OMP_NUM_THREADS")}
+        assert cli._worker_thread_vars(
+            {var: "2" for var in cli.THREAD_VARS}) == {}
 
     def test_config_echo_closure(self, workspace):
         echo = _read(workspace["out"] / "config.json")

@@ -202,6 +202,27 @@ def test_similarity_distribution_sharpens_with_low_tau():
     assert sharp.max() > soft.max()
 
 
+def oracle_similarity_distribution(z, tau):
+    """similarity_distribution as four allocating steps over the same Gram:
+    the arithmetic its one in-place array must reproduce bit for bit."""
+    sim = nc._gram(z) / tau
+    np.fill_diagonal(sim, -np.inf)
+    sim -= sim.max(axis=1, keepdims=True)
+    ex = np.exp(sim)
+    return ex / ex.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.2, 1.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("v", [2, 6, 256])
+def test_similarity_distribution_is_bitwise_the_allocating_formula(v, dtype,
+                                                                  tau):
+    z = unit(np.random.default_rng(v).standard_normal((v, 16))).astype(dtype)
+    probs = losses.similarity_distribution(z, tau)
+    want = oracle_similarity_distribution(z, tau)
+    assert probs.dtype == want.dtype and probs.tobytes() == want.tobytes()
+
+
 def test_distillation_identical_views_oracle():
     z = unit([[1, 0]] * 4)
     student = nc.Tensor(z, dtype=np.float64)
@@ -342,6 +363,44 @@ def test_fused_op_is_bitwise_the_chain(case, v, dtype):
     assert len(tape) == 1
     if case == "supcon_no_anchor":
         assert float(loss.data) == 0.0
+
+
+def oracle_supcon_weights(labels, current, pseudo, dtype):
+    """asym_supcon_loss's target as a float64 matrix over every row, cast
+    once to the embedding dtype, with the anchors found by np.isin."""
+    view_labels = np.repeat(labels, 2)
+    view_pseudo = np.repeat(pseudo, 2)
+    v = len(view_labels)
+    positives = ((view_labels[:, None] == view_labels[None, :])
+                 & ~np.eye(v, dtype=bool))
+    active = (np.isin(view_labels, sorted(current)) & ~view_pseudo
+              & positives.any(axis=1))
+    weights = np.zeros((v, v))
+    if active.any():
+        weights[active] = (positives[active]
+                           / positives[active].sum(axis=1, keepdims=True))
+    weights /= v
+    return weights.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("v", [2, 6, 100, 256])
+def test_supcon_target_is_the_float64_formula_cast_once(v, dtype,
+                                                        monkeypatch):
+    rng = np.random.default_rng(v)
+    seen = []
+    monkeypatch.setattr(losses, "softmax_xent",
+                        lambda z, tau, target, factor: seen.append(target))
+    z = nc.Tensor(unit(rng.standard_normal((v, 4))).astype(dtype))
+    # class counts vary the positive-set sizes k, and so how 1 / k / v rounds
+    for current, n_classes in (({0, 1}, 3), ({2}, 7), (set(range(20)), 20),
+                               ({7}, 3), (set(), 3)):
+        labels = rng.integers(0, n_classes, size=v // 2)
+        pseudo = rng.random(v // 2) < 0.3
+        losses.asym_supcon_loss(z, labels, current, 0.1, pseudo_flags=pseudo)
+        want = oracle_supcon_weights(labels, current, pseudo, dtype)
+        assert seen[-1].dtype == want.dtype
+        assert seen[-1].tobytes() == want.tobytes()
 
 
 def test_fused_op_names_itself_on_a_nan_row():

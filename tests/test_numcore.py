@@ -1,13 +1,15 @@
 """Tests for the autodiff core: op gradients, tape semantics, optimizer, schedule."""
 
+import ast
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osscl import numcore as nc
+from osscl import losses, numcore as nc
 
 
 def make_params(rng, *shapes):
@@ -202,6 +204,137 @@ def test_pairwise_cosine_range():
     sim = nc.pairwise_cosine(a, a)
     assert sim.data.max() <= 1.0 + 1e-6
     assert sim.data.min() >= -1.0 - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Gram products and the lean softmax_xent backward
+# ---------------------------------------------------------------------------
+
+
+def unit_rows(rng, v, d, dtype):
+    z = rng.standard_normal((v, d))
+    return (z / np.linalg.norm(z, axis=1, keepdims=True)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("v", [2, 6, 17, 100, 256])
+@pytest.mark.parametrize("d", [3, 16, 32])
+def test_every_gram_is_the_gemm_helper(d, v, dtype, monkeypatch):
+    """The fused op's similarity, similarity_distribution's logits and
+    pairwise_cosine(z, z) are _gram's product, so a fused op and its chain
+    agree on BLAS builds where x @ x.T (syrk) and gemm round differently."""
+    z = unit_rows(np.random.default_rng(v * d), v, d, dtype)
+    real_gram = nc._gram
+    gram = real_gram(z).tobytes()
+    calls = []
+
+    def spy(x):
+        out = real_gram(x)
+        calls.append((x, out.tobytes()))
+        return out
+
+    monkeypatch.setattr(nc, "_gram", spy)
+    monkeypatch.setattr(losses, "_gram", spy)
+    t = nc.Tensor(z)
+    assert nc.pairwise_cosine(t, t).data.tobytes() == gram
+    losses.similarity_distribution(z, 0.5)
+    nc.softmax_xent(t, 0.5, (np.arange(v) + 1) % v, -1.0)
+    assert len(calls) == 3
+    for x, out in calls:
+        assert x is z and out == gram
+
+
+def gram_products(source):
+    """Each product of an expression with its own transpose in source, as
+    `a @ a.T`, `np.dot(a, a.T)` or `np.matmul(a, a.T)`, optionally with
+    .copy() on the transpose."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            a, b = node.left, node.right
+        elif (isinstance(node, ast.Call) and len(node.args) == 2
+              and ast.unparse(node.func) in ("np.dot", "np.matmul")):
+            a, b = node.args
+        else:
+            continue
+        if (isinstance(b, ast.Call) and not b.args
+                and ast.unparse(b.func).endswith(".copy")):
+            b = b.func.value
+        if (isinstance(b, ast.Attribute) and b.attr == "T"
+                and ast.dump(b.value) == ast.dump(a)):
+            yield ast.unparse(node)
+
+
+def test_no_gram_bypasses_the_helper():
+    """x @ x.T goes to syrk, which may round unlike _gram's gemm; the only
+    Gram product in the package is the one inside _gram."""
+    src = os.path.dirname(os.path.abspath(nc.__file__))
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                found += [(name, expr) for expr in gram_products(f.read())]
+    assert found == [("numcore.py", "x @ x.T.copy()")]
+    assert list(gram_products("s = z @ z.T\nt = np.dot(a.b, a.b.T)")) == [
+        "z @ z.T", "np.dot(a.b, a.b.T)"]
+
+
+def oracle_softmax_xent(z, tau, target, factor, upstream):
+    """softmax_xent with its allocating backward (a zero matrix, gather2d's
+    scatter, a row sum) over the same Gram, under an upstream factor: the
+    arithmetic the lean backward must reproduce bit for bit. Returns the
+    loss and the z-gradient bytes."""
+    v = len(z)
+    rows = np.arange(v)
+    inv_tau = float(1.0 / tau)
+    logp = nc._gram(z)
+    logp *= z.dtype.type(inv_tau)
+    np.fill_diagonal(logp, -np.inf)
+    logp -= logp.max(axis=1, keepdims=True)
+    ex = np.exp(logp)
+    denom = ex.sum(axis=1, keepdims=True)
+    logp -= np.log(denom)
+    np.fill_diagonal(logp, 0.0)
+    if target.ndim == 1:
+        total = logp[rows, target].sum()
+    else:
+        w = np.array(target, dtype=z.dtype)
+        np.fill_diagonal(w, 0.0)
+        total = (logp * w).sum()
+    loss = np.asarray(total * z.dtype.type(factor))
+    g = np.ones((), dtype=z.dtype) * upstream * factor
+    if target.ndim == 1:
+        dlogp = np.zeros_like(logp)
+        dlogp[rows, target] += g
+    else:
+        dlogp = g * w
+    ds = ex / denom
+    ds *= dlogp.sum(axis=1, keepdims=True)
+    np.subtract(dlogp, ds, out=ds)
+    ds *= inv_tau
+    return loss.tobytes(), (ds @ z + ds.T @ z).tobytes()
+
+
+def xent_targets(rng, v):
+    """(target, factor) pairs: NT-Xent's pairs, a random off-diagonal index
+    per row, and a dense target with some all-zero rows."""
+    shifted = (np.arange(v) + rng.integers(1, v, size=v)) % v
+    dense = rng.random((v, v)) * (rng.random((v, 1)) < 0.7)
+    return [(np.arange(v) ^ 1, -1.0 / v), (shifted, 0.5), (dense / v, -1.0)]
+
+
+@pytest.mark.parametrize("upstream", [0.37, -1.0, 0.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("v", [2, 6, 256])
+def test_softmax_xent_is_bitwise_its_allocating_backward(v, dtype, upstream):
+    rng = np.random.default_rng(v)
+    z = unit_rows(rng, v, 16, dtype)
+    for target, factor in xent_targets(rng, v):
+        t = nc.Tensor(z, requires_grad=True)
+        with nc.Tape() as tape:
+            loss = nc.softmax_xent(t, 0.2, target, factor)
+            grads = nc.backprop(tape, nc.scale(loss, upstream))
+        assert ((loss.data.tobytes(), grads[t].tobytes())
+                == oracle_softmax_xent(z, 0.2, target, factor, upstream))
 
 
 @pytest.mark.parametrize("seed", range(3))

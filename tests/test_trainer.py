@@ -381,23 +381,56 @@ for world in (T.build_tiny_world(sc.Augmenter(mode="vector", sigma=0.5,
 """
 
 
-def test_rerun_is_bitwise_identical_across_blas_thread_counts():
-    """The same run in fresh processes whose BLAS/OpenMP thread variables
-    are all 1, then all 2, gives byte-identical metrics (one process at a
-    time)."""
+def stdout_at_blas_thread_counts(script):
+    """The words script prints, run in a fresh process whose BLAS/OpenMP
+    thread variables are all 1, then in one where they are all 2 (one
+    process at a time), with the source and test directories as arguments."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
     tests = os.path.dirname(os.path.abspath(__file__))
-    digests = []
+    words = []
     for threads in ("1", "2"):
         env = dict(os.environ)
         env.update({var: threads for var in THREAD_VARS})
         done = subprocess.run(
-            [sys.executable, "-c", _DIGEST_SCRIPT, src, tests], env=env,
+            [sys.executable, "-c", script, src, tests], env=env,
             capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        digests.append(done.stdout.split())
+        words.append(done.stdout.split())
+    return words
+
+
+def test_rerun_is_bitwise_identical_across_blas_thread_counts():
+    """The same run at one and at two BLAS threads gives byte-identical
+    metrics."""
+    digests = stdout_at_blas_thread_counts(_DIGEST_SCRIPT)
     assert len(digests[0]) == 2
     assert digests[0] == digests[1]
+
+
+# One NT-Xent step at desk scale, where the tiny world's 64 x 64 Grams are
+# 16x smaller than the products BLAS splits across threads: 256 float32 views
+# through a 16-64-64-32-16 net (mlp_embed), the loss and its backward; prints
+# the loss bytes and a digest of the flat parameter gradient.
+_DESK_STEP_SCRIPT = """
+import hashlib, sys
+sys.path[:0] = sys.argv[1:3]
+import numpy as np
+from osscl import losses, nets, numcore as nc
+rng = np.random.default_rng(0)
+net = nets.EncoderProjector(16, rng=rng)
+x = nc.Tensor(rng.standard_normal((256, 16)).astype(np.float32))
+with nc.Tape() as tape:
+    loss = losses.ntxent_loss(net.embed(x), 0.1)
+    grads = nc.backprop(tape, loss)
+print(loss.data.tobytes().hex(),
+      hashlib.sha256(grads[net.params].tobytes()).hexdigest())
+"""
+
+
+def test_desk_scale_step_is_bitwise_identical_across_blas_thread_counts():
+    words = stdout_at_blas_thread_counts(_DESK_STEP_SCRIPT)
+    assert len(words[0]) == 2
+    assert words[0] == words[1]
 
 
 # The bitwise rerun contract as literals: sha256[:16] of the sorted-key
