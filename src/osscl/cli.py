@@ -125,19 +125,21 @@ def _aggregate(metric_dicts, seeds):
 
 
 def _prepare_out_dir(out, force):
-    if os.path.isdir(out) and any(os.scandir(out)) and not force:
-        raise ConfigError(
-            f"output directory {out} is not empty (use --force to overwrite)")
+    if os.path.isdir(out) and not force:
+        with os.scandir(out) as entries:
+            if any(entries):
+                raise ConfigError(f"output directory {out} is not empty "
+                                  "(use --force to overwrite)")
     os.makedirs(out, exist_ok=True)
 
 
 def _resolve_run(args, segregates=False):
     """Load config, apply --seeds/--out overrides, prepare the directory.
 
-    Returns (experiment, resolved echo dict, seeds, out dir). The echo has
-    the effective seeds and output_dir folded in, so feeding it back to
-    `run` reproduces this invocation exactly. With segregates, a method
-    that does not segregate its pool is rejected before anything is written.
+    Returns the experiment with the effective seeds and output_dir folded
+    in; its echo, written to config.json, reproduces this invocation exactly
+    when fed back to `run`. With segregates, a method that does not
+    segregate its pool is rejected before anything is written.
     """
     exp = load_experiment(args.config)
     if segregates and not exp.method.uses_segregation:
@@ -161,7 +163,7 @@ def _resolve_run(args, segregates=False):
     _prepare_out_dir(out, args.force)
     write_json(os.path.join(out, "config.json"), resolved)
     write_json(os.path.join(out, "version.json"), _version_stamp())
-    return exp, resolved, seeds, out
+    return exp
 
 
 def _version_stamp():
@@ -236,8 +238,8 @@ def _run_pool(jobs, resolved, workers):
 
 
 def cmd_run(args):
-    exp, resolved, seeds, out = _resolve_run(args)
-    del exp
+    exp = _resolve_run(args)
+    resolved, seeds, out = exp.resolved(), exp.seeds, exp.output_dir
     jobs = [(seed, os.path.join(out, f"seed_{seed}")) for seed in seeds]
     if args.threads > 1 and len(jobs) > 1:
         results = _run_pool(jobs, resolved, min(args.threads, len(jobs)))
@@ -283,14 +285,13 @@ _SCORE_FIELDS = ("task", "index", "score", "nearest_class", "related",
 
 
 def cmd_segregate_eval(args):
-    exp, resolved, seeds, out = _resolve_run(args, segregates=True)
-    del resolved
+    exp = _resolve_run(args, segregates=True)
     main, peripherals = exp.build_datasets()
-    for seed in seeds:
+    for seed in exp.seeds:
         stream = sc.build_stream(exp.scenario_config(seed), main, peripherals)
         rows, samples = trainer.run_segregation_eval(
             exp.method, stream, exp.augmenter, seed, arch=exp.arch)
-        seed_dir = os.path.join(out, f"seed_{seed}")
+        seed_dir = os.path.join(exp.output_dir, f"seed_{seed}")
         os.makedirs(seed_dir, exist_ok=True)
         write_csv(os.path.join(seed_dir, "segregation.csv"),
                   ("task",) + _SEG_FIELDS, rows)

@@ -1,4 +1,4 @@
-"""Encoder-projector networks, parameter snapshots, and binary checkpoints.
+"""Encoder-projector networks, parameter snapshots, and the linear classifier.
 
 Both networks in the method (the unsupervised reference and the supervised
 learner) share this architecture: an MLP encoder whose last hidden layer is
@@ -9,13 +9,10 @@ projection head whose output is L2-normalized onto the unit sphere.
 from __future__ import annotations
 
 import copy
-import struct
 
 import numpy as np
 
 from .numcore import Tensor, affine, mlp_embed, mlp_size, mlp_views
-
-_CHECKPOINT_MAGIC = b"OSSCLEP1"
 
 
 def kaiming_uniform(rng, fan_in, fan_out):
@@ -38,25 +35,20 @@ class EncoderProjector:
         hidden: encoder layer widths; the last entry is the feature dim.
         proj_hidden: projection head hidden width.
         embed_dim: embedding dimensionality (output of the head).
-        rng: numpy Generator used for weight init; required unless params
-            are injected afterwards via copy_params_from.
+        rng: numpy Generator used for weight init (keyword-only).
         dtype: parameter dtype, float32 for training, float64 for checking.
     """
 
     def __init__(self, input_dim, hidden=(64, 64), proj_hidden=32, embed_dim=16,
-                 rng=None, dtype=np.float32):
+                 *, rng, dtype=np.float32):
         hidden = tuple(int(h) for h in hidden)
-        if input_dim < 1 or proj_hidden < 1 or embed_dim < 1 or not hidden:
-            raise ValueError("all layer widths must be positive")
-        if any(h < 1 for h in hidden):
+        if not hidden or min(input_dim, proj_hidden, embed_dim, *hidden) < 1:
             raise ValueError("all layer widths must be positive")
         self.input_dim = int(input_dim)
         self.hidden = hidden
         self.proj_hidden = int(proj_hidden)
         self.embed_dim = int(embed_dim)
         self.dtype = np.dtype(dtype)
-        if rng is None:
-            rng = np.random.default_rng(0)
 
         self.dims = (self.input_dim, *hidden, self.proj_hidden, self.embed_dim)
         flat = np.empty(mlp_size(self.dims), dtype=self.dtype)
@@ -64,10 +56,6 @@ class EncoderProjector:
             w[...] = kaiming_uniform(rng, *w.shape).astype(self.dtype)
             b[...] = 0
         self.params = Tensor(flat, requires_grad=True)
-
-    @property
-    def feature_dim(self):
-        return self.hidden[-1]
 
     def _as_tensor(self, x):
         if isinstance(x, Tensor):
@@ -99,9 +87,6 @@ class EncoderProjector:
         """Views of each weight and bias in construction order."""
         return [a for layer in mlp_views(self.params.data, self.dims)
                 for a in layer]
-
-    def arch_tuple(self):
-        return (self.input_dim, self.hidden, self.proj_hidden, self.embed_dim)
 
 
 class ParamSnapshot:
@@ -155,40 +140,3 @@ class LinearClassifier:
             features = Tensor(np.asarray(features, dtype=self.weight.data.dtype))
         return affine(features, self.weight, self.bias)
 
-
-def save_net(net, path):
-    """Write an EncoderProjector to a little-endian binary checkpoint.
-
-    Layout: magic, u32 input_dim, u32 n_hidden, n_hidden x u32 widths,
-    u32 proj_hidden, u32 embed_dim, then each parameter's float32 bytes in
-    construction order, which is the flat parameter buffer. Shapes are
-    implied by the architecture header.
-    """
-    with open(path, "wb") as f:
-        f.write(_CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", net.input_dim, len(net.hidden)))
-        f.write(struct.pack(f"<{len(net.hidden)}I", *net.hidden))
-        f.write(struct.pack("<II", net.proj_hidden, net.embed_dim))
-        f.write(net.params.data.astype(np.float32, copy=False).tobytes())
-
-
-def load_net(path):
-    """Read a checkpoint written by save_net; round-trips float32 nets exactly."""
-    with open(path, "rb") as f:
-        magic = f.read(len(_CHECKPOINT_MAGIC))
-        if magic != _CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        input_dim, n_hidden = struct.unpack("<II", f.read(8))
-        hidden = struct.unpack(f"<{n_hidden}I", f.read(4 * n_hidden))
-        proj_hidden, embed_dim = struct.unpack("<II", f.read(8))
-        net = EncoderProjector(input_dim, hidden, proj_hidden, embed_dim,
-                               rng=np.random.default_rng(0))
-        size = net.params.data.size
-        raw = f.read(4 * size)
-        if len(raw) != 4 * size:
-            raise ValueError("checkpoint truncated")
-        net.params.data[...] = np.frombuffer(raw, dtype=np.float32)
-        tail = f.read(1)
-        if tail:
-            raise ValueError("trailing bytes after checkpoint payload")
-    return net

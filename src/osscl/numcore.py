@@ -622,12 +622,11 @@ class Adam:
     (their moments still decay, the step counter is shared).
     """
 
-    def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=0.01):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -637,7 +636,7 @@ class Adam:
     def step(self, grads):
         """Apply one update from a dict {Tensor: ndarray} as backprop returns."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for p, m, v, (s1, s2) in zip(self.params, self._m, self._v,
@@ -660,7 +659,7 @@ class Adam:
             s1 *= self.lr
             np.divide(v, bc2, out=s2)
             np.sqrt(s2, out=s2)
-            s2 += self.eps
+            s2 += self.EPS
             s1 /= s2
             p.data -= s1
 
@@ -692,27 +691,22 @@ class CosineSchedule:
 # ---------------------------------------------------------------------------
 
 
-def analytic_gradients(loss_fn, params):
-    """Run loss_fn under a fresh tape and return (loss value, grads per param).
+def check_gradients(loss_fn, params):
+    """Max relative error of tape gradients against central differences.
 
-    Params absent from the graph get zero gradients.
+    Each element of each param is stepped by +-1e-5, and the error is
+    max |a - n| / max(1e-3, |a|, |n|) over all elements. Params absent from
+    the graph get zero tape gradients. Params should be float64 for the
+    differences to resolve below the comparison tolerance.
     """
+    step, floor = 1e-5, 1e-3
     with Tape() as tape:
-        loss = loss_fn()
-        grads = backprop(tape, loss)
-    return float(loss.data), [grads.get(p, np.zeros_like(p.data)) for p in params]
-
-def numeric_gradients(loss_fn, params, step=1e-5):
-    """Central finite differences of loss_fn w.r.t. each param, elementwise.
-
-    Params should be float64 for the differences to resolve below the
-    comparison tolerance.
-    """
-    out = []
+        grads = backprop(tape, loss_fn())
+    worst = 0.0
     for p in params:
-        g = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        gflat = g.reshape(-1)
+        analytic = grads.get(p, np.zeros_like(p.data))
+        numeric = np.zeros_like(p.data)
+        flat, nflat = p.data.reshape(-1), numeric.reshape(-1)
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + step
@@ -720,24 +714,9 @@ def numeric_gradients(loss_fn, params, step=1e-5):
             flat[k] = orig - step
             lo = float(loss_fn().data)
             flat[k] = orig
-            gflat[k] = (hi - lo) / (2.0 * step)
-        out.append(g)
-    return out
-
-
-def max_relative_error(analytic, numeric, floor=1e-3):
-    """max |a - n| / max(floor, |a|, |n|) over all params elementwise."""
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(floor, np.maximum(np.abs(a), np.abs(n)))
-        err = np.abs(a - n) / denom
+            nflat[k] = (hi - lo) / (2.0 * step)
+        err = np.abs(analytic - numeric) / np.maximum(
+            floor, np.maximum(np.abs(analytic), np.abs(numeric)))
         if err.size:
             worst = max(worst, float(err.max()))
     return worst
-
-
-def check_gradients(loss_fn, params, step=1e-5, floor=1e-3):
-    """Compare tape gradients to central differences; return max relative error."""
-    _, analytic = analytic_gradients(loss_fn, params)
-    numeric = numeric_gradients(loss_fn, params, step=step)
-    return max_relative_error(analytic, numeric, floor=floor)

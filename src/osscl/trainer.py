@@ -20,6 +20,7 @@ streams untouched. Two runs with the same config and seed are bitwise equal.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import time
 from dataclasses import dataclass, field
@@ -213,18 +214,14 @@ class _PhaseClock:
     def add(self, name, seconds):
         self.totals[name] = self.totals.get(name, 0.0) + seconds
 
-
-def _timed(clock, name):
-    class _Ctx:
-        def __enter__(self):
-            self.start = time.perf_counter()
-            return self
-
-        def __exit__(self, *exc):
-            clock.add(name, time.perf_counter() - self.start)
-            return False
-
-    return _Ctx()
+    @contextlib.contextmanager
+    def timed(self, name):
+        """Add the seconds spent in the with-block to phase `name`."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.add(name, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +229,14 @@ def _timed(clock, name):
 # ---------------------------------------------------------------------------
 
 
-def train_reference(net, pool_x, epochs, cfg, augmenter, rng):
-    """Contrastive training of the reference on the raw unlabeled pool.
+def _optimize(net, n, epochs, cfg, rng, step):
+    """The epoch loop both trainers share; returns per-epoch mean losses.
 
-    A fresh Adam and cosine schedule per call (each step re-anneals).
-    Returns per-epoch mean losses; epochs=0 leaves the net untouched.
+    A fresh Adam over net.params and a cosine schedule over `epochs` per
+    call (each task step re-anneals). Each epoch walks sc.epoch_batches(n)
+    and takes one Adam step per batch on the (loss, grads) that step(idx)
+    returns. epochs=0 leaves the net untouched.
     """
-    if len(pool_x) == 0:
-        raise ValueError("reference training needs a non-empty unlabeled pool")
     if epochs == 0:
         return []
     opt = Adam([net.params], lr=cfg.lr)
@@ -248,16 +245,30 @@ def train_reference(net, pool_x, epochs, cfg, augmenter, rng):
     for epoch in range(epochs):
         opt.lr = schedule.at(epoch)
         epoch_losses = []
-        for idx in sc.epoch_batches(len(pool_x), cfg.batch_size, rng):
-            views = augmenter.pair_views(pool_x[idx], rng)
-            with Tape() as tape:
-                z = net.embed(views)
-                loss = L.ntxent_loss(z, cfg.weights.tau)
-                grads = backprop(tape, loss)
+        for idx in sc.epoch_batches(n, cfg.batch_size, rng):
+            loss, grads = step(idx)
             opt.step(grads)
             epoch_losses.append(float(loss.data))
         curve.append(float(np.mean(epoch_losses)))
     return curve
+
+
+def train_reference(net, pool_x, epochs, cfg, augmenter, rng):
+    """Contrastive training of the reference on the raw unlabeled pool.
+
+    Returns per-epoch mean losses (see _optimize); epochs=0 leaves the net
+    untouched.
+    """
+    if len(pool_x) == 0:
+        raise ValueError("reference training needs a non-empty unlabeled pool")
+
+    def step(idx):
+        views = augmenter.pair_views(pool_x[idx], rng)
+        with Tape() as tape:
+            loss = L.ntxent_loss(net.embed(views), cfg.weights.tau)
+            return loss, backprop(tape, loss)
+
+    return _optimize(net, len(pool_x), epochs, cfg, rng, step)
 
 
 def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
@@ -294,43 +305,33 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
         raise ValueError("kd_teacher and kd_pool must be supplied together")
     if kd_pool is not None and len(kd_pool) == 0:
         raise ValueError("empty reference-distillation pool")
-    if cfg.epochs_learner == 0:
-        return []
     current = frozenset(int(c) for c in task_classes)
-    opt = Adam([learner.params], lr=cfg.lr)
-    schedule = CosineSchedule(cfg.lr, cfg.min_lr, cfg.epochs_learner)
-    curve = []
-    for epoch in range(cfg.epochs_learner):
-        opt.lr = schedule.at(epoch)
-        epoch_losses = []
-        for idx in sc.epoch_batches(len(sup_x), cfg.batch_size, rng):
-            views = augmenter.pair_views(sup_x[idx], rng)
-            td_z = td_teacher.embed(views) if td_teacher is not None else None
-            kviews = kd_z = zk = None
-            if kd_teacher is not None:
-                kidx = sc.sample_batch(len(kd_pool), cfg.batch_size, rng)
-                kviews = augmenter.pair_views(kd_pool[kidx], rng)
-                kd_z = kd_teacher.embed(kviews)
-            with Tape() as tape:
-                z = learner.embed(views)
-                if kviews is not None:
-                    zk = learner.embed(kviews)
-                total = L.learner_objective(
-                    z, t, cfg.weights, sup_y[idx], current,
-                    pseudo_flags=sup_pseudo[idx],
-                    pseudo_anchor=cfg.pseudo_anchor,
-                    pseudo_positive=cfg.pseudo_positive, use_sup=cfg.use_sup,
-                    td_teacher=td_z, kd_teacher=kd_z, kd_student=zk)
-                if unsup_pool is not None:
-                    uidx = sc.sample_batch(len(unsup_pool), cfg.batch_size, rng)
-                    uviews = augmenter.pair_views(unsup_pool[uidx], rng)
-                    zu = learner.embed(uviews)
-                    total = L.add(total, L.ntxent_loss(zu, cfg.weights.tau))
-                grads = backprop(tape, total)
-            opt.step(grads)
-            epoch_losses.append(float(total.data))
-        curve.append(float(np.mean(epoch_losses)))
-    return curve
+
+    def step(idx):
+        views = augmenter.pair_views(sup_x[idx], rng)
+        td_z = td_teacher.embed(views) if td_teacher is not None else None
+        kviews = kd_z = zk = None
+        if kd_teacher is not None:
+            kidx = sc.sample_batch(len(kd_pool), cfg.batch_size, rng)
+            kviews = augmenter.pair_views(kd_pool[kidx], rng)
+            kd_z = kd_teacher.embed(kviews)
+        with Tape() as tape:
+            z = learner.embed(views)
+            if kviews is not None:
+                zk = learner.embed(kviews)
+            total = L.learner_objective(
+                z, t, cfg.weights, sup_y[idx], current,
+                pseudo_flags=sup_pseudo[idx], pseudo_anchor=cfg.pseudo_anchor,
+                pseudo_positive=cfg.pseudo_positive, use_sup=cfg.use_sup,
+                td_teacher=td_z, kd_teacher=kd_z, kd_student=zk)
+            if unsup_pool is not None:
+                uidx = sc.sample_batch(len(unsup_pool), cfg.batch_size, rng)
+                uviews = augmenter.pair_views(unsup_pool[uidx], rng)
+                zu = learner.embed(uviews)
+                total = L.add(total, L.ntxent_loss(zu, cfg.weights.tau))
+            return total, backprop(tape, total)
+
+    return _optimize(learner, len(sup_x), cfg.epochs_learner, cfg, rng, step)
 
 
 def fit_classifier(learner, xs, ys, observed_classes, cfg, rng_init, rng_train):
@@ -506,7 +507,7 @@ class _TaskWalk:
                                         self.augmenter)
         if cfg.pretrain_reference:
             pooled = np.concatenate([s.unlabeled_x for s in self.stream.steps])
-            with _timed(clock, "reference"):
+            with clock.timed("reference"):
                 train_reference(state.reference, pooled, cfg.epochs_first, cfg,
                                 augmenter, state.rngs["ref"])
         observed = []
@@ -516,7 +517,7 @@ class _TaskWalk:
             if ((cfg.method == "ursl" and not cfg.pretrain_reference)
                     or (cfg.method == "co2l_p" and t == 1)):
                 epochs = cfg.epochs_first if t == 1 else cfg.epochs_later
-                with _timed(clock, "reference"):
+                with clock.timed("reference"):
                     self.reference_curves[f"t{t}"] = train_reference(
                         state.reference, step.unlabeled_x, epochs, cfg,
                         augmenter, state.rngs["ref"])
@@ -524,7 +525,7 @@ class _TaskWalk:
             labeled = _labeled_union(step, state.memory)
             seg = None
             if cfg.uses_segregation:
-                with _timed(clock, "segregation"):
+                with clock.timed("segregation"):
                     seg = _segregation_pass(state, step, labeled, cfg,
                                             augmenter, observed)
                 row = _metrics_row(t, step, seg)
@@ -534,7 +535,7 @@ class _TaskWalk:
 
             yield step, labeled, seg
 
-            with _timed(clock, "memory"):
+            with clock.timed("memory"):
                 conf = _memory_confidence(cfg, seg, labeled[2])
                 state.memory.update(step.labeled_x, step.labeled_y,
                                     state.rngs["memory"], confidence=conf)
@@ -586,7 +587,7 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
         snapshot = state.learner.snapshot() if (cfg.use_td and t > 1) else None
         unsup_pool = step.unlabeled_x if cfg.method == "co2l_j" else None
 
-        with _timed(clock, "learner"):
+        with clock.timed("learner"):
             learner_curves[f"t{t}"] = train_learner_task(
                 state.learner, sup_x, sup_y, sup_pseudo, step.task_classes, t,
                 cfg, augmenter, state.rngs["learner"],
@@ -594,11 +595,11 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
                 kd_pool=kd_pool, unsup_pool=unsup_pool)
 
     final_x, final_y, _ = _labeled_union(stream.steps[-1], state.memory)
-    with _timed(clock, "classifier"):
+    with clock.timed("classifier"):
         head, class_ids = fit_classifier(
             state.learner, final_x, final_y, stream.all_classes, cfg,
             state.rngs["cls_init"], state.rngs["cls_train"])
-    with _timed(clock, "evaluate"):
+    with clock.timed("evaluate"):
         final_acc, per_task = evaluate(head, state.learner, class_ids,
                                        dataset.test_x, dataset.test_y,
                                        stream.task_classes)

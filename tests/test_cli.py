@@ -1,10 +1,12 @@
 """CLI contract tests: exit codes, output files, determinism, round-trips."""
 
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -382,3 +384,16 @@ class TestStartup:
         assert [m for m in loaded if m == "scipy"
                 or m.startswith("scipy.")] == []
         assert "concurrent.futures.process" not in loaded
+
+
+class TestOutDir:
+    def test_out_dir_check_closes_its_scandir_iterator(self, tmp_path):
+        (tmp_path / "junk.txt").write_text("old")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(config.ConfigError, match="--force"):
+                cli._prepare_out_dir(str(tmp_path), force=False)
+            cli._prepare_out_dir(str(tmp_path), force=True)
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []

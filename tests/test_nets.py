@@ -1,4 +1,4 @@
-"""Tests for the encoder-projector, snapshots, classifier head, and checkpoints."""
+"""Tests for the encoder-projector, snapshots, and classifier head."""
 
 import hashlib
 
@@ -30,13 +30,6 @@ def test_embed_rows_are_unit():
     np.testing.assert_allclose((z.data ** 2).sum(axis=1), 1.0, atol=1e-5)
 
 
-def test_feature_dim_is_last_hidden_width():
-    net = make_net()
-    assert net.feature_dim == 16
-    x = np.zeros((3, 8), dtype=np.float32)
-    assert net.encoder_features(x).shape == (3, 16)
-
-
 def test_init_is_seed_deterministic():
     a, b = make_net(5), make_net(5)
     np.testing.assert_array_equal(a.params.data, b.params.data)
@@ -45,10 +38,19 @@ def test_init_is_seed_deterministic():
 
 
 def test_zero_width_rejected():
-    with pytest.raises(ValueError):
-        nets.EncoderProjector(8, hidden=(16, 0), rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        nets.EncoderProjector(0, rng=np.random.default_rng(0))
+    base = dict(input_dim=8, hidden=(16,), proj_hidden=8, embed_dim=4)
+    for bad in (dict(hidden=(16, 0)), dict(hidden=()), dict(input_dim=0),
+                dict(proj_hidden=0), dict(embed_dim=0)):
+        with pytest.raises(ValueError, match="widths must be positive"):
+            nets.EncoderProjector(**{**base, **bad},
+                                  rng=np.random.default_rng(0))
+
+
+def test_rng_is_required_and_keyword_only():
+    with pytest.raises(TypeError):
+        nets.EncoderProjector(8)
+    with pytest.raises(TypeError):
+        nets.EncoderProjector(8, (16,), 8, 4, np.random.default_rng(0))
 
 
 def test_gradients_reach_every_parameter():
@@ -123,33 +125,6 @@ def test_classifier_shapes_and_gradients():
         loss = nc.total_sum(nc.mul(logits, logits))
         grads = nc.backprop(tape, loss)
     assert head.weight in grads and head.bias in grads
-
-
-def test_checkpoint_roundtrip_exact(tmp_path):
-    net = make_net(9)
-    path = tmp_path / "net.bin"
-    nets.save_net(net, path)
-    back = nets.load_net(path)
-    assert back.arch_tuple() == net.arch_tuple()
-    for pa, pb in zip(net.param_arrays(), back.param_arrays()):
-        np.testing.assert_array_equal(pa, pb)
-
-
-def test_checkpoint_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-    with pytest.raises(ValueError):
-        nets.load_net(path)
-
-
-def test_checkpoint_rejects_truncation(tmp_path):
-    net = make_net()
-    path = tmp_path / "net.bin"
-    nets.save_net(net, path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-8])
-    with pytest.raises(ValueError):
-        nets.load_net(path)
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +266,3 @@ def test_snapshot_params_are_one_frozen_copy():
     assert not snap.params.data.flags.writeable
     assert not np.shares_memory(snap.params.data, net.params.data)
     assert snap.params.data.tobytes() == net.params.data.tobytes()
-
-
-def test_save_net_bytes_are_the_per_parameter_layout(tmp_path):
-    import struct
-
-    for dtype in (np.float32, np.float64):
-        net = make_net(9, dtype=dtype)
-        path = tmp_path / "net.bin"
-        nets.save_net(net, path)
-        # the checkpoint as written one parameter at a time
-        expected = b"OSSCLEP1" + struct.pack("<II", 8, 2) + struct.pack(
-            "<2I", 16, 16) + struct.pack("<II", 8, 4)
-        for a in net.param_arrays():
-            expected += np.ascontiguousarray(a, dtype=np.float32).tobytes()
-        assert path.read_bytes() == expected

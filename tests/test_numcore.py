@@ -109,6 +109,25 @@ def test_affine_shape_error():
         nc.affine(x, w, b)
 
 
+def test_check_gradients_measures_a_wrong_backward():
+    # forward sum(k * x), backward 2 * k: the tape gradient is twice the
+    # true one, so each element's error is |2k - k| / max(1e-3, 2k, k) = 0.5;
+    # at k = 1e-4 the 1e-3 floor sets the denominator: 1e-4 / 1e-3 = 0.1
+    x = nc.Tensor(np.array([0.3, -1.2, 2.0]), requires_grad=True)
+    unused = nc.Tensor(np.ones(2), requires_grad=True)
+
+    def doubled(k):
+        def loss_fn():
+            out = nc.Tensor(np.asarray(k * x.data.sum()), requires_grad=True)
+            nc._record(out, (x,), lambda g: (2.0 * k * g * np.ones(3),))
+            return out
+        return loss_fn
+
+    assert nc.check_gradients(doubled(1.0), [x, unused]) == pytest.approx(0.5)
+    assert nc.check_gradients(doubled(1e-4), [x]) == pytest.approx(0.1)
+    assert x.data.tolist() == [0.3, -1.2, 2.0]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_relu_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)

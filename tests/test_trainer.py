@@ -609,6 +609,9 @@ def test_metrics_dict_is_json_serializable(tiny_world):
     payload = json.dumps(rep.metrics_dict(), sort_keys=True)
     assert "wall_clock" not in payload
     assert rep.wall_clock["total"] > 0
+    # the phase names the benchmark reads from timings.json
+    assert set(rep.wall_clock) == {"reference", "segregation", "learner",
+                                   "memory", "classifier", "evaluate", "total"}
 
 
 def test_segregation_eval_rows_and_samples(tiny_world):
