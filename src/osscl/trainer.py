@@ -13,16 +13,39 @@ after its caller's work, updates memory. run_continual adds the learner
 side to each step; run_segregation_eval adds only per-sample score rows, so
 the split it reports is the split the run feeds its learner.
 
+The walk never reads learner state, so run_continual can run it ahead of
+the learner (_walk_feed): a forked child process iterates the walk and
+sends each step's labeled union, segregation pass and reference
+parameters, then the final memory, role RNGs and records, through a
+multiprocessing queue, so it trains the reference for step t+1 while this
+process trains the learner for step t. It does so when the
+reference keeps training after step 1 (ursl without pretrain_reference,
+more than one step), the fork start method exists, this process runs no
+other thread, numpy's bundled OpenBLAS exposes its thread-count functions,
+and its pool has more than one thread on entry (the process was given more
+than one core). Both processes then run one BLAS thread, and the entry
+count is restored on the way out. Otherwise the walk runs in-process, so
+OPENBLAS_NUM_THREADS=1, a single-core machine and `run --threads N` workers
+stay serial. It is a process and not a thread because a step is a couple of
+milliseconds of small numpy ops that hold the GIL, and the tape stack
+(numcore._ACTIVE_TAPES) is module-global. Either way the run's bytes are
+the same.
+
 Determinism: every stochastic role draws from its own seeded Generator, so
 disabling a component (a loss term, the confident set) leaves the remaining
-streams untouched. Two runs with the same config and seed are bitwise equal.
+streams untouched. Two runs with the same config and seed are bitwise equal,
+whether the walk ran ahead or not.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
+import os
+import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,6 +198,11 @@ class RunReport:
 
     metrics_dict() holds only deterministic values (the rerun contract);
     wall_clock and the final networks and memory (state) stay separate.
+    wall_clock holds seconds per phase (see _PhaseClock), `total` and
+    `walk_wait`, the time the learner side spent blocked on the walk. When
+    the walk runs ahead (see the module docstring) its phases (reference,
+    segregation, memory) overlap `learner`, so the phases can sum to more
+    than `total`.
     """
 
     method: str
@@ -206,7 +234,12 @@ class RunReport:
 
 
 class _PhaseClock:
-    """Accumulates wall-clock seconds per named phase."""
+    """Accumulates wall-clock seconds per named phase.
+
+    A walk that runs ahead keeps its own clock in its process and ships the
+    totals back; its phases overlap this process's, so the phases of one
+    run can sum to more than its wall time.
+    """
 
     def __init__(self):
         self.totals = {}
@@ -543,6 +576,162 @@ class _TaskWalk:
                 {str(k): int(v) for k, v in state.memory.class_counts().items()})
 
 
+# ---------------------------------------------------------------------------
+# The walk ahead of the learner
+# ---------------------------------------------------------------------------
+
+# how often a learner blocked on the walk checks that the walk's process lives
+_POLL_S = 0.1
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None.
+
+    Found with ctypes in numpy.libs; these are the calls threadpoolctl makes.
+    A numpy built against another BLAS has none, and its runs stay serial.
+    """
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    log.debug("no bundled OpenBLAS thread control; the walk runs in-process")
+    return None
+
+
+def _walks_ahead(walk):
+    """Whether run_continual runs `walk` in a forked process; the rule is in
+    the module docstring."""
+    cfg = walk.cfg
+    if (cfg.method != "ursl" or cfg.pretrain_reference
+            or len(walk.stream.steps) < 2 or threading.active_count() > 1):
+        return False
+    import multiprocessing
+
+    blas = _blas_threads()
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and blas is not None and blas[0]() > 1)
+
+
+def _walk_child(walk, inbox):
+    """Body of the walk's process: send each item of the walk, then what it
+    owns at the end. An exception is sent, for the learner side to raise."""
+    _blas_threads()[1](1)
+    state = walk.state
+    try:
+        for _, labeled, seg in walk:
+            # copied here: the queue pickles in a feeder thread, and the next
+            # step trains these parameters in place
+            inbox.put((labeled, seg, state.reference.params.data.copy()))
+        inbox.put({
+            "memory": state.memory,
+            "rngs": {role: state.rngs[role]
+                     for role in ("ref", "proto", "memory")},
+            "records": (walk.reference_curves, walk.task_metrics,
+                        walk.memory_counts),
+            "clock": walk.clock.totals,
+        })
+    except Exception as exc:  # noqa: BLE001 - raised again by the learner side
+        if hasattr(exc, "add_note"):  # Python 3.11+
+            exc.add_note(
+                f"raised in the walk process:\n{traceback.format_exc()}")
+        inbox.put(exc)
+
+
+def _receive(inbox, child, what):
+    """The walk process's next message. An exception it sent is raised here;
+    if it exits without sending, RuntimeError names its exit code."""
+    from queue import Empty
+
+    while True:
+        exited = child.exitcode is not None
+        try:
+            item = inbox.get(timeout=_POLL_S)
+        except Empty:
+            if exited:  # it flushed everything it sent before exiting
+                raise RuntimeError(
+                    f"the walk process exited with code {child.exitcode} "
+                    f"before sending {what}") from None
+            continue
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+
+def _mirror(walk, inbox, child):
+    """Yield the items the walk's process sends, and leave `walk` (the
+    reference, memory, RNGs, records and clock) as iterating it here would."""
+    state = walk.state
+    for step in walk.stream.steps:
+        labeled, seg, reference = _receive(inbox, child, f"step {step.index}")
+        np.copyto(state.reference.params.data, reference)
+        yield step, labeled, seg
+    final = _receive(inbox, child, "its final state")
+    state.memory = final["memory"]
+    state.rngs.update(final["rngs"])
+    (walk.reference_curves, walk.task_metrics,
+     walk.memory_counts) = final["records"]
+    for name, seconds in final["clock"].items():
+        walk.clock.add(name, seconds)
+    child.join()
+
+
+def _waited(items, clock):
+    """items, adding the time each took to arrive to the walk_wait phase."""
+    while True:
+        with clock.timed("walk_wait"):
+            item = next(items, None)
+        if item is None:
+            return
+        yield item
+
+
+@contextlib.contextmanager
+def _walk_feed(walk):
+    """An iterator over walk's (step, labeled union, segregation pass) items
+    that leaves `walk` as iterating it in-process does.
+
+    When _walks_ahead, a forked process iterates the walk (_walk_child) and
+    this one mirrors it (_mirror), both at one BLAS thread. On the way out,
+    by error or not, the process is stopped and joined and the BLAS thread
+    count restored.
+    """
+    if not _walks_ahead(walk):
+        yield _waited(iter(walk), walk.clock)
+        return
+    import multiprocessing
+
+    get_threads, set_threads = _blas_threads()
+    threads = get_threads()
+    ctx = multiprocessing.get_context("fork")
+    inbox = ctx.Queue()
+    child = ctx.Process(target=_walk_child, args=(walk, inbox),
+                        name="osscl-walk", daemon=True)
+    set_threads(1)
+    try:
+        child.start()
+        try:
+            yield _waited(_mirror(walk, inbox, child), walk.clock)
+        finally:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+    finally:
+        inbox.close()
+        set_threads(threads)
+
+
 def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
     """Walk the stream once under one method config; returns a RunReport.
 
@@ -559,40 +748,41 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
     state = walk.state
     learner_curves = {}
 
-    for step, (lab_x, lab_y, _), seg in walk:
-        t = step.index
-        if cfg.method == "co2l_p" and t == 1:
-            state.learner.copy_params_from(state.reference)
+    with _walk_feed(walk) as items:
+        for step, (lab_x, lab_y, _), seg in items:
+            t = step.index
+            if cfg.method == "co2l_p" and t == 1:
+                state.learner.copy_params_from(state.reference)
 
-        sup_x, sup_y = lab_x, lab_y
-        sup_pseudo = np.zeros(len(sup_y), dtype=bool)
-        kd_teacher = kd_pool = None
-        if seg is not None:
-            out = seg["output"]
-            if cfg.seg_variant in ("v3", "v4") and out.t_hat_indices.size:
-                sup_x = np.concatenate([sup_x, step.unlabeled_x[out.t_hat_indices]])
-                sup_y = np.concatenate([sup_y, out.t_hat_labels])
-                sup_pseudo = np.concatenate(
-                    [sup_pseudo, np.ones(out.t_hat_indices.size, dtype=bool)])
-            if cfg.use_kd:
-                if cfg.seg_variant in ("v1", "v3"):
-                    pool_part = step.unlabeled_x
-                else:
-                    pool_part = step.unlabeled_x[out.u_hat_indices]
-                kd_pool = np.concatenate([lab_x, pool_part])
-                kd_teacher = state.reference
+            sup_x, sup_y = lab_x, lab_y
+            sup_pseudo = np.zeros(len(sup_y), dtype=bool)
+            kd_teacher = kd_pool = None
+            if seg is not None:
+                out = seg["output"]
+                if cfg.seg_variant in ("v3", "v4") and out.t_hat_indices.size:
+                    sup_x = np.concatenate([sup_x, step.unlabeled_x[out.t_hat_indices]])
+                    sup_y = np.concatenate([sup_y, out.t_hat_labels])
+                    sup_pseudo = np.concatenate(
+                        [sup_pseudo, np.ones(out.t_hat_indices.size, dtype=bool)])
+                if cfg.use_kd:
+                    if cfg.seg_variant in ("v1", "v3"):
+                        pool_part = step.unlabeled_x
+                    else:
+                        pool_part = step.unlabeled_x[out.u_hat_indices]
+                    kd_pool = np.concatenate([lab_x, pool_part])
+                    kd_teacher = state.reference
 
-        # the learner as the previous step left it; at t > 1 nothing has
-        # touched it yet in this step
-        snapshot = state.learner.snapshot() if (cfg.use_td and t > 1) else None
-        unsup_pool = step.unlabeled_x if cfg.method == "co2l_j" else None
+            # the learner as the previous step left it; at t > 1 nothing has
+            # touched it yet in this step
+            snapshot = state.learner.snapshot() if (cfg.use_td and t > 1) else None
+            unsup_pool = step.unlabeled_x if cfg.method == "co2l_j" else None
 
-        with clock.timed("learner"):
-            learner_curves[f"t{t}"] = train_learner_task(
-                state.learner, sup_x, sup_y, sup_pseudo, step.task_classes, t,
-                cfg, augmenter, state.rngs["learner"],
-                td_teacher=snapshot, kd_teacher=kd_teacher,
-                kd_pool=kd_pool, unsup_pool=unsup_pool)
+            with clock.timed("learner"):
+                learner_curves[f"t{t}"] = train_learner_task(
+                    state.learner, sup_x, sup_y, sup_pseudo, step.task_classes, t,
+                    cfg, augmenter, state.rngs["learner"],
+                    td_teacher=snapshot, kd_teacher=kd_teacher,
+                    kd_pool=kd_pool, unsup_pool=unsup_pool)
 
     final_x, final_y, _ = _labeled_union(stream.steps[-1], state.memory)
     with clock.timed("classifier"):

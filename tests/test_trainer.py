@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from osscl import scenario as sc
 from osscl import trainer as tr
 from osscl.cli import THREAD_VARS
 from osscl.nets import EncoderProjector
-from osscl.numcore import Tape
+from osscl.numcore import NonFiniteError, Tape
 from test_nets import param_digest
 
 
@@ -363,22 +364,50 @@ def test_rerun_is_bitwise_identical(tiny_world):
     assert param_digest(a.state.learner) == param_digest(b.state.learner)
 
 
-# Runs the tiny world and its image-mode twin (8x8 RGB rows) under ursl,
-# seed 5, and prints each run's metrics digest.
+# Runs the tiny world under ursl v4, v1, rainbow memory and co2l_p, and its
+# image-mode twin (8x8 RGB rows) under ursl, seed 5. Prints per run the
+# metrics digest and a digest of report.state (both nets' parameters, the
+# memory arrays and the walk's three RNG states), then the BLAS thread count
+# on entry and how many processes the runs forked.
 _DIGEST_SCRIPT = """
-import hashlib, json, sys
+import hashlib, json, os, sys
 sys.path[:0] = sys.argv[1:3]
 import test_trainer as T
 from osscl import scenario as sc, trainer as tr
-for world in (T.build_tiny_world(sc.Augmenter(mode="vector", sigma=0.5,
-                                              dropout=0.1)),
-              T.build_tiny_world(sc.Augmenter(mode="image", image_hw=8),
-                                 dim=3 * 8 * 8)):
-    main, stream, aug = world
-    rep = tr.run_continual(T.tiny_cfg(), stream, main, aug, seed=5)
+forks, fork = [], os.fork
+def counted_fork():
+    forks.append(1)
+    return fork()
+os.fork = counted_fork
+blas = tr._blas_threads()
+threads = blas[0]() if blas else None
+vector = T.build_tiny_world(sc.Augmenter(mode="vector", sigma=0.5,
+                                         dropout=0.1))
+image = T.build_tiny_world(sc.Augmenter(mode="image", image_hw=8),
+                           dim=3 * 8 * 8)
+for (main, stream, aug), overrides in (
+        (vector, {}), (vector, {"seg_variant": "v1"}),
+        (vector, {"memory_policy": "rainbow"}), (vector, {"method": "co2l_p"}),
+        (image, {})):
+    rep = tr.run_continual(T.tiny_cfg(**overrides), stream, main, aug, seed=5)
     text = json.dumps(rep.metrics_dict(), sort_keys=True)
-    print(hashlib.sha256(text.encode()).hexdigest())
+    print(hashlib.sha256(text.encode()).hexdigest(), T.state_digest(rep.state))
+print(f"threads={threads}", f"forks={len(forks)}")
 """
+
+
+def state_digest(state):
+    """sha256 over a RunState: both nets' parameters, the memory arrays and
+    the bit-generator states of the walk's RNGs."""
+    h = hashlib.sha256()
+    for net in (state.reference, state.learner):
+        if net is not None:
+            h.update(net.params.data.tobytes())
+    for array in state.memory.items():
+        h.update(array.tobytes())
+    for role in ("ref", "proto", "memory"):
+        h.update(repr(state.rngs[role].bit_generator.state).encode())
+    return h.hexdigest()
 
 
 def stdout_at_blas_thread_counts(script):
@@ -401,10 +430,107 @@ def stdout_at_blas_thread_counts(script):
 
 def test_rerun_is_bitwise_identical_across_blas_thread_counts():
     """The same run at one and at two BLAS threads gives byte-identical
-    metrics."""
-    digests = stdout_at_blas_thread_counts(_DIGEST_SCRIPT)
-    assert len(digests[0]) == 2
-    assert digests[0] == digests[1]
+    metrics and final state. At one thread every walk runs in-process; at
+    two, each of the four ursl runs walks ahead in a forked process."""
+    serial, ahead = stdout_at_blas_thread_counts(_DIGEST_SCRIPT)
+    assert len(serial) == 2 * 5 + 2
+    assert serial[:-2] == ahead[:-2]
+    assert serial[-1] == "forks=0"
+    if tr._blas_threads() is not None and len(os.sched_getaffinity(0)) > 1:
+        assert ahead[-2:] == ["threads=2", "forks=4"]
+
+
+@pytest.fixture
+def walk_ahead(monkeypatch):
+    """Two BLAS threads, so ursl runs walk ahead; yields the list os.fork
+    appends to, and checks on the way out that the run left no process and
+    the thread count it found."""
+    import multiprocessing
+
+    blas = tr._blas_threads()
+    if blas is None or "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the walk runs ahead only with fork and numpy's bundled "
+                    "OpenBLAS")
+    get, put = blas
+    before = get()
+    put(2)
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    try:
+        yield forks
+        assert multiprocessing.active_children() == []
+        assert get() == 2
+    finally:
+        put(before)
+
+
+def test_walk_error_is_raised_with_its_type_and_message(tiny_world, walk_ahead,
+                                                        monkeypatch):
+    main, stream, aug = tiny_world
+    train_reference, calls = tr.train_reference, []
+
+    def fails_at_t2(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NonFiniteError("ntxent went non-finite at t=2")
+        return train_reference(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "train_reference", fails_at_t2)
+    with pytest.raises(NonFiniteError) as caught:
+        tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
+    assert type(caught.value) is NonFiniteError
+    assert str(caught.value) == "ntxent went non-finite at t=2"
+    assert walk_ahead == [1]
+    assert calls == []  # the reference trained in the walk's process
+    if sys.version_info >= (3, 11):
+        assert "raised in the walk process" in caught.value.__notes__[0]
+
+
+def test_walk_process_death_is_a_runtime_error(tiny_world, walk_ahead,
+                                               monkeypatch):
+    main, stream, aug = tiny_world
+    train_reference, calls = tr.train_reference, []
+
+    def dies_at_t2(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            os._exit(3)
+        return train_reference(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "train_reference", dies_at_t2)
+    with pytest.raises(RuntimeError, match="exited with code 3 before"):
+        tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
+    assert walk_ahead == [1]
+
+
+def test_learner_error_stops_the_walk_process(tiny_world, walk_ahead,
+                                              monkeypatch):
+    """The learner fails at t=1 while the walk's process sleeps in t=2's
+    reference training: the run raises at once, having stopped it."""
+    main, stream, aug = tiny_world
+    train_reference, calls = tr.train_reference, []
+
+    def sleeps_at_t2(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            time.sleep(60)
+        return train_reference(*args, **kwargs)
+
+    def fails(*args, **kwargs):
+        raise ValueError("learner failed")
+
+    monkeypatch.setattr(tr, "train_reference", sleeps_at_t2)
+    monkeypatch.setattr(tr, "train_learner_task", fails)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="learner failed"):
+        tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
+    assert time.monotonic() - start < 30
+    assert walk_ahead == [1]
 
 
 # One NT-Xent step at desk scale, where the tiny world's 64 x 64 Grams are
@@ -611,7 +737,8 @@ def test_metrics_dict_is_json_serializable(tiny_world):
     assert rep.wall_clock["total"] > 0
     # the phase names the benchmark reads from timings.json
     assert set(rep.wall_clock) == {"reference", "segregation", "learner",
-                                   "memory", "classifier", "evaluate", "total"}
+                                   "memory", "classifier", "evaluate", "total",
+                                   "walk_wait"}
 
 
 def test_segregation_eval_rows_and_samples(tiny_world):
