@@ -24,6 +24,7 @@ Where each check lives:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
 
 from . import scenario as sc
@@ -67,10 +68,10 @@ def _get(obj, path, key, default, minimum=None):
 def _read_value(default, value, path):
     """value checked against the type of default and converted like it.
 
-    bool is tested before int, and an int is accepted for a float. A tuple
-    reads a list whose items have the type of the default's first item; a
-    tuple of floats also keeps the default's length. A dataclass reads a
-    nested section.
+    bool is tested before int, and an int is accepted for a float; a float
+    must be finite. A tuple reads a list whose items have the type of the
+    default's first item; a tuple of floats also keeps the default's length.
+    A dataclass reads a nested section.
     """
     if is_dataclass(default):
         return _read_section(type(default), value, path)
@@ -85,6 +86,9 @@ def _read_value(default, value, path):
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             _fail(path, "expected a number")
+        # json.load reads NaN and Infinity; an int may be past float range
+        if not abs(value) <= sys.float_info.max:
+            _fail(path, "expected a finite number")
         return float(value)
     if isinstance(default, str):
         if not isinstance(value, str):

@@ -7,29 +7,31 @@ combined objective (supervised contrastive, past-self distillation,
 reference distillation). After the last step a linear classifier is fitted
 on the final labeled data and evaluated class-incrementally.
 
-One private walker (_TaskWalk) owns the reference, the memory buffer and
-the role RNGs, and per step trains the reference, segregates the pool and,
-after its caller's work, updates memory. run_continual adds the learner
-side to each step; run_segregation_eval adds only per-sample score rows, so
-the split it reports is the split the run feeds its learner.
+Each piece of run state has one owner. The private walk (_TaskWalk) owns
+the reference side (the reference, the memory buffer, the reference,
+prototype and memory RNGs, and its records); per step it trains the
+reference, segregates the pool and, after its caller's work, updates
+memory. run_continual owns the learner side (the learner, its training RNG
+and the classifier's RNGs) and trains the learner on each walk step.
+run_segregation_eval adds only per-sample score rows, so the split it
+reports is the split the run feeds its learner.
 
 The walk never reads learner state, so run_continual can run it ahead of
 the learner (_walk_feed): a forked child process iterates the walk and
 sends each step's labeled union, segregation pass and reference
-parameters, then the final memory, role RNGs and records, through a
+parameters, then the rest of what the walk owns (_WALK_HANDBACK), through a
 multiprocessing queue, so it trains the reference for step t+1 while this
-process trains the learner for step t. It does so when the
-reference keeps training after step 1 (ursl without pretrain_reference,
-more than one step), the fork start method exists, this process runs no
-other thread, numpy's bundled OpenBLAS exposes its thread-count functions,
-and its pool has more than one thread on entry (the process was given more
-than one core). Both processes then run one BLAS thread, and the entry
-count is restored on the way out. Otherwise the walk runs in-process, so
-OPENBLAS_NUM_THREADS=1, a single-core machine and `run --threads N` workers
-stay serial. It is a process and not a thread because a step is a couple of
-milliseconds of small numpy ops that hold the GIL, and the tape stack
-(numcore._ACTIVE_TAPES) is module-global. Either way the run's bytes are
-the same.
+process trains the learner for step t. It does so when the reference trains
+after step 1 (_TaskWalk.trains_reference), the fork start method exists,
+this process runs no other thread, numpy's bundled OpenBLAS exposes its
+thread-count functions, and its pool has more than one thread on entry (the
+process was given more than one core). Both processes then run one BLAS
+thread, and the entry count is restored on the way out. Otherwise the walk
+runs in-process, so OPENBLAS_NUM_THREADS=1, a single-core machine and `run
+--threads N` workers stay serial. It is a process and not a thread because
+a step is a couple of milliseconds of small numpy ops that hold the GIL,
+and the tape stack (numcore._ACTIVE_TAPES) is module-global. Either way the
+run's bytes are the same.
 
 Determinism: every stochastic role draws from its own seeded Generator, so
 disabling a component (a loss term, the confident set) leaves the remaining
@@ -171,6 +173,8 @@ class MethodConfig:
             raise ValueError("n_aug must be >= 1")
         if self.memory_size < 0:
             raise ValueError("memory_size must be >= 0")
+        if not 0 <= self.min_lr <= self.lr:  # NaN fails too
+            raise ValueError("min_lr must be in [0, lr]")
 
     @property
     def uses_reference(self):
@@ -183,8 +187,9 @@ class MethodConfig:
 
 @dataclass
 class RunState:
-    """Mutable state carried across task steps; learner is None on a
-    segregation-only walk."""
+    """A run's final state, gathered once after the last step: the walk's
+    reference (or None), memory and `rngs` (ref, proto, memory), and
+    run_continual's learner."""
 
     reference: EncoderProjector | None
     learner: EncoderProjector | None
@@ -197,7 +202,7 @@ class RunReport:
     """Everything one run reports.
 
     metrics_dict() holds only deterministic values (the rerun contract);
-    wall_clock and the final networks and memory (state) stay separate.
+    wall_clock and the final networks and memory (RunState) stay separate.
     wall_clock holds seconds per phase (see _PhaseClock), `total` and
     `walk_wait`, the time the learner side spent blocked on the walk. When
     the walk runs ahead (see the module docstring) its phases (reference,
@@ -444,16 +449,18 @@ def _labeled_union(step, memory):
     return xs, ys, len(step.labeled_y)
 
 
-def _segregation_pass(state, step, labeled, cfg, augmenter, observed):
+def _segregation_pass(walk, step, labeled, observed):
     """Prototypes, thresholds, pool split, and quality metrics for one step."""
+    cfg, reference = walk.cfg, walk.reference
     lab_x, lab_y, _ = labeled
-    protos = sg.build_prototypes(state.reference, lab_x, lab_y, observed,
-                                 augmenter, state.rngs["proto"], n_aug=cfg.n_aug)
-    labeled_scores, _ = sg.score(protos, lab_x, reference=state.reference)
+    protos = sg.build_prototypes(reference, lab_x, lab_y, observed,
+                                 walk.augmenter, walk.rngs["proto"],
+                                 n_aug=cfg.n_aug)
+    labeled_scores, _ = sg.score(protos, lab_x, reference=reference)
     stats = sg.compute_thresholds(labeled_scores, cfg.eta_id, cfg.eta_pl,
                                   spread_mode=cfg.spread_mode)
     pool_scores, nearest = sg.score(protos, step.unlabeled_x,
-                                    reference=state.reference)
+                                    reference=reference)
     out = sg.segregate_scores(pool_scores, nearest, stats)
     quality = sg.ood_metrics(out, pool_scores, step.provenance)
     return {
@@ -483,84 +490,73 @@ def _metrics_row(t, step, seg):
     }
 
 
-def _memory_confidence(cfg, seg, n_current):
-    """Confidence of the step's labeled samples for ranked memory policies."""
-    if cfg.memory_policy == "random":
-        return None
-    if seg is None:
-        raise ValueError("confidence-ranked memory needs segregation scores")
-    return seg["labeled_scores"][:n_current]
+def _encoder_projector(stream, arch, seed, role):
+    """A new encoder-projector over the stream's rows, drawn from `role`."""
+    return EncoderProjector(stream.steps[0].labeled_x.shape[1], arch.hidden,
+                            arch.proj_hidden, arch.embed_dim,
+                            rng=role_rng(seed, role))
 
 
 class _TaskWalk:
     """The one walk over a stream behind run_continual and run_segregation_eval.
 
-    Owns the reference, the memory buffer and the role RNGs (`state`). It
-    pretrains the reference when cfg.pretrain_reference, trains it on the
-    method's schedule (ursl every step, co2l_p at t=1 only) and segregates
-    each step's pool when the method does. Iterating yields one
+    Owns the reference side and nothing of the learner: `reference` (None
+    for a method without one), `memory`, `rngs` (ref, proto, memory), the
+    `clock` it times its phases on and its records (reference_curves,
+    task_metrics, memory_counts). It pretrains the reference when
+    cfg.pretrain_reference, trains it when trains_reference(t) and
+    segregates each step's pool when the method does. Iterating yields one
     (step, labeled union, segregation pass or None) per step; once the
-    caller hands control back, memory takes in the step's labeled set. It
-    records what it owns: reference_curves, task_metrics, memory_counts.
-    With learner=False no learner is built, nor any of its RNGs.
+    caller hands control back, memory takes in the step's labeled set.
     """
 
-    def __init__(self, cfg, stream, augmenter, seed, arch, clock, learner):
+    def __init__(self, cfg, stream, augmenter, seed, arch, clock):
         if not stream.steps:
             raise ValueError("stream is empty")
         self.cfg, self.stream, self.augmenter, self.clock = (
             cfg, stream, augmenter, clock)
-        dim = stream.steps[0].labeled_x.shape[1]
-
-        def net(role):
-            return EncoderProjector(dim, arch.hidden, arch.proj_hidden,
-                                    arch.embed_dim, rng=role_rng(seed, role))
-
-        rngs = {
+        self.reference = (_encoder_projector(stream, arch, seed, _ROLE_REF_INIT)
+                          if cfg.uses_reference else None)
+        self.memory = sc.MemoryBuffer(cfg.memory_size, cfg.memory_policy)
+        self.rngs = {
             "ref": role_rng(seed, _ROLE_REF_TRAIN),
             "proto": role_rng(seed, _ROLE_PROTO),
             "memory": role_rng(seed, _ROLE_MEMORY),
         }
-        if learner:
-            rngs.update(learner=role_rng(seed, _ROLE_LEARNER_TRAIN),
-                        cls_init=role_rng(seed, _ROLE_CLS_INIT),
-                        cls_train=role_rng(seed, _ROLE_CLS_TRAIN))
-        self.state = RunState(
-            reference=net(_ROLE_REF_INIT) if cfg.uses_reference else None,
-            learner=net(_ROLE_LEARNER_INIT) if learner else None,
-            memory=sc.MemoryBuffer(cfg.memory_size, cfg.memory_policy),
-            rngs=rngs,
-        )
         self.reference_curves = {}
         self.task_metrics = []
         self.memory_counts = []
 
+    def trains_reference(self, t):
+        """Whether step t trains the reference: every step of ursl without
+        pretrain_reference, step 1 of co2l_p."""
+        cfg = self.cfg
+        return ((cfg.method == "ursl" and not cfg.pretrain_reference)
+                or (cfg.method == "co2l_p" and t == 1))
+
     def __iter__(self):
-        cfg, state, clock, augmenter = (self.cfg, self.state, self.clock,
-                                        self.augmenter)
+        cfg, clock = self.cfg, self.clock
         if cfg.pretrain_reference:
             pooled = np.concatenate([s.unlabeled_x for s in self.stream.steps])
             with clock.timed("reference"):
-                train_reference(state.reference, pooled, cfg.epochs_first, cfg,
-                                augmenter, state.rngs["ref"])
+                train_reference(self.reference, pooled, cfg.epochs_first, cfg,
+                                self.augmenter, self.rngs["ref"])
         observed = []
         for step in self.stream.steps:
             t = step.index
             observed.extend(step.task_classes)
-            if ((cfg.method == "ursl" and not cfg.pretrain_reference)
-                    or (cfg.method == "co2l_p" and t == 1)):
+            if self.trains_reference(t):
                 epochs = cfg.epochs_first if t == 1 else cfg.epochs_later
                 with clock.timed("reference"):
                     self.reference_curves[f"t{t}"] = train_reference(
-                        state.reference, step.unlabeled_x, epochs, cfg,
-                        augmenter, state.rngs["ref"])
+                        self.reference, step.unlabeled_x, epochs, cfg,
+                        self.augmenter, self.rngs["ref"])
 
-            labeled = _labeled_union(step, state.memory)
+            labeled = _labeled_union(step, self.memory)
             seg = None
             if cfg.uses_segregation:
                 with clock.timed("segregation"):
-                    seg = _segregation_pass(state, step, labeled, cfg,
-                                            augmenter, observed)
+                    seg = _segregation_pass(self, step, labeled, observed)
                 row = _metrics_row(t, step, seg)
                 self.task_metrics.append(row)
                 log.debug("t=%d |U_hat|=%d |T_hat|=%d auroc=%.3f", t,
@@ -569,11 +565,13 @@ class _TaskWalk:
             yield step, labeled, seg
 
             with clock.timed("memory"):
-                conf = _memory_confidence(cfg, seg, labeled[2])
-                state.memory.update(step.labeled_x, step.labeled_y,
-                                    state.rngs["memory"], confidence=conf)
+                # a ranked policy implies ursl (MethodConfig), so seg is set
+                conf = (None if cfg.memory_policy == "random"
+                        else seg["labeled_scores"][:labeled[2]])
+                self.memory.update(step.labeled_x, step.labeled_y,
+                                   self.rngs["memory"], confidence=conf)
             self.memory_counts.append(
-                {str(k): int(v) for k, v in state.memory.class_counts().items()})
+                {str(k): int(v) for k, v in self.memory.class_counts().items()})
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +580,11 @@ class _TaskWalk:
 
 # how often a learner blocked on the walk checks that the walk's process lives
 _POLL_S = 0.1
+
+# what the walk owns apart from the reference, which its process sends per
+# step; sent by name once the walk ends
+_WALK_HANDBACK = ("memory", "rngs", "reference_curves", "task_metrics",
+                  "memory_counts", "clock")
 
 
 @functools.cache
@@ -613,35 +616,25 @@ def _blas_threads():
 def _walks_ahead(walk):
     """Whether run_continual runs `walk` in a forked process; the rule is in
     the module docstring."""
-    cfg = walk.cfg
-    if (cfg.method != "ursl" or cfg.pretrain_reference
-            or len(walk.stream.steps) < 2 or threading.active_count() > 1):
+    if not any(walk.trains_reference(s.index) for s in walk.stream.steps[1:]):
         return False
     import multiprocessing
 
-    blas = _blas_threads()
-    return ("fork" in multiprocessing.get_all_start_methods()
-            and blas is not None and blas[0]() > 1)
+    return (threading.active_count() == 1
+            and "fork" in multiprocessing.get_all_start_methods()
+            and (blas := _blas_threads()) is not None and blas[0]() > 1)
 
 
 def _walk_child(walk, inbox):
     """Body of the walk's process: send each item of the walk, then what it
     owns at the end. An exception is sent, for the learner side to raise."""
     _blas_threads()[1](1)
-    state = walk.state
     try:
         for _, labeled, seg in walk:
             # copied here: the queue pickles in a feeder thread, and the next
             # step trains these parameters in place
-            inbox.put((labeled, seg, state.reference.params.data.copy()))
-        inbox.put({
-            "memory": state.memory,
-            "rngs": {role: state.rngs[role]
-                     for role in ("ref", "proto", "memory")},
-            "records": (walk.reference_curves, walk.task_metrics,
-                        walk.memory_counts),
-            "clock": walk.clock.totals,
-        })
+            inbox.put((labeled, seg, walk.reference.params.data.copy()))
+        inbox.put({name: getattr(walk, name) for name in _WALK_HANDBACK})
     except Exception as exc:  # noqa: BLE001 - raised again by the learner side
         if hasattr(exc, "add_note"):  # Python 3.11+
             exc.add_note(
@@ -671,19 +664,15 @@ def _receive(inbox, child, what):
 
 def _mirror(walk, inbox, child):
     """Yield the items the walk's process sends, and leave `walk` (the
-    reference, memory, RNGs, records and clock) as iterating it here would."""
-    state = walk.state
+    reference and _WALK_HANDBACK) as iterating it here would."""
     for step in walk.stream.steps:
         labeled, seg, reference = _receive(inbox, child, f"step {step.index}")
-        np.copyto(state.reference.params.data, reference)
+        np.copyto(walk.reference.params.data, reference)
         yield step, labeled, seg
     final = _receive(inbox, child, "its final state")
-    state.memory = final["memory"]
-    state.rngs.update(final["rngs"])
-    (walk.reference_curves, walk.task_metrics,
-     walk.memory_counts) = final["records"]
-    for name, seconds in final["clock"].items():
+    for name, seconds in final.pop("clock").totals.items():
         walk.clock.add(name, seconds)
+    vars(walk).update(final)
     child.join()
 
 
@@ -737,60 +726,61 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
 
     The test split of `dataset` provides the class-incremental evaluation
     set. Stochastic phases draw from role-separated streams derived from
-    `seed`. On top of the shared walk (_TaskWalk) each step adds the learner
-    side: the co2l_p initialization, the supervised and distillation
-    batches, and learner training; the classifier and evaluation follow the
-    last step.
+    `seed`. The walk (_TaskWalk) owns the reference side; this function owns
+    the learner side: the learner and its RNGs. On top of each walk step it
+    adds the co2l_p initialization, the supervised and distillation batches,
+    and learner training; the classifier and evaluation follow the last
+    step.
     """
     clock = _PhaseClock()
     start_total = time.perf_counter()
-    walk = _TaskWalk(cfg, stream, augmenter, seed, arch, clock, learner=True)
-    state = walk.state
+    walk = _TaskWalk(cfg, stream, augmenter, seed, arch, clock)
+    learner = _encoder_projector(stream, arch, seed, _ROLE_LEARNER_INIT)
+    rng = role_rng(seed, _ROLE_LEARNER_TRAIN)
     learner_curves = {}
 
     with _walk_feed(walk) as items:
         for step, (lab_x, lab_y, _), seg in items:
             t = step.index
             if cfg.method == "co2l_p" and t == 1:
-                state.learner.copy_params_from(state.reference)
+                learner.copy_params_from(walk.reference)
 
             sup_x, sup_y = lab_x, lab_y
-            sup_pseudo = np.zeros(len(sup_y), dtype=bool)
             kd_teacher = kd_pool = None
             if seg is not None:
                 out = seg["output"]
                 if cfg.seg_variant in ("v3", "v4") and out.t_hat_indices.size:
                     sup_x = np.concatenate([sup_x, step.unlabeled_x[out.t_hat_indices]])
                     sup_y = np.concatenate([sup_y, out.t_hat_labels])
-                    sup_pseudo = np.concatenate(
-                        [sup_pseudo, np.ones(out.t_hat_indices.size, dtype=bool)])
                 if cfg.use_kd:
                     if cfg.seg_variant in ("v1", "v3"):
                         pool_part = step.unlabeled_x
                     else:
                         pool_part = step.unlabeled_x[out.u_hat_indices]
                     kd_pool = np.concatenate([lab_x, pool_part])
-                    kd_teacher = state.reference
+                    kd_teacher = walk.reference
+            # the confident pseudo-labeled set follows the labeled union
+            sup_pseudo = np.arange(len(sup_y)) >= len(lab_y)
 
             # the learner as the previous step left it; at t > 1 nothing has
             # touched it yet in this step
-            snapshot = state.learner.snapshot() if (cfg.use_td and t > 1) else None
+            snapshot = learner.snapshot() if (cfg.use_td and t > 1) else None
             unsup_pool = step.unlabeled_x if cfg.method == "co2l_j" else None
 
             with clock.timed("learner"):
                 learner_curves[f"t{t}"] = train_learner_task(
-                    state.learner, sup_x, sup_y, sup_pseudo, step.task_classes, t,
-                    cfg, augmenter, state.rngs["learner"],
+                    learner, sup_x, sup_y, sup_pseudo, step.task_classes, t,
+                    cfg, augmenter, rng,
                     td_teacher=snapshot, kd_teacher=kd_teacher,
                     kd_pool=kd_pool, unsup_pool=unsup_pool)
 
-    final_x, final_y, _ = _labeled_union(stream.steps[-1], state.memory)
+    final_x, final_y, _ = _labeled_union(stream.steps[-1], walk.memory)
     with clock.timed("classifier"):
         head, class_ids = fit_classifier(
-            state.learner, final_x, final_y, stream.all_classes, cfg,
-            state.rngs["cls_init"], state.rngs["cls_train"])
+            learner, final_x, final_y, stream.all_classes, cfg,
+            role_rng(seed, _ROLE_CLS_INIT), role_rng(seed, _ROLE_CLS_TRAIN))
     with clock.timed("evaluate"):
-        final_acc, per_task = evaluate(head, state.learner, class_ids,
+        final_acc, per_task = evaluate(head, learner, class_ids,
                                        dataset.test_x, dataset.test_y,
                                        stream.task_classes)
     clock.add("total", time.perf_counter() - start_total)
@@ -808,7 +798,7 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
                      "learner": learner_curves},
         memory_counts=walk.memory_counts,
         wall_clock={k: float(v) for k, v in clock.totals.items()},
-        state=state,
+        state=RunState(walk.reference, learner, walk.memory, walk.rngs),
     )
 
 
@@ -822,8 +812,7 @@ def run_segregation_eval(cfg, stream, augmenter, seed, arch=NetArch()):
     """
     if not cfg.uses_segregation:
         raise ValueError(f"method {cfg.method!r} does not segregate its pool")
-    walk = _TaskWalk(cfg, stream, augmenter, seed, arch, _PhaseClock(),
-                     learner=False)
+    walk = _TaskWalk(cfg, stream, augmenter, seed, arch, _PhaseClock())
     samples = []
     for step, _, seg in walk:
         related, true_classes = step.provenance.reveal()

@@ -205,3 +205,52 @@ def test_image_rows_of_the_right_width_build():
     assert main.dim == peripherals[0].dim == 12
     vector = config.from_dict(tiny_with("augmenter", "image_hw", 2))
     assert vector.build_datasets()[0].dim == 8
+
+
+@pytest.mark.parametrize("section,key,text,where", [
+    ("method.weights", "tau", "NaN", "method.weights.tau"),
+    ("method.weights", "td_weight", "Infinity", "method.weights.td_weight"),
+    ("method", "eta_id", "-Infinity", "method.eta_id"),
+    ("augmenter", "sigma", "NaN", "augmenter.sigma"),
+    ("augmenter", "crop_scale", "[0.2, Infinity]", "augmenter.crop_scale[1]"),
+    ("scenario", "non_iid_fraction", "NaN", "scenario.non_iid_fraction"),
+    ("method", "lr", "1" + "0" * 400, "method.lr"),
+], ids=["nan", "infinity", "minus_infinity", "nan_augmenter", "list_item",
+        "nan_scenario", "int_past_float_range"])
+def test_non_finite_numbers_are_rejected(tmp_path, capsys, section, key, text,
+                                         where):
+    """json.load reads NaN, Infinity and -Infinity, and ints past float
+    range; the config rejects each before anything is written."""
+    spec = json.dumps(tiny_with(section, key, "VALUE"))
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(spec.replace('"VALUE"', text))
+    message = f"config.{where}: expected a finite number"
+    with pytest.raises(config.ConfigError) as caught:
+        config.load_experiment(str(cfg_path))
+    assert str(caught.value) == message
+    out = tmp_path / "never"
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"min_lr": 0.5}, {"lr": -1.0}, {"min_lr": -1e-4},
+    {"min_lr": float("nan")}, {"lr": float("nan")},
+], ids=["above_lr", "negative_lr", "negative", "nan", "nan_lr"])
+def test_min_lr_must_lie_between_zero_and_lr(kwargs):
+    with pytest.raises(ValueError, match=r"^min_lr must be in \[0, lr\]$"):
+        MethodConfig(**kwargs)
+
+
+@pytest.mark.parametrize("key,value", [("min_lr", 0.5), ("lr", -1.0)])
+def test_min_lr_outside_zero_to_lr_exits_2_before_any_output(tmp_path, capsys,
+                                                              key, value):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(tiny_with("method", key, value)))
+    out = tmp_path / "never"
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert "config.method: min_lr must be in [0, lr]" in capsys.readouterr().err
+    assert not out.exists()

@@ -7,6 +7,7 @@ the orchestration: method reduction, variant equivalence, snapshot and
 gradient isolation, determinism, and the classifier/eval protocol.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -767,3 +768,35 @@ def test_segregation_eval_rows_match_the_run(tiny_world, overrides):
     rows, _ = tr.run_segregation_eval(cfg, stream, aug, seed=5)
     report = tr.run_continual(cfg, stream, main, aug, seed=5)
     assert rows == report.task_metrics
+
+
+@pytest.mark.parametrize("overrides,steps", [
+    ({"pretrain_reference": True}, 2),
+    ({"method": "co2l_p"}, 2),
+    ({"method": "co2l"}, 2),
+    ({}, 1),
+], ids=["pretrain_reference", "co2l_p", "co2l", "one_step_ursl"])
+def test_walk_runs_in_process_unless_the_reference_trains_after_step_1(
+        tiny_world, walk_ahead, overrides, steps):
+    main, stream, aug = tiny_world
+    stream = dataclasses.replace(stream, steps=stream.steps[:steps])
+    tr.run_continual(tiny_cfg(**overrides), stream, main, aug, seed=5)
+    assert walk_ahead == []
+
+
+def test_walk_ahead_reports_the_phases_and_state_of_the_in_process_run(
+        tiny_world, walk_ahead):
+    main, stream, aug = tiny_world
+    ahead = tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
+    assert walk_ahead == [1]
+    put = tr._blas_threads()[1]
+    put(1)
+    try:
+        serial = tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
+    finally:
+        put(2)
+    assert walk_ahead == [1]
+    assert sorted(ahead.wall_clock) == sorted(serial.wall_clock)
+    # the walk's three roles; the learner's RNGs stay with run_continual
+    assert sorted(ahead.state.rngs) == ["memory", "proto", "ref"]
+    assert state_digest(ahead.state) == state_digest(serial.state)
