@@ -168,6 +168,16 @@ def _parse_dataset(obj, path):
     _fail(f"{path}.kind", "expected one of synthetic, cifar, file")
 
 
+def _parse_main_dataset(obj, path):
+    """A dataset spec that must give a test split: a run evaluates on it."""
+    spec = _parse_dataset(obj, path)
+    if spec["kind"] == "synthetic" and spec["test_per_class"] < 1:
+        _fail(f"{path}.test_per_class", "must be >= 1 for the main dataset")
+    if spec["kind"] == "cifar" and not spec["test_path"]:
+        _fail(f"{path}.test_path", "missing required key for the main dataset")
+    return spec
+
+
 def _parse_scenario(obj, path):
     _check_keys(obj, path,
                 required=("n_tasks", "classes_per_task", "labeled_fraction",
@@ -238,11 +248,14 @@ class Experiment:
     def build_datasets(self):
         """Materialize (main, peripherals) from their specs.
 
-        In image mode every row must hold a 3 x image_hw x image_hw image;
-        the width is known only here, so a mismatch is a ConfigError before
+        In image mode every row must hold a 3 x image_hw x image_hw image,
+        and the main dataset must have test rows (a file export may have
+        none); both are known only here, so either is a ConfigError before
         any training.
         """
         main = _build_dataset(self.main_dataset)
+        if not len(main.test_y):
+            _fail("config.datasets.main", f"{main.name} has no test samples")
         peripherals = [_build_dataset(p) for p in self.peripheral_datasets]
         hw = self.augmenter.image_hw
         named = [("main", main)] + [(f"peripheral[{i}]", p)
@@ -286,7 +299,7 @@ def from_dict(data, path="config"):
         _fail(f"{path}.datasets.peripheral", "expected a list")
     return Experiment(
         name=_get(data, path, "name", "experiment"),
-        main_dataset=_parse_dataset(ds["main"], f"{path}.datasets.main"),
+        main_dataset=_parse_main_dataset(ds["main"], f"{path}.datasets.main"),
         peripheral_datasets=tuple(
             _parse_dataset(p, f"{path}.datasets.peripheral[{i}]")
             for i, p in enumerate(peripheral)),

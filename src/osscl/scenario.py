@@ -10,7 +10,7 @@ training code never reads it, only the final metrics do.
 from __future__ import annotations
 
 import math
-import struct
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +18,9 @@ import numpy as np
 VARIANTS = ("standard", "after", "before", "only_related", "only_unrelated", "non_iid")
 MEMORY_POLICIES = ("random", "low_confidence", "high_confidence", "rainbow")
 
-_DATASET_MAGIC = b"OSSCLDS1"
+# the arrays of a save_dataset export and their dtypes
+_DATASET_ARRAYS = dict(train_x=np.float32, train_y=np.int64, train_ids=np.int64,
+                       test_x=np.float32, test_y=np.int64, test_ids=np.int64)
 
 
 class PoolExhaustedError(RuntimeError):
@@ -84,29 +86,20 @@ def synth_dataset(n_classes, dim, train_per_class, test_per_class, seed,
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_classes, dim))
     means *= mean_radius / np.linalg.norm(means, axis=1, keepdims=True)
-
-    counter = 0
-    tr_x, tr_y, tr_i, te_x, te_y, te_i = [], [], [], [], [], []
-    for c in range(n_classes):
-        total = train_per_class + test_per_class
-        samples = means[c] + noise_sigma * rng.standard_normal((total, dim))
-        ids = (seed << 20) + counter + np.arange(total)
-        counter += total
-        tr_x.append(samples[:train_per_class])
-        tr_y.append(np.full(train_per_class, c))
-        tr_i.append(ids[:train_per_class])
-        te_x.append(samples[train_per_class:])
-        te_y.append(np.full(test_per_class, c))
-        te_i.append(ids[train_per_class:])
+    # one draw, class-major: the numbers a draw per class would give, in
+    # order; scaled and shifted in place, so it is the one float64 copy
+    total = train_per_class + test_per_class
+    samples = rng.standard_normal((n_classes, total, dim))
+    samples *= noise_sigma
+    samples += means[:, None]
+    samples = samples.astype(np.float32).reshape(-1, dim)
+    labels = np.repeat(np.arange(n_classes), total)
+    ids = (seed << 20) + np.arange(len(labels))
+    train = np.tile(np.arange(total) < train_per_class, n_classes)
     return Dataset(
         name=name or f"synth{n_classes}x{dim}s{seed}",
-        train_x=np.concatenate(tr_x).astype(np.float32),
-        train_y=np.concatenate(tr_y).astype(np.int64),
-        train_ids=np.concatenate(tr_i).astype(np.int64),
-        test_x=np.concatenate(te_x).astype(np.float32),
-        test_y=np.concatenate(te_y).astype(np.int64),
-        test_ids=np.concatenate(te_i).astype(np.int64),
-    )
+        train_x=samples[train], train_y=labels[train], train_ids=ids[train],
+        test_x=samples[~train], test_y=labels[~train], test_ids=ids[~train])
 
 
 def load_cifar_binary(train_path, test_path=None, name="cifar"):
@@ -171,44 +164,26 @@ def write_cifar_binary(path, labels, pixels):
 
 
 def save_dataset(dataset, path):
-    """Byte-exact binary export of a Dataset (float32 features)."""
+    """Export a Dataset to `path` as an .npz archive (no suffix is added):
+    features float32, labels and ids int64. load_dataset gives the arrays
+    back bit for bit, but the zip container stamps times, so the bytes of
+    two exports of one dataset may differ."""
+    arrays = {key: np.asarray(getattr(dataset, key), dtype=dtype)
+              for key, dtype in _DATASET_ARRAYS.items()}
     with open(path, "wb") as f:
-        f.write(_DATASET_MAGIC)
-        name_b = dataset.name.encode()
-        f.write(struct.pack("<I", len(name_b)))
-        f.write(name_b)
-        f.write(struct.pack("<IIII", dataset.dim, len(dataset.train_y),
-                            len(dataset.test_y), dataset.n_classes))
-        for arr, dt in ((dataset.train_x, np.float32), (dataset.train_y, np.int64),
-                        (dataset.train_ids, np.int64), (dataset.test_x, np.float32),
-                        (dataset.test_y, np.int64), (dataset.test_ids, np.int64)):
-            f.write(np.ascontiguousarray(arr, dtype=dt).tobytes())
+        np.savez(f, name=np.array(dataset.name), **arrays)
 
 
 def load_dataset(path):
-    """Read a save_dataset export; round-trips exactly."""
-    with open(path, "rb") as f:
-        if f.read(len(_DATASET_MAGIC)) != _DATASET_MAGIC:
-            raise ValueError("bad dataset magic")
-        (name_len,) = struct.unpack("<I", f.read(4))
-        name = f.read(name_len).decode()
-        dim, n_train, n_test, _ = struct.unpack("<IIII", f.read(16))
-
-        def read(count, dt):
-            dt = np.dtype(dt)
-            raw = f.read(count * dt.itemsize)
-            if len(raw) != count * dt.itemsize:
-                raise ValueError("dataset file truncated")
-            return np.frombuffer(raw, dtype=dt).copy()
-
-        train_x = read(n_train * dim, np.float32).reshape(n_train, dim)
-        train_y = read(n_train, np.int64)
-        train_ids = read(n_train, np.int64)
-        test_x = read(n_test * dim, np.float32).reshape(n_test, dim)
-        test_y = read(n_test, np.int64)
-        test_ids = read(n_test, np.int64)
-    return Dataset(name=name, train_x=train_x, train_y=train_y, train_ids=train_ids,
-                   test_x=test_x, test_y=test_y, test_ids=test_ids)
+    """Read a save_dataset export; a file that is not one raises ValueError
+    naming the path."""
+    try:  # np.load would leave a path it opened open on a corrupt zip
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as data:
+            name = str(data["name"])
+            arrays = {key: data[key] for key in _DATASET_ARRAYS}
+    except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not a dataset export ({exc})") from exc
+    return Dataset(name=name, **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +589,9 @@ class MemoryBuffer:
     low/high_confidence keep the least/most confident samples under the
     provided scorer, rainbow keeps an evenly spaced sweep of the
     confidence-sorted class (head to tail).
+
+    The store is three class-sorted arrays (rows, labels, scores) and the
+    sorted list of every class ever stored, whose quota may have fallen to 0.
     """
 
     def __init__(self, capacity, policy="random"):
@@ -623,32 +601,28 @@ class MemoryBuffer:
             raise ValueError(f"policy must be one of {MEMORY_POLICIES}")
         self.capacity = int(capacity)
         self.policy = policy
-        self._x = {}
-        self._y = {}
-        self._conf = {}
+        self._x = np.zeros((0, 0), dtype=np.float32)
+        self._y = np.zeros(0, dtype=np.int64)
+        self._conf = np.zeros(0)
+        self._classes = []
 
     def __len__(self):
-        return sum(len(v) for v in self._y.values())
+        return len(self._y)
 
     def class_counts(self):
-        return {c: len(self._y[c]) for c in sorted(self._y)}
+        return {c: int(np.count_nonzero(self._y == c)) for c in self._classes}
 
     def items(self):
-        """All stored exemplars as (xs, ys), class-sorted."""
-        if not self._y:
-            return (np.zeros((0, 0), dtype=np.float32), np.zeros(0, dtype=np.int64))
-        classes = sorted(self._y)
-        return (np.concatenate([self._x[c] for c in classes]),
-                np.concatenate([self._y[c] for c in classes]))
+        """All stored exemplars as (xs, ys), class-sorted, as read-only views."""
+        xs, ys = self._x.view(), self._y.view()
+        xs.flags.writeable = ys.flags.writeable = False
+        return xs, ys
 
     def quotas(self, classes):
         """Per-class capacities for a given class set; remainder goes to the
         lowest ids."""
         classes = sorted(classes)
-        if not classes:
-            return {}
-        base = self.capacity // len(classes)
-        rem = self.capacity - base * len(classes)
+        base, rem = divmod(self.capacity, max(1, len(classes)))
         return {c: base + (1 if i < rem else 0) for i, c in enumerate(classes)}
 
     def update(self, xs, ys, rng, confidence=None):
@@ -663,40 +637,31 @@ class MemoryBuffer:
                 stored score for re-ranking.
         """
         xs = np.asarray(xs)
-        ys = np.asarray(ys)
+        ys = np.asarray(ys, dtype=np.int64)
         if self.policy != "random" and confidence is None:
             raise ValueError(f"policy {self.policy} requires confidence scores")
         conf = np.asarray(confidence, dtype=np.float64) if confidence is not None \
             else np.zeros(len(ys))
+        # a class selects from its stored rows, then its new ones; before the
+        # first rows are stored, _x has no width to concatenate with
+        if len(self._y):
+            xs, ys, conf = (np.concatenate(pair) for pair in (
+                (self._x, xs), (self._y, ys), (self._conf, conf)))
+        self._classes = sorted(set(self._classes) | set(ys.tolist()))
+        quotas = self.quotas(self._classes)
+        keep = [np.zeros(0, dtype=np.int64)]  # concatenate needs one array
+        for c in self._classes:
+            rows = np.flatnonzero(ys == c)
+            quota = min(quotas[c], len(rows))
+            keep.append(rows[self._select(conf[rows], quota, rng)])
+        keep = np.concatenate(keep)
+        self._x, self._y, self._conf = xs[keep], ys[keep], conf[keep]
 
-        pool_x = dict(self._x)
-        pool_c = dict(self._conf)
-        for c in np.unique(ys):
-            c = int(c)
-            mask = ys == c
-            add_x = xs[mask]
-            add_c = conf[mask]
-            if c in pool_x:
-                pool_x[c] = np.concatenate([pool_x[c], add_x])
-                pool_c[c] = np.concatenate([pool_c[c], add_c])
-            else:
-                pool_x[c] = add_x
-                pool_c[c] = add_c
-
-        quotas = self.quotas(pool_x.keys())
-        self._x, self._y, self._conf = {}, {}, {}
-        for c in sorted(pool_x):
-            quota = min(quotas[c], len(pool_x[c]))
-            chosen = self._select(pool_x[c], pool_c[c], quota, rng)
-            self._x[c] = pool_x[c][chosen]
-            self._conf[c] = pool_c[c][chosen]
-            self._y[c] = np.full(quota, c, dtype=np.int64)
-
-    def _select(self, xs, conf, quota, rng):
+    def _select(self, conf, quota, rng):
         if quota == 0:
             return np.zeros(0, dtype=np.int64)
         if self.policy == "random":
-            picked = rng.choice(len(xs), size=quota, replace=False)
+            picked = rng.choice(len(conf), size=quota, replace=False)
             return np.sort(picked)
         order = np.argsort(conf, kind="stable")
         if self.policy == "low_confidence":
@@ -704,7 +669,7 @@ class MemoryBuffer:
         if self.policy == "high_confidence":
             return order[::-1][:quota]
         # rainbow: even sweep across the sorted confidence range
-        pos = np.linspace(0, len(xs) - 1, quota).round().astype(np.int64)
+        pos = np.linspace(0, len(conf) - 1, quota).round().astype(np.int64)
         return order[pos]
 
 

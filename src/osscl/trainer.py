@@ -175,6 +175,9 @@ class MethodConfig:
             raise ValueError("memory_size must be >= 0")
         if not 0 <= self.min_lr <= self.lr:  # NaN fails too
             raise ValueError("min_lr must be in [0, lr]")
+        for name in ("lr", "classifier_lr"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be > 0")
 
     @property
     def uses_reference(self):

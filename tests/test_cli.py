@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from osscl import cli, config
+from osscl import scenario as sc
 from osscl.segregate import auroc_from_scores
 
 TINY = {
@@ -107,6 +108,27 @@ class TestRun:
             a = (workspace["out"] / f"seed_{seed}" / "metrics.json").read_bytes()
             b = (out / f"seed_{seed}" / "metrics.json").read_bytes()
             assert a == b
+
+    def test_file_dataset_runs_like_the_synthetic_one(self, workspace,
+                                                      tmp_path):
+        """The `file` kind through a config: the tiny main exported with
+        save_dataset gives the metrics.json bytes of the synthetic run."""
+        spec = TINY["datasets"]["main"]
+        export = tmp_path / "main.npz"
+        sc.save_dataset(sc.synth_dataset(
+            spec["classes"], spec["dim"], spec["train_per_class"],
+            spec["test_per_class"], spec["seed"]), export)
+        from_file = json.loads(json.dumps(TINY))
+        from_file["datasets"]["main"] = {"kind": "file", "path": str(export)}
+        cfg_path = tmp_path / "file.json"
+        cfg_path.write_text(json.dumps(from_file))
+        out = tmp_path / "file"
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                       "--seeds", "1"])
+        assert rc == 0
+        a = (workspace["out"] / "seed_1" / "metrics.json").read_bytes()
+        b = (out / "seed_1" / "metrics.json").read_bytes()
+        assert a == b
 
     def test_workers_get_one_blas_thread_unless_the_user_set_one(self):
         pinned = cli._worker_thread_vars({"OPENBLAS_NUM_THREADS": "3",

@@ -254,3 +254,85 @@ def test_min_lr_outside_zero_to_lr_exits_2_before_any_output(tmp_path, capsys,
     assert rc == 2
     assert "config.method: min_lr must be in [0, lr]" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"lr": 0.0, "min_lr": 0.0}, "lr must be > 0"),
+    ({"classifier_lr": 0.0}, "classifier_lr must be > 0"),
+    ({"classifier_lr": -1e-3}, "classifier_lr must be > 0"),
+    ({"classifier_lr": float("nan")}, "classifier_lr must be > 0"),
+], ids=["zero_lr", "zero_classifier_lr", "negative_classifier_lr",
+        "nan_classifier_lr"])
+def test_learning_rates_must_be_positive(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MethodConfig(**kwargs)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"lr": 0, "min_lr": 0}, "config.method: lr must be > 0"),
+    ({"classifier_lr": -1e-3}, "config.method: classifier_lr must be > 0"),
+], ids=["zero_lr", "negative_classifier_lr"])
+def test_non_positive_learning_rate_exits_2_before_any_output(
+        tmp_path, capsys, overrides, message):
+    spec = json.loads(json.dumps(TINY))
+    spec["method"].update(overrides)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(spec))
+    out = tmp_path / "never"
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("main,message", [
+    ({**TINY["datasets"]["main"], "test_per_class": 0},
+     "config.datasets.main.test_per_class: must be >= 1 for the main dataset"),
+    ({"kind": "cifar", "train_path": "train.bin", "name": "c"},
+     "config.datasets.main.test_path: missing required key for the main "
+     "dataset"),
+], ids=["synthetic", "cifar"])
+def test_main_dataset_without_a_test_split_exits_2_before_any_output(
+        tmp_path, capsys, main, message):
+    """A run evaluates on the main dataset's test split; peripherals need
+    none."""
+    spec = json.loads(json.dumps(TINY))
+    spec["datasets"]["main"] = main
+    with pytest.raises(config.ConfigError) as caught:
+        config.from_dict(spec)
+    assert str(caught.value) == message
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(spec))
+    out = tmp_path / "never"
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_peripherals_need_no_test_split():
+    spec = json.loads(json.dumps(TINY))
+    spec["datasets"]["peripheral"].append(
+        {"kind": "cifar", "train_path": "peripheral.bin"})
+    exp = config.from_dict(spec)
+    assert exp.peripheral_datasets[0]["test_per_class"] == 0
+    assert exp.peripheral_datasets[1]["test_path"] == ""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_file_main_without_test_rows_exits_2_before_training(tmp_path, capsys,
+                                                             threads):
+    export = tmp_path / "main.npz"
+    sc.save_dataset(sc.synth_dataset(4, 8, 40, 0, seed=7), export)
+    spec = json.loads(json.dumps(TINY))
+    spec["datasets"]["main"] = {"kind": "file", "path": str(export)}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(spec))
+    out = tmp_path / "o"
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                   "--threads", threads])
+    assert rc == 2
+    assert ("config.datasets.main: synth4x8s7 has no test samples"
+            in capsys.readouterr().err)
+    assert not list(out.glob("seed_*"))
+    assert not (out / "aggregate.json").exists()

@@ -1,6 +1,7 @@
 """Tests for datasets, augmentation, stream invariants, and exemplar memory."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -86,6 +87,82 @@ def test_dataset_binary_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.train_y, ds.train_y)
     np.testing.assert_array_equal(back.train_ids, ds.train_ids)
     np.testing.assert_array_equal(back.test_x, ds.test_x)
+
+
+@pytest.mark.parametrize("test_per_class", [10, 0])
+def test_dataset_export_roundtrips_every_array_and_dtype(tmp_path,
+                                                         test_per_class):
+    ds = scenario.synth_dataset(5, 7, 12, test_per_class, seed=4,
+                                name="blobs")
+    path = tmp_path / "blobs.export"
+    scenario.save_dataset(ds, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["blobs.export"]
+    back = scenario.load_dataset(path)
+    assert back.name == "blobs"
+    for key in ("train_x", "train_y", "train_ids", "test_x", "test_y",
+                "test_ids"):
+        got, want = getattr(back, key), getattr(ds, key)
+        assert got.dtype == want.dtype, key
+        assert got.shape == want.shape, key
+        assert got.tobytes() == want.tobytes(), key
+
+
+def _old_layout_export(path, ds):
+    """The retired OSSCLDS1 layout: magic, name, four uint32 sizes, then the
+    six arrays' raw bytes."""
+    name = ds.name.encode()
+    with open(path, "wb") as f:
+        f.write(b"OSSCLDS1" + struct.pack("<I", len(name)) + name)
+        f.write(struct.pack("<IIII", ds.dim, len(ds.train_y), len(ds.test_y),
+                            ds.n_classes))
+        for arr in (ds.train_x, ds.train_y, ds.train_ids, ds.test_x,
+                    ds.test_y, ds.test_ids):
+            f.write(arr.tobytes())
+
+
+def _write_bytes(path, data):
+    with open(path, "wb") as f:
+        f.write(data)
+
+
+def _write_npy(path, array):
+    with open(path, "wb") as f:  # np.save would append .npy to the path
+        np.save(f, array)
+
+
+@pytest.mark.parametrize("make", [
+    lambda path, ds: _old_layout_export(path, ds),
+    lambda path, ds: _write_bytes(path, b""),
+    lambda path, ds: _write_npy(path, ds.train_x),
+    lambda path, ds: (scenario.save_dataset(ds, path),
+                      _write_bytes(path, path.read_bytes()[:200])),
+    lambda path, ds: np.savez(path, train_x=ds.train_x),
+], ids=["osscl_ds1", "empty", "npy", "truncated_npz", "missing_arrays"])
+def test_a_file_that_is_not_an_export_raises_naming_the_path(tmp_path, make):
+    path = tmp_path / "not_an_export.npz"
+    make(path, small_main(9))
+    with pytest.raises(ValueError, match="not_an_export.npz"):
+        scenario.load_dataset(path)
+
+
+def test_synth_draws_the_numbers_of_one_draw_per_class():
+    """The class-major single draw gives the numbers, and the float32 rows,
+    of a draw of (train + test, dim) per class in class order."""
+    for noise_sigma in (1.0, 0.0):
+        ds = scenario.synth_dataset(3, 4, 5, 2, seed=12, mean_radius=3.0,
+                                    noise_sigma=noise_sigma)
+        rng = np.random.default_rng(12)
+        means = rng.standard_normal((3, 4))
+        means *= 3.0 / np.linalg.norm(means, axis=1, keepdims=True)
+        for c in range(3):
+            rows = (means[c] + noise_sigma
+                    * rng.standard_normal((7, 4))).astype(np.float32)
+            assert ds.train_x[ds.train_y == c].tobytes() == rows[:5].tobytes()
+            assert ds.test_x[ds.test_y == c].tobytes() == rows[5:].tobytes()
+            np.testing.assert_array_equal(ds.train_ids[ds.train_y == c],
+                                          (12 << 20) + 7 * c + np.arange(5))
+            np.testing.assert_array_equal(ds.test_ids[ds.test_y == c],
+                                          (12 << 20) + 7 * c + 5 + np.arange(2))
 
 
 def test_cifar_binary_roundtrip(tmp_path):
@@ -554,6 +631,60 @@ def test_memory_preserves_stored_confidence_across_updates():
                confidence=np.array([0.5]))
     xs, _ = buf.items()
     np.testing.assert_array_equal(np.sort(xs.ravel()), [1.0, 3.0])
+
+
+@pytest.mark.parametrize("capacity,tasks,counts", [
+    (0, [[0, 1]], {0: 0, 1: 0}),
+    (0, [[0, 1], [2, 3]], {0: 0, 1: 0, 2: 0, 3: 0}),
+    (3, [[0, 1, 2, 3]], {0: 1, 1: 1, 2: 1, 3: 0}),
+    (3, [[0, 1], [2, 3]], {0: 1, 1: 1, 2: 1, 3: 0}),
+], ids=["cap0", "cap0_two_tasks", "cap3_four_classes", "cap3_two_tasks"])
+@pytest.mark.parametrize("policy", scenario.MEMORY_POLICIES)
+def test_class_counts_list_every_class_whose_quota_fell_to_zero(
+        capacity, tasks, counts, policy):
+    """class_counts() is metrics.json's memory_counts: a class with a quota
+    of 0 still appears, with count 0."""
+    rng = np.random.default_rng(6)
+    buf = scenario.MemoryBuffer(capacity, policy=policy)
+    for classes in tasks:
+        ys = np.repeat(classes, 3)
+        buf.update(rng.standard_normal((len(ys), 2)), ys, rng,
+                   confidence=rng.random(len(ys)))
+    assert buf.class_counts() == counts
+    assert len(buf) == sum(counts.values())
+    xs, ys = buf.items()
+    assert xs.shape == (len(buf), 2)
+    np.testing.assert_array_equal(ys, np.repeat(list(counts), list(counts.values())))
+
+
+@pytest.mark.parametrize("policy", scenario.MEMORY_POLICIES)
+def test_memory_update_with_no_rows(policy):
+    rng = np.random.default_rng(8)
+    buf = scenario.MemoryBuffer(4, policy=policy)
+    none_x, none_y, none_c = np.zeros((0, 3)), np.zeros(0, dtype=np.int64), \
+        np.zeros(0)
+    buf.update(none_x, none_y, rng, confidence=none_c)
+    assert len(buf) == 0 and buf.class_counts() == {}
+    buf.update(rng.standard_normal((6, 3)), np.repeat([0, 1], 3), rng,
+               confidence=rng.random(6))
+    before = [a.copy() for a in buf.items()]
+    buf.update(none_x, none_y, rng, confidence=none_c)
+    assert buf.class_counts() == {0: 2, 1: 2}
+    for got, want in zip(buf.items(), before):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_memory_items_are_read_only_and_class_sorted():
+    rng = np.random.default_rng(9)
+    buf = scenario.MemoryBuffer(6)
+    buf.update(rng.standard_normal((8, 2)).astype(np.float32),
+               np.array([3, 1, 3, 1, 0, 0, 3, 1]), rng)
+    xs, ys = buf.items()
+    np.testing.assert_array_equal(ys, [0, 0, 1, 1, 3, 3])
+    assert xs.dtype == np.float32 and ys.dtype == np.int64
+    for array in (xs, ys):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 # ---------------------------------------------------------------------------

@@ -721,6 +721,26 @@ def test_memory_stays_within_capacity(tiny_world):
         assert sum(counts.values()) <= 12
 
 
+@pytest.mark.parametrize("memory_size,counts", [
+    (0, [0, 0]), (1, [1, 0]), (3, [2, 1]),
+], ids=["empty_memory", "below_class_count", "uneven"])
+def test_memory_counts_list_every_stored_class(tiny_world, memory_size,
+                                               counts):
+    """metrics.json's memory_counts name every stored class in class order,
+    also one whose quota is 0. One step, so the final probe still sees both
+    classes in the step's own labeled set."""
+    main, _, aug = tiny_world
+    stream1 = sc.build_stream(
+        sc.ScenarioConfig(n_tasks=1, classes_per_task=2, labeled_fraction=0.1,
+                          n_related=60, n_unrelated=60, seed=3),
+        main, [sc.synth_dataset(4, DIM, 80, 0, seed=70)])
+    rep = tr.run_continual(tiny_cfg(memory_size=memory_size), stream1, main,
+                           aug, seed=5)
+    classes = sorted(stream1.steps[0].task_classes)
+    assert rep.metrics_dict()["memory_counts"] == [
+        {str(c): n for c, n in zip(classes, counts)}]
+
+
 def test_empty_stream_rejected(tiny_world):
     main, stream, aug = tiny_world
     empty = sc.Stream(steps=(), config=stream.config)
