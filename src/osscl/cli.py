@@ -138,8 +138,9 @@ def _resolve_run(args, segregates=False):
 
     Returns the experiment with the effective seeds and output_dir folded
     in; its echo, written to config.json, reproduces this invocation exactly
-    when fed back to `run`. With segregates, a method that does not
-    segregate its pool is rejected before anything is written.
+    when fed back to `run`. A dataset file that does not exist and, with
+    segregates, a method that does not segregate its pool are rejected
+    before anything is written.
     """
     exp = load_experiment(args.config)
     if segregates and not exp.method.uses_segregation:
@@ -156,6 +157,11 @@ def _resolve_run(args, segregates=False):
     out = args.out or exp.output_dir
     if not out:
         raise ConfigError("no output directory: pass --out or set output_dir")
+    for where, spec in exp.dataset_specs():
+        for key in ("path", "train_path", "test_path"):
+            if spec.get(key) and not os.path.isfile(spec[key]):
+                raise ConfigError(f"config.datasets.{where}.{key}: no such "
+                                  f"file {spec[key]!r}")
     resolved = exp.resolved()
     resolved["seeds"] = list(seeds)
     resolved["output_dir"] = out

@@ -17,8 +17,12 @@ Where each check lives:
     their errors are reported under the section path.
   * datasets and scenario keep hand-written readers here for kind dispatch,
     required keys and minimums; scenario.ScenarioConfig checks the rest.
-  * The image row width, 3 x image_hw x image_hw, is checked by
-    Experiment.build_datasets, where the data is first known.
+  * method.memory_size is checked against the scenario in from_dict: it
+    must cover the classes seen before the last task.
+  * Whether a dataset file is an export or a CIFAR batch, and the image
+    row width, 3 x image_hw x image_hw, are checked by
+    Experiment.build_datasets, where the data is first known; that the
+    files exist is checked by the CLI before it writes anything.
 """
 
 from __future__ import annotations
@@ -245,27 +249,36 @@ class Experiment:
             "output_dir": self.output_dir,
         }
 
+    def dataset_specs(self):
+        """(where, spec) per dataset: "main", then "peripheral[i]"."""
+        return [("main", self.main_dataset)] + [
+            (f"peripheral[{i}]", p)
+            for i, p in enumerate(self.peripheral_datasets)]
+
     def build_datasets(self):
         """Materialize (main, peripherals) from their specs.
 
-        In image mode every row must hold a 3 x image_hw x image_hw image,
-        and the main dataset must have test rows (a file export may have
-        none); both are known only here, so either is a ConfigError before
-        any training.
+        A file that is not an export or a malformed CIFAR batch, a main
+        dataset without test rows (a file export may have none) and, in
+        image mode, a row that is not a 3 x image_hw x image_hw image are
+        known only here, so each is a ConfigError before any training.
         """
-        main = _build_dataset(self.main_dataset)
-        if not len(main.test_y):
-            _fail("config.datasets.main", f"{main.name} has no test samples")
-        peripherals = [_build_dataset(p) for p in self.peripheral_datasets]
         hw = self.augmenter.image_hw
-        named = [("main", main)] + [(f"peripheral[{i}]", p)
-                                    for i, p in enumerate(peripherals)]
-        for where, data in named:
+        built = []
+        for where, spec in self.dataset_specs():
+            try:
+                data = _build_dataset(spec)
+            except ValueError as exc:
+                _fail(f"config.datasets.{where}", str(exc))
+            if where == "main" and not len(data.test_y):
+                _fail("config.datasets.main",
+                      f"{data.name} has no test samples")
             if self.augmenter.mode == "image" and data.dim != 3 * hw * hw:
                 _fail("config.augmenter.image_hw",
                       f"image mode needs rows of 3*{hw}*{hw} = {3 * hw * hw} "
                       f"values, datasets.{where} has {data.dim}")
-        return main, peripherals
+            built.append(data)
+        return built[0], built[1:]
 
     def scenario_config(self, seed):
         return sc.ScenarioConfig(seed=int(seed), **self.scenario_kwargs)
@@ -297,7 +310,7 @@ def from_dict(data, path="config"):
     peripheral = ds.get("peripheral", [])
     if not isinstance(peripheral, list):
         _fail(f"{path}.datasets.peripheral", "expected a list")
-    return Experiment(
+    exp = Experiment(
         name=_get(data, path, "name", "experiment"),
         main_dataset=_parse_main_dataset(ds["main"], f"{path}.datasets.main"),
         peripheral_datasets=tuple(
@@ -312,6 +325,14 @@ def from_dict(data, path="config"):
         seeds=_parse_seeds(data, path),
         output_dir=_get(data, path, "output_dir", ""),
     )
+    # the final classifier fits on the last task's labeled set and memory,
+    # so memory needs a slot for every class seen before the last task
+    earlier = (exp.scenario_kwargs["n_tasks"] - 1) * exp.scenario_kwargs[
+        "classes_per_task"]
+    if exp.method.memory_size < earlier:
+        _fail(f"{path}.method.memory_size",
+              f"must be >= {earlier}, the classes seen before the last task")
+    return exp
 
 
 def load_experiment(path):

@@ -18,20 +18,21 @@ reports is the split the run feeds its learner.
 
 The walk never reads learner state, so run_continual can run it ahead of
 the learner (_walk_feed): a forked child process iterates the walk and
-sends each step's labeled union, segregation pass and reference
-parameters, then the rest of what the walk owns (_WALK_HANDBACK), through a
-multiprocessing queue, so it trains the reference for step t+1 while this
-process trains the learner for step t. It does so when the reference trains
-after step 1 (_TaskWalk.trains_reference), the fork start method exists,
-this process runs no other thread, numpy's bundled OpenBLAS exposes its
-thread-count functions, and its pool has more than one thread on entry (the
-process was given more than one core). Both processes then run one BLAS
-thread, and the entry count is restored on the way out. Otherwise the walk
-runs in-process, so OPENBLAS_NUM_THREADS=1, a single-core machine and `run
---threads N` workers stay serial. It is a process and not a thread because
-a step is a couple of milliseconds of small numpy ops that hold the GIL,
-and the tape stack (numcore._ACTIVE_TAPES) is module-global. Either way the
-run's bytes are the same.
+sends over a one-way pipe each step's labeled union, segregation pass and
+reference parameters, then the rest of what the walk owns (_WALK_HANDBACK,
+its phase clock too), so it trains the reference for step t+1 while this
+process trains the learner for step t; a send blocks while the pipe is
+full, which keeps it about one step ahead. It does so when the reference
+trains after step 1 (_TaskWalk.trains_reference), the fork start method
+exists, this process runs no other thread, numpy's bundled OpenBLAS exposes
+its thread-count functions, and its pool has more than one thread on entry
+(the process was given more than one core). Both processes then run the one
+BLAS thread set before the fork, and the entry count is restored on the way
+out. Otherwise the walk runs in-process, so OPENBLAS_NUM_THREADS=1, a
+single-core machine and `run --threads N` workers stay serial. It is a
+process and not a thread because a step is a couple of milliseconds of
+small numpy ops that hold the GIL, and the tape stack (numcore._ACTIVE_TAPES)
+is module-global. Either way the run's bytes are the same.
 
 Determinism: every stochastic role draws from its own seeded Generator, so
 disabling a component (a loss term, the confident set) leaves the remaining
@@ -206,11 +207,11 @@ class RunReport:
 
     metrics_dict() holds only deterministic values (the rerun contract);
     wall_clock and the final networks and memory (RunState) stay separate.
-    wall_clock holds seconds per phase (see _PhaseClock), `total` and
-    `walk_wait`, the time the learner side spent blocked on the walk. When
-    the walk runs ahead (see the module docstring) its phases (reference,
-    segregation, memory) overlap `learner`, so the phases can sum to more
-    than `total`.
+    wall_clock holds seconds per phase (see _PhaseClock) from the walk's
+    clock and run_continual's, with `total` and `walk_wait`, the time the
+    learner side spent blocked on the walk. When the walk runs ahead (see
+    the module docstring) its phases (reference, segregation, memory)
+    overlap `learner`, so the phases can sum to more than `total`.
     """
 
     method: str
@@ -244,9 +245,9 @@ class RunReport:
 class _PhaseClock:
     """Accumulates wall-clock seconds per named phase.
 
-    A walk that runs ahead keeps its own clock in its process and ships the
-    totals back; its phases overlap this process's, so the phases of one
-    run can sum to more than its wall time.
+    The walk and run_continual keep one each. A walk that runs ahead hands
+    its clock back with the rest of its state; its phases overlap the
+    learner's, so the phases of one run can sum to more than its wall time.
     """
 
     def __init__(self):
@@ -505,7 +506,7 @@ class _TaskWalk:
 
     Owns the reference side and nothing of the learner: `reference` (None
     for a method without one), `memory`, `rngs` (ref, proto, memory), the
-    `clock` it times its phases on and its records (reference_curves,
+    `clock` it times its own phases on and its records (reference_curves,
     task_metrics, memory_counts). It pretrains the reference when
     cfg.pretrain_reference, trains it when trains_reference(t) and
     segregates each step's pool when the method does. Iterating yields one
@@ -513,11 +514,11 @@ class _TaskWalk:
     caller hands control back, memory takes in the step's labeled set.
     """
 
-    def __init__(self, cfg, stream, augmenter, seed, arch, clock):
+    def __init__(self, cfg, stream, augmenter, seed, arch):
         if not stream.steps:
             raise ValueError("stream is empty")
-        self.cfg, self.stream, self.augmenter, self.clock = (
-            cfg, stream, augmenter, clock)
+        self.cfg, self.stream, self.augmenter = cfg, stream, augmenter
+        self.clock = _PhaseClock()
         self.reference = (_encoder_projector(stream, arch, seed, _ROLE_REF_INIT)
                           if cfg.uses_reference else None)
         self.memory = sc.MemoryBuffer(cfg.memory_size, cfg.memory_policy)
@@ -581,9 +582,6 @@ class _TaskWalk:
 # The walk ahead of the learner
 # ---------------------------------------------------------------------------
 
-# how often a learner blocked on the walk checks that the walk's process lives
-_POLL_S = 0.1
-
 # what the walk owns apart from the reference, which its process sends per
 # step; sent by name once the walk ends
 _WALK_HANDBACK = ("memory", "rngs", "reference_curves", "task_metrics",
@@ -628,41 +626,34 @@ def _walks_ahead(walk):
             and (blas := _blas_threads()) is not None and blas[0]() > 1)
 
 
-def _walk_child(walk, inbox):
+def _walk_child(walk, outbox):
     """Body of the walk's process: send each item of the walk, then what it
     owns at the end. An exception is sent, for the learner side to raise."""
-    _blas_threads()[1](1)
     try:
         for _, labeled, seg in walk:
-            # copied here: the queue pickles in a feeder thread, and the next
-            # step trains these parameters in place
-            inbox.put((labeled, seg, walk.reference.params.data.copy()))
-        inbox.put({name: getattr(walk, name) for name in _WALK_HANDBACK})
+            # send pickles before it returns, so the next step may train
+            # these parameters in place
+            outbox.send((labeled, seg, walk.reference.params.data))
+        outbox.send({name: getattr(walk, name) for name in _WALK_HANDBACK})
     except Exception as exc:  # noqa: BLE001 - raised again by the learner side
         if hasattr(exc, "add_note"):  # Python 3.11+
             exc.add_note(
                 f"raised in the walk process:\n{traceback.format_exc()}")
-        inbox.put(exc)
+        outbox.send(exc)
 
 
 def _receive(inbox, child, what):
     """The walk process's next message. An exception it sent is raised here;
     if it exits without sending, RuntimeError names its exit code."""
-    from queue import Empty
-
-    while True:
-        exited = child.exitcode is not None
-        try:
-            item = inbox.get(timeout=_POLL_S)
-        except Empty:
-            if exited:  # it flushed everything it sent before exiting
-                raise RuntimeError(
-                    f"the walk process exited with code {child.exitcode} "
-                    f"before sending {what}") from None
-            continue
-        if isinstance(item, BaseException):
-            raise item
-        return item
+    try:
+        item = inbox.recv()
+    except EOFError:  # the child held the pipe's only write end
+        child.join()
+        raise RuntimeError(f"the walk process exited with code "
+                           f"{child.exitcode} before sending {what}") from None
+    if isinstance(item, BaseException):
+        raise item
+    return item
 
 
 def _mirror(walk, inbox, child):
@@ -672,10 +663,7 @@ def _mirror(walk, inbox, child):
         labeled, seg, reference = _receive(inbox, child, f"step {step.index}")
         np.copyto(walk.reference.params.data, reference)
         yield step, labeled, seg
-    final = _receive(inbox, child, "its final state")
-    for name, seconds in final.pop("clock").totals.items():
-        walk.clock.add(name, seconds)
-    vars(walk).update(final)
+    vars(walk).update(_receive(inbox, child, "its final state"))
     child.join()
 
 
@@ -695,32 +683,33 @@ def _walk_feed(walk):
     that leaves `walk` as iterating it in-process does.
 
     When _walks_ahead, a forked process iterates the walk (_walk_child) and
-    this one mirrors it (_mirror), both at one BLAS thread. On the way out,
-    by error or not, the process is stopped and joined and the BLAS thread
-    count restored.
+    this one mirrors it over a pipe (_mirror), both at one BLAS thread. On
+    the way out, by error or not, the process is stopped and joined, the
+    pipe closed and the BLAS thread count restored.
     """
     if not _walks_ahead(walk):
-        yield _waited(iter(walk), walk.clock)
+        yield iter(walk)
         return
     import multiprocessing
 
     get_threads, set_threads = _blas_threads()
     threads = get_threads()
     ctx = multiprocessing.get_context("fork")
-    inbox = ctx.Queue()
-    child = ctx.Process(target=_walk_child, args=(walk, inbox),
+    inbox, outbox = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_walk_child, args=(walk, outbox),
                         name="osscl-walk", daemon=True)
     set_threads(1)
     try:
-        child.start()
-        try:
-            yield _waited(_mirror(walk, inbox, child), walk.clock)
-        finally:
-            if child.is_alive():
-                child.terminate()
-            child.join()
+        with inbox, outbox:
+            child.start()
+            # the child's copy is then the only write end: its exit is EOF
+            outbox.close()
+            try:
+                yield _mirror(walk, inbox, child)
+            finally:
+                child.terminate()  # a no-op once it has exited
+                child.join()
     finally:
-        inbox.close()
         set_threads(threads)
 
 
@@ -737,13 +726,20 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
     """
     clock = _PhaseClock()
     start_total = time.perf_counter()
-    walk = _TaskWalk(cfg, stream, augmenter, seed, arch, clock)
+    walk = _TaskWalk(cfg, stream, augmenter, seed, arch)
+    # the classifier fits on the last step's labeled set and the memory; a
+    # class that memory keeps no exemplar of must be in the last task
+    last = set(stream.steps[-1].task_classes)
+    quotas = sc.MemoryBuffer(cfg.memory_size).quotas(stream.all_classes)
+    if lost := [c for c, q in quotas.items() if q == 0 and c not in last]:
+        raise ValueError(f"memory_size {cfg.memory_size} keeps no exemplar of "
+                         f"classes {lost}, which the classifier needs")
     learner = _encoder_projector(stream, arch, seed, _ROLE_LEARNER_INIT)
     rng = role_rng(seed, _ROLE_LEARNER_TRAIN)
     learner_curves = {}
 
     with _walk_feed(walk) as items:
-        for step, (lab_x, lab_y, _), seg in items:
+        for step, (lab_x, lab_y, _), seg in _waited(items, clock):
             t = step.index
             if cfg.method == "co2l_p" and t == 1:
                 learner.copy_params_from(walk.reference)
@@ -800,7 +796,7 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
         loss_curves={"reference": walk.reference_curves,
                      "learner": learner_curves},
         memory_counts=walk.memory_counts,
-        wall_clock={k: float(v) for k, v in clock.totals.items()},
+        wall_clock={**walk.clock.totals, **clock.totals},
         state=RunState(walk.reference, learner, walk.memory, walk.rngs),
     )
 
@@ -815,7 +811,7 @@ def run_segregation_eval(cfg, stream, augmenter, seed, arch=NetArch()):
     """
     if not cfg.uses_segregation:
         raise ValueError(f"method {cfg.method!r} does not segregate its pool")
-    walk = _TaskWalk(cfg, stream, augmenter, seed, arch, _PhaseClock())
+    walk = _TaskWalk(cfg, stream, augmenter, seed, arch)
     samples = []
     for step, _, seg in walk:
         related, true_classes = step.provenance.reveal()

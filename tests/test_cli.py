@@ -276,6 +276,79 @@ class TestErrors:
         assert not list(out.glob("seed_*"))
         assert not (out / "aggregate.json").exists()
 
+    @pytest.mark.parametrize("where,spec,key", [
+        ("main", {"kind": "file", "path": "missing.npz"}, "path"),
+        ("peripheral", {"kind": "cifar", "train_path": "nope.bin"},
+         "train_path"),
+        ("main", {"kind": "cifar", "train_path": "MAIN",
+                  "test_path": "nope_test.bin"}, "test_path"),
+    ], ids=["file_main", "cifar_peripheral", "cifar_main_test"])
+    def test_missing_dataset_path_exit_2_before_any_output(
+            self, tmp_path, capsys, where, spec, key):
+        """Checked before the output directory is made: no config.json or
+        version.json is left behind."""
+        main = tmp_path / "main.bin"
+        sc.write_cifar_binary(main, np.zeros(2, dtype=np.uint8),
+                              np.zeros((2, 3072), dtype=np.uint8))
+        spec = {k: str(main) if v == "MAIN" else
+                str(tmp_path / v) if k.endswith("path") else v
+                for k, v in spec.items()}
+        cfg = json.loads(json.dumps(TINY))
+        if where == "main":
+            cfg["datasets"]["main"] = spec
+        else:
+            cfg["datasets"]["peripheral"] = [spec]
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "never"
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        prefix = "main" if where == "main" else "peripheral[0]"
+        err = capsys.readouterr().err
+        assert f"config.datasets.{prefix}.{key}: no such file" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where,payload,message", [
+        ("main", b"not an archive", "not a dataset export"),
+        ("peripheral", b"\x00" * 10, "not a multiple of 3073"),
+        ("peripheral", b"\x0c" + b"\x00" * 3072, "label 12 out of range"),
+    ], ids=["not_an_export", "cifar_size", "cifar_label"])
+    def test_unreadable_dataset_exit_2_before_training(
+            self, tmp_path, capsys, where, payload, message):
+        path = tmp_path / "data.bin"
+        path.write_bytes(payload)
+        cfg = json.loads(json.dumps(TINY))
+        if where == "main":
+            cfg["datasets"]["main"] = {"kind": "file", "path": str(path)}
+        else:
+            cfg["datasets"]["peripheral"] = [{"kind": "cifar",
+                                              "train_path": str(path)}]
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        prefix = "main" if where == "main" else "peripheral[0]"
+        assert f"config.datasets.{prefix}: " in err and message in err
+        assert not list(out.glob("seed_*"))
+
+    @pytest.mark.parametrize("memory_size", [0, 1])
+    def test_memory_below_the_earlier_classes_exit_2_before_any_output(
+            self, tmp_path, capsys, memory_size):
+        """Two tasks of two classes: memory must hold the first task's two
+        classes, or the final classifier misses one."""
+        cfg = json.loads(json.dumps(TINY))
+        cfg["method"]["memory_size"] = memory_size
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "never"
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert "config.method.memory_size: must be >= 2" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

@@ -151,6 +151,7 @@ def test_tiny_resolved_is_pinned():
     ("method.weights", "tau", -1,
      "config.method.weights: tau must be positive"),
     ("method", "n_aug", 0, "config.method: n_aug must be >= 1"),
+    ("method", "memory_size", 1, "config.method.memory_size: must be >= 2"),
 ])
 def test_errors_name_the_key_path(section, key, value, message):
     with pytest.raises(config.ConfigError, match=f"^{message}"):
@@ -308,6 +309,11 @@ def test_main_dataset_without_a_test_split_exits_2_before_any_output(
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_memory_may_hold_just_the_classes_before_the_last_task():
+    exp = config.from_dict(tiny_with("method", "memory_size", 2))
+    assert exp.method.memory_size == 2
 
 
 def test_peripherals_need_no_test_split():

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -534,6 +535,27 @@ def test_learner_error_stops_the_walk_process(tiny_world, walk_ahead,
     assert walk_ahead == [1]
 
 
+def test_walk_process_runs_no_other_thread(tiny_world, walk_ahead,
+                                           monkeypatch, tmp_path):
+    """At t=2's reference training, after it sent step 1, the walk's process
+    runs one thread: it sends on its own, with no feeder thread."""
+    main, stream, aug = tiny_world
+    train_reference, calls = tr.train_reference, []
+    seen = tmp_path / "threads"
+
+    def counts_threads_at_t2(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            seen.write_text(str(threading.active_count()))
+        return train_reference(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "train_reference", counts_threads_at_t2)
+    tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
+    assert walk_ahead == [1]
+    assert calls == []  # the reference trained in the walk's process
+    assert seen.read_text() == "1"
+
+
 # One NT-Xent step at desk scale, where the tiny world's 64 x 64 Grams are
 # 16x smaller than the products BLAS splits across threads: 256 float32 views
 # through a 16-64-64-32-16 net (mlp_embed), the loss and its backward; prints
@@ -739,6 +761,21 @@ def test_memory_counts_list_every_stored_class(tiny_world, memory_size,
     classes = sorted(stream1.steps[0].task_classes)
     assert rep.metrics_dict()["memory_counts"] == [
         {str(c): n for c, n in zip(classes, counts)}]
+
+
+def test_memory_missing_an_earlier_class_fails_before_training(
+        tiny_world, monkeypatch):
+    """Three slots over four classes: the class at quota 0 is in the first
+    task, so the final classifier would miss it; the run raises before the
+    reference trains."""
+    main, stream, aug = tiny_world
+    calls = []
+    monkeypatch.setattr(tr, "train_reference",
+                        lambda *args, **kwargs: calls.append(1))
+    with pytest.raises(ValueError, match=r"memory_size 3 keeps no exemplar "
+                                         r"of classes \[3\]"):
+        tr.run_continual(tiny_cfg(memory_size=3), stream, main, aug, seed=5)
+    assert calls == []
 
 
 def test_empty_stream_rejected(tiny_world):
