@@ -173,16 +173,18 @@ def _resolve_run(args, segregates=False):
 
 
 def _version_stamp():
-    """The package version, the numpy and BLAS builds, and the BLAS/OpenMP
-    thread variables as launched (None when unset): what a float result of
-    this run can depend on besides its config."""
+    """The package version, the numpy and BLAS builds, the kernel the BLAS
+    runs (None when unknown; trainer.blas_kernel) and the BLAS/OpenMP thread
+    variables as launched (None when unset): what a float result of this run
+    can depend on besides its config."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # older numpy has no mode="dicts"
         blas = {}
     return {"package": "osscl", "version": __version__,
             "numpy": np.__version__,
-            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                     "kernel": trainer.blas_kernel()},
             "thread_vars": {v: os.environ.get(v) for v in THREAD_VARS}}
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import Tensor, _gram, add, scale, softmax_xent
+from .numcore import NonFiniteError, Tensor, _gram, add, scale, softmax_xent
 # pairwise_cosine stays a name of this module: the benchmark's tracer patches
 # and checks the bindings it finds here
 from .numcore import pairwise_cosine  # noqa: F401
@@ -205,7 +205,8 @@ def combined_loss(l_sup, l_td, l_kd, weights, t):
     """L_sup + td_weight * L_TD + kd_weight * L_KD with absent terms dropped.
 
     The weights scale whatever they are given; in the learner objective each
-    term is already a per-anchor mean (learner_objective).
+    term is already a per-anchor mean (learner_objective). The first term
+    that is not finite raises NonFiniteError naming it (sup, td or kd).
 
     Args:
         l_sup, l_td, l_kd: 0-d Tensors or None for disabled terms.
@@ -217,19 +218,19 @@ def combined_loss(l_sup, l_td, l_kd, weights, t):
         raise ValueError("t is 1-based")
     if l_td is not None and t == 1:
         raise ValueError("time distillation needs a past learner, none exists at t=1")
-    terms = []
-    if l_sup is not None:
-        terms.append(l_sup)
-    if l_td is not None:
-        terms.append(scale(l_td, weights.td_weight))
-    if l_kd is not None:
-        terms.append(scale(l_kd, weights.kd_weight))
-    if not terms:
+    total = None
+    for name, term, weight in (("sup", l_sup, None),
+                               ("td", l_td, weights.td_weight),
+                               ("kd", l_kd, weights.kd_weight)):
+        if term is None:
+            continue
+        if not np.isfinite(term.data):
+            raise NonFiniteError(f"non-finite {name} term")
+        term = term if weight is None else scale(term, weight)
+        total = term if total is None else add(total, term)
+    if total is None:
         raise ValueError("combined_loss needs at least one term")
-    out = terms[0]
-    for term in terms[1:]:
-        out = add(out, term)
-    return out
+    return total
 
 
 def learner_objective(z, t, weights, labels, current_classes, pseudo_flags=None,

@@ -7,6 +7,11 @@ the tape in forward order, and `backprop` walks them once in reverse. There is
 no graph object beyond the tape, no broadcasting beyond what each op states,
 and no in-place mutation of op inputs.
 
+Ops check their inputs (shapes, unit rows, scalar arguments) and not their
+outputs: a NaN or inf an op computes flows on into the loss and the
+gradients, which the trainer checks once per optimizer step, so the error
+names the network, task, epoch, batch and loss term rather than an op.
+
 Besides generic ops, two fused ops each stand for a chain of generic ops
 with that chain's arithmetic, in one forward pass and one tape entry:
 mlp_embed runs a whole MLP off one flat parameter buffer, and softmax_xent
@@ -33,7 +38,9 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """An op produced NaN or inf outside the masked log-softmax sentinel."""
+    """A NaN or inf where a finite value is required: a scalar argument of
+    scale or softmax_xent here, a loss term, loss, gradient, score or logit
+    in the trainer (whose message says which and where)."""
 
 
 class TapeConsumedError(RuntimeError):
@@ -116,11 +123,6 @@ def _record(out, parents, backward):
         _ACTIVE_TAPES[-1]._entries.append((out, parents, backward))
 
 
-def _check_finite(arr, op_name):
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"{op_name} produced non-finite values")
-
-
 def _requires(*tensors):
     return any(t.requires_grad for t in tensors)
 
@@ -180,7 +182,6 @@ def affine(x, w, b):
         raise ShapeError(
             f"affine shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
     out_data = x.data @ w.data + b.data
-    _check_finite(out_data, "affine")
     out = Tensor(out_data, requires_grad=_requires(x, w, b))
 
     def backward(g):
@@ -212,7 +213,6 @@ def l2_normalize_rows(x):
     if norms.min() < EPS_NORM:
         raise DegenerateNormError(f"row norm {norms.min():g} below {EPS_NORM:g}")
     y = x.data / norms
-    _check_finite(y, "l2_normalize_rows")
     out = Tensor(y, requires_grad=x.requires_grad)
 
     def backward(g):
@@ -255,7 +255,7 @@ def mlp_embed(x, params, dims, unit=True):
     output rows are scaled to unit L2 norm (an embedding); with unit=False
     every layer is followed by relu (encoder features). The forward is the
     arithmetic of the chain affine -> relu -> ... -> affine ->
-    l2_normalize_rows, with its finite checks and error names. The backward
+    l2_normalize_rows, with its degenerate-norm check. The backward
     computes that chain's products and writes each layer's weight and bias
     gradient into its view of one flat gradient, zero past the layers used,
     so the loss and every parameter gradient are bitwise the chain's. The
@@ -270,8 +270,8 @@ def mlp_embed(x, params, dims, unit=True):
         unit: end in a linear layer and row normalization.
 
     Raises ValueError on an input that requires gradient, ShapeError on
-    shape errors, NonFiniteError naming affine or l2_normalize_rows, and
-    DegenerateNormError.
+    shape errors, and DegenerateNormError. A NaN or inf in the input or the
+    parameters is not checked here; it reaches the output.
     """
     if x.requires_grad:
         raise ValueError("mlp_embed computes no input gradient; its input "
@@ -292,7 +292,6 @@ def mlp_embed(x, params, dims, unit=True):
         inputs.append(h)
         h = h @ w
         h += b
-        _check_finite(h, "affine")
         if k < last or not unit:
             np.maximum(h, 0, out=h)
     if unit:
@@ -301,7 +300,6 @@ def mlp_embed(x, params, dims, unit=True):
             raise DegenerateNormError(
                 f"row norm {norms.min():g} below {EPS_NORM:g}")
         y = h / norms
-        _check_finite(y, "l2_normalize_rows")
     else:
         y = h
     out = Tensor(y, requires_grad=params.requires_grad)
@@ -353,7 +351,6 @@ def pairwise_cosine(a, b):
         if norms.size and np.abs(norms - 1.0).max() > 1e-4:
             raise ShapeError(f"pairwise_cosine input {name} has non-unit rows")
     out_data = _gram(a.data) if a is b else a.data @ b.data.T
-    _check_finite(out_data, "pairwise_cosine")
     out = Tensor(out_data, requires_grad=_requires(a, b))
 
     def backward(g):
@@ -370,8 +367,7 @@ def row_log_softmax(logits, mask=None):
         logits: Tensor [B, N].
         mask: optional bool ndarray [B, N]; True marks positions that take
             part in the softmax. Masked positions come back as -inf in the
-            output, the only place a non-finite value is allowed; downstream
-            consumers must mask_fill before multiplying.
+            output; downstream consumers must mask_fill before multiplying.
 
     Raises AllMaskedRowError when a row has no True position.
     """
@@ -393,8 +389,6 @@ def row_log_softmax(logits, mask=None):
     ex = np.exp(shifted)
     denom = ex.sum(axis=1, keepdims=True)
     out_data = shifted - np.log(denom)
-    if not np.all(np.isfinite(out_data[kept])):
-        raise NonFiniteError("row_log_softmax produced non-finite kept values")
     softmax = ex / denom
     out = Tensor(out_data, requires_grad=logits.requires_grad)
 
@@ -427,8 +421,8 @@ def softmax_xent(z, tau, target, factor):
         factor: finite python scalar applied to the sum.
 
     Raises ShapeError on shape or index errors and non-unit rows, ValueError
-    on tau <= 0, and NonFiniteError when the similarity, a kept
-    log-probability or the loss is not finite.
+    on tau <= 0, and NonFiniteError on a factor that is not finite. A NaN
+    row passes the unit-row check and makes the loss NaN.
     """
     if z.ndim != 2 or z.shape[0] < 2:
         raise ShapeError(f"softmax_xent expects z [V>=2, d], got {z.shape}")
@@ -462,7 +456,6 @@ def softmax_xent(z, tau, target, factor):
     inv_tau = float(1.0 / tau)
     logp = _gram(data)
     logp *= data.dtype.type(inv_tau)
-    _check_finite(logp, "softmax_xent similarity")
     diagonal = logp.reshape(-1)[::v + 1]
     diagonal[...] = -np.inf
     logp -= logp.max(axis=1, keepdims=True)
@@ -471,10 +464,8 @@ def softmax_xent(z, tau, target, factor):
     logp -= np.log(denom)
     # the diagonal is -inf here; the chain's mask_fill puts 0 there
     diagonal[...] = 0.0
-    _check_finite(logp, "softmax_xent log-probabilities")
     total = logp[rows, target].sum() if w is None else (logp * w).sum()
     out_data = np.asarray(total * data.dtype.type(factor))
-    _check_finite(out_data, "softmax_xent loss")
     out = Tensor(out_data, requires_grad=z.requires_grad)
 
     def backward(g):
@@ -514,7 +505,6 @@ def mask_fill(x, keep_mask, fill=0.0):
     if kept.shape != x.data.shape:
         raise ShapeError(f"mask shape {kept.shape} != input shape {x.data.shape}")
     out_data = np.where(kept, x.data, x.data.dtype.type(fill))
-    _check_finite(out_data, "mask_fill")
     out = Tensor(out_data, requires_grad=x.requires_grad)
 
     def backward(g):
@@ -533,7 +523,6 @@ def add(a, b):
     """Elementwise a + b, same shapes."""
     _binary_shapes(a, b, "add")
     out_data = a.data + b.data
-    _check_finite(out_data, "add")
     out = Tensor(out_data, requires_grad=_requires(a, b))
 
     def backward(g):
@@ -547,7 +536,6 @@ def mul(a, b):
     """Elementwise a * b, same shapes."""
     _binary_shapes(a, b, "mul")
     out_data = a.data * b.data
-    _check_finite(out_data, "mul")
     out = Tensor(out_data, requires_grad=_requires(a, b))
 
     def backward(g):
@@ -563,7 +551,6 @@ def scale(x, s):
     if not math.isfinite(s):
         raise NonFiniteError("scale factor must be finite")
     out_data = x.data * x.data.dtype.type(s)
-    _check_finite(out_data, "scale")
     out = Tensor(out_data, requires_grad=x.requires_grad)
 
     def backward(g):
@@ -580,7 +567,6 @@ def gather2d(x, rows, cols):
     if rows.shape != cols.shape or rows.ndim != 1:
         raise ShapeError("gather2d expects matching 1-d index vectors")
     out_data = x.data[rows, cols]
-    _check_finite(out_data, "gather2d")
     out = Tensor(out_data, requires_grad=x.requires_grad)
 
     def backward(g):
@@ -595,7 +581,6 @@ def gather2d(x, rows, cols):
 def total_sum(x):
     """Sum of all elements, returned as a 0-d tensor."""
     out_data = np.asarray(x.data.sum(), dtype=x.data.dtype)
-    _check_finite(out_data, "total_sum")
     out = Tensor(out_data, requires_grad=x.requires_grad)
 
     def backward(g):

@@ -38,7 +38,7 @@ class Dataset:
 
     Class ids are contiguous 0..C-1 in the train split; ids are unique within
     the dataset and, for synthetic data, globally disjoint across dataset
-    seeds (ids embed the seed).
+    seeds (ids embed the seed). Every feature is finite.
     """
 
     name: str
@@ -62,6 +62,9 @@ class Dataset:
         classes = np.unique(self.train_y)
         if classes.size and not np.array_equal(classes, np.arange(classes.size)):
             raise ValueError("train classes must be contiguous from 0")
+        for split in ("train_x", "test_x"):
+            if not np.isfinite(getattr(self, split)).all():
+                raise ValueError(f"{split} has non-finite features")
 
     @property
     def n_classes(self):

@@ -57,7 +57,7 @@ from . import losses as L
 from . import scenario as sc
 from . import segregate as sg
 from .nets import EncoderProjector, LinearClassifier
-from .numcore import Adam, CosineSchedule, Tape, backprop, gather2d, row_log_softmax, scale, total_sum
+from .numcore import Adam, CosineSchedule, NonFiniteError, Tape, backprop, gather2d, row_log_softmax, scale, total_sum
 
 log = logging.getLogger(__name__)
 
@@ -271,13 +271,19 @@ class _PhaseClock:
 # ---------------------------------------------------------------------------
 
 
-def _optimize(net, n, epochs, cfg, rng, step):
+def _require_finite(where, what, *arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteError(f"{where}: non-finite {what}")
+
+
+def _optimize(net, n, epochs, cfg, rng, step, where):
     """The epoch loop both trainers share; returns per-epoch mean losses.
 
     A fresh Adam over net.params and a cosine schedule over `epochs` per
     call (each task step re-anneals). Each epoch walks sc.epoch_batches(n)
     and takes one Adam step per batch on the (loss, grads) that step(idx)
-    returns. epochs=0 leaves the net untouched.
+    returns, once both are finite. A NonFiniteError, here or from step, names
+    `where`, the epoch and the batch. epochs=0 leaves the net untouched.
     """
     if epochs == 0:
         return []
@@ -287,19 +293,25 @@ def _optimize(net, n, epochs, cfg, rng, step):
     for epoch in range(epochs):
         opt.lr = schedule.at(epoch)
         epoch_losses = []
-        for idx in sc.epoch_batches(n, cfg.batch_size, rng):
-            loss, grads = step(idx)
+        for batch, idx in enumerate(sc.epoch_batches(n, cfg.batch_size, rng)):
+            at = f"{where}, epoch {epoch}, batch {batch}"
+            try:
+                loss, grads = step(idx)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"{at}: {exc}") from exc
+            _require_finite(at, "loss", loss.data)
+            _require_finite(at, "gradient", *grads.values())
             opt.step(grads)
             epoch_losses.append(float(loss.data))
         curve.append(float(np.mean(epoch_losses)))
     return curve
 
 
-def train_reference(net, pool_x, epochs, cfg, augmenter, rng):
+def train_reference(net, pool_x, epochs, cfg, augmenter, rng, where="reference"):
     """Contrastive training of the reference on the raw unlabeled pool.
 
-    Returns per-epoch mean losses (see _optimize); epochs=0 leaves the net
-    untouched.
+    Returns per-epoch mean losses (see _optimize; a NonFiniteError starts
+    with `where`); epochs=0 leaves the net untouched.
     """
     if len(pool_x) == 0:
         raise ValueError("reference training needs a non-empty unlabeled pool")
@@ -310,7 +322,7 @@ def train_reference(net, pool_x, epochs, cfg, augmenter, rng):
             loss = L.ntxent_loss(net.embed(views), cfg.weights.tau)
             return loss, backprop(tape, loss)
 
-    return _optimize(net, len(pool_x), epochs, cfg, rng, step)
+    return _optimize(net, len(pool_x), epochs, cfg, rng, step, where)
 
 
 def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
@@ -373,7 +385,8 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
                 total = L.add(total, L.ntxent_loss(zu, cfg.weights.tau))
             return total, backprop(tape, total)
 
-    return _optimize(learner, len(sup_x), cfg.epochs_learner, cfg, rng, step)
+    return _optimize(learner, len(sup_x), cfg.epochs_learner, cfg, rng, step,
+                     f"learner, t={t}")
 
 
 def fit_classifier(learner, xs, ys, observed_classes, cfg, rng_init, rng_train):
@@ -381,7 +394,7 @@ def fit_classifier(learner, xs, ys, observed_classes, cfg, rng_init, rng_train):
 
     Mini-batches are drawn with replacement with per-sample probability
     inversely proportional to class frequency. Raises if any observed class
-    is missing from the training data.
+    is missing from the training data; steps are checked as in _optimize.
     """
     observed = sorted(int(c) for c in observed_classes)
     present = set(int(c) for c in np.unique(ys))
@@ -400,16 +413,18 @@ def fit_classifier(learner, xs, ys, observed_classes, cfg, rng_init, rng_train):
                             dtype=features.dtype)
     opt = Adam(head.params, lr=cfg.classifier_lr)
     n = len(targets)
-    for _ in range(cfg.classifier_epochs):
+    for epoch in range(cfg.classifier_epochs):
         order = rng_train.choice(n, size=n, replace=True, p=probs)
-        for start in range(0, n, cfg.classifier_batch):
-            batch = order[start:start + cfg.classifier_batch]
+        for batch, start in enumerate(range(0, n, cfg.classifier_batch)):
+            rows = order[start:start + cfg.classifier_batch]
             with Tape() as tape:
-                logits = head.classify(features[batch])
-                logp = row_log_softmax(logits)
-                picked = gather2d(logp, np.arange(len(batch)), targets[batch])
-                loss = scale(total_sum(picked), -1.0 / len(batch))
+                logp = row_log_softmax(head.classify(features[rows]))
+                picked = gather2d(logp, np.arange(len(rows)), targets[rows])
+                loss = scale(total_sum(picked), -1.0 / len(rows))
                 grads = backprop(tape, loss)
+            at = f"classifier, epoch {epoch}, batch {batch}"
+            _require_finite(at, "loss", loss.data)
+            _require_finite(at, "gradient", *grads.values())
             opt.step(grads)
     return head, np.asarray(observed, dtype=np.int64)
 
@@ -427,6 +442,7 @@ def evaluate(head, learner, class_ids, test_x, test_y, task_class_sets):
     if len(test_y) == 0:
         raise ValueError("no test samples for the observed classes")
     logits = head.classify(learner.encoder_features(test_x).data).data
+    _require_finite("evaluation", "logits", logits)
     pred = class_ids[logits.argmax(axis=1)]
     correct = pred == test_y
     final = float(correct.mean())
@@ -457,14 +473,17 @@ def _segregation_pass(walk, step, labeled, observed):
     """Prototypes, thresholds, pool split, and quality metrics for one step."""
     cfg, reference = walk.cfg, walk.reference
     lab_x, lab_y, _ = labeled
+    where = f"segregation, t={step.index}"
     protos = sg.build_prototypes(reference, lab_x, lab_y, observed,
                                  walk.augmenter, walk.rngs["proto"],
                                  n_aug=cfg.n_aug)
     labeled_scores, _ = sg.score(protos, lab_x, reference=reference)
+    _require_finite(where, "labeled scores", labeled_scores)
     stats = sg.compute_thresholds(labeled_scores, cfg.eta_id, cfg.eta_pl,
                                   spread_mode=cfg.spread_mode)
     pool_scores, nearest = sg.score(protos, step.unlabeled_x,
                                     reference=reference)
+    _require_finite(where, "pool scores", pool_scores)
     out = sg.segregate_scores(pool_scores, nearest, stats)
     quality = sg.ood_metrics(out, pool_scores, step.provenance)
     return {
@@ -544,7 +563,7 @@ class _TaskWalk:
             pooled = np.concatenate([s.unlabeled_x for s in self.stream.steps])
             with clock.timed("reference"):
                 train_reference(self.reference, pooled, cfg.epochs_first, cfg,
-                                self.augmenter, self.rngs["ref"])
+                                self.augmenter, self.rngs["ref"], "pretraining")
         observed = []
         for step in self.stream.steps:
             t = step.index
@@ -554,7 +573,7 @@ class _TaskWalk:
                 with clock.timed("reference"):
                     self.reference_curves[f"t{t}"] = train_reference(
                         self.reference, step.unlabeled_x, epochs, cfg,
-                        self.augmenter, self.rngs["ref"])
+                        self.augmenter, self.rngs["ref"], f"reference, t={t}")
 
             labeled = _labeled_union(step, self.memory)
             seg = None
@@ -595,6 +614,19 @@ def _blas_threads():
     Found with ctypes in numpy.libs; these are the calls threadpoolctl makes.
     A numpy built against another BLAS has none, and its runs stay serial.
     """
+    lib = _openblas()
+    if lib is None:
+        log.debug("no bundled OpenBLAS thread control; the walk runs "
+                  "in-process")
+        return None
+    return (lib.scipy_openblas_get_num_threads64_,
+            lib.scipy_openblas_set_num_threads64_)
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS as a ctypes library with its thread-count
+    functions typed, or None when numpy.libs holds none that has them."""
     import ctypes
     import glob
 
@@ -609,9 +641,21 @@ def _blas_threads():
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    log.debug("no bundled OpenBLAS thread control; the walk runs in-process")
+        return lib
     return None
+
+
+def blas_kernel():
+    """The kernel numpy's bundled OpenBLAS runs (as "SkylakeX"), or None
+    without that library or its corename function. Float bytes follow this
+    kernel; np.show_config's build string names only the build target."""
+    import ctypes
+
+    corename = getattr(_openblas(), "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def _walks_ahead(walk):

@@ -4,6 +4,7 @@ import csv
 import gc
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from osscl import cli, config
+from osscl import cli, config, trainer
 from osscl import scenario as sc
 from osscl.segregate import auroc_from_scores
 
@@ -186,9 +187,32 @@ class TestRun:
         assert stamp == {
             "package": "osscl", "version": osscl.__version__,
             "numpy": np.__version__,
-            "blas": {"name": blas["name"], "version": blas["version"]},
+            "blas": {"name": blas["name"], "version": blas["version"],
+                     "kernel": trainer.blas_kernel()},
             "thread_vars": {v: os.environ.get(v) for v in cli.THREAD_VARS}}
         assert "OPENBLAS_NUM_THREADS" in stamp["thread_vars"]
+
+    def test_version_stamp_records_the_kernel_that_runs(self):
+        """Not the build target that np.show_config names: OpenBLAS runs the
+        kernel OPENBLAS_CORETYPE forces, and the stamp follows it."""
+        if trainer.blas_kernel() is None or platform.machine() != "x86_64":
+            pytest.skip("needs numpy's bundled OpenBLAS on x86-64")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", "from osscl import cli; "
+             "print(cli._version_stamp()['blas']['kernel'])"],
+            env={**os.environ, "OPENBLAS_CORETYPE": "Sandybridge",
+                 "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "Sandybridge"
+
+    @pytest.mark.parametrize("library", [None, object()],
+                             ids=["no_openblas", "no_corename"])
+    def test_version_stamp_kernel_is_null_when_unknown(self, monkeypatch,
+                                                       library):
+        monkeypatch.setattr(trainer, "_openblas", lambda: library)
+        assert cli._version_stamp()["blas"]["kernel"] is None
 
 
 class TestErrors:
@@ -331,6 +355,30 @@ class TestErrors:
         err = capsys.readouterr().err
         prefix = "main" if where == "main" else "peripheral[0]"
         assert f"config.datasets.{prefix}: " in err and message in err
+        assert not list(out.glob("seed_*"))
+
+    @pytest.mark.parametrize("split", ["train_x", "test_x"])
+    def test_non_finite_features_exit_2_before_training(self, tmp_path,
+                                                        capsys, split):
+        spec = TINY["datasets"]["main"]
+        data = sc.synth_dataset(spec["classes"], spec["dim"],
+                                spec["train_per_class"],
+                                spec["test_per_class"], spec["seed"])
+        arrays = {k: getattr(data, k).copy() for k in
+                  ("train_x", "train_y", "train_ids", "test_x", "test_y",
+                   "test_ids")}
+        arrays[split][4, 2] = np.nan
+        export = tmp_path / "main.npz"
+        np.savez(export, name=np.array(data.name), **arrays)
+        cfg = json.loads(json.dumps(TINY))
+        cfg["datasets"]["main"] = {"kind": "file", "path": str(export)}
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"config.datasets.main: {split} has non-finite features" in err
         assert not list(out.glob("seed_*"))
 
     @pytest.mark.parametrize("memory_size", [0, 1])

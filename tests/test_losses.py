@@ -404,11 +404,15 @@ def test_supcon_target_is_the_float64_formula_cast_once(v, dtype,
         assert seen[-1].tobytes() == want.tobytes()
 
 
-def test_fused_op_names_itself_on_a_nan_row():
-    z = unit(np.random.default_rng(0).standard_normal((6, 4)))
-    z[3] = np.nan
-    with pytest.raises(nc.NonFiniteError, match="softmax_xent"):
-        losses.ntxent_loss(nc.Tensor(z), 0.5)
+@pytest.mark.parametrize("bad,named", [
+    (("sup",), "sup"), (("td",), "td"), (("kd",), "kd"), (("td", "kd"), "td"),
+    (("sup", "kd"), "sup")])
+def test_combined_loss_names_the_first_non_finite_term(bad, named):
+    terms = {name: nc.Tensor(np.float32(np.nan if name in bad else 1.0))
+             for name in ("sup", "td", "kd")}
+    with pytest.raises(nc.NonFiniteError, match=f"^non-finite {named} term$"):
+        losses.combined_loss(terms["sup"], terms["td"], terms["kd"],
+                             losses.LossWeights(), t=2)
 
 
 def test_fused_op_rejects_non_unit_rows():

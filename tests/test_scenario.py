@@ -1,5 +1,6 @@
 """Tests for datasets, augmentation, stream invariants, and exemplar memory."""
 
+import dataclasses
 import math
 import struct
 
@@ -75,6 +76,16 @@ def test_dataset_validation():
                          test_x=np.zeros((0, 3), dtype=np.float32),
                          test_y=np.zeros(0, dtype=np.int64),
                          test_ids=np.zeros(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("split", ["train_x", "test_x"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_dataset_rejects_non_finite_features(split, value):
+    arrays = dataclasses.asdict(small_main())
+    arrays[split] = arrays[split].copy()
+    arrays[split][3, 1] = value
+    with pytest.raises(ValueError, match=f"^{split} has non-finite features$"):
+        scenario.Dataset(**arrays)
 
 
 def test_dataset_binary_roundtrip(tmp_path):

@@ -857,3 +857,224 @@ def test_walk_ahead_reports_the_phases_and_state_of_the_in_process_run(
     # the walk's three roles; the learner's RNGs stay with run_continual
     assert sorted(ahead.state.rngs) == ["memory", "proto", "ref"]
     assert state_digest(ahead.state) == state_digest(serial.state)
+
+
+# ---------------------------------------------------------------------------
+# Non-finite values: checked once per optimizer step, named where they arise
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def optimizers(monkeypatch):
+    """Every Adam the trainer builds, in order. Each fails a test on a step
+    whose gradients are not finite, and keeps in `last` a copy of its
+    parameters as its last step left them."""
+    made = []
+
+    class Recording(tr.Adam):
+        def __init__(self, params, lr):
+            super().__init__(params, lr)
+            self.last = [p.data.copy() for p in self.params]
+            made.append(self)
+
+        def step(self, grads):
+            assert all(np.isfinite(g).all() for g in grads.values())
+            super().step(grads)
+            self.last = [p.data.copy() for p in self.params]
+
+    monkeypatch.setattr(tr, "Adam", Recording)
+    return made
+
+
+def left_as_its_last_step_left_it(opt):
+    return all(p.data.tobytes() == last.tobytes()
+               for p, last in zip(opt.params, opt.last))
+
+
+@pytest.fixture
+def epochs(monkeypatch):
+    """The batches of every epoch the two network trainers draw, in order."""
+    drawn = []
+    epoch_batches = sc.epoch_batches
+
+    def recorded(*args):
+        drawn.append(epoch_batches(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(sc, "epoch_batches", recorded)
+    return drawn
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    monkeypatch.setattr(tr, "_walks_ahead", lambda walk: False)
+
+
+def with_nan(stream, t, field, row):
+    """stream with a NaN in one row of step t's labeled_x or unlabeled_x."""
+    step = stream.steps[t - 1]
+    x = getattr(step, field).copy()
+    x[row, 0] = np.nan
+    steps = list(stream.steps)
+    steps[t - 1] = dataclasses.replace(step, **{field: x})
+    return dataclasses.replace(stream, steps=tuple(steps))
+
+
+def batch_holding(batches, row):
+    return next(b for b, idx in enumerate(batches) if row in idx)
+
+
+@pytest.mark.parametrize("overrides,network", [
+    ({}, "reference, t=2"), ({"pretrain_reference": True}, "pretraining")])
+def test_nan_pool_row_names_the_reference_step(tiny_world, in_process,
+                                               optimizers, epochs, overrides,
+                                               network):
+    """A NaN in step 2's pool fails the first reference step that draws it,
+    before Adam applies it. Pretraining pools every step, step 1 first."""
+    main, stream, aug = tiny_world
+    row = 5 + (len(stream.steps[0].unlabeled_x) if overrides else 0)
+    with pytest.raises(NonFiniteError) as caught:
+        tr.run_continual(tiny_cfg(**overrides),
+                         with_nan(stream, 2, "unlabeled_x", 5), main, aug,
+                         seed=5)
+    batch = batch_holding(epochs[-1], row)
+    assert str(caught.value) == (f"{network}, epoch 0, batch {batch}: "
+                                 f"non-finite loss")
+    assert len(optimizers) == (3 if network.startswith("reference") else 1)
+    assert left_as_its_last_step_left_it(optimizers[-1])
+
+
+def test_walk_ahead_raises_the_in_process_message(tiny_world, walk_ahead,
+                                                  monkeypatch):
+    main, stream, aug = tiny_world
+    poisoned = with_nan(stream, 2, "unlabeled_x", 5)
+    with pytest.raises(NonFiniteError) as ahead:
+        tr.run_continual(tiny_cfg(), poisoned, main, aug, seed=5)
+    assert walk_ahead == [1]
+    monkeypatch.setattr(tr, "_walks_ahead", lambda walk: False)
+    with pytest.raises(NonFiniteError) as serial:
+        tr.run_continual(tiny_cfg(), poisoned, main, aug, seed=5)
+    assert walk_ahead == [1]
+    assert str(serial.value).startswith("reference, t=2, epoch 0, batch ")
+    assert str(ahead.value) == str(serial.value)
+
+
+class PoisonedTeacher:
+    """A distillation teacher whose embeddings are NaN from its `at`-th
+    call on."""
+
+    def __init__(self, teacher, at):
+        self.teacher, self.at, self.calls = teacher, at, 0
+
+    def embed(self, x):
+        self.calls += 1
+        z = self.teacher.embed(x).data
+        return np.full_like(z, np.nan) if self.calls >= self.at else z
+
+
+@pytest.mark.parametrize("role,method,t", [
+    ("td_teacher", "co2l", 2), ("kd_teacher", "ursl", 1),
+    ("kd_teacher", "ursl", 2)])
+def test_poisoned_teacher_names_its_term_and_step(tiny_world, in_process,
+                                                  optimizers, epochs,
+                                                  monkeypatch, role, method,
+                                                  t):
+    """The teacher turns NaN at the learner's sixth step of task t: the
+    error names the learner, t, that step's epoch and batch, and the term."""
+    main, stream, aug = tiny_world
+    train_learner_task, first_epoch = tr.train_learner_task, []
+
+    def poisoned(*args, **kwargs):
+        if args[5] == t:
+            kwargs[role] = PoisonedTeacher(kwargs[role], at=6)
+            first_epoch.append(len(epochs))
+        return train_learner_task(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "train_learner_task", poisoned)
+    with pytest.raises(NonFiniteError) as caught:
+        tr.run_continual(tiny_cfg(method=method, batch_size=8), stream, main,
+                         aug, seed=5)
+    ran = epochs[first_epoch[0]:]
+    epoch, batch = len(ran) - 1, 5 - sum(len(e) for e in ran[:-1])
+    assert 0 <= batch < len(ran[-1]) and (epoch, batch) != (0, 0)
+    term = role[:2]
+    assert str(caught.value) == (f"learner, t={t}, epoch {epoch}, batch "
+                                 f"{batch}: non-finite {term} term")
+    assert left_as_its_last_step_left_it(optimizers[-1])
+
+
+def test_nan_labeled_row_names_the_supervised_term(tiny_world, optimizers,
+                                                   epochs):
+    """co2l has no reference, so the learner is the first to embed it."""
+    main, stream, aug = tiny_world
+    with pytest.raises(NonFiniteError) as caught:
+        tr.run_continual(tiny_cfg(method="co2l", batch_size=4),
+                         with_nan(stream, 1, "labeled_x", 5), main, aug,
+                         seed=5)
+    batch = batch_holding(epochs[-1], 5)
+    assert len(epochs) == 1
+    assert str(caught.value) == (f"learner, t=1, epoch 0, batch {batch}: "
+                                 f"non-finite sup term")
+    assert left_as_its_last_step_left_it(optimizers[-1])
+
+
+@pytest.mark.parametrize("t,field,overrides,scores", [
+    (1, "labeled_x", {}, "labeled"),
+    (2, "unlabeled_x", {"epochs_later": 0}, "pool")])
+def test_nan_row_names_the_segregation_step(tiny_world, in_process, t, field,
+                                            overrides, scores):
+    """A NaN score would fail every threshold comparison in silence. The
+    pool row of step 2 reaches segregation when the reference does not
+    train on it."""
+    main, stream, aug = tiny_world
+    with pytest.raises(NonFiniteError) as caught:
+        tr.run_continual(tiny_cfg(**overrides), with_nan(stream, t, field, 3),
+                         main, aug, seed=5)
+    assert str(caught.value) == (f"segregation, t={t}: non-finite {scores} "
+                                 f"scores")
+
+
+class DrawnOrders:
+    """A Generator whose choice() draws are kept in `orders`."""
+
+    def __init__(self, rng):
+        self.rng, self.orders = rng, []
+
+    def choice(self, *args, **kwargs):
+        self.orders.append(self.rng.choice(*args, **kwargs))
+        return self.orders[-1]
+
+
+def test_nan_feature_names_the_classifier_step(optimizers):
+    data = sc.synth_dataset(4, DIM, 30, 10, seed=21)
+    xs = data.train_x.copy()
+    xs[7, 0] = np.nan
+    learner = EncoderProjector(DIM, (32, 32), 16, 8,
+                               rng=np.random.default_rng(2))
+    cfg = tiny_cfg(classifier_epochs=20, classifier_batch=16)
+    drawn = DrawnOrders(np.random.default_rng(1))
+    with pytest.raises(NonFiniteError) as caught:
+        tr.fit_classifier(learner, xs, data.train_y, [0, 1, 2, 3], cfg,
+                          np.random.default_rng(0), drawn)
+    *before, order = drawn.orders
+    assert all(7 not in o for o in before)
+    batch = int(np.flatnonzero(order == 7)[0]) // cfg.classifier_batch
+    assert str(caught.value) == (f"classifier, epoch {len(before)}, batch "
+                                 f"{batch}: non-finite loss")
+    assert len(optimizers) == 1
+    assert left_as_its_last_step_left_it(optimizers[0])
+
+
+def test_nan_test_row_fails_evaluation():
+    data = sc.synth_dataset(4, DIM, 30, 10, seed=21)
+    learner = EncoderProjector(DIM, (32, 32), 16, 8,
+                               rng=np.random.default_rng(2))
+    head, class_ids = tr.fit_classifier(
+        learner, data.train_x, data.train_y, [0, 1, 2, 3],
+        tiny_cfg(classifier_epochs=2), np.random.default_rng(0),
+        np.random.default_rng(1))
+    test_x = data.test_x.copy()
+    test_x[3, 0] = np.nan
+    with pytest.raises(NonFiniteError, match="^evaluation: non-finite logits$"):
+        tr.evaluate(head, learner, class_ids, test_x, data.test_y,
+                    [(0, 1), (2, 3)])
