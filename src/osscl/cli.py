@@ -138,9 +138,10 @@ def _resolve_run(args, segregates=False):
 
     Returns the experiment with the effective seeds and output_dir folded
     in; its echo, written to config.json, reproduces this invocation exactly
-    when fed back to `run`. A dataset file that does not exist and, with
-    segregates, a method that does not segregate its pool are rejected
-    before anything is written.
+    when fed back to `run`. A dataset file that does not exist, with
+    segregates a method that does not segregate its pool, and without it a
+    memory_size that leaves a class the final classifier needs with no
+    exemplar at some seed are rejected before anything is written.
     """
     exp = load_experiment(args.config)
     if segregates and not exp.method.uses_segregation:
@@ -162,6 +163,8 @@ def _resolve_run(args, segregates=False):
             if spec.get(key) and not os.path.isfile(spec[key]):
                 raise ConfigError(f"config.datasets.{where}.{key}: no such "
                                   f"file {spec[key]!r}")
+    if not segregates:
+        _check_memory_quotas(exp, seeds)
     resolved = exp.resolved()
     resolved["seeds"] = list(seeds)
     resolved["output_dir"] = out
@@ -170,6 +173,27 @@ def _resolve_run(args, segregates=False):
     write_json(os.path.join(out, "config.json"), resolved)
     write_json(os.path.join(out, "version.json"), _version_stamp())
     return exp
+
+
+def _check_memory_quotas(exp, seeds):
+    """trainer.check_memory_quotas on each seed's class order, failing as a
+    ConfigError. A quota can be 0 only when memory_size is below the class
+    total; only then is the main dataset's class count needed, which a
+    synthetic spec states and a file is loaded for."""
+    scenario = exp.scenario_kwargs
+    if (exp.method.memory_size
+            >= scenario["n_tasks"] * scenario["classes_per_task"]):
+        return
+    main = exp.main_dataset
+    n_classes = (main["classes"] if main["kind"] == "synthetic"
+                 else exp.build_datasets()[0].n_classes)
+    for seed in seeds:
+        order = sc.task_class_order(exp.scenario_config(seed), n_classes)
+        try:
+            trainer.check_memory_quotas(exp.method, order)
+        except ValueError as exc:
+            raise ConfigError(f"config.method.memory_size: seed {seed}: "
+                              f"{exc}") from None
 
 
 def _version_stamp():

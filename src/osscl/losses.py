@@ -106,7 +106,8 @@ def supcon_anchors(labels, current_classes, pseudo_flags=None,
     anchors = (view_labels[:, None] == current).any(axis=1)
     if not pseudo_anchor:
         anchors &= ~view_pseudo
-    positives = (view_labels[:, None] == view_labels[None, :]) & ~np.eye(v, dtype=bool)
+    positives = view_labels[:, None] == view_labels[None, :]
+    np.fill_diagonal(positives, False)
     if not pseudo_positive:
         positives &= ~view_pseudo[None, :]
     return anchors & positives.any(axis=1), positives
@@ -201,15 +202,18 @@ def distillation_loss(teacher_embeddings, student_embeddings, tau_teacher, tau_s
     return softmax_xent(student_embeddings, tau_student, target, -1.0)
 
 
-def combined_loss(l_sup, l_td, l_kd, weights, t):
-    """L_sup + td_weight * L_TD + kd_weight * L_KD with absent terms dropped.
+def combined_loss(l_sup, l_td, l_kd, weights, t, l_unsup=None):
+    """L_sup + td_weight * L_TD + kd_weight * L_KD + L_unsup with absent
+    terms dropped.
 
     The weights scale whatever they are given; in the learner objective each
     term is already a per-anchor mean (learner_objective). The first term
-    that is not finite raises NonFiniteError naming it (sup, td or kd).
+    that is not finite raises NonFiniteError naming it (sup, td, kd or
+    unsup).
 
     Args:
         l_sup, l_td, l_kd: 0-d Tensors or None for disabled terms.
+        l_unsup: co2l_j's joint unsupervised term, added unweighted, or None.
         weights: LossWeights.
         t: 1-based time step; a TD term at t == 1 is rejected since there is
             no past learner to distill from.
@@ -221,7 +225,8 @@ def combined_loss(l_sup, l_td, l_kd, weights, t):
     total = None
     for name, term, weight in (("sup", l_sup, None),
                                ("td", l_td, weights.td_weight),
-                               ("kd", l_kd, weights.kd_weight)):
+                               ("kd", l_kd, weights.kd_weight),
+                               ("unsup", l_unsup, None)):
         if term is None:
             continue
         if not np.isfinite(term.data):
@@ -235,7 +240,8 @@ def combined_loss(l_sup, l_td, l_kd, weights, t):
 
 def learner_objective(z, t, weights, labels, current_classes, pseudo_flags=None,
                       pseudo_anchor=False, pseudo_positive=True, use_sup=True,
-                      td_teacher=None, kd_teacher=None, kd_student=None):
+                      td_teacher=None, kd_teacher=None, kd_student=None,
+                      unsup=None):
     """The learner's combined loss with every term a mean over its anchors.
 
     Each term is reduced to a per-anchor mean before combined_loss weights it:
@@ -261,6 +267,8 @@ def learner_objective(z, t, weights, labels, current_classes, pseudo_flags=None,
         td_teacher: the past learner's embeddings of the same views, or None.
         kd_teacher, kd_student: the reference's and the learner's embeddings
             of the reference-distillation batch, or None.
+        unsup: co2l_j's joint unsupervised term (already a mean over its
+            views), or None; combined_loss adds it last, unweighted.
     """
     v = z.shape[0]
     l_sup = l_td = l_kd = None
@@ -282,4 +290,4 @@ def learner_objective(z, t, weights, labels, current_classes, pseudo_flags=None,
         l_kd = scale(distillation_loss(kd_teacher, kd_student,
                                        weights.tau_teacher, weights.tau_student),
                      1.0 / kd_student.shape[0])
-    return combined_loss(l_sup, l_td, l_kd, weights, t)
+    return combined_loss(l_sup, l_td, l_kd, weights, t, l_unsup=unsup)

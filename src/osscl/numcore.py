@@ -417,7 +417,10 @@ def softmax_xent(z, tau, target, factor):
         target: constant W, either an integer index vector [V] naming one
             off-diagonal column per row (W is its one-hot and the V picked
             log-probabilities are summed, as gather2d + total_sum do), or a
-            dense float [V, V] matrix whose diagonal is ignored.
+            dense float [V, V] matrix whose diagonal is ignored. A dense
+            target of z's dtype with a zero diagonal is read in place, never
+            copied or written, so it must not change before backprop; any
+            other is copied to z's dtype with its diagonal zeroed.
         factor: finite python scalar applied to the sum.
 
     Raises ShapeError on shape or index errors and non-unit rows, ValueError
@@ -443,8 +446,10 @@ def softmax_xent(z, tau, target, factor):
                              "off-diagonal column per row")
         w = None
     elif target.shape == (v, v):
-        w = np.array(target, dtype=data.dtype)
-        np.fill_diagonal(w, 0.0)
+        w = target
+        if w.dtype != data.dtype or w.diagonal().any():
+            w = w.astype(data.dtype)
+            np.fill_diagonal(w, 0.0)
     else:
         raise ShapeError(f"softmax_xent target shape {target.shape} is neither "
                          f"({v},) nor ({v}, {v})")
@@ -461,10 +466,19 @@ def softmax_xent(z, tau, target, factor):
     logp -= logp.max(axis=1, keepdims=True)
     ex = np.exp(logp)
     denom = ex.sum(axis=1, keepdims=True)
-    logp -= np.log(denom)
-    # the diagonal is -inf here; the chain's mask_fill puts 0 there
-    diagonal[...] = 0.0
-    total = logp[rows, target].sum() if w is None else (logp * w).sum()
+    if w is None:
+        # only the V picked entries of logp - log(denom), which gather2d
+        # would take
+        total = (logp[rows, target] - np.log(denom)[:, 0]).sum()
+        spent = None
+    else:
+        logp -= np.log(denom)
+        # the diagonal is -inf here; the chain's mask_fill puts 0 there
+        diagonal[...] = 0.0
+        logp *= w
+        total = logp.sum()
+        # the backward writes g * w over it
+        spent = logp
     out_data = np.asarray(total * data.dtype.type(factor))
     out = Tensor(out_data, requires_grad=z.requires_grad)
 
@@ -485,7 +499,7 @@ def softmax_xent(z, tau, target, factor):
             np.subtract(0, ds, out=ds)
             ds[rows, target] = picked
         else:
-            dlogp = g * w
+            dlogp = np.multiply(g, w, out=spent)
             ds *= dlogp.sum(axis=1, keepdims=True)
             np.subtract(dlogp, ds, out=ds)
         ds *= inv_tau

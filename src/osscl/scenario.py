@@ -252,9 +252,10 @@ class Augmenter:
         """One augmented view per row of xs; consumes rng deterministically."""
         xs = np.asarray(xs)
         if self.mode == "vector":
-            out = xs + self.sigma * rng.standard_normal(xs.shape)
-            drop = rng.random(xs.shape) < self.dropout
-            out = np.where(drop, 0.0, out)
+            out = rng.standard_normal(xs.shape)
+            out *= self.sigma
+            out += xs
+            out[rng.random(xs.shape) < self.dropout] = 0.0
             return out.astype(xs.dtype, copy=False)
         return self._apply_images(xs, rng)
 
@@ -500,6 +501,25 @@ def _draw(rng, indices, count, what):
     return indices[np.sort(picked)]
 
 
+def _task_classes(config, n_classes, rng):
+    total_classes = config.n_tasks * config.classes_per_task
+    if total_classes > n_classes:
+        raise ValueError(
+            f"need {total_classes} classes, main dataset has {n_classes}")
+    perm = rng.permutation(n_classes)[:total_classes]
+    k = config.classes_per_task
+    return [tuple(int(c) for c in perm[i * k:(i + 1) * k])
+            for i in range(config.n_tasks)]
+
+
+def task_class_order(config, n_classes):
+    """The class ids of each task, in task order, of the stream build_stream
+    makes from config over a main dataset with n_classes classes; known
+    without the data."""
+    return _task_classes(config, n_classes,
+                         np.random.default_rng([config.seed, 0x5ce]))
+
+
 def build_stream(config, main, peripherals=()):
     """Assemble the T-step scenario from a main dataset and peripherals.
 
@@ -510,19 +530,11 @@ def build_stream(config, main, peripherals=()):
     but reservoirs reset across steps, so a sample may recur in later pools.
     """
     rng = np.random.default_rng([config.seed, 0x5ce])
-    total_classes = config.n_tasks * config.classes_per_task
-    if total_classes > main.n_classes:
-        raise ValueError(
-            f"need {total_classes} classes, main dataset has {main.n_classes}")
-
-    perm = rng.permutation(main.n_classes)[:total_classes]
-    task_classes = [tuple(int(c) for c in perm[i * config.classes_per_task:
-                                               (i + 1) * config.classes_per_task])
-                    for i in range(config.n_tasks)]
+    task_classes = _task_classes(config, main.n_classes, rng)
 
     labeled_idx = {}
     reservoir_idx = {}
-    for c in sorted(perm):
+    for c in sorted(c for task in task_classes for c in task):
         members = np.nonzero(main.train_y == c)[0]
         n_lab = max(1, int(math.floor(config.labeled_fraction * len(members))))
         picked = _draw(rng, members, n_lab, f"labeled class {c}")

@@ -34,6 +34,13 @@ process and not a thread because a step is a couple of milliseconds of
 small numpy ops that hold the GIL, and the tape stack (numcore._ACTIVE_TAPES)
 is module-global. Either way the run's bytes are the same.
 
+On entry run_continual has malloc keep 4 MiB mapped above the heap top
+(_keep_heap_mapped), once per process and for the rest of it; the walk's
+process inherits the setting. A learner step frees about a dozen V x V
+arrays, and at glibc's defaults the next step faulted their pages back in:
+one desk round's learner process took about 172K minor faults before and
+2.2K after. The setting changes no float.
+
 Determinism: every stochastic role draws from its own seeded Generator, so
 disabling a component (a loss term, the confident set) leaves the remaining
 streams untouched. Two runs with the same config and seed are bitwise equal,
@@ -344,13 +351,13 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
     Per optimizer step: supervised batch (also the past-distillation batch),
     then an independently drawn reference-distillation batch, then an
     independently drawn unsupervised batch; disabled terms draw nothing.
-    Both teachers embed their batches before the learner's tape opens, so
-    the tape holds only the learner's graph. Before the weights apply, each
-    term of the objective is reduced to a mean over the views that anchor it
-    (L.learner_objective): the supervised term over its active anchors
-    (current-task, non-pseudo views with a positive), each distillation term
-    over the views of its batch. The joint
-    unsupervised term is the NT-Xent mean over its 2N views. Returns
+    Every batch is drawn and both teachers embed theirs before the learner's
+    tape opens, so the tape holds only the learner's graph. Before the
+    weights apply, each term of the objective is reduced to a mean over the
+    views that anchor it (L.learner_objective): the supervised term over its
+    active anchors (current-task, non-pseudo views with a positive), each
+    distillation term over the views of its batch. The joint unsupervised
+    term is the NT-Xent mean over its 2N views, added last. Returns
     per-epoch mean losses.
     """
     if len(sup_x) == 0:
@@ -364,25 +371,25 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
     def step(idx):
         views = augmenter.pair_views(sup_x[idx], rng)
         td_z = td_teacher.embed(views) if td_teacher is not None else None
-        kviews = kd_z = zk = None
+        kviews = kd_z = zk = uviews = l_unsup = None
         if kd_teacher is not None:
             kidx = sc.sample_batch(len(kd_pool), cfg.batch_size, rng)
             kviews = augmenter.pair_views(kd_pool[kidx], rng)
             kd_z = kd_teacher.embed(kviews)
+        if unsup_pool is not None:
+            uidx = sc.sample_batch(len(unsup_pool), cfg.batch_size, rng)
+            uviews = augmenter.pair_views(unsup_pool[uidx], rng)
         with Tape() as tape:
             z = learner.embed(views)
             if kviews is not None:
                 zk = learner.embed(kviews)
+            if uviews is not None:
+                l_unsup = L.ntxent_loss(learner.embed(uviews), cfg.weights.tau)
             total = L.learner_objective(
                 z, t, cfg.weights, sup_y[idx], current,
                 pseudo_flags=sup_pseudo[idx], pseudo_anchor=cfg.pseudo_anchor,
                 pseudo_positive=cfg.pseudo_positive, use_sup=cfg.use_sup,
-                td_teacher=td_z, kd_teacher=kd_z, kd_student=zk)
-            if unsup_pool is not None:
-                uidx = sc.sample_batch(len(unsup_pool), cfg.batch_size, rng)
-                uviews = augmenter.pair_views(unsup_pool[uidx], rng)
-                zu = learner.embed(uviews)
-                total = L.add(total, L.ntxent_loss(zu, cfg.weights.tau))
+                td_teacher=td_z, kd_teacher=kd_z, kd_student=zk, unsup=l_unsup)
             return total, backprop(tape, total)
 
     return _optimize(learner, len(sup_x), cfg.epochs_learner, cfg, rng, step,
@@ -645,6 +652,34 @@ def _openblas():
     return None
 
 
+# glibc's mallopt parameter for the bytes its heap keeps mapped above its
+# top when it grows or trims, and the pad run_continual sets
+_M_TOP_PAD = -2
+_HEAP_TOP_PAD = 4 << 20
+
+
+@functools.cache
+def _keep_heap_mapped():
+    """Have malloc keep _HEAP_TOP_PAD bytes mapped above the heap top, once
+    per process; returns whether libc took the setting.
+
+    A desk-scale learner step allocates and frees about a dozen 256 x 256
+    float32 arrays. At glibc's default pad the heap top is trimmed after
+    the step and the next step faults those pages back in. The setting is
+    process-wide, and it leaves glibc's dynamic mmap threshold and every
+    float as they are. A libc without mallopt is left alone.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return mallopt(_M_TOP_PAD, _HEAP_TOP_PAD) == 1
+
+
 def blas_kernel():
     """The kernel numpy's bundled OpenBLAS runs (as "SkylakeX"), or None
     without that library or its corename function. Float bytes follow this
@@ -757,6 +792,22 @@ def _walk_feed(walk):
         set_threads(threads)
 
 
+def check_memory_quotas(cfg, task_classes):
+    """Raise ValueError when cfg.memory_size keeps no exemplar of a class
+    the final classifier needs, for a stream with these per-task classes.
+
+    The classifier fits on the last task's labeled set and the memory, so
+    every class of an earlier task needs a quota above 0 once the memory
+    holds every class.
+    """
+    last = set(task_classes[-1])
+    quotas = sc.MemoryBuffer(cfg.memory_size).quotas(
+        [c for task in task_classes for c in task])
+    if lost := [c for c, q in quotas.items() if q == 0 and c not in last]:
+        raise ValueError(f"memory_size {cfg.memory_size} keeps no exemplar of "
+                         f"classes {lost}, which the classifier needs")
+
+
 def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
     """Walk the stream once under one method config; returns a RunReport.
 
@@ -768,16 +819,11 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
     and learner training; the classifier and evaluation follow the last
     step.
     """
+    _keep_heap_mapped()
     clock = _PhaseClock()
     start_total = time.perf_counter()
     walk = _TaskWalk(cfg, stream, augmenter, seed, arch)
-    # the classifier fits on the last step's labeled set and the memory; a
-    # class that memory keeps no exemplar of must be in the last task
-    last = set(stream.steps[-1].task_classes)
-    quotas = sc.MemoryBuffer(cfg.memory_size).quotas(stream.all_classes)
-    if lost := [c for c, q in quotas.items() if q == 0 and c not in last]:
-        raise ValueError(f"memory_size {cfg.memory_size} keeps no exemplar of "
-                         f"classes {lost}, which the classifier needs")
+    check_memory_quotas(cfg, stream.task_classes)
     learner = _encoder_projector(stream, arch, seed, _ROLE_LEARNER_INIT)
     rng = role_rng(seed, _ROLE_LEARNER_TRAIN)
     learner_curves = {}

@@ -397,6 +397,32 @@ class TestErrors:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["synthetic", "file"])
+    def test_memory_quota_at_zero_for_one_seed_exits_2_before_any_output(
+            self, tmp_path, capsys, kind):
+        """Three slots over four classes: at seed 1 the class at quota 0 is
+        in the last task, at seed 2 in the first, which the final classifier
+        would miss. Every seed's class order is checked before any write;
+        a file main is loaded for its class count."""
+        cfg = json.loads(json.dumps(TINY))
+        cfg["method"]["memory_size"] = 3
+        if kind == "file":
+            spec = cfg["datasets"]["main"]
+            export = tmp_path / "main.npz"
+            sc.save_dataset(sc.synth_dataset(
+                spec["classes"], spec["dim"], spec["train_per_class"],
+                spec["test_per_class"], spec["seed"]), export)
+            cfg["datasets"]["main"] = {"kind": "file", "path": str(export)}
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "never"
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                       "--seeds", "1,2"])
+        assert rc == 2
+        assert ("config.method.memory_size: seed 2: memory_size 3 keeps no "
+                "exemplar of classes [3]") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

@@ -366,6 +366,61 @@ def test_fused_op_is_bitwise_the_chain(case, v, dtype):
         assert float(loss.data) == 0.0
 
 
+def dense_target(rng, v, dtype, diagonal):
+    """Row-stochastic off-diagonal weights in dtype, then `diagonal` on the
+    diagonal."""
+    w = rng.random((v, v))
+    np.fill_diagonal(w, 0.0)
+    w = (w / w.sum(axis=1, keepdims=True)).astype(dtype)
+    np.fill_diagonal(w, diagonal)
+    return w
+
+
+def backward_cells(tape):
+    """The free variables of the one softmax_xent entry's backward."""
+    (_, _, backward), = tape._entries
+    return dict(zip(backward.__code__.co_freevars,
+                    (c.cell_contents for c in backward.__closure__)))
+
+
+@pytest.mark.parametrize("z_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("v", [6, 256])
+@pytest.mark.parametrize("kind", ["read_only_zero_diagonal",
+                                  "nonzero_diagonal", "float64", "index"])
+def test_fused_op_target_forms_are_bitwise_the_chain(kind, v, z_dtype):
+    """A dense target of z's dtype with a zero diagonal is read in place and
+    never written; one with a nonzero diagonal or another dtype is copied.
+    Every form stays bitwise the chain of generic ops."""
+    rng = np.random.default_rng(v)
+    z = nc.Tensor(unit(rng.standard_normal((v, 16))).astype(z_dtype),
+                  requires_grad=True)
+    if kind == "index":
+        target = (np.arange(v) + rng.integers(1, v, size=v)) % v
+    else:
+        target = dense_target(
+            rng, v, np.float64 if kind == "float64" else z_dtype,
+            0.25 if kind == "nonzero_diagonal" else 0.0)
+        target.flags.writeable = kind != "read_only_zero_diagonal"
+    before = target.tobytes()
+
+    def fused(t):
+        return nc.softmax_xent(t, 0.15, target, -1.0)
+
+    assert (loss_and_grad(fused, z)
+            == loss_and_grad(lambda t: chain_loss(t, 0.15, target, -1.0), z))
+    assert target.tobytes() == before
+    with nc.Tape() as tape:
+        fused(z)
+    w = backward_cells(tape)["w"]
+    if kind == "index":
+        assert w is None
+    else:
+        copied = (kind == "nonzero_diagonal"
+                  or kind == "float64" and z_dtype == np.float32)
+        assert (w is not target) == copied
+        assert w.dtype == z_dtype and not w.diagonal().any()
+
+
 def oracle_supcon_weights(labels, current, pseudo, dtype):
     """asym_supcon_loss's target as a float64 matrix over every row, cast
     once to the embedding dtype, with the anchors found by np.isin."""
@@ -406,13 +461,28 @@ def test_supcon_target_is_the_float64_formula_cast_once(v, dtype,
 
 @pytest.mark.parametrize("bad,named", [
     (("sup",), "sup"), (("td",), "td"), (("kd",), "kd"), (("td", "kd"), "td"),
-    (("sup", "kd"), "sup")])
+    (("sup", "kd"), "sup"), (("unsup",), "unsup"), (("kd", "unsup"), "kd")])
 def test_combined_loss_names_the_first_non_finite_term(bad, named):
     terms = {name: nc.Tensor(np.float32(np.nan if name in bad else 1.0))
-             for name in ("sup", "td", "kd")}
+             for name in ("sup", "td", "kd", "unsup")}
     with pytest.raises(nc.NonFiniteError, match=f"^non-finite {named} term$"):
         losses.combined_loss(terms["sup"], terms["td"], terms["kd"],
-                             losses.LossWeights(), t=2)
+                             losses.LossWeights(), t=2, l_unsup=terms["unsup"])
+
+
+def test_combined_loss_adds_the_unsupervised_term_last_and_unweighted():
+    terms = [nc.Tensor(np.float32(v), requires_grad=True)
+             for v in (0.5, 2.0, 3.0, 7.0)]
+    weights = losses.LossWeights(td_weight=0.25, kd_weight=0.5)
+    with nc.Tape() as tape:
+        total = losses.combined_loss(*terms[:3], weights, t=2,
+                                     l_unsup=terms[3])
+        grads = nc.backprop(tape, total)
+    assert float(total.data) == 0.5 + 0.25 * 2.0 + 0.5 * 3.0 + 7.0
+    assert [float(grads[t]) for t in terms] == [1.0, 0.25, 0.5, 1.0]
+    only = losses.combined_loss(None, None, None, weights, t=1,
+                                l_unsup=terms[3])
+    assert only is terms[3]
 
 
 def test_fused_op_rejects_non_unit_rows():

@@ -270,6 +270,23 @@ def test_vector_augment_deterministic_per_rng():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_vector_augment_is_bitwise_the_where_formula(dtype):
+    """The in-place noise and mask give the bytes, dtype and generator
+    state of xs + sigma * noise, then np.where(drop, 0.0, .) cast back."""
+    aug = scenario.Augmenter(mode="vector", sigma=1.75, dropout=0.3)
+    x = np.random.default_rng(0).standard_normal((64, 16)).astype(dtype)
+    x.flags.writeable = False
+    got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+    got = aug.apply_batch(x, got_rng)
+    want = x + aug.sigma * want_rng.standard_normal(x.shape)
+    want = np.where(want_rng.random(x.shape) < aug.dropout, 0.0, want)
+    want = want.astype(dtype, copy=False)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_vector_dropout_zeroes_coordinates():
     aug = scenario.Augmenter(mode="vector", sigma=0.0, dropout=0.5)
     x = np.ones((20, 20))
@@ -456,6 +473,16 @@ def test_stream_core_invariants(seed):
         assert len(np.unique(step.unlabeled_ids)) == len(step.unlabeled_ids)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_task_class_order_is_the_streams(seed):
+    main = small_main(seed)
+    for cfg in (config(seed=seed), config(seed=seed, n_tasks=2),
+                config(seed=seed, classes_per_task=1, variant="non_iid")):
+        stream = scenario.build_stream(cfg, main, [])
+        assert (scenario.task_class_order(cfg, main.n_classes)
+                == stream.task_classes)
+
+
 def test_stream_deterministic_per_seed():
     main, peri = small_main(0), small_peripheral(50)
     a = scenario.build_stream(config(seed=3), main, [peri])
@@ -538,6 +565,9 @@ def test_too_many_tasks_raises():
     main = small_main(0)
     with pytest.raises(ValueError):
         scenario.build_stream(config(n_tasks=5, classes_per_task=2), main, [])
+    with pytest.raises(ValueError, match="need 10 classes, main dataset "
+                                         "has 8"):
+        scenario.task_class_order(config(n_tasks=5, classes_per_task=2), 8)
 
 
 def test_scenario_config_validation():
