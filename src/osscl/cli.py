@@ -138,10 +138,11 @@ def _resolve_run(args, segregates=False):
 
     Returns the experiment with the effective seeds and output_dir folded
     in; its echo, written to config.json, reproduces this invocation exactly
-    when fed back to `run`. A dataset file that does not exist, with
-    segregates a method that does not segregate its pool, and without it a
-    memory_size that leaves a class the final classifier needs with no
-    exemplar at some seed are rejected before anything is written.
+    when fed back to `run`. A dataset file that does not exist, a scenario
+    that needs more classes than the main dataset has, with segregates a
+    method that does not segregate its pool, and without it a memory_size
+    that leaves a class the final classifier needs with no exemplar at some
+    seed are rejected before anything is written.
     """
     exp = load_experiment(args.config)
     if segregates and not exp.method.uses_segregation:
@@ -163,8 +164,7 @@ def _resolve_run(args, segregates=False):
             if spec.get(key) and not os.path.isfile(spec[key]):
                 raise ConfigError(f"config.datasets.{where}.{key}: no such "
                                   f"file {spec[key]!r}")
-    if not segregates:
-        _check_memory_quotas(exp, seeds)
+    _check_task_classes(exp, seeds, quotas=not segregates)
     resolved = exp.resolved()
     resolved["seeds"] = list(seeds)
     resolved["output_dir"] = out
@@ -175,20 +175,21 @@ def _resolve_run(args, segregates=False):
     return exp
 
 
-def _check_memory_quotas(exp, seeds):
-    """trainer.check_memory_quotas on each seed's class order, failing as a
-    ConfigError. A quota can be 0 only when memory_size is below the class
-    total; only then is the main dataset's class count needed, which a
-    synthetic spec states and a file is loaded for."""
-    scenario = exp.scenario_kwargs
-    if (exp.method.memory_size
-            >= scenario["n_tasks"] * scenario["classes_per_task"]):
-        return
+def _check_task_classes(exp, seeds, quotas):
+    """Each seed's class order (scenario.task_class_order), failing as a
+    ConfigError when the main dataset has too few classes and, with quotas,
+    where trainer.check_memory_quotas rejects it. The main dataset's class
+    count is what a synthetic spec states; a file is loaded for it."""
     main = exp.main_dataset
     n_classes = (main["classes"] if main["kind"] == "synthetic"
                  else exp.build_datasets()[0].n_classes)
     for seed in seeds:
-        order = sc.task_class_order(exp.scenario_config(seed), n_classes)
+        try:
+            order = sc.task_class_order(exp.scenario_config(seed), n_classes)
+        except ValueError as exc:
+            raise ConfigError(f"config.scenario: {exc}") from None
+        if not quotas:
+            continue
         try:
             trainer.check_memory_quotas(exp.method, order)
         except ValueError as exc:
@@ -198,7 +199,8 @@ def _check_memory_quotas(exp, seeds):
 
 def _version_stamp():
     """The package version, the numpy and BLAS builds, the kernel the BLAS
-    runs (None when unknown; trainer.blas_kernel) and the BLAS/OpenMP thread
+    runs (None when unknown; trainer.blas_kernel), the BLAS thread count each
+    run computes at (trainer.blas_threads_per_run) and the BLAS/OpenMP thread
     variables as launched (None when unset): what a float result of this run
     can depend on besides its config."""
     try:
@@ -208,7 +210,8 @@ def _version_stamp():
     return {"package": "osscl", "version": __version__,
             "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version"),
-                     "kernel": trainer.blas_kernel()},
+                     "kernel": trainer.blas_kernel(),
+                     "threads_per_run": trainer.blas_threads_per_run()},
             "thread_vars": {v: os.environ.get(v) for v in THREAD_VARS}}
 
 
@@ -237,9 +240,10 @@ def _run_seed_job(resolved, seed, seed_dir):
 def _worker_thread_vars(environ):
     """What `run --threads N` adds to environ for its workers: each of
     THREAD_VARS that environ leaves unset, at "1"; a value the user set is
-    kept. Without it each of N workers sizes its BLAS pool to every core and
-    they oversubscribe the machine. Results are bitwise the same at any
-    BLAS thread count."""
+    kept. Every run computes at one BLAS thread whatever the pool, so this
+    changes no byte; it keeps each worker's pool at one thread, so no worker
+    forks a walk ahead (trainer._walks_ahead) on a core another worker
+    uses."""
     return {var: "1" for var in THREAD_VARS if var not in environ}
 
 
@@ -399,9 +403,10 @@ def build_parser():
                        help="allow writing into a non-empty directory")
     run_p.add_argument("--seeds", help="comma-separated seed override")
     run_p.add_argument("--threads", type=int, default=1,
-                       help="run seeds in up to N parallel processes, each "
-                            "with one BLAS thread unless the thread "
-                            "variables are set")
+                       help="run seeds in up to N parallel processes; each "
+                            "walks in-process unless the thread variables "
+                            "are set (every run computes at one BLAS "
+                            "thread)")
     run_p.set_defaults(func=cmd_run)
 
     grad_p = sub.add_parser("gradcheck",

@@ -16,6 +16,11 @@ and the classifier's RNGs) and trains the learner on each walk step.
 run_segregation_eval adds only per-sample score rows, so the split it
 reports is the split the run feeds its learner.
 
+Both run at one OpenBLAS thread from entry to exit (_one_blas_thread): on
+some kernels (Haswell, Zen) gemm bytes move with the thread count, and at
+these sizes a second thread buys no wall time. run_continual also has malloc
+keep 4 MiB mapped above the heap top, once per process (_keep_heap_mapped).
+
 The walk never reads learner state, so run_continual can run it ahead of
 the learner (_walk_feed): a forked child process iterates the walk and
 sends over a one-way pipe each step's labeled union, segregation pass and
@@ -24,27 +29,19 @@ its phase clock too), so it trains the reference for step t+1 while this
 process trains the learner for step t; a send blocks while the pipe is
 full, which keeps it about one step ahead. It does so when the reference
 trains after step 1 (_TaskWalk.trains_reference), the fork start method
-exists, this process runs no other thread, numpy's bundled OpenBLAS exposes
-its thread-count functions, and its pool has more than one thread on entry
-(the process was given more than one core). Both processes then run the one
-BLAS thread set before the fork, and the entry count is restored on the way
-out. Otherwise the walk runs in-process, so OPENBLAS_NUM_THREADS=1, a
+exists, this process runs no other thread and the BLAS pool had more than
+one thread on entry: a spare core. The child inherits the one thread.
+Otherwise the walk runs in-process, so OPENBLAS_NUM_THREADS=1, a
 single-core machine and `run --threads N` workers stay serial. It is a
 process and not a thread because a step is a couple of milliseconds of
 small numpy ops that hold the GIL, and the tape stack (numcore._ACTIVE_TAPES)
-is module-global. Either way the run's bytes are the same.
-
-On entry run_continual has malloc keep 4 MiB mapped above the heap top
-(_keep_heap_mapped), once per process and for the rest of it; the walk's
-process inherits the setting. A learner step frees about a dozen V x V
-arrays, and at glibc's defaults the next step faulted their pages back in:
-one desk round's learner process took about 172K minor faults before and
-2.2K after. The setting changes no float.
+is module-global.
 
 Determinism: every stochastic role draws from its own seeded Generator, so
 disabling a component (a loss term, the confident set) leaves the remaining
 streams untouched. Two runs with the same config and seed are bitwise equal,
-whether the walk ran ahead or not.
+however they are launched: whatever the BLAS thread count, and whether the
+walk ran ahead or not.
 """
 
 from __future__ import annotations
@@ -605,29 +602,8 @@ class _TaskWalk:
 
 
 # ---------------------------------------------------------------------------
-# The walk ahead of the learner
+# What a run sets in its process: BLAS threads and the heap pad
 # ---------------------------------------------------------------------------
-
-# what the walk owns apart from the reference, which its process sends per
-# step; sent by name once the walk ends
-_WALK_HANDBACK = ("memory", "rngs", "reference_curves", "task_metrics",
-                  "memory_counts", "clock")
-
-
-@functools.cache
-def _blas_threads():
-    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None.
-
-    Found with ctypes in numpy.libs; these are the calls threadpoolctl makes.
-    A numpy built against another BLAS has none, and its runs stay serial.
-    """
-    lib = _openblas()
-    if lib is None:
-        log.debug("no bundled OpenBLAS thread control; the walk runs "
-                  "in-process")
-        return None
-    return (lib.scipy_openblas_get_num_threads64_,
-            lib.scipy_openblas_set_num_threads64_)
 
 
 @functools.cache
@@ -642,14 +618,31 @@ def _openblas():
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
         try:
             lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
             put = lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
         put.argtypes, put.restype = [ctypes.c_int], None
         return lib
     return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the with-block at one thread of numpy's bundled OpenBLAS, and
+    yield the count found on entry, restored on the way out by error or not.
+    Without that library's thread control, set nothing and yield None."""
+    lib = _openblas()
+    if lib is None:
+        log.debug("no OpenBLAS thread control: the run keeps the pool's count")
+        yield None
+        return
+    threads = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield threads
+    finally:
+        lib.scipy_openblas_set_num_threads64_(threads)
 
 
 # glibc's mallopt parameter for the bytes its heap keeps mapped above its
@@ -693,16 +686,32 @@ def blas_kernel():
     return corename().decode()
 
 
-def _walks_ahead(walk):
-    """Whether run_continual runs `walk` in a forked process; the rule is in
-    the module docstring."""
+def blas_threads_per_run():
+    """1, the BLAS thread count of every run (_one_blas_thread), or None
+    without numpy's bundled OpenBLAS thread control."""
+    return None if _openblas() is None else 1
+
+
+# ---------------------------------------------------------------------------
+# The walk ahead of the learner
+# ---------------------------------------------------------------------------
+
+# what the walk owns apart from the reference, which its process sends per
+# step; sent by name once the walk ends
+_WALK_HANDBACK = ("memory", "rngs", "reference_curves", "task_metrics",
+                  "memory_counts", "clock")
+
+
+def _walks_ahead(walk, threads):
+    """Whether run_continual runs `walk` in a forked process, given the BLAS
+    thread count on entry (None if unknown); see the module docstring."""
     if not any(walk.trains_reference(s.index) for s in walk.stream.steps[1:]):
         return False
     import multiprocessing
 
     return (threading.active_count() == 1
             and "fork" in multiprocessing.get_all_start_methods()
-            and (blas := _blas_threads()) is not None and blas[0]() > 1)
+            and threads is not None and threads > 1)
 
 
 def _walk_child(walk, outbox):
@@ -757,39 +766,32 @@ def _waited(items, clock):
 
 
 @contextlib.contextmanager
-def _walk_feed(walk):
+def _walk_feed(walk, threads):
     """An iterator over walk's (step, labeled union, segregation pass) items
     that leaves `walk` as iterating it in-process does.
 
     When _walks_ahead, a forked process iterates the walk (_walk_child) and
-    this one mirrors it over a pipe (_mirror), both at one BLAS thread. On
-    the way out, by error or not, the process is stopped and joined, the
-    pipe closed and the BLAS thread count restored.
+    this one mirrors it over a pipe (_mirror); on the way out, by error or
+    not, it is stopped and joined and the pipe closed.
     """
-    if not _walks_ahead(walk):
+    if not _walks_ahead(walk, threads):
         yield iter(walk)
         return
     import multiprocessing
 
-    get_threads, set_threads = _blas_threads()
-    threads = get_threads()
     ctx = multiprocessing.get_context("fork")
     inbox, outbox = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_walk_child, args=(walk, outbox),
                         name="osscl-walk", daemon=True)
-    set_threads(1)
-    try:
-        with inbox, outbox:
-            child.start()
-            # the child's copy is then the only write end: its exit is EOF
-            outbox.close()
-            try:
-                yield _mirror(walk, inbox, child)
-            finally:
-                child.terminate()  # a no-op once it has exited
-                child.join()
-    finally:
-        set_threads(threads)
+    with inbox, outbox:
+        child.start()
+        # the child's copy is then the only write end: its exit is EOF
+        outbox.close()
+        try:
+            yield _mirror(walk, inbox, child)
+        finally:
+            child.terminate()  # a no-op once it has exited
+            child.join()
 
 
 def check_memory_quotas(cfg, task_classes):
@@ -820,59 +822,62 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
     step.
     """
     _keep_heap_mapped()
-    clock = _PhaseClock()
-    start_total = time.perf_counter()
-    walk = _TaskWalk(cfg, stream, augmenter, seed, arch)
-    check_memory_quotas(cfg, stream.task_classes)
-    learner = _encoder_projector(stream, arch, seed, _ROLE_LEARNER_INIT)
-    rng = role_rng(seed, _ROLE_LEARNER_TRAIN)
-    learner_curves = {}
+    with _one_blas_thread() as threads:
+        clock = _PhaseClock()
+        start_total = time.perf_counter()
+        walk = _TaskWalk(cfg, stream, augmenter, seed, arch)
+        check_memory_quotas(cfg, stream.task_classes)
+        learner = _encoder_projector(stream, arch, seed, _ROLE_LEARNER_INIT)
+        rng = role_rng(seed, _ROLE_LEARNER_TRAIN)
+        learner_curves = {}
 
-    with _walk_feed(walk) as items:
-        for step, (lab_x, lab_y, _), seg in _waited(items, clock):
-            t = step.index
-            if cfg.method == "co2l_p" and t == 1:
-                learner.copy_params_from(walk.reference)
+        with _walk_feed(walk, threads) as items:
+            for step, (lab_x, lab_y, _), seg in _waited(items, clock):
+                t = step.index
+                if cfg.method == "co2l_p" and t == 1:
+                    learner.copy_params_from(walk.reference)
 
-            sup_x, sup_y = lab_x, lab_y
-            kd_teacher = kd_pool = None
-            if seg is not None:
-                out = seg["output"]
-                if cfg.seg_variant in ("v3", "v4") and out.t_hat_indices.size:
-                    sup_x = np.concatenate([sup_x, step.unlabeled_x[out.t_hat_indices]])
-                    sup_y = np.concatenate([sup_y, out.t_hat_labels])
-                if cfg.use_kd:
-                    if cfg.seg_variant in ("v1", "v3"):
-                        pool_part = step.unlabeled_x
-                    else:
-                        pool_part = step.unlabeled_x[out.u_hat_indices]
-                    kd_pool = np.concatenate([lab_x, pool_part])
-                    kd_teacher = walk.reference
-            # the confident pseudo-labeled set follows the labeled union
-            sup_pseudo = np.arange(len(sup_y)) >= len(lab_y)
+                sup_x, sup_y = lab_x, lab_y
+                kd_teacher = kd_pool = None
+                if seg is not None:
+                    out = seg["output"]
+                    t_hat = out.t_hat_indices
+                    if cfg.seg_variant in ("v3", "v4") and t_hat.size:
+                        sup_x = np.concatenate([sup_x, step.unlabeled_x[t_hat]])
+                        sup_y = np.concatenate([sup_y, out.t_hat_labels])
+                    if cfg.use_kd:
+                        if cfg.seg_variant in ("v1", "v3"):
+                            pool_part = step.unlabeled_x
+                        else:
+                            pool_part = step.unlabeled_x[out.u_hat_indices]
+                        kd_pool = np.concatenate([lab_x, pool_part])
+                        kd_teacher = walk.reference
+                # the confident pseudo-labeled set follows the labeled union
+                sup_pseudo = np.arange(len(sup_y)) >= len(lab_y)
 
-            # the learner as the previous step left it; at t > 1 nothing has
-            # touched it yet in this step
-            snapshot = learner.snapshot() if (cfg.use_td and t > 1) else None
-            unsup_pool = step.unlabeled_x if cfg.method == "co2l_j" else None
+                # the learner as the previous step left it; at t > 1 nothing
+                # has touched it yet in this step
+                snapshot = learner.snapshot() if cfg.use_td and t > 1 else None
+                unsup_pool = (step.unlabeled_x if cfg.method == "co2l_j"
+                              else None)
 
-            with clock.timed("learner"):
-                learner_curves[f"t{t}"] = train_learner_task(
-                    learner, sup_x, sup_y, sup_pseudo, step.task_classes, t,
-                    cfg, augmenter, rng,
-                    td_teacher=snapshot, kd_teacher=kd_teacher,
-                    kd_pool=kd_pool, unsup_pool=unsup_pool)
+                with clock.timed("learner"):
+                    learner_curves[f"t{t}"] = train_learner_task(
+                        learner, sup_x, sup_y, sup_pseudo, step.task_classes,
+                        t, cfg, augmenter, rng,
+                        td_teacher=snapshot, kd_teacher=kd_teacher,
+                        kd_pool=kd_pool, unsup_pool=unsup_pool)
 
-    final_x, final_y, _ = _labeled_union(stream.steps[-1], walk.memory)
-    with clock.timed("classifier"):
-        head, class_ids = fit_classifier(
-            learner, final_x, final_y, stream.all_classes, cfg,
-            role_rng(seed, _ROLE_CLS_INIT), role_rng(seed, _ROLE_CLS_TRAIN))
-    with clock.timed("evaluate"):
-        final_acc, per_task = evaluate(head, learner, class_ids,
-                                       dataset.test_x, dataset.test_y,
-                                       stream.task_classes)
-    clock.add("total", time.perf_counter() - start_total)
+        final_x, final_y, _ = _labeled_union(stream.steps[-1], walk.memory)
+        with clock.timed("classifier"):
+            head, class_ids = fit_classifier(
+                learner, final_x, final_y, stream.all_classes, cfg,
+                role_rng(seed, _ROLE_CLS_INIT), role_rng(seed, _ROLE_CLS_TRAIN))
+        with clock.timed("evaluate"):
+            final_acc, per_task = evaluate(head, learner, class_ids,
+                                           dataset.test_x, dataset.test_y,
+                                           stream.task_classes)
+        clock.add("total", time.perf_counter() - start_total)
 
     return RunReport(
         method=cfg.method,
@@ -901,27 +906,27 @@ def run_segregation_eval(cfg, stream, augmenter, seed, arch=NetArch()):
     """
     if not cfg.uses_segregation:
         raise ValueError(f"method {cfg.method!r} does not segregate its pool")
-    walk = _TaskWalk(cfg, stream, augmenter, seed, arch)
-    samples = []
-    for step, _, seg in walk:
-        related, true_classes = step.provenance.reveal()
-        out = seg["output"]
-        in_u = np.zeros(len(step.unlabeled_x), dtype=bool)
-        in_u[out.u_hat_indices] = True
-        in_t = np.zeros(len(step.unlabeled_x), dtype=bool)
-        in_t[out.t_hat_indices] = True
-        pseudo = np.full(len(step.unlabeled_x), -1, dtype=np.int64)
-        pseudo[out.t_hat_indices] = out.t_hat_labels
-        for i in range(len(step.unlabeled_x)):
-            samples.append({
-                "task": step.index,
-                "index": i,
-                "score": float(seg["pool_scores"][i]),
-                "nearest_class": int(seg["nearest"][i]),
-                "related": bool(related[i]),
-                "true_class": int(true_classes[i]),
-                "in_u_hat": bool(in_u[i]),
-                "in_t_hat": bool(in_t[i]),
-                "pseudo_label": int(pseudo[i]),
-            })
-    return walk.task_metrics, samples
+    with _one_blas_thread():
+        walk = _TaskWalk(cfg, stream, augmenter, seed, arch)
+        samples = []
+        for step, _, seg in walk:
+            related, true_classes = step.provenance.reveal()
+            out = seg["output"]
+            n = len(step.unlabeled_x)
+            in_u = np.isin(np.arange(n), out.u_hat_indices)
+            in_t = np.isin(np.arange(n), out.t_hat_indices)
+            pseudo = np.full(n, -1, dtype=np.int64)
+            pseudo[out.t_hat_indices] = out.t_hat_labels
+            for i in range(n):
+                samples.append({
+                    "task": step.index,
+                    "index": i,
+                    "score": float(seg["pool_scores"][i]),
+                    "nearest_class": int(seg["nearest"][i]),
+                    "related": bool(related[i]),
+                    "true_class": int(true_classes[i]),
+                    "in_u_hat": bool(in_u[i]),
+                    "in_t_hat": bool(in_t[i]),
+                    "pseudo_label": int(pseudo[i]),
+                })
+        return walk.task_metrics, samples

@@ -188,9 +188,12 @@ class TestRun:
             "package": "osscl", "version": osscl.__version__,
             "numpy": np.__version__,
             "blas": {"name": blas["name"], "version": blas["version"],
-                     "kernel": trainer.blas_kernel()},
+                     "kernel": trainer.blas_kernel(),
+                     "threads_per_run": trainer.blas_threads_per_run()},
             "thread_vars": {v: os.environ.get(v) for v in cli.THREAD_VARS}}
         assert "OPENBLAS_NUM_THREADS" in stamp["thread_vars"]
+        if trainer._openblas() is not None:
+            assert stamp["blas"]["threads_per_run"] == 1
 
     def test_version_stamp_records_the_kernel_that_runs(self):
         """Not the build target that np.show_config names: OpenBLAS runs the
@@ -211,8 +214,12 @@ class TestRun:
                              ids=["no_openblas", "no_corename"])
     def test_version_stamp_kernel_is_null_when_unknown(self, monkeypatch,
                                                        library):
+        """Without numpy's bundled OpenBLAS a run keeps the pool's thread
+        count, so threads_per_run is null too."""
         monkeypatch.setattr(trainer, "_openblas", lambda: library)
-        assert cli._version_stamp()["blas"]["kernel"] is None
+        blas = cli._version_stamp()["blas"]
+        assert blas["kernel"] is None
+        assert blas["threads_per_run"] == (None if library is None else 1)
 
 
 class TestErrors:
@@ -421,6 +428,21 @@ class TestErrors:
         assert rc == 2
         assert ("config.method.memory_size: seed 2: memory_size 3 keeps no "
                 "exemplar of classes [3]") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "segregate-eval"])
+    def test_too_few_classes_exit_2_before_any_output(self, tmp_path, capsys,
+                                                      command):
+        """Three tasks of two classes over a main dataset of four."""
+        cfg = json.loads(json.dumps(TINY))
+        cfg["scenario"]["n_tasks"] = 3
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "never"
+        rc = cli.main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert ("config.scenario: need 6 classes, main dataset has 4"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_unknown_subcommand_exit_2(self):

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -52,6 +53,16 @@ def tiny_cfg(**overrides):
                 classifier_epochs=20, batch_size=32, memory_size=12)
     base.update(overrides)
     return tr.MethodConfig(**base)
+
+
+def blas_thread_control():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None
+    without it."""
+    lib = tr._openblas()
+    if lib is None:
+        return None
+    return (lib.scipy_openblas_get_num_threads64_,
+            lib.scipy_openblas_set_num_threads64_)
 
 
 def probe_ntxent(net, views, tau=0.1):
@@ -381,7 +392,7 @@ def counted_fork():
     forks.append(1)
     return fork()
 os.fork = counted_fork
-blas = tr._blas_threads()
+blas = T.blas_thread_control()
 threads = blas[0]() if blas else None
 vector = T.build_tiny_world(sc.Augmenter(mode="vector", sigma=0.5,
                                          dropout=0.1))
@@ -412,16 +423,19 @@ def state_digest(state):
     return h.hexdigest()
 
 
-def stdout_at_blas_thread_counts(script):
+def stdout_at_blas_thread_counts(script, kernel=None):
     """The words script prints, run in a fresh process whose BLAS/OpenMP
     thread variables are all 1, then in one where they are all 2 (one
-    process at a time), with the source and test directories as arguments."""
+    process at a time), with the source and test directories as arguments.
+    A kernel name ("Haswell") is set as OPENBLAS_CORETYPE in both."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
     tests = os.path.dirname(os.path.abspath(__file__))
     words = []
     for threads in ("1", "2"):
         env = dict(os.environ)
         env.update({var: threads for var in THREAD_VARS})
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
         done = subprocess.run(
             [sys.executable, "-c", script, src, tests], env=env,
             capture_output=True, text=True, timeout=300)
@@ -438,7 +452,7 @@ def test_rerun_is_bitwise_identical_across_blas_thread_counts():
     assert len(serial) == 2 * 5 + 2
     assert serial[:-2] == ahead[:-2]
     assert serial[-1] == "forks=0"
-    if tr._blas_threads() is not None and len(os.sched_getaffinity(0)) > 1:
+    if tr._openblas() is not None and len(os.sched_getaffinity(0)) > 1:
         assert ahead[-2:] == ["threads=2", "forks=4"]
 
 
@@ -449,7 +463,7 @@ def walk_ahead(monkeypatch):
     the thread count it found."""
     import multiprocessing
 
-    blas = tr._blas_threads()
+    blas = blas_thread_control()
     if blas is None or "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("the walk runs ahead only with fork and numpy's bundled "
                     "OpenBLAS")
@@ -558,37 +572,116 @@ def test_walk_process_runs_no_other_thread(tiny_world, walk_ahead,
 
 # One NT-Xent step at desk scale, where the tiny world's 64 x 64 Grams are
 # 16x smaller than the products BLAS splits across threads: 256 float32 views
-# through a 16-64-64-32-16 net (mlp_embed), the loss and its backward; prints
-# the loss bytes and a digest of the flat parameter gradient.
+# through a 16-64-64-32-16 net (mlp_embed), the loss and its backward, at the
+# BLAS thread count a run computes at; prints the loss bytes and a digest of
+# the flat parameter gradient.
 _DESK_STEP_SCRIPT = """
 import hashlib, sys
 sys.path[:0] = sys.argv[1:3]
 import numpy as np
-from osscl import losses, nets, numcore as nc
+from osscl import losses, nets, numcore as nc, trainer as tr
 rng = np.random.default_rng(0)
 net = nets.EncoderProjector(16, rng=rng)
 x = nc.Tensor(rng.standard_normal((256, 16)).astype(np.float32))
-with nc.Tape() as tape:
+with tr._one_blas_thread(), nc.Tape() as tape:
     loss = losses.ntxent_loss(net.embed(x), 0.1)
     grads = nc.backprop(tape, loss)
 print(loss.data.tobytes().hex(),
       hashlib.sha256(grads[net.params].tobytes()).hexdigest())
 """
 
+# A short co2l run at desk scale (the frozen acceptance world: 8 x 16-d
+# blobs, 4 tasks x 2 classes, batch 128), whose learner and classifier run in
+# this process on every launch path; prints its metrics digest.
+_DESK_CO2L_SCRIPT = """
+import hashlib, json, sys
+sys.path[:0] = sys.argv[1:3]
+from osscl import scenario as sc, trainer as tr
+main = sc.synth_dataset(8, 16, 500, 100, seed=11)
+stream = sc.build_stream(
+    sc.ScenarioConfig(n_tasks=4, classes_per_task=2, labeled_fraction=0.05,
+                      n_related=900, n_unrelated=900, seed=1),
+    main, [sc.synth_dataset(8, 16, 1000, 0, seed=900)])
+cfg = tr.MethodConfig(method="co2l", epochs_first=2, epochs_later=1,
+                      epochs_learner=2, classifier_epochs=5)
+rep = tr.run_continual(cfg, stream, main,
+                       sc.Augmenter(mode="vector", sigma=1.75, dropout=0.05),
+                       seed=1)
+text = json.dumps(rep.metrics_dict(), sort_keys=True)
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+def kernels_to_run():
+    """None (the kernel the BLAS picks for this machine), then, where
+    OPENBLAS_CORETYPE can force one (numpy's bundled OpenBLAS on x86-64),
+    Haswell: the kernel of AVX2-only Intel and of AMD hosts, whose gemm bytes
+    move with the thread count at desk sizes."""
+    if tr.blas_kernel() is None or platform.machine() != "x86_64":
+        return [None]
+    return [None, "Haswell"]
+
 
 def test_desk_scale_step_is_bitwise_identical_across_blas_thread_counts():
-    words = stdout_at_blas_thread_counts(_DESK_STEP_SCRIPT)
-    assert len(words[0]) == 2
-    assert words[0] == words[1]
+    for kernel in kernels_to_run():
+        words = stdout_at_blas_thread_counts(_DESK_STEP_SCRIPT, kernel)
+        assert len(words[0]) == 2
+        assert words[0] == words[1], kernel
+
+
+def test_desk_scale_run_is_bitwise_identical_across_blas_thread_counts():
+    """A serial run launched with one and with two BLAS threads computes at
+    one, so its metrics bytes are the same, on each kernel."""
+    for kernel in kernels_to_run():
+        words = stdout_at_blas_thread_counts(_DESK_CO2L_SCRIPT, kernel)
+        assert len(words[0]) == 1
+        assert words[0] == words[1], kernel
+
+
+@pytest.mark.skipif(blas_thread_control() is None,
+                    reason="needs numpy's bundled OpenBLAS thread control")
+def test_runs_compute_at_one_blas_thread_and_restore_the_count(
+        tiny_world, monkeypatch):
+    """run_continual (here a serial co2l run, up to its classifier) and
+    run_segregation_eval compute at one BLAS thread; the count found on
+    entry is back afterwards, also when the run raised."""
+    main, stream, aug = tiny_world
+    get, put = blas_thread_control()
+    seen, segregation_pass_ = [], tr._segregation_pass
+
+    def fails(*args, **kwargs):
+        seen.append(get())
+        raise ValueError("classifier failed")
+
+    def segregation_pass(*args):
+        seen.append(get())
+        return segregation_pass_(*args)
+
+    monkeypatch.setattr(tr, "fit_classifier", fails)
+    monkeypatch.setattr(tr, "_segregation_pass", segregation_pass)
+    before = get()
+    put(2)
+    try:
+        with pytest.raises(ValueError, match="classifier failed"):
+            tr.run_continual(tiny_cfg(method="co2l"), stream, main, aug,
+                             seed=5)
+        assert get() == 2
+        tr.run_segregation_eval(tiny_cfg(), stream, aug, seed=5)
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen == [1, 1, 1]
 
 
 # The bitwise rerun contract as literals: sha256[:16] of the sorted-key
 # metrics JSON of run_continual(tiny_cfg(**overrides), ..., seed=5) on the tiny
 # world (vector) and its image-mode twin. Float bytes depend on the numpy and
-# BLAS build, so the pins hold only on the build they were taken on.
+# BLAS build and on the kernel the BLAS runs (the build string names only its
+# build target), so the pins hold only where all three match.
 _PINNED_NUMPY = "2.4.6"
 _PINNED_BLAS = ("OpenBLAS 0.3.31.188.0 USE64BITINT DYNAMIC_ARCH NO_AFFINITY "
                 "Haswell MAX_THREADS=64")
+_PINNED_KERNEL = "SkylakeX"
 _PINNED_DIGESTS = [
     ("vector", {}, "33871226241a3e12"),
     ("vector", {"method": "co2l"}, "5381dbc73994197f"),
@@ -628,11 +721,12 @@ def image_world():
          for m, o, _ in _PINNED_DIGESTS])
 def test_metrics_digest_is_pinned(tiny_world, image_world, mode, overrides,
                                   digest):
-    build = (np.__version__, _blas_configuration())
-    if build != (_PINNED_NUMPY, _PINNED_BLAS):
+    build = (np.__version__, _blas_configuration(), tr.blas_kernel())
+    if build != (_PINNED_NUMPY, _PINNED_BLAS, _PINNED_KERNEL):
         pytest.skip(f"digests pinned on numpy {_PINNED_NUMPY} with "
-                    f"{_PINNED_BLAS!r}; this is numpy {build[0]} with "
-                    f"{build[1]!r}")
+                    f"{_PINNED_BLAS!r} running the {_PINNED_KERNEL} kernel; "
+                    f"this is numpy {build[0]} with {build[1]!r} running the "
+                    f"{build[2]} kernel")
     main, stream, aug = tiny_world if mode == "vector" else image_world
     rep = tr.run_continual(tiny_cfg(**overrides), stream, main, aug, seed=5)
     text = json.dumps(rep.metrics_dict(), sort_keys=True)
@@ -857,7 +951,7 @@ def test_walk_ahead_reports_the_phases_and_state_of_the_in_process_run(
     main, stream, aug = tiny_world
     ahead = tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
     assert walk_ahead == [1]
-    put = tr._blas_threads()[1]
+    put = blas_thread_control()[1]
     put(1)
     try:
         serial = tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
@@ -918,7 +1012,7 @@ def epochs(monkeypatch):
 
 @pytest.fixture
 def in_process(monkeypatch):
-    monkeypatch.setattr(tr, "_walks_ahead", lambda walk: False)
+    monkeypatch.setattr(tr, "_walks_ahead", lambda walk, threads: False)
 
 
 def with_nan(stream, t, field, row):
@@ -962,7 +1056,7 @@ def test_walk_ahead_raises_the_in_process_message(tiny_world, walk_ahead,
     with pytest.raises(NonFiniteError) as ahead:
         tr.run_continual(tiny_cfg(), poisoned, main, aug, seed=5)
     assert walk_ahead == [1]
-    monkeypatch.setattr(tr, "_walks_ahead", lambda walk: False)
+    monkeypatch.setattr(tr, "_walks_ahead", lambda walk, threads: False)
     with pytest.raises(NonFiniteError) as serial:
         tr.run_continual(tiny_cfg(), poisoned, main, aug, seed=5)
     assert walk_ahead == [1]
@@ -1115,10 +1209,10 @@ def test_nan_test_row_fails_evaluation():
 
 def test_desk_scale_learner_steps_keep_the_heap_mapped():
     """With the top pad run_continual sets, a desk-scale learner step (batch
-    128, so three similarity terms over 256 x 256 arrays) reuses the pages
-    the step before it freed. Measured over 20 steps after 2 warm-up steps:
-    about 1 minor fault per step with the pad, 37-691 without it (one and
-    two BLAS threads)."""
+    128, so three similarity terms over 256 x 256 arrays) at the one BLAS
+    thread a run computes at reuses the pages the step before it freed.
+    Measured in a fresh process over 20 steps after 2 warm-up steps: about
+    0.6 minor faults per step with the pad, 267 without it."""
     resource = pytest.importorskip("resource")
     if not tr._keep_heap_mapped():
         pytest.skip("libc has no mallopt")
@@ -1136,8 +1230,9 @@ def test_desk_scale_learner_steps_keep_the_heap_mapped():
                               rng, td_teacher=learner.snapshot(),
                               kd_teacher=reference, kd_pool=data.train_x)
 
-    task(2)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    task(20)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    with tr._one_blas_thread():
+        task(2)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        task(20)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / 20 < 20
