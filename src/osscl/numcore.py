@@ -337,6 +337,21 @@ def _gram(x):
     return x @ x.T.copy()
 
 
+def _subtract_row_max(logits):
+    """Shift each row of 2-d logits by its max, in place, for a softmax.
+
+    np.fmax.reduce takes the max: at 256 x 256 float32 on a 2-core Xeon VM
+    it took 30-44 us against 51-55 us for ndarray.max, which propagates
+    NaN. The two agree on every row without a NaN. Where fmax skips a NaN,
+    a row whose off-diagonal is all NaN gets its -inf diagonal as the max,
+    and -inf - -inf is one more NaN, without a warning, in a row that is
+    NaN anyway.
+    """
+    rowmax = np.fmax.reduce(logits, axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        logits -= rowmax
+
+
 def pairwise_cosine(a, b):
     """a @ b.T for unit-row inputs a [M, D], b [N, D].
 
@@ -463,7 +478,7 @@ def softmax_xent(z, tau, target, factor):
     logp *= data.dtype.type(inv_tau)
     diagonal = logp.reshape(-1)[::v + 1]
     diagonal[...] = -np.inf
-    logp -= logp.max(axis=1, keepdims=True)
+    _subtract_row_max(logp)
     ex = np.exp(logp)
     denom = ex.sum(axis=1, keepdims=True)
     if w is None:

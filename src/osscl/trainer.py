@@ -659,8 +659,11 @@ def _keep_heap_mapped():
     A desk-scale learner step allocates and frees about a dozen 256 x 256
     float32 arrays. At glibc's default pad the heap top is trimmed after
     the step and the next step faults those pages back in. The setting is
-    process-wide, and it leaves glibc's dynamic mmap threshold and every
-    float as they are. A libc without mallopt is left alone.
+    process-wide and moves no float. Like any mallopt of the pad it also
+    turns glibc's dynamic mmap threshold off, so the threshold stays where
+    the process's earlier frees left it (128 KiB if none raised it, and then
+    every larger array is a fresh mmap). A libc without mallopt is left
+    alone.
     """
     import ctypes
 

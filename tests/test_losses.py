@@ -644,6 +644,25 @@ def test_learner_objective_gradient_check(seed, labels):
     assert nc.check_gradients(loss_fn, params) < 1e-6
 
 
+@pytest.mark.parametrize("nan_in,use_sup,named", [
+    ("z", True, "sup"), ("z", False, "td"), ("td_teacher", True, "td"),
+    ("kd_teacher", True, "kd"), ("kd_student", True, "kd")])
+def test_a_nan_row_ends_in_an_error_naming_its_term(nan_in, use_sup, named):
+    """The row max skips a NaN (np.fmax), yet a NaN learner or teacher row
+    still makes its term NaN, and combined_loss names the first such term."""
+    rng = np.random.default_rng(4)
+    rows = {name: unit(rng.standard_normal((v, 4))).astype(np.float32)
+            for name, v in (("z", 8), ("td_teacher", 8), ("kd_teacher", 6),
+                            ("kd_student", 6))}
+    rows[nan_in][2] = np.nan
+    with pytest.raises(nc.NonFiniteError, match=f"^non-finite {named} term$"):
+        losses.learner_objective(
+            nc.Tensor(rows["z"]), 2, losses.LossWeights(), [0, 1, 0, 2],
+            {0, 1}, use_sup=use_sup, td_teacher=rows["td_teacher"],
+            kd_teacher=rows["kd_teacher"],
+            kd_student=nc.Tensor(rows["kd_student"]))
+
+
 def test_loss_weights_validation():
     with pytest.raises(ValueError):
         losses.LossWeights(tau=0.0)

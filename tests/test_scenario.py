@@ -88,6 +88,15 @@ def test_dataset_rejects_non_finite_features(split, value):
         scenario.Dataset(**arrays)
 
 
+@pytest.mark.parametrize("split", ["train_x", "test_x"])
+def test_dataset_rejects_integer_features(split):
+    arrays = dataclasses.asdict(small_main())
+    arrays[split] = arrays[split].astype(np.uint8)
+    with pytest.raises(ValueError,
+                       match=f"^{split} has uint8 features, not floating"):
+        scenario.Dataset(**arrays)
+
+
 def test_dataset_binary_roundtrip(tmp_path):
     ds = small_main(9)
     path = tmp_path / "ds.bin"
@@ -349,15 +358,16 @@ def test_augmenter_accepts_edge_image_settings():
 
 # The per-image loop the batched image path replaced, kept as its oracle:
 # the batched path must give the same bytes and leave the generator in the
-# same state.
+# same state. It works in the rows' dtype, as the batched path does, and its
+# crop is C-ordered, so each image's mean is summed in the batch's order.
 
 def _oracle_images(aug, xs, rng):
     hw = aug.image_hw
-    imgs = xs.reshape(len(xs), 3, hw, hw).astype(np.float64)
+    imgs = xs.reshape(len(xs), 3, hw, hw)
     out = np.empty_like(imgs)
     for i in range(len(imgs)):
         out[i] = _oracle_one(aug, imgs[i], rng)
-    return out.reshape(len(xs), 3 * hw * hw).astype(xs.dtype)
+    return out.reshape(len(xs), 3 * hw * hw)
 
 
 def _oracle_one(aug, img, rng):
@@ -371,6 +381,7 @@ def _oracle_one(aug, img, rng):
     img = crop[:, idx][:, :, idx]
     if rng.random() < aug.flip_p:
         img = img[:, :, ::-1]
+    img = np.ascontiguousarray(img)
     if rng.random() < aug.jitter_p:
         img = _oracle_jitter(aug, img, rng)
     if rng.random() < aug.gray_p:
@@ -380,6 +391,7 @@ def _oracle_one(aug, img, rng):
 
 
 def _oracle_jitter(aug, img, rng):
+    # each python-float factor rounds to the image dtype where it is used
     sb, sc, ss, sh = aug.jitter_strengths
     img = img * rng.uniform(1 - sb, 1 + sb)
     mean = img.mean()
@@ -388,12 +400,12 @@ def _oracle_jitter(aug, img, rng):
     sat = rng.uniform(1 - ss, 1 + ss)
     img = luma[None] + (img - luma[None]) * sat
     theta = 2.0 * math.pi * rng.uniform(-sh, sh)
-    yiq = np.tensordot(scenario._RGB2YIQ, img, axes=1)
+    yiq = np.tensordot(scenario._RGB2YIQ.astype(img.dtype), img, axes=1)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     i_rot = yiq[1] * cos_t - yiq[2] * sin_t
     q_rot = yiq[1] * sin_t + yiq[2] * cos_t
     yiq = np.stack([yiq[0], i_rot, q_rot])
-    return np.tensordot(scenario._YIQ2RGB, yiq, axes=1)
+    return np.tensordot(scenario._YIQ2RGB.astype(img.dtype), yiq, axes=1)
 
 
 def _image_settings():
@@ -410,7 +422,7 @@ def _image_settings():
                                         (0.2, 1.0)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_image_views_match_the_per_image_oracle(hw, batch, crop_scale, dtype):
-    # float64 rows keep the last bits the float32 cast would round away
+    # each dtype is augmented in its own arithmetic
     x = np.random.default_rng(hw * 1000 + batch).standard_normal(
         (batch, 3 * hw * hw)).astype(dtype)
     for probs in _image_settings():

@@ -696,7 +696,7 @@ _PINNED_DIGESTS = [
     ("vector", {"pretrain_reference": True}, "5f4472a70960499b"),
     ("vector", {"memory_policy": "rainbow"}, "3827dbfcb2d99993"),
     ("vector", {"memory_policy": "high_confidence"}, "c71f882a2a14ee0c"),
-    ("image", {}, "1403dcb9ef113d3f"),
+    ("image", {}, "cf19b8a38edf68dd"),
     ("image", {"method": "co2l_j"}, "404a25547534e86f"),
 ]
 
