@@ -33,15 +33,34 @@ exists, this process runs no other thread and the BLAS pool had more than
 one thread on entry: a spare core. The child inherits the one thread.
 Otherwise the walk runs in-process, so OPENBLAS_NUM_THREADS=1, a
 single-core machine and `run --threads N` workers stay serial. It is a
-process and not a thread because a step is a couple of milliseconds of
-small numpy ops that hold the GIL, and the tape stack (numcore._ACTIVE_TAPES)
-is module-global.
+process and not a thread because a walk step trains the reference: its
+forward and backward are small numpy ops that hold the GIL, and they record
+on the tape stack (numcore._ACTIVE_TAPES), which is module-global.
+
+Each trainer's optimizer step is two parts (_optimize): prepare(idx) makes
+the batch's inputs (the batch draws and the augmented views), which read
+no parameter, and train(inputs) embeds the frozen teachers' views and runs
+the tape, loss, backprop and Adam. In image mode with a spare core
+(_feeds_ahead) a helper thread, "osscl-feed", runs the prepare side
+_FEED_DEPTH batches ahead (_fed_ahead), in the walk's process and in the
+learner's alike. Image preparation is mostly array work that releases the
+GIL (np.take, the jitter passes, BLAS), so it overlaps the training. The
+feeder touches no Tensor, so nothing it computes can reach the tape stack.
+The teachers' embeddings stay on the training thread: they are GIL-free
+BLAS work too, but the learner's feeder, not its training, is the slower
+side, and keeping them off the feeder lowered image_cifar's wall time
+(1.64 -> 1.52 s median, 8 pairs on a 2-core VM). Vector mode stays inline: its steps are
+about a millisecond of small GIL-holding numpy calls, and feeding them
+ahead made the desk_vector benchmark slower (2 of 6 pairs won, median 4.98
+-> 5.20 s on the same VM).
 
 Determinism: every stochastic role draws from its own seeded Generator, so
 disabling a component (a loss term, the confident set) leaves the remaining
 streams untouched. Two runs with the same config and seed are bitwise equal,
-however they are launched: whatever the BLAS thread count, and whether the
-walk ran ahead or not.
+however they are launched: whatever the BLAS thread count, whether the walk
+ran ahead or not and whether batches were fed ahead or not (the feeder
+draws each trainer's Generator in the inline order, and only it draws it
+while the trainer runs).
 """
 
 from __future__ import annotations
@@ -280,58 +299,150 @@ def _require_finite(where, what, *arrays):
         raise NonFiniteError(f"{where}: non-finite {what}")
 
 
-def _optimize(net, n, epochs, cfg, rng, step, where):
+@contextlib.contextmanager
+def _named(at):
+    """Raise a NonFiniteError from the with-block again with `at` in front."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{at}: {exc}") from exc
+
+
+def _feed(n, epochs, cfg, rng, prepare, where):
+    """(epoch, label, prepare(idx)) per batch of sc.epoch_batches(n) for
+    `epochs` epochs, drawing each epoch's order and then each batch's inputs
+    from rng. A NonFiniteError from prepare is named by the label."""
+    for epoch in range(epochs):
+        for batch, idx in enumerate(sc.epoch_batches(n, cfg.batch_size, rng)):
+            at = f"{where}, epoch {epoch}, batch {batch}"
+            with _named(at):
+                prepared = prepare(idx)
+            yield epoch, at, prepared
+
+
+# batches the feeder thread keeps prepared; it prepares one more meanwhile
+_FEED_DEPTH = 2
+_FEED_END = object()
+
+
+def _feeds_ahead(augmenter, threads):
+    """Whether a run's trainers prepare batches on a feeder thread
+    (_fed_ahead), given the BLAS thread count on entry (None if unknown):
+    image-mode augmentation and a spare core; see the module docstring."""
+    return augmenter.mode == "image" and _spare_core(threads)
+
+
+def _spare_core(threads):
+    """Whether a BLAS pool of `threads` on entry (None if unknown) shows a
+    core the run's one BLAS thread leaves idle."""
+    return threads is not None and threads > 1
+
+
+@contextlib.contextmanager
+def _fed_ahead(items):
+    """An iterator over `items` that a helper thread ("osscl-feed") runs up
+    to _FEED_DEPTH items ahead of it.
+
+    An exception `items` raises is raised from the iterator, with its type
+    and message, in its place in the order. On the way out, by error or
+    not, the thread is stopped and joined.
+    """
+    import queue
+
+    ready = queue.Queue(maxsize=_FEED_DEPTH)
+    stop = threading.Event()
+
+    def run():
+        try:
+            for item in items:
+                ready.put((item, None))
+                if stop.is_set():
+                    return
+            ready.put((_FEED_END, None))
+        except BaseException as exc:  # noqa: BLE001 - raised again below
+            ready.put((None, exc))
+
+    def received():
+        while True:
+            item, exc = ready.get()
+            if exc is not None:
+                raise exc
+            if item is _FEED_END:
+                return
+            yield item
+
+    thread = threading.Thread(target=run, name="osscl-feed", daemon=True)
+    thread.start()
+    try:
+        yield received()
+    finally:
+        stop.set()
+        # once `stop` is set the feeder puts at most once more, so after the
+        # queue is emptied here that put cannot block
+        with contextlib.suppress(queue.Empty):
+            while True:
+                ready.get_nowait()
+        thread.join()
+
+
+def _optimize(net, n, epochs, cfg, rng, prepare, train, where, feed_ahead):
     """The epoch loop both trainers share; returns per-epoch mean losses.
 
     A fresh Adam over net.params and a cosine schedule over `epochs` per
-    call (each task step re-anneals). Each epoch walks sc.epoch_batches(n)
-    and takes one Adam step per batch on the (loss, grads) that step(idx)
-    returns, once both are finite. A NonFiniteError, here or from step, names
-    `where`, the epoch and the batch. epochs=0 leaves the net untouched.
+    call (each task step re-anneals). Each epoch walks sc.epoch_batches(n);
+    per batch prepare(idx) makes the inputs (drawn from rng, reading no
+    trained parameter) and train(inputs) returns (loss, grads), and one Adam
+    step follows once both are finite. The batches come from _feed, inline
+    or, with feed_ahead, from a feeder thread (_fed_ahead); rng is drawn in
+    the same order either way. A NonFiniteError, here, from prepare or from
+    train, names `where`, the epoch and the batch. epochs=0 leaves the net
+    untouched.
     """
     if epochs == 0:
         return []
     opt = Adam([net.params], lr=cfg.lr)
     schedule = CosineSchedule(cfg.lr, cfg.min_lr, epochs)
-    curve = []
-    for epoch in range(epochs):
-        opt.lr = schedule.at(epoch)
-        epoch_losses = []
-        for batch, idx in enumerate(sc.epoch_batches(n, cfg.batch_size, rng)):
-            at = f"{where}, epoch {epoch}, batch {batch}"
-            try:
-                loss, grads = step(idx)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"{at}: {exc}") from exc
+    losses = [[] for _ in range(epochs)]
+    feed = _feed(n, epochs, cfg, rng, prepare, where)
+    fed = _fed_ahead(feed) if feed_ahead else contextlib.nullcontext(feed)
+    with fed as batches:
+        for epoch, at, prepared in batches:
+            opt.lr = schedule.at(epoch)
+            with _named(at):
+                loss, grads = train(prepared)
             _require_finite(at, "loss", loss.data)
             _require_finite(at, "gradient", *grads.values())
             opt.step(grads)
-            epoch_losses.append(float(loss.data))
-        curve.append(float(np.mean(epoch_losses)))
-    return curve
+            losses[epoch].append(float(loss.data))
+    return [float(np.mean(epoch_losses)) for epoch_losses in losses]
 
 
-def train_reference(net, pool_x, epochs, cfg, augmenter, rng, where="reference"):
+def train_reference(net, pool_x, epochs, cfg, augmenter, rng,
+                    where="reference", feed_ahead=False):
     """Contrastive training of the reference on the raw unlabeled pool.
 
     Returns per-epoch mean losses (see _optimize; a NonFiniteError starts
-    with `where`); epochs=0 leaves the net untouched.
+    with `where`); epochs=0 leaves the net untouched. With feed_ahead the
+    views are augmented on a feeder thread.
     """
     if len(pool_x) == 0:
         raise ValueError("reference training needs a non-empty unlabeled pool")
 
-    def step(idx):
-        views = augmenter.pair_views(pool_x[idx], rng)
+    def prepare(idx):
+        return augmenter.pair_views(pool_x[idx], rng)
+
+    def train(views):
         with Tape() as tape:
             loss = L.ntxent_loss(net.embed(views), cfg.weights.tau)
             return loss, backprop(tape, loss)
 
-    return _optimize(net, len(pool_x), epochs, cfg, rng, step, where)
+    return _optimize(net, len(pool_x), epochs, cfg, rng, prepare, train, where,
+                     feed_ahead)
 
 
 def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
                        augmenter, rng, td_teacher=None, kd_teacher=None,
-                       kd_pool=None, unsup_pool=None):
+                       kd_pool=None, unsup_pool=None, feed_ahead=False):
     """One task's learner training under the combined objective.
 
     Args:
@@ -356,6 +467,9 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
     distillation term over the views of its batch. The joint unsupervised
     term is the NT-Xent mean over its 2N views, added last. Returns
     per-epoch mean losses.
+
+    With feed_ahead the batches and their views are prepared on a feeder
+    thread while this one embeds the teachers' views and trains.
     """
     if len(sup_x) == 0:
         raise ValueError("empty supervised union")
@@ -365,17 +479,22 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
         raise ValueError("empty reference-distillation pool")
     current = frozenset(int(c) for c in task_classes)
 
-    def step(idx):
+    def prepare(idx):
         views = augmenter.pair_views(sup_x[idx], rng)
-        td_z = td_teacher.embed(views) if td_teacher is not None else None
-        kviews = kd_z = zk = uviews = l_unsup = None
+        kviews = uviews = None
         if kd_teacher is not None:
             kidx = sc.sample_batch(len(kd_pool), cfg.batch_size, rng)
             kviews = augmenter.pair_views(kd_pool[kidx], rng)
-            kd_z = kd_teacher.embed(kviews)
         if unsup_pool is not None:
             uidx = sc.sample_batch(len(unsup_pool), cfg.batch_size, rng)
             uviews = augmenter.pair_views(unsup_pool[uidx], rng)
+        return idx, views, kviews, uviews
+
+    def train(prepared):
+        idx, views, kviews, uviews = prepared
+        td_z = td_teacher.embed(views) if td_teacher is not None else None
+        kd_z = kd_teacher.embed(kviews) if kd_teacher is not None else None
+        zk = l_unsup = None
         with Tape() as tape:
             z = learner.embed(views)
             if kviews is not None:
@@ -389,8 +508,8 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
                 td_teacher=td_z, kd_teacher=kd_z, kd_student=zk, unsup=l_unsup)
             return total, backprop(tape, total)
 
-    return _optimize(learner, len(sup_x), cfg.epochs_learner, cfg, rng, step,
-                     f"learner, t={t}")
+    return _optimize(learner, len(sup_x), cfg.epochs_learner, cfg, rng,
+                     prepare, train, f"learner, t={t}", feed_ahead)
 
 
 def fit_classifier(learner, xs, ys, observed_classes, cfg, rng_init, rng_train):
@@ -531,16 +650,18 @@ class _TaskWalk:
     for a method without one), `memory`, `rngs` (ref, proto, memory), the
     `clock` it times its own phases on and its records (reference_curves,
     task_metrics, memory_counts). It pretrains the reference when
-    cfg.pretrain_reference, trains it when trains_reference(t) and
-    segregates each step's pool when the method does. Iterating yields one
+    cfg.pretrain_reference, trains it when trains_reference(t) (feeding
+    its batches ahead when `feed_ahead`) and segregates each step's pool
+    when the method does. Iterating yields one
     (step, labeled union, segregation pass or None) per step; once the
     caller hands control back, memory takes in the step's labeled set.
     """
 
-    def __init__(self, cfg, stream, augmenter, seed, arch):
+    def __init__(self, cfg, stream, augmenter, seed, arch, feed_ahead):
         if not stream.steps:
             raise ValueError("stream is empty")
         self.cfg, self.stream, self.augmenter = cfg, stream, augmenter
+        self.feed_ahead = feed_ahead
         self.clock = _PhaseClock()
         self.reference = (_encoder_projector(stream, arch, seed, _ROLE_REF_INIT)
                           if cfg.uses_reference else None)
@@ -567,7 +688,8 @@ class _TaskWalk:
             pooled = np.concatenate([s.unlabeled_x for s in self.stream.steps])
             with clock.timed("reference"):
                 train_reference(self.reference, pooled, cfg.epochs_first, cfg,
-                                self.augmenter, self.rngs["ref"], "pretraining")
+                                self.augmenter, self.rngs["ref"],
+                                "pretraining", self.feed_ahead)
         observed = []
         for step in self.stream.steps:
             t = step.index
@@ -577,7 +699,8 @@ class _TaskWalk:
                 with clock.timed("reference"):
                     self.reference_curves[f"t{t}"] = train_reference(
                         self.reference, step.unlabeled_x, epochs, cfg,
-                        self.augmenter, self.rngs["ref"], f"reference, t={t}")
+                        self.augmenter, self.rngs["ref"], f"reference, t={t}",
+                        self.feed_ahead)
 
             labeled = _labeled_union(step, self.memory)
             seg = None
@@ -714,7 +837,7 @@ def _walks_ahead(walk, threads):
 
     return (threading.active_count() == 1
             and "fork" in multiprocessing.get_all_start_methods()
-            and threads is not None and threads > 1)
+            and _spare_core(threads))
 
 
 def _walk_child(walk, outbox):
@@ -828,7 +951,8 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
     with _one_blas_thread() as threads:
         clock = _PhaseClock()
         start_total = time.perf_counter()
-        walk = _TaskWalk(cfg, stream, augmenter, seed, arch)
+        feed_ahead = _feeds_ahead(augmenter, threads)
+        walk = _TaskWalk(cfg, stream, augmenter, seed, arch, feed_ahead)
         check_memory_quotas(cfg, stream.task_classes)
         learner = _encoder_projector(stream, arch, seed, _ROLE_LEARNER_INIT)
         rng = role_rng(seed, _ROLE_LEARNER_TRAIN)
@@ -869,7 +993,8 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
                         learner, sup_x, sup_y, sup_pseudo, step.task_classes,
                         t, cfg, augmenter, rng,
                         td_teacher=snapshot, kd_teacher=kd_teacher,
-                        kd_pool=kd_pool, unsup_pool=unsup_pool)
+                        kd_pool=kd_pool, unsup_pool=unsup_pool,
+                        feed_ahead=feed_ahead)
 
         final_x, final_y, _ = _labeled_union(stream.steps[-1], walk.memory)
         with clock.timed("classifier"):
@@ -909,8 +1034,9 @@ def run_segregation_eval(cfg, stream, augmenter, seed, arch=NetArch()):
     """
     if not cfg.uses_segregation:
         raise ValueError(f"method {cfg.method!r} does not segregate its pool")
-    with _one_blas_thread():
-        walk = _TaskWalk(cfg, stream, augmenter, seed, arch)
+    with _one_blas_thread() as threads:
+        walk = _TaskWalk(cfg, stream, augmenter, seed, arch,
+                         _feeds_ahead(augmenter, threads))
         samples = []
         for step, _, seg in walk:
             related, true_classes = step.provenance.reveal()

@@ -256,7 +256,8 @@ def test_reference_and_learner_gradients_are_isolated(tiny_world):
 
 def test_teachers_stay_off_the_learner_tape(tiny_world, monkeypatch):
     """No teacher forward pass is recorded on the learner's tape: nothing
-    there may descend from a reference parameter."""
+    there may descend from a reference parameter, whether the batches are
+    prepared inline or on a feeder thread."""
     main, _, aug = tiny_world
     tapes = []
 
@@ -272,11 +273,13 @@ def test_teachers_stay_off_the_learner_tape(tiny_world, monkeypatch):
                                  rng=np.random.default_rng(1))
     sel = np.isin(main.train_y, [0, 1])
     flags = np.zeros(sel.sum(), dtype=bool)
-    tr.train_learner_task(learner, main.train_x[sel], main.train_y[sel], flags,
-                          (0, 1), 2, tiny_cfg(epochs_learner=1), aug,
-                          np.random.default_rng(3),
-                          td_teacher=learner.snapshot(), kd_teacher=reference,
-                          kd_pool=main.train_x[:60])
+    for feed_ahead in (False, True):
+        tr.train_learner_task(learner, main.train_x[sel], main.train_y[sel],
+                              flags, (0, 1), 2, tiny_cfg(epochs_learner=1),
+                              aug, np.random.default_rng(3),
+                              td_teacher=learner.snapshot(),
+                              kd_teacher=reference, kd_pool=main.train_x[:60],
+                              feed_ahead=feed_ahead)
     assert tapes and all(len(tape) for tape in tapes)
     for tape in tapes:
         from_reference = {id(reference.params)}
@@ -378,10 +381,11 @@ def test_rerun_is_bitwise_identical(tiny_world):
 
 
 # Runs the tiny world under ursl v4, v1, rainbow memory and co2l_p, and its
-# image-mode twin (8x8 RGB rows) under ursl, seed 5. Prints per run the
-# metrics digest and a digest of report.state (both nets' parameters, the
+# image-mode twin (8x8 RGB rows) under ursl v4 and v1, seed 5. Prints per run
+# the metrics digest and a digest of report.state (both nets' parameters, the
 # memory arrays and the walk's three RNG states), then the BLAS thread count
-# on entry and how many processes the runs forked.
+# on entry, how many processes the runs forked and how many trainings in
+# this process fed their batches ahead on a thread.
 _DIGEST_SCRIPT = """
 import hashlib, json, os, sys
 sys.path[:0] = sys.argv[1:3]
@@ -392,6 +396,11 @@ def counted_fork():
     forks.append(1)
     return fork()
 os.fork = counted_fork
+feeds, fed_ahead = [], tr._fed_ahead
+def counted_feed(items):
+    feeds.append(1)
+    return fed_ahead(items)
+tr._fed_ahead = counted_feed
 blas = T.blas_thread_control()
 threads = blas[0]() if blas else None
 vector = T.build_tiny_world(sc.Augmenter(mode="vector", sigma=0.5,
@@ -401,11 +410,11 @@ image = T.build_tiny_world(sc.Augmenter(mode="image", image_hw=8),
 for (main, stream, aug), overrides in (
         (vector, {}), (vector, {"seg_variant": "v1"}),
         (vector, {"memory_policy": "rainbow"}), (vector, {"method": "co2l_p"}),
-        (image, {})):
+        (image, {}), (image, {"seg_variant": "v1"})):
     rep = tr.run_continual(T.tiny_cfg(**overrides), stream, main, aug, seed=5)
     text = json.dumps(rep.metrics_dict(), sort_keys=True)
     print(hashlib.sha256(text.encode()).hexdigest(), T.state_digest(rep.state))
-print(f"threads={threads}", f"forks={len(forks)}")
+print(f"threads={threads}", f"forks={len(forks)}", f"feeds={len(feeds)}")
 """
 
 
@@ -446,14 +455,16 @@ def stdout_at_blas_thread_counts(script, kernel=None):
 
 def test_rerun_is_bitwise_identical_across_blas_thread_counts():
     """The same run at one and at two BLAS threads gives byte-identical
-    metrics and final state. At one thread every walk runs in-process; at
-    two, each of the four ursl runs walks ahead in a forked process."""
+    metrics and final state. At one thread every walk runs in-process and
+    every batch is prepared inline; at two, each of the five ursl runs walks
+    ahead in a forked process, and the two image runs feed their learner's
+    batches (and their walk's) ahead on a thread."""
     serial, ahead = stdout_at_blas_thread_counts(_DIGEST_SCRIPT)
-    assert len(serial) == 2 * 5 + 2
-    assert serial[:-2] == ahead[:-2]
-    assert serial[-1] == "forks=0"
+    assert len(serial) == 2 * 6 + 3
+    assert serial[:-3] == ahead[:-3]
+    assert serial[-2:] == ["forks=0", "feeds=0"]
     if tr._openblas() is not None and len(os.sched_getaffinity(0)) > 1:
-        assert ahead[-2:] == ["threads=2", "forks=4"]
+        assert ahead[-3:] == ["threads=2", "forks=5", "feeds=4"]
 
 
 @pytest.fixture
@@ -699,6 +710,11 @@ _PINNED_DIGESTS = [
     ("image", {}, "cf19b8a38edf68dd"),
     ("image", {"method": "co2l_j"}, "404a25547534e86f"),
 ]
+# sha256[:16] of state_digest(report.state) of the image runs, by method:
+# their metrics are one-batch float32 epoch losses and accuracies, which can
+# round to the same values while the training under them moves
+_PINNED_STATE_DIGESTS = {"ursl": "4fcc552b8e7fb38f",
+                         "co2l_j": "7ddb9bcbffe4263d"}
 
 
 def _blas_configuration():
@@ -731,6 +747,9 @@ def test_metrics_digest_is_pinned(tiny_world, image_world, mode, overrides,
     rep = tr.run_continual(tiny_cfg(**overrides), stream, main, aug, seed=5)
     text = json.dumps(rep.metrics_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    if mode == "image":
+        assert state_digest(rep.state)[:16] == \
+            _PINNED_STATE_DIGESTS[overrides.get("method", "ursl")]
 
 
 def test_seed_changes_the_run(tiny_world):
@@ -1015,11 +1034,12 @@ def in_process(monkeypatch):
     monkeypatch.setattr(tr, "_walks_ahead", lambda walk, threads: False)
 
 
-def with_nan(stream, t, field, row):
-    """stream with a NaN in one row of step t's labeled_x or unlabeled_x."""
+def with_nan(stream, t, field, row, cols=0):
+    """stream with a NaN in one row of step t's labeled_x or unlabeled_x, in
+    its first column or in `cols`."""
     step = stream.steps[t - 1]
     x = getattr(step, field).copy()
-    x[row, 0] = np.nan
+    x[row, cols] = np.nan
     steps = list(stream.steps)
     steps[t - 1] = dataclasses.replace(step, **{field: x})
     return dataclasses.replace(stream, steps=tuple(steps))
@@ -1200,6 +1220,154 @@ def test_nan_test_row_fails_evaluation():
     with pytest.raises(NonFiniteError, match="^evaluation: non-finite logits$"):
         tr.evaluate(head, learner, class_ids, test_x, data.test_y,
                     [(0, 1), (2, 3)])
+
+
+# ---------------------------------------------------------------------------
+# Image batches prepared ahead on a feeder thread
+# ---------------------------------------------------------------------------
+
+
+def feeder_threads():
+    return [t for t in threading.enumerate() if t.name == "osscl-feed"]
+
+
+@pytest.fixture
+def feeds(monkeypatch):
+    """The list each training in this process that feeds its batches ahead
+    appends to; checks on the way out that no feeder thread is left."""
+    made, fed_ahead = [], tr._fed_ahead
+
+    def counted(items):
+        made.append(1)
+        return fed_ahead(items)
+
+    monkeypatch.setattr(tr, "_fed_ahead", counted)
+    yield made
+    assert feeder_threads() == []
+
+
+class PrepareFailed(Exception):
+    pass
+
+
+def test_fed_ahead_keeps_the_order_and_stops_when_left():
+    """Under a short GIL switch interval: every item in order, then the
+    error in its place; leaving early (the feeder blocked on a full queue,
+    or not) stops and joins the thread."""
+    def failing_after(n):
+        yield from range(n)
+        raise PrepareFailed(f"item {n} failed")
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with tr._fed_ahead(iter(range(2000))) as items:
+            assert list(items) == list(range(2000))
+        got = []
+        with pytest.raises(PrepareFailed, match="^item 3 failed$"):
+            with tr._fed_ahead(failing_after(3)) as items:
+                got.extend(items)
+        assert got == [0, 1, 2]
+        for left_after in (0, 1, 5):
+            with tr._fed_ahead(iter(range(100))) as items:
+                assert [x for _, x in zip(range(left_after), items)] == \
+                    list(range(left_after))
+            assert feeder_threads() == []
+    finally:
+        sys.setswitchinterval(switch)
+    assert feeder_threads() == []
+
+
+def test_only_image_runs_with_a_spare_core_feed_ahead():
+    image = sc.Augmenter(mode="image")
+    assert tr._feeds_ahead(image, 2)
+    assert not tr._feeds_ahead(image, 1)
+    assert not tr._feeds_ahead(image, None)
+    assert not tr._feeds_ahead(sc.Augmenter(mode="vector"), 2)
+
+
+@pytest.mark.parametrize("overrides,trainings", [
+    ({}, 4), ({"method": "co2l_j"}, 2), ({"method": "co2l_p"}, 3),
+    ({"pretrain_reference": True}, 3)],
+    ids=["ursl", "co2l_j", "co2l_p", "pretrain_reference"])
+def test_feeding_ahead_moves_no_byte(image_world, in_process, feeds,
+                                     monkeypatch, overrides, trainings):
+    """Every reference and learner training of the run, fed inline and then
+    ahead: the same metrics, loss curves and final state."""
+    main, stream, aug = image_world
+    runs = []
+    for ahead in (False, True):
+        monkeypatch.setattr(tr, "_feeds_ahead",
+                            lambda augmenter, threads: ahead)
+        rep = tr.run_continual(tiny_cfg(**overrides), stream, main, aug,
+                               seed=5)
+        runs.append((json.dumps(rep.metrics_dict(), sort_keys=True),
+                     rep.loss_curves, state_digest(rep.state)))
+    assert len(feeds) == trainings
+    assert runs[0] == runs[1]
+
+
+def assert_next_ursl_run_walks_ahead(tiny_world, walk_ahead, feeds):
+    """A vector ursl run after the failed one forks its walk, as the process
+    runs one thread again, and prepares its learner's batches inline."""
+    main, stream, aug = tiny_world
+    assert threading.active_count() == 1
+    fed = len(feeds)
+    tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
+    assert walk_ahead == [1]
+    assert len(feeds) == fed
+
+
+def test_nan_image_names_the_reference_step_fed_ahead(
+        image_world, tiny_world, walk_ahead, feeds, optimizers, epochs,
+        monkeypatch):
+    """At two BLAS threads an image run feeds ahead. A NaN row in step 2's
+    pool fails the reference step that draws it, before Adam applies it."""
+    main, stream, aug = image_world
+    cfg, walks_ahead = tiny_cfg(), tr._walks_ahead
+    monkeypatch.setattr(tr, "_walks_ahead", lambda walk, threads: False)
+    with pytest.raises(NonFiniteError) as caught:
+        tr.run_continual(cfg, with_nan(stream, 2, "unlabeled_x", 5,
+                                       cols=slice(None)),
+                         main, aug, seed=5)
+    assert feeder_threads() == []
+    # epoch 0 of step 2's reference follows step 1's reference and learner;
+    # the feeder may have drawn the next epoch's order already
+    first = epochs[cfg.epochs_first + cfg.epochs_learner]
+    assert str(caught.value) == (f"reference, t=2, epoch 0, batch "
+                                 f"{batch_holding(first, 5)}: non-finite loss")
+    assert len(optimizers) == len(feeds) == 3
+    assert left_as_its_last_step_left_it(optimizers[-1])
+    monkeypatch.setattr(tr, "_walks_ahead", walks_ahead)
+    assert_next_ursl_run_walks_ahead(tiny_world, walk_ahead, feeds)
+
+
+def test_feeder_error_is_raised_with_its_type_and_message(
+        image_world, tiny_world, walk_ahead, feeds, optimizers, monkeypatch):
+    """pair_views fails on the feeder's third call, step 1's reference
+    batch 2: the run raises that error after the two steps before it."""
+    main, stream, aug = image_world
+    pair_views, walks_ahead = sc.Augmenter.pair_views, tr._walks_ahead
+    calls = []
+
+    def fails_third_on_the_feeder(self, xs, rng):
+        if threading.current_thread().name == "osscl-feed":
+            calls.append(1)
+            if len(calls) == 3:
+                raise PrepareFailed("augmentation failed on call 3")
+        return pair_views(self, xs, rng)
+
+    monkeypatch.setattr(sc.Augmenter, "pair_views", fails_third_on_the_feeder)
+    monkeypatch.setattr(tr, "_walks_ahead", lambda walk, threads: False)
+    with pytest.raises(PrepareFailed) as caught:
+        tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
+    assert type(caught.value) is PrepareFailed
+    assert str(caught.value) == "augmentation failed on call 3"
+    assert feeder_threads() == []
+    assert [opt.t for opt in optimizers] == [2]
+    assert len(feeds) == 1
+    monkeypatch.setattr(tr, "_walks_ahead", walks_ahead)
+    assert_next_ursl_run_walks_ahead(tiny_world, walk_ahead, feeds)
 
 
 # ---------------------------------------------------------------------------
