@@ -219,6 +219,18 @@ class Augmenter:
     and the generator state after a call are fixed by that sequence; the
     array work runs on the whole batch afterwards, in the rows' dtype
     (float32 for every dataset the loaders make), and consumes no draws.
+    pair_views draws all first views, then all second views.
+
+    The draws are not Generator calls: they are decoded from one block of
+    the bit generator's raw 64-bit words (_PCG64Draws), as numpy's PCG64
+    Generator makes them. random() is (w >> 11) * 2**-53 of the next word
+    w; integers(0, k) draws nothing when k == 1, and otherwise maps PCG64's
+    next 32-bit half (a fresh word's low half first, its high half kept for
+    the next such draw, across random() calls) to [0, k) by Lemire's
+    multiply-shift and rejection. The generator is then left exactly where
+    those calls would leave it, kept half included. So image mode needs a
+    Generator over PCG64 (np.random.default_rng makes one) and raises
+    TypeError for any other bit generator.
 
     Every field is range-checked in __post_init__; a config's `augmenter`
     section holds these fields with these defaults. That dataset rows are
@@ -267,7 +279,10 @@ class Augmenter:
 
     def pair_views(self, xs, rng):
         """Two independent views per row, interleaved: rows 2k, 2k+1 come
-        from xs[k]."""
+        from xs[k]. The draws are those of two apply_batch calls (all first
+        views, then all second views); image mode makes both in one pass."""
+        if self.mode == "image":
+            return self._apply_images(np.asarray(xs), rng, views=2)
         a = self.apply_batch(xs, rng)
         b = self.apply_batch(xs, rng)
         out = np.empty((2 * len(xs), xs.shape[1]), dtype=a.dtype)
@@ -277,37 +292,52 @@ class Augmenter:
 
     # image helpers -----------------------------------------------------
 
-    def _apply_images(self, xs, rng):
-        """Draw every image's parameters (class docstring order), then crop,
-        resize, flip, jitter and gray the whole batch in the rows' dtype."""
+    def _apply_images(self, xs, rng, views=1):
+        """`views` views of each image, interleaved: row views*k + v is view
+        v of xs[k]. Every image's parameters are drawn first (all of view 0,
+        then all of view 1, ..., each in the class docstring order); then
+        each chunk of output rows is cropped, resized and flipped by one
+        gather straight into its rows and jittered in place while it is in
+        cache, and the grayed rows are grayed in one pass, all in the rows'
+        dtype."""
         hw = self.image_hw
         n = len(xs)
         xs = xs.reshape(n, 3 * hw * hw)
-        (side, top, left, flip), jittered, factors, grayed = \
-            self._draw_images(n, rng)
-        # random resized crop (square, nearest neighbour) and flip as one
-        # gather: output pixel (r, c) reads crop pixel (r*side//hw, c*side//hw)
+        drawn = [self._draw_images(n, rng) for _ in range(views)]
+        # interleaved like the output rows
+        ints = np.stack([d[0] for d in drawn], axis=1).reshape(-1, 6)
+        factors = np.stack([d[1] for d in drawn], axis=1).reshape(-1, 5)
+        side, top, left, flip, jittered, grayed = ints.T
+        # random resized crop (square, nearest neighbour) and flip as a
+        # gather: output pixel (r, c) reads crop pixel (r*side//hw, c*side//hw);
+        # `rows` are rows of channel 0 in xs seen as [3 n hw, hw]
         steps = (np.arange(hw) * side[:, None]) // hw
-        rows = top[:, None] + steps
+        source = np.arange(n).repeat(views)
+        rows = (source * 3 * hw)[:, None] + top[:, None] + steps
         cols = left[:, None] + steps
         cols = np.where(flip[:, None], cols[:, ::-1], cols)
-        planes = np.arange(3 * n).reshape(n, 3, 1, 1) * (hw * hw)
-        pixels = rows[:, :, None] * hw + cols[:, None, :]
-        imgs = np.take(xs, planes + pixels[:, None])
-        factors = factors.astype(imgs.dtype)
-        for k in range(0, len(jittered), _JITTER_CHUNK):
-            sel = jittered[k:k + _JITTER_CHUNK]
-            imgs[sel] = _jitter(imgs[sel], *factors[:, k:k + _JITTER_CHUNK])
+        planes = np.arange(3)[:, None, None] * (hw * hw)
+        imgs = np.empty((views * n, 3, hw, hw), dtype=xs.dtype)
+        factors = factors.T.astype(imgs.dtype)
+        for k in range(0, views * n, _CHUNK_ROWS):
+            chunk = slice(k, k + _CHUNK_ROWS)
+            out = imgs[chunk]
+            # every offset is in range; mode "clip" lets np.take write into
+            # `out` itself, where "raise" would gather into a buffer first
+            np.take(xs, rows[chunk, None, :, None] * hw + planes
+                    + cols[chunk, None, None, :], out=out, mode="clip")
+            sel = np.flatnonzero(jittered[chunk])
+            out[sel] = _jitter(out[sel], *factors[:, k + sel])
+        grayed = np.flatnonzero(grayed)
         imgs[grayed] = _luma(imgs[grayed])[:, None]
-        return imgs.reshape(n, 3 * hw * hw)
+        return imgs.reshape(views * n, 3 * hw * hw)
 
     def _draw_images(self, n, rng):
         """Per-image parameters of one batch, drawn in the contract order.
 
-        Returns [4, n] ints (side, top, left, flip), the indices of the
-        jittered images with their [5, len(jittered)] factors (brightness,
-        contrast, saturation, cos and sin of the hue angle), and the indices
-        of the grayed images.
+        Returns [n, 6] ints (side, top, left, flip, jittered, grayed) and
+        [n, 5] floats, the jitter factors (brightness, contrast, saturation,
+        cos and sin of the hue angle; zero for an image not jittered).
         """
         hw = self.image_hw
         sb, sc, ss, sh = self.jitter_strengths
@@ -317,37 +347,119 @@ class Augmenter:
             (h_lo, h_span) = [(a, b - a) for a, b in (
                 self.crop_scale, (1 - sb, 1 + sb), (1 - sc, 1 + sc),
                 (1 - ss, 1 + ss), (-sh, sh))]
-        random = rng.random
-        geometry, jittered, factors, grayed = [], [], [], []
-        for i in range(n):
+        draws = _PCG64Draws(rng, _WORDS_PER_IMAGE * n)
+        random, integers = draws.random, draws.integers
+        ints, factors = [], []
+        for _ in range(n):
             area_scale = crop_lo + crop_span * random()
             side = max(1, min(hw, round(hw * math.sqrt(area_scale))))
-            top = rng.integers(0, hw - side + 1)
-            left = rng.integers(0, hw - side + 1)
-            geometry.append((side, top, left, random() < self.flip_p))
-            if random() < self.jitter_p:
+            top = integers(hw - side + 1)
+            left = integers(hw - side + 1)
+            flip = random() < self.flip_p
+            jittered = random() < self.jitter_p
+            if jittered:
                 bright = b_lo + b_span * random()
                 contrast = c_lo + c_span * random()
                 sat = s_lo + s_span * random()
                 # hue: a rotation of the chroma plane in YIQ space
                 theta = 2.0 * math.pi * (h_lo + h_span * random())
-                jittered.append(i)
                 factors.append((bright, contrast, sat, math.cos(theta),
                                 math.sin(theta)))
-            if random() < self.gray_p:
-                grayed.append(i)
-        return (np.array(geometry, dtype=np.int64).reshape(n, 4).T,
-                np.array(jittered, dtype=np.int64),
-                np.array(factors, dtype=np.float64).reshape(-1, 5).T,
-                np.array(grayed, dtype=np.int64))
+            else:
+                factors.append((0.0,) * 5)
+            ints.append((side, top, left, flip, jittered,
+                         random() < self.gray_p))
+        draws.close()
+        return (np.array(ints, dtype=np.int64).reshape(n, 6),
+                np.array(factors, dtype=np.float64).reshape(n, 5))
 
 
-# images per in-place jitter pass: 32 float32 32x32 images are 384 KiB, so a
-# chunk stays in a 2 MiB L2 through its dozen-odd elementwise passes. On a
-# 2-core Xeon VM at one BLAS thread, pair_views on 64 such images was faster
-# at 32 than at 16 in 70 of 120 alternating rounds, by a median 0.1 ms of
-# 6.5 ms; the chunk size moves no byte
-_JITTER_CHUNK = 32
+# raw words one image's draws take unless a bounded draw rejects: eight
+# random() and two 32-bit halves
+_WORDS_PER_IMAGE = 9
+_LOW_HALF = 0xFFFFFFFF
+
+
+class _PCG64Draws:
+    """Generator.random() and Generator.integers(0, k) of a Generator whose
+    bit generator is PCG64, decoded from blocks of its raw 64-bit words.
+    close() leaves the generator as those calls would have.
+
+    random() is (w >> 11) * 2**-53 of the next word w. integers(k) for
+    1 <= k < 2**32 draws nothing when k == 1; otherwise it takes the next
+    32-bit half, the low half of a fresh word, whose high half PCG64 then
+    keeps (has_uint32 / uinteger; random() leaves a kept half alone) for the
+    next one, and maps it to [0, k) by Lemire's multiply-shift with its
+    rejection loop (Lemire 2019), taking another half per rejection.
+    """
+
+    def __init__(self, rng, block):
+        """Draw `block` words from rng's bit generator; more follow if the
+        calls need them."""
+        bitgen = rng.bit_generator
+        if type(bitgen) is not np.random.PCG64:
+            raise TypeError(f"image augmentation decodes the raw words of a "
+                            f"PCG64 generator, not {type(bitgen).__name__}")
+        self._bitgen = bitgen
+        self._entry = bitgen.state
+        self._kept = self._entry["has_uint32"]
+        self._half = self._entry["uinteger"]
+        self._used = 0
+        self._units, self._words = [], []
+        self._draw(block)
+
+    def _draw(self, count):
+        """Append the generator's next `count` words."""
+        words = self._bitgen.random_raw(count)
+        self._units += ((words >> np.uint64(11)) * 2.0 ** -53).tolist()
+        self._words += words.tolist()
+
+    def _next(self):
+        """Index of the next word, drawing more once these are spent."""
+        used = self._used
+        if used == len(self._words):
+            self._draw(max(used, 1))
+        self._used = used + 1
+        return used
+
+    def random(self):
+        return self._units[self._next()]
+
+    def _next_half(self):
+        if self._kept:
+            self._kept = 0
+            return self._half
+        word = self._words[self._next()]
+        self._kept, self._half = 1, word >> 32
+        return word & _LOW_HALF
+
+    def integers(self, k):
+        if k == 1:
+            return 0
+        m = self._next_half() * k
+        if m & _LOW_HALF < k:
+            threshold = (1 << 32) % k
+            while m & _LOW_HALF < threshold:
+                m = self._next_half() * k
+        return m >> 32
+
+    def close(self):
+        """Put the generator where the decoded calls left it."""
+        bitgen = self._bitgen
+        bitgen.state = self._entry
+        bitgen.advance(self._used)  # which clears the kept half
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = self._kept, self._half
+        bitgen.state = state
+
+
+# output rows per gather-and-jitter chunk: 32 float32 32x32 images are 384
+# KiB, so a chunk stays in L2 from its gather through its dozen-odd
+# elementwise jitter passes, and its gather index (int64) is 768 KiB. On a
+# 2-core Xeon VM at one BLAS thread, pair_views on 64 such images took a
+# median 3.6 ms at 32 against 5.3 ms at 64, and 16 and 32 split 100
+# alternating rounds 36/64; the chunk size moves no byte
+_CHUNK_ROWS = 32
 
 _RGB2YIQ = np.array([[0.299, 0.587, 0.114],
                      [0.596, -0.274, -0.322],

@@ -44,8 +44,13 @@ the tape, loss, backprop and Adam. In image mode with a spare core
 (_feeds_ahead) a helper thread, "osscl-feed", runs the prepare side
 _FEED_DEPTH batches ahead (_fed_ahead), in the walk's process and in the
 learner's alike. Image preparation is mostly array work that releases the
-GIL (np.take, the jitter passes, BLAS), so it overlaps the training. The
-feeder touches no Tensor, so nothing it computes can reach the tape stack.
+GIL (np.take, the jitter passes, BLAS), so it overlaps the training. Its
+GIL-bound part, the per-image parameter draws, is decoded from raw PCG64
+words (scenario._PCG64Draws), at about half the cost of the Generator
+calls it replaces, so less of it contends with the training thread. The
+time a trainer waits for its feeder is the phase `reference_feed_wait` or
+`learner_feed_wait` of timings.json. The feeder touches no Tensor, so
+nothing it computes can reach the tape stack.
 The teachers' embeddings stay on the training thread: they are GIL-free
 BLAS work too, but the learner's feeder, not its training, is the slower
 side, and keeping them off the feeder lowered image_cifar's wall time
@@ -232,9 +237,13 @@ class RunReport:
     wall_clock and the final networks and memory (RunState) stay separate.
     wall_clock holds seconds per phase (see _PhaseClock) from the walk's
     clock and run_continual's, with `total` and `walk_wait`, the time the
-    learner side spent blocked on the walk. When the walk runs ahead (see
-    the module docstring) its phases (reference, segregation, memory)
-    overlap `learner`, so the phases can sum to more than `total`.
+    learner side spent blocked on the walk. When batches are fed ahead
+    (_feeds_ahead), `reference_feed_wait` (walk clock) and
+    `learner_feed_wait` (run_continual's) hold the part of `reference` and
+    of `learner` that the trainer spent blocked on its feeder thread. When
+    the walk runs ahead (see the module docstring) its phases (reference,
+    segregation, memory) overlap `learner`, so the phases can sum to more
+    than `total`.
     """
 
     method: str
@@ -385,7 +394,8 @@ def _fed_ahead(items):
         thread.join()
 
 
-def _optimize(net, n, epochs, cfg, rng, prepare, train, where, feed_ahead):
+def _optimize(net, n, epochs, cfg, rng, prepare, train, where, feed_ahead,
+              clock=None, wait_phase=None):
     """The epoch loop both trainers share; returns per-epoch mean losses.
 
     A fresh Adam over net.params and a cosine schedule over `epochs` per
@@ -394,9 +404,10 @@ def _optimize(net, n, epochs, cfg, rng, prepare, train, where, feed_ahead):
     trained parameter) and train(inputs) returns (loss, grads), and one Adam
     step follows once both are finite. The batches come from _feed, inline
     or, with feed_ahead, from a feeder thread (_fed_ahead); rng is drawn in
-    the same order either way. A NonFiniteError, here, from prepare or from
-    train, names `where`, the epoch and the batch. epochs=0 leaves the net
-    untouched.
+    the same order either way; with a feeder and a clock, the time spent
+    waiting for its batches is added to `wait_phase` of clock. A
+    NonFiniteError, here, from prepare or from train, names `where`, the
+    epoch and the batch. epochs=0 leaves the net untouched.
     """
     if epochs == 0:
         return []
@@ -406,6 +417,8 @@ def _optimize(net, n, epochs, cfg, rng, prepare, train, where, feed_ahead):
     feed = _feed(n, epochs, cfg, rng, prepare, where)
     fed = _fed_ahead(feed) if feed_ahead else contextlib.nullcontext(feed)
     with fed as batches:
+        if feed_ahead and clock is not None:
+            batches = _waited(batches, clock, wait_phase)
         for epoch, at, prepared in batches:
             opt.lr = schedule.at(epoch)
             with _named(at):
@@ -418,12 +431,13 @@ def _optimize(net, n, epochs, cfg, rng, prepare, train, where, feed_ahead):
 
 
 def train_reference(net, pool_x, epochs, cfg, augmenter, rng,
-                    where="reference", feed_ahead=False):
+                    where="reference", feed_ahead=False, clock=None):
     """Contrastive training of the reference on the raw unlabeled pool.
 
     Returns per-epoch mean losses (see _optimize; a NonFiniteError starts
     with `where`); epochs=0 leaves the net untouched. With feed_ahead the
-    views are augmented on a feeder thread.
+    views are augmented on a feeder thread, and the time spent waiting for
+    them is added to the `reference_feed_wait` phase of `clock`, if given.
     """
     if len(pool_x) == 0:
         raise ValueError("reference training needs a non-empty unlabeled pool")
@@ -437,12 +451,13 @@ def train_reference(net, pool_x, epochs, cfg, augmenter, rng,
             return loss, backprop(tape, loss)
 
     return _optimize(net, len(pool_x), epochs, cfg, rng, prepare, train, where,
-                     feed_ahead)
+                     feed_ahead, clock, "reference_feed_wait")
 
 
 def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
                        augmenter, rng, td_teacher=None, kd_teacher=None,
-                       kd_pool=None, unsup_pool=None, feed_ahead=False):
+                       kd_pool=None, unsup_pool=None, feed_ahead=False,
+                       clock=None):
     """One task's learner training under the combined objective.
 
     Args:
@@ -469,7 +484,9 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
     per-epoch mean losses.
 
     With feed_ahead the batches and their views are prepared on a feeder
-    thread while this one embeds the teachers' views and trains.
+    thread while this one embeds the teachers' views and trains; the time
+    spent waiting for them is added to the `learner_feed_wait` phase of
+    `clock`, if given.
     """
     if len(sup_x) == 0:
         raise ValueError("empty supervised union")
@@ -509,7 +526,8 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
             return total, backprop(tape, total)
 
     return _optimize(learner, len(sup_x), cfg.epochs_learner, cfg, rng,
-                     prepare, train, f"learner, t={t}", feed_ahead)
+                     prepare, train, f"learner, t={t}", feed_ahead,
+                     clock, "learner_feed_wait")
 
 
 def fit_classifier(learner, xs, ys, observed_classes, cfg, rng_init, rng_train):
@@ -689,7 +707,7 @@ class _TaskWalk:
             with clock.timed("reference"):
                 train_reference(self.reference, pooled, cfg.epochs_first, cfg,
                                 self.augmenter, self.rngs["ref"],
-                                "pretraining", self.feed_ahead)
+                                "pretraining", self.feed_ahead, clock)
         observed = []
         for step in self.stream.steps:
             t = step.index
@@ -700,7 +718,7 @@ class _TaskWalk:
                     self.reference_curves[f"t{t}"] = train_reference(
                         self.reference, step.unlabeled_x, epochs, cfg,
                         self.augmenter, self.rngs["ref"], f"reference, t={t}",
-                        self.feed_ahead)
+                        self.feed_ahead, clock)
 
             labeled = _labeled_union(step, self.memory)
             seg = None
@@ -881,10 +899,10 @@ def _mirror(walk, inbox, child):
     child.join()
 
 
-def _waited(items, clock):
-    """items, adding the time each took to arrive to the walk_wait phase."""
+def _waited(items, clock, phase):
+    """items, adding the time each took to arrive to `phase` of clock."""
     while True:
-        with clock.timed("walk_wait"):
+        with clock.timed(phase):
             item = next(items, None)
         if item is None:
             return
@@ -959,7 +977,8 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
         learner_curves = {}
 
         with _walk_feed(walk, threads) as items:
-            for step, (lab_x, lab_y, _), seg in _waited(items, clock):
+            steps = _waited(items, clock, "walk_wait")
+            for step, (lab_x, lab_y, _), seg in steps:
                 t = step.index
                 if cfg.method == "co2l_p" and t == 1:
                     learner.copy_params_from(walk.reference)
@@ -994,7 +1013,7 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
                         t, cfg, augmenter, rng,
                         td_teacher=snapshot, kd_teacher=kd_teacher,
                         kd_pool=kd_pool, unsup_pool=unsup_pool,
-                        feed_ahead=feed_ahead)
+                        feed_ahead=feed_ahead, clock=clock)
 
         final_x, final_y, _ = _labeled_union(stream.steps[-1], walk.memory)
         with clock.timed("classifier"):

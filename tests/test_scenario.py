@@ -439,6 +439,119 @@ def test_image_views_match_the_per_image_oracle(hw, batch, crop_scale, dtype):
             assert got.tobytes() == want.tobytes(), case
             assert got_rng.bit_generator.state == \
                 want_rng.bit_generator.state, case
+            # pair_views from where apply_batch left both generators
+            assert_views_match_the_oracle("pair_views", aug, x, got_rng,
+                                          want_rng, case)
+
+
+def assert_views_match_the_oracle(views, aug, x, got_rng, want_rng, case=""):
+    """`views` ("apply_batch" or "pair_views", all first views then all
+    second views, interleaved) equal the oracle's in bytes and in the
+    generator state they leave."""
+    got = getattr(aug, views)(x, got_rng)
+    want = _oracle_images(aug, x, want_rng)
+    if views == "pair_views":
+        first, want = want, np.empty((2 * len(x), x.shape[1]), dtype=x.dtype)
+        want[0::2] = first
+        want[1::2] = _oracle_images(aug, x, want_rng)
+    assert got.dtype == want.dtype == x.dtype, case
+    assert got.tobytes() == want.tobytes(), case
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state, case
+
+
+@pytest.mark.parametrize("views", ["apply_batch", "pair_views"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_image_views_entered_with_a_kept_half_match_the_oracle(views, dtype):
+    """integers() before the views leaves PCG64 holding a 32-bit half,
+    which the first crop edge must take."""
+    x = np.random.default_rng(3).standard_normal((33, 3 * 8 * 8)).astype(
+        dtype)
+    aug = scenario.Augmenter(mode="image", image_hw=8)
+    got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for rng in (got_rng, want_rng):
+        rng.integers(0, 5)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    assert_views_match_the_oracle(views, aug, x, got_rng, want_rng)
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_whose_second_word_is(word):
+    """A PCG64 Generator whose second raw word from now is `word`.
+
+    PCG64 steps its 128-bit LCG state, then outputs the state's two 64-bit
+    halves xor-ed and rotated right by its top 6 bits. So the state giving
+    `word` is built from a chosen high half, and two LCG steps are undone.
+    """
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    high = 0xC3A5C85C97CB3127
+    rot = high >> 58
+    low = (((word << rot) | (word >> (64 - rot))) & (2**64 - 1)) ^ high
+    lcg = (high << 64) | low
+    for _ in range(2):
+        lcg = (lcg - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    rng.bit_generator.state = dict(state, state={"state": lcg, "inc": inc})
+    return rng
+
+
+@pytest.mark.parametrize("views", ["apply_batch", "pair_views"])
+def test_image_views_through_a_rejected_crop_edge_match_the_oracle(views):
+    """The first image's crop edges come from a word whose low half is 0:
+    Lemire's product then falls below the rejection threshold, so the top
+    edge draws again, from the word's high half."""
+    hw = 32
+    aug = scenario.Augmenter(mode="image", image_hw=hw,
+                             crop_scale=(0.2, 0.2))
+    k = hw - round(hw * math.sqrt(0.2)) + 1  # positions of a crop edge
+    assert (1 << 32) % k > 0  # so a zero product is rejected
+    x = np.random.default_rng(4).standard_normal((5, 3 * hw * hw)).astype(
+        np.float32)
+    # word 0 is the crop area, word 1 gives the edges
+    word = 0x9E3779B9 << 32
+    probe = _pcg64_whose_second_word_is(word)
+    assert probe.bit_generator.random_raw(2)[1] == word
+    got_rng, want_rng = (_pcg64_whose_second_word_is(word) for _ in range(2))
+    assert_views_match_the_oracle(views, aug, x, got_rng, want_rng)
+
+
+def test_pcg64_draws_match_the_generator_call_for_call():
+    """Mixed random() and integers(0, k) calls, k up to 2**32 - 1 (where
+    about half the bounded draws reject), from a one-word first block that
+    must grow, give the Generator's values and leave its state."""
+    plan = np.random.default_rng(11)
+    ks = [1, 2, 3, 7, 32, 1000, 2**31 + 1, 2**32 - 1]
+    calls = [None if plan.random() < 0.4 else int(plan.choice(ks))
+             for _ in range(3000)]
+    for pre in (False, True):
+        want_rng, got_rng = np.random.default_rng(6), np.random.default_rng(6)
+        if pre:
+            want_rng.integers(0, 9)
+            got_rng.integers(0, 9)
+        draws = scenario._PCG64Draws(got_rng, 1)
+        for k in calls:
+            if k is None:
+                assert draws.random() == want_rng.random()
+            else:
+                assert draws.integers(k) == want_rng.integers(0, k), k
+        draws.close()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937,
+                                           np.random.PCG64DXSM])
+def test_image_views_need_a_pcg64_generator(bit_generator):
+    aug = scenario.Augmenter(mode="image", image_hw=4)
+    x = np.zeros((2, 48), dtype=np.float32)
+    rng = np.random.Generator(bit_generator(0))
+    for views in (aug.apply_batch, aug.pair_views):
+        with pytest.raises(TypeError, match=bit_generator.__name__):
+            views(x, rng)
+    # vector mode calls the Generator and takes any bit generator
+    scenario.Augmenter(mode="vector").pair_views(x, rng)
 
 
 def test_image_mode_rejects_rows_of_the_wrong_width():

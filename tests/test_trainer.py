@@ -1307,6 +1307,24 @@ def test_feeding_ahead_moves_no_byte(image_world, in_process, feeds,
     assert runs[0] == runs[1]
 
 
+def test_feeder_waits_are_phases_of_their_trainers(image_world, in_process,
+                                                   feeds, monkeypatch):
+    """Fed ahead, the time each side waited for its feeder is a phase of
+    its own clock and part of that trainer's phase; inline there is none."""
+    main, stream, aug = image_world
+    phases = []
+    for ahead in (False, True):
+        monkeypatch.setattr(tr, "_feeds_ahead",
+                            lambda augmenter, threads: ahead)
+        rep = tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
+        phases.append(rep.wall_clock)
+    inline, fed = phases
+    waits = {"reference_feed_wait", "learner_feed_wait"}
+    assert set(fed) == set(inline) | waits
+    assert 0 <= fed["reference_feed_wait"] <= fed["reference"]
+    assert 0 <= fed["learner_feed_wait"] <= fed["learner"]
+
+
 def assert_next_ursl_run_walks_ahead(tiny_world, walk_ahead, feeds):
     """A vector ursl run after the failed one forks its walk, as the process
     runs one thread again, and prepares its learner's batches inline."""
