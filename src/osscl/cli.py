@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, gradcheck
 from . import scenario as sc
 from . import trainer
-from .config import ConfigError, from_dict, load_experiment
+from .config import ConfigError, check_seeds, from_dict, load_experiment
 
 log = logging.getLogger("osscl.cli")
 
@@ -150,12 +150,13 @@ def _resolve_run(args, segregates=False):
                           f"that segregates its pool (ursl), got "
                           f"{exp.method.method!r}")
     seeds = exp.seeds
-    if args.seeds:
+    if args.seeds is not None:
         try:
-            seeds = tuple(int(s) for s in args.seeds.split(","))
+            seeds = [int(s) for s in args.seeds.split(",")]
         except ValueError:
             raise ConfigError(f"--seeds: expected comma-separated integers, "
                               f"got {args.seeds!r}")
+        seeds = check_seeds(seeds, "--seeds")
     out = args.out or exp.output_dir
     if not out:
         raise ConfigError("no output directory: pass --out or set output_dir")
@@ -274,6 +275,9 @@ def _run_pool(jobs, resolved, workers):
 
 
 def cmd_run(args):
+    if args.threads < 1:
+        raise ConfigError(f"--threads: expected an integer >= 1, "
+                          f"got {args.threads}")
     exp = _resolve_run(args)
     resolved, seeds, out = exp.resolved(), exp.seeds, exp.output_dir
     jobs = [(seed, os.path.join(out, f"seed_{seed}")) for seed in seeds]

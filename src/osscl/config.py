@@ -203,14 +203,15 @@ def _parse_scenario(obj, path):
     return kwargs
 
 
-def _parse_seeds(obj, path):
-    seeds = obj.get("seeds")
+def check_seeds(seeds, where):
+    """seeds as a tuple when it is a non-empty list of unique ints >= 0;
+    otherwise a ConfigError under `where` (a key path or a CLI flag)."""
     if (not isinstance(seeds, list) or not seeds or not all(
             isinstance(s, int) and not isinstance(s, bool) and s >= 0
             for s in seeds)):
-        _fail(f"{path}.seeds", "expected a non-empty list of seeds >= 0")
+        _fail(where, "expected a non-empty list of seeds >= 0")
     if len(set(seeds)) != len(seeds):
-        _fail(f"{path}.seeds", "seeds must be unique")
+        _fail(where, "seeds must be unique")
     return tuple(seeds)
 
 
@@ -322,7 +323,7 @@ def from_dict(data, path="config"):
         arch=_read_section(NetArch, data.get("arch", {}), f"{path}.arch"),
         method=_read_section(MethodConfig, data.get("method", {}),
                              f"{path}.method"),
-        seeds=_parse_seeds(data, path),
+        seeds=check_seeds(data.get("seeds"), f"{path}.seeds"),
         output_dir=_get(data, path, "output_dir", ""),
     )
     # the final classifier fits on the last task's labeled set and memory,

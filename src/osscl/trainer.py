@@ -41,10 +41,13 @@ Each trainer's optimizer step is two parts (_optimize): prepare(idx) makes
 the batch's inputs (the batch draws and the augmented views), which read
 no parameter, and train(inputs) embeds the frozen teachers' views and runs
 the tape, loss, backprop and Adam. In image mode with a spare core
-(_feeds_ahead) a helper thread, "osscl-feed", runs the prepare side
-_FEED_DEPTH batches ahead (_fed_ahead), in the walk's process and in the
-learner's alike. Image preparation is mostly array work that releases the
-GIL (np.take, the jitter passes, BLAS), so it overlaps the training. Its
+(_feeds_ahead) a one-worker ThreadPoolExecutor, its thread named
+"osscl-feed", runs the prepare side ahead (_fed_ahead), in the walk's
+process and in the learner's alike. A window of _FEED_DEPTH + 1 submitted
+batches bounds how far ahead it runs; leaving the loop cancels what has not
+started and joins the thread, so it is no daemon thread and never outlives
+its trainer. Image preparation is mostly array work that releases the GIL
+(np.take, the jitter passes, BLAS), so it overlaps the training. Its
 GIL-bound part, the per-image parameter draws, is decoded from raw PCG64
 words (scenario._PCG64Draws), at about half the cost of the Generator
 calls it replaces, so less of it contends with the training thread. The
@@ -70,6 +73,7 @@ while the trainer runs).
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import logging
@@ -140,7 +144,9 @@ class MethodConfig:
         v1 = (T+M;   T+M+U)     v2 = (T+M;   T+M+U_hat)
         v3 = (T+M+T_hat; T+M+U) v4 = (T+M+T_hat; T+M+U_hat)
     pretrain_reference trains the reference once on all pools up front and
-    freezes it. Epoch defaults are desk scale; full-scale values are
+    freezes it. use_kd, when not given (None), resolves to whether the
+    method has a live reference to distill from (ursl); only ursl may set
+    it true. Epoch defaults are desk scale; full-scale values are
     epochs_first=400, epochs_later=100, epochs_learner=200, batch 512.
 
     A config's `method` section holds these fields with these defaults;
@@ -151,7 +157,7 @@ class MethodConfig:
     seg_variant: str = "v4"
     use_sup: bool = True
     use_td: bool = True
-    use_kd: bool = True
+    use_kd: bool | None = None
     pretrain_reference: bool = False
     pseudo_anchor: bool = False
     pseudo_positive: bool = True
@@ -181,9 +187,12 @@ class MethodConfig:
             raise ValueError(f"spread_mode must be one of {sg.SPREAD_MODES}")
         if self.memory_policy not in sc.MEMORY_POLICIES:
             raise ValueError(f"memory_policy must be one of {sc.MEMORY_POLICIES}")
+        if self.use_kd is None:
+            object.__setattr__(self, "use_kd", self.method == "ursl")
         if self.method != "ursl":
             # only the full method has a live reference to distill from
-            object.__setattr__(self, "use_kd", False)
+            if self.use_kd:
+                raise ValueError("use_kd applies to ursl only")
             if self.pretrain_reference:
                 raise ValueError("pretrain_reference applies to ursl only")
             if self.memory_policy != "random":
@@ -329,7 +338,7 @@ def _feed(n, epochs, cfg, rng, prepare, where):
             yield epoch, at, prepared
 
 
-# batches the feeder thread keeps prepared; it prepares one more meanwhile
+# the feeder runs up to _FEED_DEPTH + 1 batches ahead of the one in training
 _FEED_DEPTH = 2
 _FEED_END = object()
 
@@ -349,49 +358,33 @@ def _spare_core(threads):
 
 @contextlib.contextmanager
 def _fed_ahead(items):
-    """An iterator over `items` that a helper thread ("osscl-feed") runs up
-    to _FEED_DEPTH items ahead of it.
+    """An iterator over `items` that a one-worker thread pool, its thread
+    named "osscl-feed", runs ahead of: _FEED_DEPTH + 1 calls of next(items)
+    stay submitted, and their results are yielded in order.
 
     An exception `items` raises is raised from the iterator, with its type
     and message, in its place in the order. On the way out, by error or
-    not, the thread is stopped and joined.
+    not, the calls not yet started are cancelled and the thread is joined
+    once the call it runs, if any, returns.
     """
-    import queue
+    # imported here, so that a run which never feeds ahead does not load it
+    from concurrent.futures import ThreadPoolExecutor
 
-    ready = queue.Queue(maxsize=_FEED_DEPTH)
-    stop = threading.Event()
+    def named():
+        threading.current_thread().name = "osscl-feed"
 
-    def run():
-        try:
-            for item in items:
-                ready.put((item, None))
-                if stop.is_set():
-                    return
-            ready.put((_FEED_END, None))
-        except BaseException as exc:  # noqa: BLE001 - raised again below
-            ready.put((None, exc))
-
-    def received():
-        while True:
-            item, exc = ready.get()
-            if exc is not None:
-                raise exc
-            if item is _FEED_END:
-                return
+    def fetched():
+        window = collections.deque(fetch() for _ in range(_FEED_DEPTH + 1))
+        while (item := window.popleft().result()) is not _FEED_END:
+            window.append(fetch())
             yield item
 
-    thread = threading.Thread(target=run, name="osscl-feed", daemon=True)
-    thread.start()
+    pool = ThreadPoolExecutor(1, initializer=named)
+    fetch = functools.partial(pool.submit, next, items, _FEED_END)
     try:
-        yield received()
+        yield fetched()
     finally:
-        stop.set()
-        # once `stop` is set the feeder puts at most once more, so after the
-        # queue is emptied here that put cannot block
-        with contextlib.suppress(queue.Empty):
-            while True:
-                ready.get_nowait()
-        thread.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def _optimize(net, n, epochs, cfg, rng, prepare, train, where, feed_ahead,

@@ -263,11 +263,30 @@ class TestErrors:
         assert rc == 2
         assert not out.exists()
 
-    def test_bad_seeds_override_exit_2(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("seeds,message", [
+        ("1,x", "expected comma-separated integers"),
+        ("-1", "expected a non-empty list of seeds >= 0"),
+        ("1,1", "seeds must be unique"),
+    ], ids=["not_an_integer", "negative", "repeated"])
+    def test_bad_seeds_override_exit_2(self, workspace, tmp_path, capsys,
+                                       seeds, message):
+        out = tmp_path / "o"
         rc = cli.main(["run", "--config", str(workspace["config"]),
-                       "--out", str(tmp_path / "o"), "--seeds", "1,x"])
+                       "--out", str(out), f"--seeds={seeds}"])
         assert rc == 2
-        assert "--seeds" in capsys.readouterr().err
+        assert f"config error: --seeds: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_threads_exit_2_before_any_output(self, workspace, tmp_path,
+                                                  capsys, threads):
+        out = tmp_path / "o"
+        rc = cli.main(["run", "--config", str(workspace["config"]),
+                       "--out", str(out), "--threads", threads])
+        assert rc == 2
+        assert (f"config error: --threads: expected an integer >= 1, "
+                f"got {threads}") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_output_dir_exit_2(self, workspace, capsys):
         rc = cli.main(["run", "--config", str(workspace["config"])])
@@ -561,8 +580,9 @@ class TestReport:
 class TestStartup:
     def test_cli_imports_no_scipy_and_no_process_pool(self):
         """The benchmark worker's import set, in a fresh interpreter, loads
-        neither scipy (about 1.2 s per process) nor the process pool, which
-        only `run --threads N` needs."""
+        neither scipy (about 1.2 s per process) nor concurrent.futures:
+        only `run --threads N` needs its process pool, and only a run that
+        feeds its batches ahead its thread pool."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         script = ("import sys; sys.path.insert(0, sys.argv[1]); "
                   "import osscl.cli, osscl.trainer; "
@@ -575,6 +595,7 @@ class TestStartup:
         assert [m for m in loaded if m == "scipy"
                 or m.startswith("scipy.")] == []
         assert "concurrent.futures.process" not in loaded
+        assert "concurrent.futures" not in loaded
 
 
 class TestOutDir:

@@ -286,6 +286,22 @@ def test_non_positive_learning_rate_exits_2_before_any_output(
     assert not out.exists()
 
 
+def test_kd_without_a_live_reference_exits_2_before_any_output(tmp_path,
+                                                               capsys):
+    """Only ursl distills from a live reference; an explicit use_kd true
+    elsewhere is an error, not silently dropped."""
+    spec = json.loads(json.dumps(TINY))
+    spec["method"].update(method="co2l_j", use_kd=True)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(spec))
+    out = tmp_path / "never"
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert ("config.method: use_kd applies to ursl only"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("main,message", [
     ({**TINY["datasets"]["main"], "test_per_class": 0},
      "config.datasets.main.test_per_class: must be >= 1 for the main dataset"),

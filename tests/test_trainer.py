@@ -93,8 +93,15 @@ class TestMethodConfig:
             tr.MethodConfig(memory_policy="fifo")
 
     def test_non_ursl_forces_kd_off(self):
+        """Not given, use_kd is on for ursl only; given true, only ursl
+        takes it."""
+        assert tr.MethodConfig().use_kd is True
         assert tr.MethodConfig(method="co2l").use_kd is False
-        assert tr.MethodConfig(method="co2l_j", use_kd=True).use_kd is False
+        assert tr.MethodConfig(method="co2l_j", use_kd=False).use_kd is False
+        for method in ("co2l", "co2l_j", "co2l_p"):
+            with pytest.raises(ValueError,
+                               match="^use_kd applies to ursl only$"):
+                tr.MethodConfig(method=method, use_kd=True)
 
     def test_pretrained_reference_is_ursl_only(self):
         with pytest.raises(ValueError):
@@ -1250,13 +1257,17 @@ class PrepareFailed(Exception):
     pass
 
 
+class PrepareInterrupted(BaseException):
+    """Not an Exception, as KeyboardInterrupt and SystemExit are not."""
+
+
 def test_fed_ahead_keeps_the_order_and_stops_when_left():
     """Under a short GIL switch interval: every item in order, then the
-    error in its place; leaving early (the feeder blocked on a full queue,
-    or not) stops and joins the thread."""
-    def failing_after(n):
+    error in its place, an Exception or not; leaving early (the feeder's
+    window full, or not) stops and joins the thread."""
+    def failing_after(n, error=PrepareFailed):
         yield from range(n)
-        raise PrepareFailed(f"item {n} failed")
+        raise error(f"item {n} failed")
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1268,6 +1279,15 @@ def test_fed_ahead_keeps_the_order_and_stops_when_left():
             with tr._fed_ahead(failing_after(3)) as items:
                 got.extend(items)
         assert got == [0, 1, 2]
+        got = []
+        interrupted = failing_after(4, PrepareInterrupted)
+        with pytest.raises(PrepareInterrupted,
+                           match="^item 4 failed$") as caught:
+            with tr._fed_ahead(interrupted) as items:
+                got.extend(items)
+        assert type(caught.value) is PrepareInterrupted
+        assert got == [0, 1, 2, 3]
+        assert feeder_threads() == []
         for left_after in (0, 1, 5):
             with tr._fed_ahead(iter(range(100))) as items:
                 assert [x for _, x in zip(range(left_after), items)] == \
