@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -166,12 +167,9 @@ def _resolve_run(args, segregates=False):
                 raise ConfigError(f"config.datasets.{where}.{key}: no such "
                                   f"file {spec[key]!r}")
     _check_task_classes(exp, seeds, quotas=not segregates)
-    resolved = exp.resolved()
-    resolved["seeds"] = list(seeds)
-    resolved["output_dir"] = out
-    exp = from_dict(resolved)
+    exp = dataclasses.replace(exp, seeds=seeds, output_dir=out)
     _prepare_out_dir(out, args.force)
-    write_json(os.path.join(out, "config.json"), resolved)
+    write_json(os.path.join(out, "config.json"), exp.resolved())
     write_json(os.path.join(out, "version.json"), _version_stamp())
     return exp
 

@@ -65,10 +65,10 @@ def _supcon_case(rng):
     return fn, [x]
 
 
-def _distill_case(rng, tau_teacher_range):
+def _distill_case(rng):
     n = int(rng.integers(2, 6))
     dim = int(rng.integers(3, 9))
-    tau_t = float(rng.uniform(*tau_teacher_range))
+    tau_t = float(rng.uniform(0.02, 0.1))
     tau_s = float(rng.uniform(0.1, 0.5))
     teacher = _unit_rows(rng, 2 * n, dim)
     x = _raw_embeddings(rng, n, dim)
@@ -124,8 +124,8 @@ def _mlp_embed_case(rng):
 _CASES = {
     "ntxent": _ntxent_case,
     "supcon": _supcon_case,
-    "distill_time": lambda rng: _distill_case(rng, (0.02, 0.1)),
-    "distill_reference": lambda rng: _distill_case(rng, (0.02, 0.1)),
+    "distill_time": _distill_case,
+    "distill_reference": _distill_case,
     "combined": _combined_case,
     "mlp_embed": _mlp_embed_case,
 }

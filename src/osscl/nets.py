@@ -108,9 +108,6 @@ class ParamSnapshot:
     def params(self):
         return self._net.params
 
-    def encoder_features(self, x):
-        return self._net.encoder_features(x)
-
     def embed(self, x):
         return self._net.embed(x)
 

@@ -47,10 +47,6 @@ class TapeConsumedError(RuntimeError):
     """backprop was called twice on the same tape."""
 
 
-class AllMaskedRowError(ValueError):
-    """row_log_softmax received a row with every position masked out."""
-
-
 class DegenerateNormError(ValueError):
     """l2_normalize_rows received a row with norm below EPS_NORM."""
 
@@ -375,32 +371,14 @@ def pairwise_cosine(a, b):
     return out
 
 
-def row_log_softmax(logits, mask=None):
-    """Row-wise log-softmax over the positions where mask is True.
-
-    Args:
-        logits: Tensor [B, N].
-        mask: optional bool ndarray [B, N]; True marks positions that take
-            part in the softmax. Masked positions come back as -inf in the
-            output; downstream consumers must mask_fill before multiplying.
-
-    Raises AllMaskedRowError when a row has no True position.
-    """
+def row_log_softmax(logits):
+    """Row-wise log-softmax of a Tensor [B, N]. A -inf logit, which
+    mask_fill(-inf) leaves, drops out of its row's softmax and comes back
+    -inf; each row needs one finite logit."""
     data = logits.data
     if data.ndim != 2:
         raise ShapeError("row_log_softmax expects a 2-d input")
-    if mask is None:
-        kept = np.ones(data.shape, dtype=bool)
-    else:
-        kept = np.asarray(mask, dtype=bool)
-        if kept.shape != data.shape:
-            raise ShapeError(f"mask shape {kept.shape} != logits shape {data.shape}")
-    if not kept.any(axis=1).all():
-        raise AllMaskedRowError("a row has every position masked")
-
-    shifted = np.where(kept, data, -np.inf)
-    rowmax = shifted.max(axis=1, keepdims=True)
-    shifted = shifted - rowmax
+    shifted = data - data.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
     denom = ex.sum(axis=1, keepdims=True)
     out_data = shifted - np.log(denom)
@@ -408,8 +386,7 @@ def row_log_softmax(logits, mask=None):
     out = Tensor(out_data, requires_grad=logits.requires_grad)
 
     def backward(g):
-        g = g * kept
-        return ((g - softmax * g.sum(axis=1, keepdims=True)) * kept,)
+        return (g - softmax * g.sum(axis=1, keepdims=True),)
 
     _record(out, (logits,), backward)
     return out
@@ -419,12 +396,13 @@ def softmax_xent(z, tau, target, factor):
     """factor * sum_ij W_ij log p_ij, p_i = softmax_{k != i}(z_i . z_k / tau).
 
     The fused form of pairwise_cosine(z, z) -> scale(1/tau) ->
-    row_log_softmax over the off-diagonal -> (gather2d | mask_fill, mul) ->
-    total_sum -> scale(factor): the same float arithmetic in the same order,
-    so the loss and the gradient are bitwise those of that chain, recorded as
-    one tape entry. The backward is dS = (W - rowsum(W) * p) * factor / tau
-    times the output gradient, returned as (dS @ z, dS.T @ z) to the parent
-    pair (z, z) as pairwise_cosine does.
+    mask_fill(-inf) on the diagonal -> row_log_softmax ->
+    (gather2d | mask_fill(0), mul) -> total_sum -> scale(factor): the same
+    float arithmetic in the same order, so the loss and the gradient are
+    bitwise those of that chain, recorded as one tape entry. The backward is
+    dS = (W - rowsum(W) * p) * factor / tau times the output gradient,
+    returned as (dS @ z, dS.T @ z) to the parent pair (z, z) as
+    pairwise_cosine does.
 
     Args:
         z: Tensor [V, d], V >= 2, unit rows (verified to 1e-4).
@@ -527,8 +505,9 @@ def softmax_xent(z, tau, target, factor):
 def mask_fill(x, keep_mask, fill=0.0):
     """Keep x where keep_mask is True, substitute `fill` elsewhere.
 
-    The standard idiom for neutralizing the -inf sentinel of row_log_softmax
-    before a multiply. No gradient flows to filled positions.
+    mask_fill(-inf) -> row_log_softmax takes a softmax over the kept
+    positions only; mask_fill(0) after it clears their -inf before a
+    multiply. No gradient flows to filled positions.
     """
     kept = np.asarray(keep_mask, dtype=bool)
     if kept.shape != x.data.shape:

@@ -18,8 +18,7 @@ reports is the split the run feeds its learner.
 
 Both run at one OpenBLAS thread from entry to exit (_one_blas_thread): on
 some kernels (Haswell, Zen) gemm bytes move with the thread count, and at
-these sizes a second thread buys no wall time. run_continual also has malloc
-keep 4 MiB mapped above the heap top, once per process (_keep_heap_mapped).
+these sizes a second thread buys no wall time.
 
 The walk never reads learner state, so run_continual can run it ahead of
 the learner (_walk_feed): a forked child process iterates the walk and
@@ -736,7 +735,7 @@ class _TaskWalk:
 
 
 # ---------------------------------------------------------------------------
-# What a run sets in its process: BLAS threads and the heap pad
+# What a run sets in its process: BLAS threads
 # ---------------------------------------------------------------------------
 
 
@@ -777,37 +776,6 @@ def _one_blas_thread():
         yield threads
     finally:
         lib.scipy_openblas_set_num_threads64_(threads)
-
-
-# glibc's mallopt parameter for the bytes its heap keeps mapped above its
-# top when it grows or trims, and the pad run_continual sets
-_M_TOP_PAD = -2
-_HEAP_TOP_PAD = 4 << 20
-
-
-@functools.cache
-def _keep_heap_mapped():
-    """Have malloc keep _HEAP_TOP_PAD bytes mapped above the heap top, once
-    per process; returns whether libc took the setting.
-
-    A desk-scale learner step allocates and frees about a dozen 256 x 256
-    float32 arrays. At glibc's default pad the heap top is trimmed after
-    the step and the next step faults those pages back in. The setting is
-    process-wide and moves no float. Like any mallopt of the pad it also
-    turns glibc's dynamic mmap threshold off, so the threshold stays where
-    the process's earlier frees left it (128 KiB if none raised it, and then
-    every larger array is a fresh mmap). A libc without mallopt is left
-    alone.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return False
-    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-    mallopt.restype = ctypes.c_int
-    return mallopt(_M_TOP_PAD, _HEAP_TOP_PAD) == 1
 
 
 def blas_kernel():
@@ -958,7 +926,6 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
     and learner training; the classifier and evaluation follow the last
     step.
     """
-    _keep_heap_mapped()
     with _one_blas_thread() as threads:
         clock = _PhaseClock()
         start_total = time.perf_counter()

@@ -301,7 +301,7 @@ def chain_loss(z, tau, target, factor):
     v = z.shape[0]
     offdiag = ~np.eye(v, dtype=bool)
     sim = nc.scale(nc.pairwise_cosine(z, z), 1.0 / tau)
-    logp = nc.row_log_softmax(sim, offdiag)
+    logp = nc.row_log_softmax(nc.mask_fill(sim, offdiag, -np.inf))
     if target.ndim == 1:
         picked = nc.gather2d(logp, np.arange(v), target)
     else:

@@ -1406,39 +1406,3 @@ def test_feeder_error_is_raised_with_its_type_and_message(
     assert len(feeds) == 1
     monkeypatch.setattr(tr, "_walks_ahead", walks_ahead)
     assert_next_ursl_run_walks_ahead(tiny_world, walk_ahead, feeds)
-
-
-# ---------------------------------------------------------------------------
-# Allocator
-# ---------------------------------------------------------------------------
-
-
-def test_desk_scale_learner_steps_keep_the_heap_mapped():
-    """With the top pad run_continual sets, a desk-scale learner step (batch
-    128, so three similarity terms over 256 x 256 arrays) at the one BLAS
-    thread a run computes at reuses the pages the step before it freed.
-    Measured in a fresh process over 20 steps after 2 warm-up steps: about
-    0.6 minor faults per step with the pad, 267 without it."""
-    resource = pytest.importorskip("resource")
-    if not tr._keep_heap_mapped():
-        pytest.skip("libc has no mallopt")
-    data = sc.synth_dataset(8, 16, 400, 1, seed=11)
-    learner = EncoderProjector(16, rng=np.random.default_rng(1))
-    reference = EncoderProjector(16, rng=np.random.default_rng(2))
-    cfg = tr.MethodConfig(epochs_learner=1, batch_size=128)
-    aug = sc.Augmenter(mode="vector", sigma=1.75, dropout=0.05)
-    rng = np.random.default_rng(0)
-
-    def task(steps):
-        n = steps * cfg.batch_size
-        tr.train_learner_task(learner, data.train_x[:n], data.train_y[:n],
-                              np.zeros(n, dtype=bool), (0, 1), 2, cfg, aug,
-                              rng, td_teacher=learner.snapshot(),
-                              kd_teacher=reference, kd_pool=data.train_x)
-
-    with tr._one_blas_thread():
-        task(2)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        task(20)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults / 20 < 20
