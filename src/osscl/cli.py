@@ -14,12 +14,14 @@ All JSON is written with sorted keys so reruns are byte-identical; CSV
 numeric fields use shortest-round-trip formatting so parsing them back
 recovers the exact float values. Every file is written to a temp file in
 its directory and renamed into place, so none is ever seen half-written,
-and `run` writes aggregate.json only after every seed's files.
+and `run` writes aggregate.json only after every seed's files (a --force
+rerun deletes the old one first).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -126,12 +128,18 @@ def _aggregate(metric_dicts, seeds):
 
 
 def _prepare_out_dir(out, force):
+    """Make out, which must be empty unless force. A forced rerun first
+    deletes the old aggregate.json, so a rerun that fails does not leave a
+    directory that reads as complete."""
     if os.path.isdir(out) and not force:
         with os.scandir(out) as entries:
             if any(entries):
                 raise ConfigError(f"output directory {out} is not empty "
                                   "(use --force to overwrite)")
     os.makedirs(out, exist_ok=True)
+    if force:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out, "aggregate.json"))
 
 
 def _resolve_run(args, segregates=False):
@@ -364,18 +372,19 @@ def _load_result_dir(path):
 
 
 def cmd_report(args):
-    cells = {}
-    rows, cols = [], []
+    cells = {}  # (row, col) -> (path, text), in the order of args.results
     for path in args.results:
         row, col, fa = _load_result_dir(path)
-        if row not in rows:
-            rows.append(row)
-        if col not in cols:
-            cols.append(col)
-        cells[(row, col)] = f"{fa['mean']:.4f} +/- {fa['std']:.4f}"
+        if (row, col) in cells:
+            raise ConfigError(f"{cells[row, col][0]} and {path} both fill the "
+                              f"cell of method {row!r}, experiment {col!r}")
+        cells[row, col] = path, f"{fa['mean']:.4f} +/- {fa['std']:.4f}"
+    rows = list(dict.fromkeys(row for row, _ in cells))
+    cols = list(dict.fromkeys(col for _, col in cells))
     table = [["method"] + cols]
     for row in rows:
-        table.append([row] + [cells.get((row, col), "") for col in cols])
+        table.append([row] + [cells.get((row, col), ("", ""))[1]
+                              for col in cols])
     widths = [max(len(line[i]) for line in table)
               for i in range(len(table[0]))]
     for line in table:

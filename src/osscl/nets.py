@@ -44,13 +44,10 @@ class EncoderProjector:
         hidden = tuple(int(h) for h in hidden)
         if not hidden or min(input_dim, proj_hidden, embed_dim, *hidden) < 1:
             raise ValueError("all layer widths must be positive")
-        self.input_dim = int(input_dim)
         self.hidden = hidden
-        self.proj_hidden = int(proj_hidden)
-        self.embed_dim = int(embed_dim)
         self.dtype = np.dtype(dtype)
 
-        self.dims = (self.input_dim, *hidden, self.proj_hidden, self.embed_dim)
+        self.dims = (int(input_dim), *hidden, int(proj_hidden), int(embed_dim))
         flat = np.empty(mlp_size(self.dims), dtype=self.dtype)
         for w, b in mlp_views(flat, self.dims):
             w[...] = kaiming_uniform(rng, *w.shape).astype(self.dtype)
@@ -121,8 +118,6 @@ class LinearClassifier:
     def __init__(self, feature_dim, n_classes, rng, dtype=np.float32):
         if feature_dim < 1 or n_classes < 1:
             raise ValueError("feature_dim and n_classes must be positive")
-        self.feature_dim = int(feature_dim)
-        self.n_classes = int(n_classes)
         self.weight = Tensor(kaiming_uniform(rng, feature_dim, n_classes).astype(dtype),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(n_classes, dtype=dtype), requires_grad=True)

@@ -1,4 +1,4 @@
-"""Minimal reverse-mode autodiff on numpy arrays, plus the optimizer and LR schedule.
+"""Minimal reverse-mode autodiff on numpy arrays, plus the optimizer.
 
 Design constraints, in order of priority: correctness of gradients, bitwise
 determinism for a fixed graph, and debuggability. A Tensor wraps a float32 or
@@ -599,7 +599,7 @@ def total_sum(x):
 
 
 # ---------------------------------------------------------------------------
-# Optimizer and schedule
+# Optimizer
 # ---------------------------------------------------------------------------
 
 
@@ -611,8 +611,6 @@ class Adam:
     scratch arrays of its shape, with the elementwise arithmetic of
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
     p = p - lr (m / bc1) / (sqrt(v / bc2) + eps).
-    Parameters missing from the gradient dict are treated as zero-gradient
-    (their moments still decay, the step counter is shared).
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -634,11 +632,8 @@ class Adam:
         bc2 = 1.0 - b2 ** self.t
         for p, m, v, (s1, s2) in zip(self.params, self._m, self._v,
                                      self._scratch):
-            g = grads.get(p)
-            if g is None:
-                g = s2
-                g.fill(0)
-            elif g.shape != p.data.shape:
+            g = grads[p]
+            if g.shape != p.data.shape:
                 raise ShapeError(
                     f"gradient shape {g.shape} != parameter shape {p.data.shape}")
             m *= b1
@@ -655,28 +650,6 @@ class Adam:
             s2 += self.EPS
             s1 /= s2
             p.data -= s1
-
-
-class CosineSchedule:
-    """Cosine decay from init_lr to min_lr over total_epochs epoch indices."""
-
-    def __init__(self, init_lr, min_lr, total_epochs):
-        if total_epochs < 1:
-            raise ValueError("total_epochs must be >= 1")
-        if min_lr > init_lr:
-            raise ValueError("min_lr must not exceed init_lr")
-        self.init_lr = float(init_lr)
-        self.min_lr = float(min_lr)
-        self.total_epochs = int(total_epochs)
-
-    def at(self, epoch):
-        if not 0 <= epoch < self.total_epochs:
-            raise ValueError(f"epoch {epoch} outside [0, {self.total_epochs})")
-        if self.total_epochs == 1:
-            return self.init_lr
-        span = self.init_lr - self.min_lr
-        frac = epoch / (self.total_epochs - 1)
-        return self.min_lr + 0.5 * span * (1.0 + math.cos(math.pi * frac))
 
 
 # ---------------------------------------------------------------------------

@@ -584,10 +584,9 @@ class StreamStep:
 
 @dataclass(frozen=True)
 class Stream:
-    """The full T-step scenario plus the config that produced it."""
+    """The full T-step scenario."""
 
     steps: tuple
-    config: ScenarioConfig
 
     @property
     def task_classes(self):
@@ -708,7 +707,7 @@ def build_stream(config, main, peripherals=()):
             unlabeled_ids=uids[order],
             provenance=SealedProvenance(rel_flags[order], true_cls[order]),
         ))
-    return Stream(steps=tuple(steps), config=config)
+    return Stream(steps=tuple(steps))
 
 
 # ---------------------------------------------------------------------------

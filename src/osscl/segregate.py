@@ -45,9 +45,6 @@ class ScoreStats:
 
     mean: float
     spread: float
-    spread_mode: str
-    eta_id: float
-    eta_pl: float
     tau_id: float
     tau_pl: float
 
@@ -160,9 +157,6 @@ def compute_thresholds(labeled_scores, eta_id, eta_pl, spread_mode="variance"):
     return ScoreStats(
         mean=mean,
         spread=spread,
-        spread_mode=spread_mode,
-        eta_id=float(eta_id),
-        eta_pl=float(eta_pl),
         tau_id=mean + float(eta_id) * spread,
         tau_pl=mean + float(eta_pl) * spread,
     )
@@ -188,21 +182,16 @@ def _average_ranks(x):
     """1-based float64 ranks of the flattened x, tied values sharing the mean
     of their ranks; all NaN if x holds a NaN.
 
-    Exact in float64: a stable sort, dense ids of the tie groups, and each
-    group's mean rank from its cumulative count bounds. tests/test_segregate.py
-    pins it bitwise to a reference average-rank implementation.
+    Exact in float64: a tie group of c values that ends at rank e gets
+    e - (c - 1) / 2. tests/test_segregate.py pins it bitwise to a reference
+    average-rank implementation.
     """
     x = np.asarray(x).ravel()
     if np.isnan(x).any():
         return np.full(x.size, np.nan)
-    order = np.argsort(x, kind="mergesort")
-    inverse = np.empty(x.size, dtype=np.intp)
-    inverse[order] = np.arange(x.size)
-    xs = x[order]
-    starts = np.r_[True, xs[1:] != xs[:-1]]
-    dense = starts.cumsum()[inverse]
-    count = np.r_[np.nonzero(starts)[0], x.size]
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
+    _, group, count = np.unique(x, return_inverse=True, return_counts=True)
+    ranks = count.cumsum() - (count - 1) / 2
+    return ranks[group]
 
 
 def auroc_from_scores(scores_u, positive_mask):

@@ -76,6 +76,7 @@ import collections
 import contextlib
 import functools
 import logging
+import math
 import os
 import threading
 import time
@@ -88,7 +89,7 @@ from . import losses as L
 from . import scenario as sc
 from . import segregate as sg
 from .nets import EncoderProjector, LinearClassifier
-from .numcore import Adam, CosineSchedule, NonFiniteError, Tape, backprop, gather2d, row_log_softmax, scale, total_sum
+from .numcore import Adam, NonFiniteError, Tape, backprop, gather2d, row_log_softmax, scale, total_sum
 
 log = logging.getLogger(__name__)
 
@@ -386,25 +387,33 @@ def _fed_ahead(items):
         pool.shutdown(cancel_futures=True)
 
 
+def _cosine_lr(cfg, epoch, epochs):
+    """Cosine decay from cfg.lr at epoch 0 to cfg.min_lr at epochs - 1."""
+    if epochs == 1:
+        return cfg.lr
+    span, frac = cfg.lr - cfg.min_lr, epoch / (epochs - 1)
+    return cfg.min_lr + 0.5 * span * (1.0 + math.cos(math.pi * frac))
+
+
 def _optimize(net, n, epochs, cfg, rng, prepare, train, where, feed_ahead,
               clock=None, wait_phase=None):
     """The epoch loop both trainers share; returns per-epoch mean losses.
 
-    A fresh Adam over net.params and a cosine schedule over `epochs` per
-    call (each task step re-anneals). Each epoch walks sc.epoch_batches(n);
-    per batch prepare(idx) makes the inputs (drawn from rng, reading no
-    trained parameter) and train(inputs) returns (loss, grads), and one Adam
-    step follows once both are finite. The batches come from _feed, inline
-    or, with feed_ahead, from a feeder thread (_fed_ahead); rng is drawn in
-    the same order either way; with a feeder and a clock, the time spent
-    waiting for its batches is added to `wait_phase` of clock. A
-    NonFiniteError, here, from prepare or from train, names `where`, the
-    epoch and the batch. epochs=0 leaves the net untouched.
+    A fresh Adam over net.params per call, its learning rate set each epoch
+    by _cosine_lr over `epochs` (each task step re-anneals). Each epoch
+    walks sc.epoch_batches(n); per batch prepare(idx) makes the inputs
+    (drawn from rng, reading no trained parameter) and train(inputs)
+    returns (loss, grads), and one Adam step follows once both are finite.
+    The batches come from _feed, inline or, with feed_ahead, from a feeder
+    thread (_fed_ahead); rng is drawn in the same order either way; with a
+    feeder and a clock, the time spent waiting for its batches is added to
+    `wait_phase` of clock. A NonFiniteError, here, from prepare or from
+    train, names `where`, the epoch and the batch. epochs=0 leaves the net
+    untouched.
     """
     if epochs == 0:
         return []
     opt = Adam([net.params], lr=cfg.lr)
-    schedule = CosineSchedule(cfg.lr, cfg.min_lr, epochs)
     losses = [[] for _ in range(epochs)]
     feed = _feed(n, epochs, cfg, rng, prepare, where)
     fed = _fed_ahead(feed) if feed_ahead else contextlib.nullcontext(feed)
@@ -412,7 +421,7 @@ def _optimize(net, n, epochs, cfg, rng, prepare, train, where, feed_ahead,
         if feed_ahead and clock is not None:
             batches = _waited(batches, clock, wait_phase)
         for epoch, at, prepared in batches:
-            opt.lr = schedule.at(epoch)
+            opt.lr = _cosine_lr(cfg, epoch, epochs)
             with _named(at):
                 loss, grads = train(prepared)
             _require_finite(at, "loss", loss.data)

@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import warnings
@@ -15,6 +16,8 @@ import pytest
 from osscl import cli, config, trainer
 from osscl import scenario as sc
 from osscl.segregate import auroc_from_scores
+from test_trainer import (_PINNED_BLAS, _PINNED_KERNEL, _PINNED_NUMPY,
+                          _blas_configuration)
 
 TINY = {
     "name": "tiny",
@@ -87,6 +90,32 @@ class TestRun:
         rc = cli.main(["run", "--config", str(workspace["config"]),
                        "--out", str(out), "--seeds", "1", "--force"])
         assert rc == 0
+
+    def test_failed_forced_rerun_leaves_no_aggregate(self, workspace,
+                                                     tmp_path, monkeypatch):
+        """A forced rerun that raises at seed 2 leaves the new config.json
+        and seed_1 but not the old run's aggregate.json, so report does not
+        read the directory as complete."""
+        out = tmp_path / "forced"
+        rc = cli.main(["run", "--config", str(workspace["config"]),
+                       "--out", str(out), "--seeds", "1"])
+        assert rc == 0 and (out / "aggregate.json").is_file()
+        run_continual = trainer.run_continual
+
+        def fails_at_seed_2(cfg, stream, dataset, augmenter, seed, **kwargs):
+            if seed == 2:
+                raise RuntimeError("seed 2 failed")
+            return run_continual(cfg, stream, dataset, augmenter, seed,
+                                 **kwargs)
+
+        monkeypatch.setattr(trainer, "run_continual", fails_at_seed_2)
+        rc = cli.main(["run", "--config", str(workspace["config"]),
+                       "--out", str(out), "--seeds", "1,2", "--force"])
+        assert rc == 1
+        assert (out / "seed_1" / "metrics.json").is_file()
+        assert _read(out / "config.json")["seeds"] == [1, 2]
+        assert not (out / "aggregate.json").exists()
+        assert cli.main(["report", str(out)]) == 2
 
     def test_rerun_is_bitwise_identical(self, workspace, tmp_path):
         out = tmp_path / "rerun"
@@ -499,6 +528,18 @@ class TestAtomicWrites:
         assert os.listdir(tmp_path) == ["t.csv"]
 
 
+# `osscl gradcheck` stdout on the build test_trainer pins the digests on
+_GRADCHECK_STDOUT = """\
+ntxent: max rel err 2.367e-07 (tol 0.0001) PASS
+supcon: max rel err 3.642e-08 (tol 0.0001) PASS
+distill_time: max rel err 2.172e-08 (tol 0.0001) PASS
+distill_reference: max rel err 2.111e-07 (tol 0.0001) PASS
+combined: max rel err 8.130e-08 (tol 0.0001) PASS
+mlp_embed: max rel err 9.090e-08 (tol 0.0001) PASS
+gradcheck PASS
+"""
+
+
 class TestGradcheck:
     def test_lists_all_five_losses_and_passes(self, capsys):
         rc = cli.main(["gradcheck"])
@@ -508,6 +549,12 @@ class TestGradcheck:
                      "distill_reference", "combined", "mlp_embed"):
             assert f"{name}: max rel err" in out
         assert "gradcheck PASS" in out
+        build = (np.__version__, _blas_configuration(), trainer.blas_kernel())
+        if build != (_PINNED_NUMPY, _PINNED_BLAS, _PINNED_KERNEL):
+            pytest.skip(f"stdout pinned on the digests' build, not on numpy "
+                        f"{build[0]} with {build[1]!r} running the "
+                        f"{build[2]} kernel")
+        assert out == _GRADCHECK_STDOUT
 
 
 @pytest.fixture(scope="module")
@@ -575,6 +622,23 @@ class TestReport:
         rc = cli.main(["report", str(tmp_path)])
         assert rc == 2
         assert "aggregate.json" in capsys.readouterr().err
+
+    def test_two_dirs_in_one_cell_exit_2_before_any_output(
+            self, workspace, tmp_path, capsys):
+        """Two results of one method row and one experiment column (here a
+        copy of one run) are an error naming both, not a table where the
+        last one wins."""
+        twin = tmp_path / "twin"
+        shutil.copytree(workspace["out"], twin)
+        csv_path = tmp_path / "report.csv"
+        rc = cli.main(["report", str(workspace["out"]), str(twin),
+                       "--out", str(csv_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(workspace["out"]) in captured.err
+        assert str(twin) in captured.err
+        assert not csv_path.exists()
 
 
 class TestStartup:

@@ -135,8 +135,7 @@ def test_thresholds_validation():
 
 
 def test_strict_threshold_comparison():
-    stats = segregate.ScoreStats(mean=0.5, spread=0.0, spread_mode="variance",
-                                 eta_id=-4, eta_pl=-2, tau_id=0.5, tau_pl=0.5)
+    stats = segregate.ScoreStats(mean=0.5, spread=0.0, tau_id=0.5, tau_pl=0.5)
     out = segregate.segregate_scores(np.array([0.5, 0.5000001]), np.array([0, 0]),
                                      stats)
     # exactly-at-threshold scores stay out
@@ -146,8 +145,7 @@ def test_strict_threshold_comparison():
 def test_confident_set_subset_of_related_set_enforced():
     # even with inverted thresholds the confident set stays inside the
     # related set
-    stats = segregate.ScoreStats(mean=0.5, spread=0.1, spread_mode="variance",
-                                 eta_id=1, eta_pl=-1, tau_id=0.6, tau_pl=0.4)
+    stats = segregate.ScoreStats(mean=0.5, spread=0.1, tau_id=0.6, tau_pl=0.4)
     scores = np.array([0.45, 0.55, 0.65])
     out = segregate.segregate_scores(scores, np.zeros(3, dtype=int), stats)
     assert set(out.t_hat_indices) <= set(out.u_hat_indices)

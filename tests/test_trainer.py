@@ -910,8 +910,8 @@ def test_memory_missing_an_earlier_class_fails_before_training(
 
 
 def test_empty_stream_rejected(tiny_world):
-    main, stream, aug = tiny_world
-    empty = sc.Stream(steps=(), config=stream.config)
+    main, _, aug = tiny_world
+    empty = sc.Stream(steps=())
     with pytest.raises(ValueError):
         tr.run_continual(tiny_cfg(), empty, main, aug, seed=1)
     with pytest.raises(ValueError):
