@@ -143,15 +143,17 @@ def _prepare_out_dir(out, force):
 
 
 def _resolve_run(args, segregates=False):
-    """Load config, apply --seeds/--out overrides, prepare the directory.
+    """Load config, apply --seeds/--out overrides, build every dataset,
+    prepare the directory.
 
     Returns the experiment with the effective seeds and output_dir folded
-    in; its echo, written to config.json, reproduces this invocation exactly
-    when fed back to `run`. A dataset file that does not exist, a scenario
-    that needs more classes than the main dataset has, with segregates a
-    method that does not segregate its pool, and without it a memory_size
-    that leaves a class the final classifier needs with no exemplar at some
-    seed are rejected before anything is written.
+    in, whose echo, written to config.json, reproduces this invocation
+    exactly when fed back to `run`, and its (main, peripherals). A dataset
+    file that does not exist or that Experiment.build_datasets rejects, a
+    scenario that needs more classes than the main dataset has, with
+    segregates a method that does not segregate its pool, and without it a
+    memory_size that leaves a class the final classifier needs with no
+    exemplar at some seed are rejected before anything is written.
     """
     exp = load_experiment(args.config)
     if segregates and not exp.method.uses_segregation:
@@ -174,22 +176,21 @@ def _resolve_run(args, segregates=False):
             if spec.get(key) and not os.path.isfile(spec[key]):
                 raise ConfigError(f"config.datasets.{where}.{key}: no such "
                                   f"file {spec[key]!r}")
-    _check_task_classes(exp, seeds, quotas=not segregates)
+    datasets = exp.build_datasets()
+    _check_task_classes(exp, seeds, datasets[0].n_classes,
+                        quotas=not segregates)
     exp = dataclasses.replace(exp, seeds=seeds, output_dir=out)
     _prepare_out_dir(out, args.force)
     write_json(os.path.join(out, "config.json"), exp.resolved())
     write_json(os.path.join(out, "version.json"), _version_stamp())
-    return exp
+    return exp, datasets
 
 
-def _check_task_classes(exp, seeds, quotas):
-    """Each seed's class order (scenario.task_class_order), failing as a
-    ConfigError when the main dataset has too few classes and, with quotas,
-    where trainer.check_memory_quotas rejects it. The main dataset's class
-    count is what a synthetic spec states; a file is loaded for it."""
-    main = exp.main_dataset
-    n_classes = (main["classes"] if main["kind"] == "synthetic"
-                 else exp.build_datasets()[0].n_classes)
+def _check_task_classes(exp, seeds, n_classes, quotas):
+    """Each seed's class order (scenario.task_class_order) over a main
+    dataset of n_classes, failing as a ConfigError when it has too few
+    classes and, with quotas, where trainer.check_memory_quotas rejects
+    it."""
     for seed in seeds:
         try:
             order = sc.task_class_order(exp.scenario_config(seed), n_classes)
@@ -284,7 +285,8 @@ def cmd_run(args):
     if args.threads < 1:
         raise ConfigError(f"--threads: expected an integer >= 1, "
                           f"got {args.threads}")
-    exp = _resolve_run(args)
+    # each seed job builds its own datasets: keep no copy here meanwhile
+    exp = _resolve_run(args)[0]
     resolved, seeds, out = exp.resolved(), exp.seeds, exp.output_dir
     jobs = [(seed, os.path.join(out, f"seed_{seed}")) for seed in seeds]
     if args.threads > 1 and len(jobs) > 1:
@@ -331,8 +333,7 @@ _SCORE_FIELDS = ("task", "index", "score", "nearest_class", "related",
 
 
 def cmd_segregate_eval(args):
-    exp = _resolve_run(args, segregates=True)
-    main, peripherals = exp.build_datasets()
+    exp, (main, peripherals) = _resolve_run(args, segregates=True)
     for seed in exp.seeds:
         stream = sc.build_stream(exp.scenario_config(seed), main, peripherals)
         rows, samples = trainer.run_segregation_eval(

@@ -7,6 +7,11 @@ the tape in forward order, and `backprop` walks them once in reverse. There is
 no graph object beyond the tape, no broadcasting beyond what each op states,
 and no in-place mutation of op inputs.
 
+Every op ends in one record step, _recorded: it builds the output Tensor,
+which requires gradient if a parent it records does, and if so appends it
+to the active tape (if any) with those parents and the backward closure the
+op defines.
+
 Ops check their inputs (shapes, unit rows, scalar arguments) and not their
 outputs: a NaN or inf an op computes flows on into the loss and the
 gradients, which the trainer checks once per optimizer step, so the error
@@ -58,7 +63,7 @@ class Tensor:
     """A dense float array plus a requires_grad flag.
 
     Leaf tensors (parameters, inputs) are built directly; op outputs are built
-    by the ops below, which set requires_grad to the OR of their parents'.
+    by _recorded, whose requires_grad is the OR of the parents it records.
     Gradients are never stored on the tensor; backprop returns them in a dict.
     """
 
@@ -119,8 +124,13 @@ def _record(out, parents, backward):
         _ACTIVE_TAPES[-1]._entries.append((out, parents, backward))
 
 
-def _requires(*tensors):
-    return any(t.requires_grad for t in tensors)
+def _recorded(data, parents, backward):
+    """An op's output: a Tensor of data that requires gradient if one of
+    parents does, handed with parents and backward to _record (looked up
+    here at each call, so a patched _record sees every entry)."""
+    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+    _record(out, parents, backward)
+    return out
 
 
 def backprop(tape, loss):
@@ -177,25 +187,20 @@ def affine(x, w, b):
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(
             f"affine shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
-    out_data = x.data @ w.data + b.data
-    out = Tensor(out_data, requires_grad=_requires(x, w, b))
 
     def backward(g):
         return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
-    _record(out, (x, w, b), backward)
-    return out
+    return _recorded(x.data @ w.data + b.data, (x, w, b), backward)
 
 
 def relu(x):
     """Elementwise max(x, 0); subgradient at 0 is 0."""
-    out = Tensor(np.maximum(x.data, 0), requires_grad=x.requires_grad)
 
     def backward(g):
         return (g * (x.data > 0),)
 
-    _record(out, (x,), backward)
-    return out
+    return _recorded(np.maximum(x.data, 0), (x,), backward)
 
 
 def l2_normalize_rows(x):
@@ -209,15 +214,13 @@ def l2_normalize_rows(x):
     if norms.min() < EPS_NORM:
         raise DegenerateNormError(f"row norm {norms.min():g} below {EPS_NORM:g}")
     y = x.data / norms
-    out = Tensor(y, requires_grad=x.requires_grad)
 
     def backward(g):
         # d(x/|x|) = (g - y * <g, y>) / |x| per row
         inner = (g * y).sum(axis=1, keepdims=True)
         return ((g - y * inner) / norms,)
 
-    _record(out, (x,), backward)
-    return out
+    return _recorded(y, (x,), backward)
 
 
 def mlp_size(dims):
@@ -298,7 +301,6 @@ def mlp_embed(x, params, dims, unit=True):
         y = h / norms
     else:
         y = h
-    out = Tensor(y, requires_grad=params.requires_grad)
 
     def backward(g):
         grad = np.empty_like(flat)
@@ -317,8 +319,7 @@ def mlp_embed(x, params, dims, unit=True):
                 g *= inputs[k] > 0
         return (grad,)
 
-    _record(out, (params,), backward)
-    return out
+    return _recorded(y, (params,), backward)
 
 
 def _gram(x):
@@ -361,14 +362,12 @@ def pairwise_cosine(a, b):
         norms = np.sqrt((t.data * t.data).sum(axis=1))
         if norms.size and np.abs(norms - 1.0).max() > 1e-4:
             raise ShapeError(f"pairwise_cosine input {name} has non-unit rows")
-    out_data = _gram(a.data) if a is b else a.data @ b.data.T
-    out = Tensor(out_data, requires_grad=_requires(a, b))
 
     def backward(g):
         return g @ b.data, g.T @ a.data
 
-    _record(out, (a, b), backward)
-    return out
+    return _recorded(_gram(a.data) if a is b else a.data @ b.data.T, (a, b),
+                     backward)
 
 
 def row_log_softmax(logits):
@@ -383,13 +382,11 @@ def row_log_softmax(logits):
     denom = ex.sum(axis=1, keepdims=True)
     out_data = shifted - np.log(denom)
     softmax = ex / denom
-    out = Tensor(out_data, requires_grad=logits.requires_grad)
 
     def backward(g):
         return (g - softmax * g.sum(axis=1, keepdims=True),)
 
-    _record(out, (logits,), backward)
-    return out
+    return _recorded(out_data, (logits,), backward)
 
 
 def softmax_xent(z, tau, target, factor):
@@ -473,7 +470,6 @@ def softmax_xent(z, tau, target, factor):
         # the backward writes g * w over it
         spent = logp
     out_data = np.asarray(total * data.dtype.type(factor))
-    out = Tensor(out_data, requires_grad=z.requires_grad)
 
     def backward(g):
         # the chain's off-diagonal masks are no-ops here: the diagonals of
@@ -498,8 +494,7 @@ def softmax_xent(z, tau, target, factor):
         ds *= inv_tau
         return ds @ data, ds.T @ data
 
-    _record(out, (z, z), backward)
-    return out
+    return _recorded(out_data, (z, z), backward)
 
 
 def mask_fill(x, keep_mask, fill=0.0):
@@ -512,14 +507,12 @@ def mask_fill(x, keep_mask, fill=0.0):
     kept = np.asarray(keep_mask, dtype=bool)
     if kept.shape != x.data.shape:
         raise ShapeError(f"mask shape {kept.shape} != input shape {x.data.shape}")
-    out_data = np.where(kept, x.data, x.data.dtype.type(fill))
-    out = Tensor(out_data, requires_grad=x.requires_grad)
 
     def backward(g):
         return (g * kept,)
 
-    _record(out, (x,), backward)
-    return out
+    return _recorded(np.where(kept, x.data, x.data.dtype.type(fill)), (x,),
+                     backward)
 
 
 def _binary_shapes(a, b, name):
@@ -530,27 +523,21 @@ def _binary_shapes(a, b, name):
 def add(a, b):
     """Elementwise a + b, same shapes."""
     _binary_shapes(a, b, "add")
-    out_data = a.data + b.data
-    out = Tensor(out_data, requires_grad=_requires(a, b))
 
     def backward(g):
         return g, g
 
-    _record(out, (a, b), backward)
-    return out
+    return _recorded(a.data + b.data, (a, b), backward)
 
 
 def mul(a, b):
     """Elementwise a * b, same shapes."""
     _binary_shapes(a, b, "mul")
-    out_data = a.data * b.data
-    out = Tensor(out_data, requires_grad=_requires(a, b))
 
     def backward(g):
         return g * b.data, g * a.data
 
-    _record(out, (a, b), backward)
-    return out
+    return _recorded(a.data * b.data, (a, b), backward)
 
 
 def scale(x, s):
@@ -558,14 +545,11 @@ def scale(x, s):
     s = float(s)
     if not math.isfinite(s):
         raise NonFiniteError("scale factor must be finite")
-    out_data = x.data * x.data.dtype.type(s)
-    out = Tensor(out_data, requires_grad=x.requires_grad)
 
     def backward(g):
         return (g * s,)
 
-    _record(out, (x,), backward)
-    return out
+    return _recorded(x.data * x.data.dtype.type(s), (x,), backward)
 
 
 def gather2d(x, rows, cols):
@@ -574,28 +558,23 @@ def gather2d(x, rows, cols):
     cols = np.asarray(cols, dtype=np.int64)
     if rows.shape != cols.shape or rows.ndim != 1:
         raise ShapeError("gather2d expects matching 1-d index vectors")
-    out_data = x.data[rows, cols]
-    out = Tensor(out_data, requires_grad=x.requires_grad)
 
     def backward(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx, (rows, cols), g)
         return (gx,)
 
-    _record(out, (x,), backward)
-    return out
+    return _recorded(x.data[rows, cols], (x,), backward)
 
 
 def total_sum(x):
     """Sum of all elements, returned as a 0-d tensor."""
-    out_data = np.asarray(x.data.sum(), dtype=x.data.dtype)
-    out = Tensor(out_data, requires_grad=x.requires_grad)
 
     def backward(g):
         return (np.ones_like(x.data) * g,)
 
-    _record(out, (x,), backward)
-    return out
+    return _recorded(np.asarray(x.data.sum(), dtype=x.data.dtype), (x,),
+                     backward)
 
 
 # ---------------------------------------------------------------------------

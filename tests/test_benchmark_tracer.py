@@ -6,17 +6,26 @@ or deleted traced name fail here rather than in every traced benchmark round.
 import os
 import sys
 
+import numpy as np
+
+from osscl import numcore as nc
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench")
 
 
-def test_tracer_installs_and_restores_every_binding():
+def _tracer():
+    """A new perfbench Tracer, not yet installed."""
     sys.path.insert(0, PERFBENCH)
     try:
         from tracer import Tracer
     finally:
         sys.path.remove(PERFBENCH)
-    tracer = Tracer().install()
+    return Tracer()
+
+
+def test_tracer_installs_and_restores_every_binding():
+    tracer = _tracer().install()
     patched = list(tracer._patches)
     try:
         assert patched
@@ -26,3 +35,41 @@ def test_tracer_installs_and_restores_every_binding():
         tracer.restore()
     assert all(owner.__dict__[attr] is original
                for owner, attr, original in patched)
+
+
+RECORDING_OPS = ("affine", "relu", "l2_normalize_rows", "mlp_embed",
+                 "pairwise_cosine", "row_log_softmax", "softmax_xent",
+                 "mask_fill", "add", "mul", "scale", "gather2d", "total_sum")
+
+
+def test_tracer_names_a_backward_span_after_every_recording_op():
+    """The tracer names each backward span from its closure's qualname, so
+    a backward defined outside its op would lose its numcore.<op>.bwd."""
+    rng = np.random.default_rng(0)
+    dims = (3, 5, 2)
+    x = nc.Tensor(rng.standard_normal((4, 3)), dtype=np.float64)
+    params = nc.Tensor(rng.standard_normal(nc.mlp_size(dims)),
+                       requires_grad=True, dtype=np.float64)
+    w = nc.Tensor(rng.standard_normal((3, 2)), requires_grad=True,
+                  dtype=np.float64)
+    b = nc.Tensor(np.zeros(2), requires_grad=True, dtype=np.float64)
+    cols = np.array([1, 2, 3, 0])
+    tracer = _tracer().install()
+    try:
+        with nc.Tape() as tape:
+            e = nc.mlp_embed(x, params, dims)
+            h = nc.relu(nc.affine(x, w, b))
+            u = nc.l2_normalize_rows(nc.add(h, e))
+            s = nc.scale(nc.pairwise_cosine(u, e), 2.0)
+            logp = nc.row_log_softmax(
+                nc.mask_fill(s, ~np.eye(4, dtype=bool)))
+            picked = nc.gather2d(logp, np.arange(4), cols)
+            loss = nc.add(nc.total_sum(nc.mul(picked, picked)),
+                          nc.softmax_xent(e, 0.5, cols, 1.0))
+            grads = nc.backprop(tape, loss)
+    finally:
+        tracer.restore()
+    assert set(grads) == {params, w, b}
+    spans = {name for name in tracer.summary()["spans"]
+             if name.endswith(".bwd")}
+    assert spans == {f"numcore.{op}.bwd" for op in RECORDING_OPS}

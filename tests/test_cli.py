@@ -352,8 +352,7 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "config.augmenter.image_hw" in err
         assert "3072" in err and "has 8" in err
-        assert not list(out.glob("seed_*"))
-        assert not (out / "aggregate.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("where,spec,key", [
         ("main", {"kind": "file", "path": "missing.npz"}, "path"),
@@ -410,7 +409,7 @@ class TestErrors:
         err = capsys.readouterr().err
         prefix = "main" if where == "main" else "peripheral[0]"
         assert f"config.datasets.{prefix}: " in err and message in err
-        assert not list(out.glob("seed_*"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("split", ["train_x", "test_x"])
     def test_non_finite_features_exit_2_before_training(self, tmp_path,
@@ -434,7 +433,7 @@ class TestErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"config.datasets.main: {split} has non-finite features" in err
-        assert not list(out.glob("seed_*"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("memory_size", [0, 1])
     def test_memory_below_the_earlier_classes_exit_2_before_any_output(
@@ -598,6 +597,31 @@ class TestSegregateEval:
                        "--out", str(out)])
         assert rc == 2
         assert "config.method.method" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["cifar_peripheral_size",
+                                      "image_row_width"])
+    def test_dataset_error_exit_2_before_any_output(self, tmp_path, capsys,
+                                                    case):
+        """Every dataset is built before the output directory is made, a
+        synthetic main's too, whose spec already states its class count."""
+        cfg = json.loads(json.dumps(TINY))
+        if case == "cifar_peripheral_size":
+            path = tmp_path / "peripheral.bin"
+            path.write_bytes(b"\x00" * 3000)
+            cfg["datasets"]["peripheral"] = [{"kind": "cifar",
+                                              "train_path": str(path)}]
+            expected = "config.datasets.peripheral[0]: "
+        else:
+            cfg["augmenter"] = {"mode": "image"}
+            expected = "config.augmenter.image_hw: "
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "never"
+        rc = cli.main(["segregate-eval", "--config", str(cfg_path),
+                       "--out", str(out)])
+        assert rc == 2
+        assert expected in capsys.readouterr().err
         assert not out.exists()
 
 
