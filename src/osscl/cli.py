@@ -150,7 +150,7 @@ def _resolve_run(args, segregates=False):
     in, whose echo, written to config.json, reproduces this invocation
     exactly when fed back to `run`, and its (main, peripherals). A dataset
     file that does not exist or that Experiment.build_datasets rejects, a
-    scenario that needs more classes than the main dataset has, with
+    scenario whose stream the datasets cannot fill at some seed, with
     segregates a method that does not segregate its pool, and without it a
     memory_size that leaves a class the final classifier needs with no
     exemplar at some seed are rejected before anything is written.
@@ -173,12 +173,12 @@ def _resolve_run(args, segregates=False):
         raise ConfigError("no output directory: pass --out or set output_dir")
     for where, spec in exp.dataset_specs():
         for key in ("path", "train_path", "test_path"):
-            if spec.get(key) and not os.path.isfile(spec[key]):
+            file = getattr(spec, key, "")
+            if file and not os.path.isfile(file):
                 raise ConfigError(f"config.datasets.{where}.{key}: no such "
-                                  f"file {spec[key]!r}")
+                                  f"file {file!r}")
     datasets = exp.build_datasets()
-    _check_task_classes(exp, seeds, datasets[0].n_classes,
-                        quotas=not segregates)
+    _check_task_classes(exp, seeds, datasets, quotas=not segregates)
     exp = dataclasses.replace(exp, seeds=seeds, output_dir=out)
     _prepare_out_dir(out, args.force)
     write_json(os.path.join(out, "config.json"), exp.resolved())
@@ -186,15 +186,16 @@ def _resolve_run(args, segregates=False):
     return exp, datasets
 
 
-def _check_task_classes(exp, seeds, n_classes, quotas):
-    """Each seed's class order (scenario.task_class_order) over a main
-    dataset of n_classes, failing as a ConfigError when it has too few
-    classes and, with quotas, where trainer.check_memory_quotas rejects
-    it."""
+def _check_task_classes(exp, seeds, datasets, quotas):
+    """Each seed's stream over the built (main, peripherals), one at a time,
+    failing as a ConfigError when the datasets hold too few classes or too
+    few rows for its pools and, with quotas, where
+    trainer.check_memory_quotas rejects its class order."""
     for seed in seeds:
         try:
-            order = sc.task_class_order(exp.scenario_config(seed), n_classes)
-        except ValueError as exc:
+            order = sc.build_stream(exp.scenario_config(seed),
+                                    *datasets).task_classes
+        except (ValueError, sc.PoolExhaustedError) as exc:
             raise ConfigError(f"config.scenario: {exc}") from None
         if not quotas:
             continue

@@ -7,29 +7,28 @@ rejected. `Experiment.resolved()` returns the fully-defaulted dictionary,
 which is written next to results and loads back to an identical experiment
 (the echo closure property).
 
-Where each check lives:
-  * augmenter, arch and method (with method.weights) are read from the
-    dataclasses they build: scenario.Augmenter, trainer.NetArch,
-    trainer.MethodConfig and losses.LossWeights. Every key is a field and
-    defaults to the field's default. This module checks each value's type
-    against that default; ranges and cross-field rules live in the
-    dataclass's __post_init__, so direct construction gets them too, and
-    their errors are reported under the section path.
-  * datasets and scenario keep hand-written readers here for kind dispatch,
-    required keys and minimums; scenario.ScenarioConfig checks the rest.
-  * method.memory_size is checked against the scenario in from_dict: it
-    must cover the classes seen before the last task.
-  * Whether a dataset file is an export or a CIFAR batch, and the image
-    row width, 3 x image_hw x image_hw, are checked by
-    Experiment.build_datasets, where the data is first known; that the
-    files exist is checked by the CLI before it writes anything.
+Every section is read by _read_section from the dataclass it builds: each
+dataset (SyntheticData, CifarData or FileData, picked by its `kind`),
+scenario (scenario.ScenarioConfig, whose seed each run supplies),
+augmenter (scenario.Augmenter), arch (trainer.NetArch), method
+(trainer.MethodConfig) and method.weights (losses.LossWeights). Every key
+is a field; a field with a default is optional, one without is required.
+This module checks each value's type; ranges and cross-field rules live in
+the dataclass's __post_init__, so direct construction gets them too, and
+their errors are reported under the section path. Two rules that no one
+section knows stay here: the main dataset needs a test split (peripherals
+need none), and method.memory_size must cover the classes seen before the
+last task. What needs the data (that the files exist and load, that every
+row is as wide as the main's, 3 x image_hw x image_hw in image mode, and
+that each seed's stream can be drawn) is checked by
+Experiment.build_datasets and the CLI before anything is written.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 
 from . import scenario as sc
 from .trainer import MethodConfig, NetArch
@@ -53,20 +52,6 @@ def _check_keys(obj, path, required, optional=()):
     for key in required:
         if key not in obj:
             _fail(f"{path}.{key}", "missing required key")
-
-
-def _get(obj, path, key, default, minimum=None):
-    """obj[key] read as the type of default; default when the key is absent,
-    unless default is a type, which makes the key required."""
-    if key not in obj:
-        if isinstance(default, type):
-            _fail(f"{path}.{key}", "missing required key")
-        return default
-    example = default() if isinstance(default, type) else default
-    value = _read_value(example, obj[key], f"{path}.{key}")
-    if minimum is not None and value < minimum:
-        _fail(f"{path}.{key}", f"must be >= {minimum}")
-    return value
 
 
 def _read_value(default, value, path):
@@ -108,19 +93,35 @@ def _read_value(default, value, path):
                  for i, v in enumerate(value))
 
 
-def _read_section(cls, obj, path):
+# the annotations a field without a usable default is read as
+_ANNOTATED = {"bool": False, "int": 0, "float": 0.0, "str": ""}
+
+
+def _example(field):
+    """What the key of field is read like: its default, or a value of its
+    annotated type when it has none or defaults to None ("not given")."""
+    if field.default_factory is not MISSING:
+        return field.default_factory()
+    if field.default in (MISSING, None):
+        return _ANNOTATED[field.type.split(" |")[0]]
+    return field.default
+
+
+def _read_section(cls, obj, path, **given):
     """Build the dataclass cls from a JSON object whose keys are its fields.
 
-    Every key is optional and defaults to the field's default; an unknown
-    key is rejected. Range checks live in cls.__post_init__ and are reported
-    under path.
+    A field with a default is an optional key, one without is required;
+    the fields in `given` are supplied by the caller and are not keys. An
+    unknown key is rejected. Range checks live in cls.__post_init__ and are
+    reported under path.
     """
-    _check_keys(obj, path, required=(), optional=[f.name for f in fields(cls)])
-    defaults = cls()
-    kwargs = {key: _read_value(getattr(defaults, key), value, f"{path}.{key}")
+    keys = {f.name: f for f in fields(cls) if f.name not in given}
+    _check_keys(obj, path, optional=keys, required=[
+        k for k, f in keys.items() if f.default is f.default_factory is MISSING])
+    kwargs = {key: _read_value(_example(keys[key]), value, f"{path}.{key}")
               for key, value in obj.items()}
     try:
-        return cls(**kwargs)
+        return cls(**given, **kwargs)
     except ValueError as exc:
         _fail(path, str(exc))
 
@@ -133,74 +134,74 @@ def _echo(section):
 
 
 # ---------------------------------------------------------------------------
-# Sections
+# Datasets: one dataclass per `kind`, each with the minimums of its keys
 # ---------------------------------------------------------------------------
 
 
-def _parse_dataset(obj, path):
-    if not isinstance(obj, dict):
-        _fail(path, "expected an object")
-    kind = _get(obj, path, "kind", str)
-    if kind == "synthetic":
-        _check_keys(obj, path,
-                    required=("kind", "classes", "dim", "train_per_class",
-                              "test_per_class", "seed"),
-                    optional=("mean_radius", "noise_sigma", "name"))
-        return {
-            "kind": "synthetic",
-            "classes": _get(obj, path, "classes", int, minimum=1),
-            "dim": _get(obj, path, "dim", int, minimum=1),
-            "train_per_class": _get(obj, path, "train_per_class", int, minimum=1),
-            "test_per_class": _get(obj, path, "test_per_class", int, minimum=0),
-            "seed": _get(obj, path, "seed", int, minimum=0),
-            "mean_radius": _get(obj, path, "mean_radius", 4.0),
-            "noise_sigma": _get(obj, path, "noise_sigma", 1.0),
-            "name": _get(obj, path, "name", ""),
-        }
-    if kind == "cifar":
-        _check_keys(obj, path, required=("kind", "train_path"),
-                    optional=("test_path", "name"))
-        return {
-            "kind": "cifar",
-            "train_path": _get(obj, path, "train_path", str),
-            "test_path": _get(obj, path, "test_path", ""),
-            "name": _get(obj, path, "name", "cifar"),
-        }
-    if kind == "file":
-        _check_keys(obj, path, required=("kind", "path"))
-        return {"kind": "file", "path": _get(obj, path, "path", str)}
-    _fail(f"{path}.kind", "expected one of synthetic, cifar, file")
+@dataclass(frozen=True)
+class SyntheticData:
+    """Gaussian blobs made from a seed (scenario.synth_dataset)."""
+
+    kind = "synthetic"
+    classes: int
+    dim: int
+    train_per_class: int
+    test_per_class: int
+    seed: int
+    mean_radius: float = 4.0
+    noise_sigma: float = 1.0
+    name: str = ""
+
+    def __post_init__(self):
+        for key, least in (("classes", 1), ("dim", 1), ("train_per_class", 1),
+                           ("test_per_class", 0), ("seed", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}")
+
+    def build(self):
+        return sc.synth_dataset(
+            self.classes, self.dim, self.train_per_class, self.test_per_class,
+            self.seed, mean_radius=self.mean_radius,
+            noise_sigma=self.noise_sigma, name=self.name or None)
 
 
-def _parse_main_dataset(obj, path):
-    """A dataset spec that must give a test split: a run evaluates on it."""
-    spec = _parse_dataset(obj, path)
-    if spec["kind"] == "synthetic" and spec["test_per_class"] < 1:
-        _fail(f"{path}.test_per_class", "must be >= 1 for the main dataset")
-    if spec["kind"] == "cifar" and not spec["test_path"]:
-        _fail(f"{path}.test_path", "missing required key for the main dataset")
-    return spec
+@dataclass(frozen=True)
+class CifarData:
+    """CIFAR binary batches (scenario.load_cifar_binary); without a
+    test_path there is no test split."""
+
+    kind = "cifar"
+    train_path: str
+    test_path: str = ""
+    name: str = "cifar"
+
+    def build(self):
+        return sc.load_cifar_binary(self.train_path, self.test_path or None,
+                                    name=self.name)
 
 
-def _parse_scenario(obj, path):
-    _check_keys(obj, path,
-                required=("n_tasks", "classes_per_task", "labeled_fraction",
-                          "n_related", "n_unrelated"),
-                optional=("variant", "non_iid_fraction"))
-    kwargs = {
-        "n_tasks": _get(obj, path, "n_tasks", int, minimum=1),
-        "classes_per_task": _get(obj, path, "classes_per_task", int, minimum=1),
-        "labeled_fraction": _get(obj, path, "labeled_fraction", float),
-        "n_related": _get(obj, path, "n_related", int, minimum=0),
-        "n_unrelated": _get(obj, path, "n_unrelated", int, minimum=0),
-        "variant": _get(obj, path, "variant", "standard"),
-        "non_iid_fraction": _get(obj, path, "non_iid_fraction", 0.5),
-    }
-    try:
-        sc.ScenarioConfig(seed=0, **kwargs)
-    except ValueError as exc:
-        _fail(path, str(exc))
-    return kwargs
+@dataclass(frozen=True)
+class FileData:
+    """A scenario.save_dataset export (scenario.load_dataset)."""
+
+    kind = "file"
+    path: str
+
+    def build(self):
+        return sc.load_dataset(self.path)
+
+
+DATASET_KINDS = {cls.kind: cls for cls in (SyntheticData, CifarData, FileData)}
+
+
+def _read_dataset(obj, path):
+    """The dataset spec of obj's `kind`, read from its other keys."""
+    _check_keys(obj, path, required=("kind",), optional=obj)
+    kind = _read_value("", obj["kind"], f"{path}.kind")
+    if kind not in DATASET_KINDS:
+        _fail(f"{path}.kind", f"expected one of {', '.join(DATASET_KINDS)}")
+    return _read_section(DATASET_KINDS[kind],
+                         {k: v for k, v in obj.items() if k != "kind"}, path)
 
 
 def check_seeds(seeds, where):
@@ -222,12 +223,14 @@ def check_seeds(seeds, where):
 
 @dataclass(frozen=True)
 class Experiment:
-    """A validated experiment: everything a `run` invocation needs."""
+    """A validated experiment: everything a `run` invocation needs.
+
+    scenario holds seed 0; scenario_config(seed) gives each run's."""
 
     name: str
-    main_dataset: dict
+    main_dataset: SyntheticData | CifarData | FileData
     peripheral_datasets: tuple
-    scenario_kwargs: dict
+    scenario: sc.ScenarioConfig
     augmenter: sc.Augmenter
     arch: NetArch
     method: MethodConfig
@@ -236,13 +239,14 @@ class Experiment:
 
     def resolved(self):
         """Fully-defaulted JSON-ready dictionary; loads back identically."""
+        datasets = [{"kind": spec.kind, **_echo(spec)}
+                    for _, spec in self.dataset_specs()]
+        scenario = _echo(self.scenario)
+        del scenario["seed"]
         return {
             "name": self.name,
-            "datasets": {
-                "main": dict(self.main_dataset),
-                "peripheral": [dict(p) for p in self.peripheral_datasets],
-            },
-            "scenario": dict(self.scenario_kwargs),
+            "datasets": {"main": datasets[0], "peripheral": datasets[1:]},
+            "scenario": scenario,
             "augmenter": _echo(self.augmenter),
             "arch": _echo(self.arch),
             "method": _echo(self.method),
@@ -260,15 +264,16 @@ class Experiment:
         """Materialize (main, peripherals) from their specs.
 
         A file that is not an export or a malformed CIFAR batch, a main
-        dataset without test rows (a file export may have none) and, in
-        image mode, a row that is not a 3 x image_hw x image_hw image are
-        known only here, so each is a ConfigError before any training.
+        dataset without test rows (a file export may have none), a
+        peripheral whose rows are not as wide as the main's and, in image
+        mode, a row that is not a 3 x image_hw x image_hw image are known
+        only here, so each is a ConfigError before any training.
         """
         hw = self.augmenter.image_hw
         built = []
         for where, spec in self.dataset_specs():
             try:
-                data = _build_dataset(spec)
+                data = spec.build()
             except ValueError as exc:
                 _fail(f"config.datasets.{where}", str(exc))
             if where == "main" and not len(data.test_y):
@@ -278,26 +283,15 @@ class Experiment:
                 _fail("config.augmenter.image_hw",
                       f"image mode needs rows of 3*{hw}*{hw} = {3 * hw * hw} "
                       f"values, datasets.{where} has {data.dim}")
+            if built and data.dim != built[0].dim:
+                _fail(f"config.datasets.{where}",
+                      f"{data.name} has rows of {data.dim} values, "
+                      f"datasets.main has {built[0].dim}")
             built.append(data)
         return built[0], built[1:]
 
     def scenario_config(self, seed):
-        return sc.ScenarioConfig(seed=int(seed), **self.scenario_kwargs)
-
-
-def _build_dataset(spec):
-    if spec["kind"] == "synthetic":
-        return sc.synth_dataset(
-            spec["classes"], spec["dim"], spec["train_per_class"],
-            spec["test_per_class"], spec["seed"],
-            mean_radius=spec["mean_radius"],
-            noise_sigma=spec["noise_sigma"],
-            name=spec["name"] or None)
-    if spec["kind"] == "cifar":
-        return sc.load_cifar_binary(spec["train_path"],
-                                    spec["test_path"] or None,
-                                    name=spec["name"])
-    return sc.load_dataset(spec["path"])
+        return replace(self.scenario, seed=int(seed))
 
 
 def from_dict(data, path="config"):
@@ -311,25 +305,34 @@ def from_dict(data, path="config"):
     peripheral = ds.get("peripheral", [])
     if not isinstance(peripheral, list):
         _fail(f"{path}.datasets.peripheral", "expected a list")
+    main = _read_dataset(ds["main"], f"{path}.datasets.main")
+    # a run evaluates on the main dataset's test split
+    if main.kind == "synthetic" and main.test_per_class < 1:
+        _fail(f"{path}.datasets.main.test_per_class",
+              "must be >= 1 for the main dataset")
+    if main.kind == "cifar" and not main.test_path:
+        _fail(f"{path}.datasets.main.test_path",
+              "missing required key for the main dataset")
     exp = Experiment(
-        name=_get(data, path, "name", "experiment"),
-        main_dataset=_parse_main_dataset(ds["main"], f"{path}.datasets.main"),
+        name=_read_value("", data.get("name", "experiment"), f"{path}.name"),
+        main_dataset=main,
         peripheral_datasets=tuple(
-            _parse_dataset(p, f"{path}.datasets.peripheral[{i}]")
+            _read_dataset(p, f"{path}.datasets.peripheral[{i}]")
             for i, p in enumerate(peripheral)),
-        scenario_kwargs=_parse_scenario(data["scenario"], f"{path}.scenario"),
+        scenario=_read_section(sc.ScenarioConfig, data["scenario"],
+                               f"{path}.scenario", seed=0),
         augmenter=_read_section(sc.Augmenter, data.get("augmenter", {}),
                                 f"{path}.augmenter"),
         arch=_read_section(NetArch, data.get("arch", {}), f"{path}.arch"),
         method=_read_section(MethodConfig, data.get("method", {}),
                              f"{path}.method"),
         seeds=check_seeds(data.get("seeds"), f"{path}.seeds"),
-        output_dir=_get(data, path, "output_dir", ""),
+        output_dir=_read_value("", data.get("output_dir", ""),
+                               f"{path}.output_dir"),
     )
     # the final classifier fits on the last task's labeled set and memory,
     # so memory needs a slot for every class seen before the last task
-    earlier = (exp.scenario_kwargs["n_tasks"] - 1) * exp.scenario_kwargs[
-        "classes_per_task"]
+    earlier = (exp.scenario.n_tasks - 1) * exp.scenario.classes_per_task
     if exp.method.memory_size < earlier:
         _fail(f"{path}.method.memory_size",
               f"must be >= {earlier}, the classes seen before the last task")

@@ -53,10 +53,15 @@ class Dataset:
     def __post_init__(self):
         if self.train_x.ndim != 2:
             raise ValueError("train_x must be [n, d]")
-        n = self.train_x.shape[0]
-        if not (len(self.train_y) == len(self.train_ids) == n):
-            raise ValueError("train arrays must align")
-        if len(np.unique(self.train_ids)) != n:
+        if self.test_x.ndim != 2 or self.test_x.shape[1] != self.dim:
+            raise ValueError(f"test_x has shape {self.test_x.shape}, not "
+                             f"[n, {self.dim}] like train_x")
+        for split in ("train", "test"):
+            n = len(getattr(self, f"{split}_x"))
+            if not (len(getattr(self, f"{split}_y"))
+                    == len(getattr(self, f"{split}_ids")) == n):
+                raise ValueError(f"{split} arrays must align")
+        if len(np.unique(self.train_ids)) != len(self.train_ids):
             raise ValueError("train ids must be unique")
         if self.test_x.size and np.intersect1d(self.train_ids, self.test_ids).size:
             raise ValueError("train and test ids must be disjoint")
@@ -519,7 +524,8 @@ class ScenarioConfig:
     their label; n_related / n_unrelated size each step's unlabeled pool
     (unrelated counts apply per peripheral dataset). variant selects the pool
     composition rule; non_iid_fraction is the class-subset fraction used by
-    the non_iid variant.
+    the non_iid variant. A config's `scenario` section holds every field
+    but seed, which each run supplies; __post_init__ checks the ranges.
     """
 
     n_tasks: int
@@ -630,14 +636,6 @@ def _task_classes(config, n_classes, rng):
     k = config.classes_per_task
     return [tuple(int(c) for c in perm[i * k:(i + 1) * k])
             for i in range(config.n_tasks)]
-
-
-def task_class_order(config, n_classes):
-    """The class ids of each task, in task order, of the stream build_stream
-    makes from config over a main dataset with n_classes classes; known
-    without the data."""
-    return _task_classes(config, n_classes,
-                         np.random.default_rng([config.seed, 0x5ce]))
 
 
 def build_stream(config, main, peripherals=()):

@@ -492,6 +492,25 @@ class TestErrors:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,message", [
+        ("n_related", "related pool at t=1: requested 5000 of 144 available"),
+        ("n_unrelated",
+         "peripheral synth4x8s70 at t=1: requested 5000 of 320 available"),
+    ], ids=["related", "unrelated"])
+    def test_pool_larger_than_the_data_exit_2_before_any_output(
+            self, tmp_path, capsys, key, message):
+        """Each seed's stream is built over the built datasets before any
+        write, so a pool the data cannot fill is a config error."""
+        cfg = json.loads(json.dumps(TINY))
+        cfg["scenario"][key] = 5000
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "never"
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert f"config.scenario: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])

@@ -1,10 +1,13 @@
-"""Config tests: the augmenter, arch and method sections are read from the
-dataclasses they build, their echo is pinned, and every error names its key
-path."""
+"""Config tests: every section is read from the dataclass it builds, the
+echo is pinned, and every error names its key path."""
 
 import json
+import os
+import re
+import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from osscl import cli, config
@@ -14,9 +17,17 @@ from osscl.trainer import MethodConfig, NetArch
 from test_cli import TINY
 
 SECTIONS = {"augmenter": sc.Augmenter, "arch": NetArch,
-            "method": MethodConfig, "method.weights": LossWeights}
+            "method": MethodConfig, "method.weights": LossWeights,
+            "scenario": sc.ScenarioConfig, **config.DATASET_KINDS}
 
-# one valid non-default value per field; each is set alone
+# the main dataset spec each dataset kind's section is read from
+MAINS = {"synthetic": TINY["datasets"]["main"],
+         "cifar": {"kind": "cifar", "train_path": "train.bin",
+                   "test_path": "test.bin"},
+         "file": {"kind": "file", "path": "main.npz"}}
+
+# one valid value per key that differs from the one TINY gives; each is
+# set alone
 NON_DEFAULT = {
     "augmenter": {"mode": "image", "sigma": 0.25, "dropout": 0.3,
                   "crop_scale": [0.5, 0.75], "flip_p": 0.25, "jitter_p": 0.5,
@@ -34,6 +45,15 @@ NON_DEFAULT = {
                "classifier_batch": 64},
     "method.weights": {"tau": 0.5, "tau_teacher": 0.02, "tau_student": 0.3,
                        "td_weight": 0.7, "kd_weight": 0.9},
+    "scenario": {"n_tasks": 1, "classes_per_task": 1, "labeled_fraction": 0.5,
+                 "n_related": 30, "n_unrelated": 0, "variant": "non_iid",
+                 "non_iid_fraction": 0.25},
+    "synthetic": {"classes": 5, "dim": 6, "train_per_class": 30,
+                  "test_per_class": 5, "seed": 8, "mean_radius": 2.5,
+                  "noise_sigma": 0.5, "name": "blobs"},
+    "cifar": {"train_path": "other.bin", "test_path": "other_test.bin",
+              "name": "c10"},
+    "file": {"path": "other.npz"},
 }
 
 TINY_RESOLVED = {
@@ -72,17 +92,29 @@ TINY_RESOLVED = {
 }
 
 
-def tiny_with(section, key, value):
-    """TINY with section (dotted for nested) .key set to value."""
+def tiny_at(section):
+    """A copy of TINY and its node for section (dotted for nested); a
+    dataset kind's node is the main dataset, MAINS[section]."""
     spec = json.loads(json.dumps(TINY))
+    if section in MAINS:
+        spec["datasets"]["main"] = node = dict(MAINS[section])
+        return spec, node
     node = spec
     for part in section.split("."):
         node = node.setdefault(part, {})
+    return spec, node
+
+
+def tiny_with(section, key, value):
+    """TINY with section .key set to value."""
+    spec, node = tiny_at(section)
     node[key] = value
     return spec
 
 
 def section_of(exp, section):
+    if section in MAINS:
+        return exp.main_dataset
     obj = exp
     for part in section.split("."):
         obj = getattr(obj, part)
@@ -90,6 +122,8 @@ def section_of(exp, section):
 
 
 def echo_section(echo, section):
+    if section in MAINS:
+        return echo["datasets"]["main"]
     for part in section.split("."):
         echo = echo[part]
     return echo
@@ -100,6 +134,8 @@ def test_non_default_table_names_every_field():
         names = {f.name for f in fields(cls)}
         if section == "method":
             names.remove("weights")  # its own section, method.weights
+        if section == "scenario":
+            names.remove("seed")  # each run's, not a key
         assert set(NON_DEFAULT[section]) == names, section
 
 
@@ -108,7 +144,8 @@ def test_non_default_table_names_every_field():
     for key, value in values.items()])
 def test_every_field_is_read_and_echoed(section, key, value):
     expected = tuple(value) if isinstance(value, list) else value
-    assert getattr(SECTIONS[section](), key) != expected
+    base = section_of(config.from_dict(tiny_at(section)[0]), section)
+    assert getattr(base, key) != expected
     exp = config.from_dict(tiny_with(section, key, value))
     built = getattr(section_of(exp, section), key)
     assert built == expected and type(built) is type(expected)
@@ -152,6 +189,19 @@ def test_tiny_resolved_is_pinned():
      "config.method.weights: tau must be positive"),
     ("method", "n_aug", 0, "config.method: n_aug must be >= 1"),
     ("method", "memory_size", 1, "config.method.memory_size: must be >= 2"),
+    ("scenario", "n_tasks", 2.0, "config.scenario.n_tasks: expected an "
+     "integer"),
+    ("scenario", "seed", 3, "config.scenario.seed: unknown key"),
+    ("scenario", "n_related", -1,
+     "config.scenario: pool sizes must be non-negative"),
+    ("synthetic", "classes", 0, "config.datasets.main: classes must be >= 1"),
+    ("synthetic", "seed", -1, "config.datasets.main: seed must be >= 0"),
+    ("synthetic", "mystery", 1, "config.datasets.main.mystery: unknown key"),
+    ("cifar", "train_path", 3,
+     "config.datasets.main.train_path: expected a string"),
+    ("file", "kind", "npz",
+     "config.datasets.main.kind: expected one of synthetic, cifar, file"),
+    ("file", "kind", 1, "config.datasets.main.kind: expected a string"),
 ])
 def test_errors_name_the_key_path(section, key, value, message):
     with pytest.raises(config.ConfigError, match=f"^{message}"):
@@ -337,8 +387,8 @@ def test_peripherals_need_no_test_split():
     spec["datasets"]["peripheral"].append(
         {"kind": "cifar", "train_path": "peripheral.bin"})
     exp = config.from_dict(spec)
-    assert exp.peripheral_datasets[0]["test_per_class"] == 0
-    assert exp.peripheral_datasets[1]["test_path"] == ""
+    assert exp.peripheral_datasets[0].test_per_class == 0
+    assert exp.peripheral_datasets[1].test_path == ""
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -358,3 +408,89 @@ def test_file_main_without_test_rows_exits_2_before_training(tmp_path, capsys,
             in capsys.readouterr().err)
     assert not list(out.glob("seed_*"))
     assert not (out / "aggregate.json").exists()
+
+
+@pytest.mark.parametrize("section,key", [
+    ("scenario", "labeled_fraction"), ("synthetic", "dim"),
+    ("synthetic", "kind"), ("cifar", "train_path"), ("file", "path")])
+def test_a_field_without_a_default_is_a_required_key(section, key):
+    spec, node = tiny_at(section)
+    del node[key]
+    path = "datasets.main" if section in MAINS else section
+    with pytest.raises(config.ConfigError,
+                       match=rf"^config\.{path}\.{key}: missing required key$"):
+        config.from_dict(spec)
+
+
+def test_scenario_seed_is_each_runs():
+    exp = config.from_dict(json.loads(json.dumps(TINY)))
+    assert exp.scenario.seed == 0
+    assert exp.scenario_config(5) == sc.ScenarioConfig(
+        n_tasks=2, classes_per_task=2, labeled_fraction=0.1, n_related=60,
+        n_unrelated=60, seed=5)
+
+
+@pytest.mark.parametrize("workload", ["desk_vector", "image_cifar"])
+def test_workload_configs_load_echo_and_reload(tmp_path, workload):
+    """The tiny configs of the benchmark's declared workloads
+    (perfbench/workloads.py) are valid, and their echo reloads to an equal
+    experiment whose datasets build."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        from workloads import build_config
+    finally:
+        sys.path.remove(perfbench)
+    path, seeds = build_config(workload, 0, str(tmp_path), tiny=True)
+    exp = config.load_experiment(path)
+    assert list(exp.seeds) == seeds
+    echo = json.loads(json.dumps(exp.resolved()))
+    assert config.from_dict(echo) == exp
+    assert config.from_dict(echo).resolved() == echo
+    main, peripherals = exp.build_datasets()
+    assert len(peripherals) == 1 and main.dim == peripherals[0].dim
+
+
+def test_peripheral_rows_must_match_the_mains_in_vector_mode(tmp_path, capsys):
+    """A peripheral's rows join the main's in every unlabeled pool."""
+    spec = json.loads(json.dumps(TINY))
+    spec["datasets"]["peripheral"][0]["dim"] = 12
+    message = ("config.datasets.peripheral[0]: synth4x12s70 has rows of 12 "
+               "values, datasets.main has 8")
+    with pytest.raises(config.ConfigError) as caught:
+        config.from_dict(spec).build_datasets()
+    assert str(caught.value) == message
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(spec))
+    out = tmp_path / "never"
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split,shape,message", [
+    ("test_x", (80, 5), r"test_x has shape \(80, 5\), not \[n, 8\]"),
+    ("test_y", (77,), "test arrays must align"),
+], ids=["narrow_rows", "short_labels"])
+def test_file_main_with_a_misshapen_test_split_exits_2_before_any_output(
+        tmp_path, capsys, split, shape, message):
+    data = sc.synth_dataset(4, 8, 40, 20, seed=7)
+    arrays = {k: getattr(data, k) for k in
+              ("train_x", "train_y", "train_ids", "test_x", "test_y",
+               "test_ids")}
+    arrays[split] = arrays[split].ravel()[:int(np.prod(shape))].reshape(shape)
+    export = tmp_path / "main.npz"
+    np.savez(export, name=np.array(data.name), **arrays)
+    spec = json.loads(json.dumps(TINY))
+    spec["datasets"]["main"] = {"kind": "file", "path": str(export)}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(spec))
+    out = tmp_path / "never"
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: config.datasets.main: " in err
+    assert re.search(message, err)
+    assert not out.exists()

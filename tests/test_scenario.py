@@ -78,6 +78,21 @@ def test_dataset_validation():
                          test_ids=np.zeros(0, dtype=np.int64))
 
 
+@pytest.mark.parametrize("split,cut,message", [
+    ("test_x", np.s_[:, :2], r"^test_x has shape \(80, 2\), not \[n, 16\]"),
+    ("test_x", np.s_[0], r"^test_x has shape \(16,\), not \[n, 16\]"),
+    ("test_y", np.s_[:-1], "^test arrays must align$"),
+    ("test_ids", np.s_[1:], "^test arrays must align$"),
+    ("train_y", np.s_[:-1], "^train arrays must align$"),
+], ids=["narrow_rows", "flat_rows", "short_labels", "short_ids",
+        "short_train_labels"])
+def test_dataset_rejects_a_split_that_does_not_fit(split, cut, message):
+    arrays = dataclasses.asdict(small_main())
+    arrays[split] = arrays[split][cut]
+    with pytest.raises(ValueError, match=message):
+        scenario.Dataset(**arrays)
+
+
 @pytest.mark.parametrize("split", ["train_x", "test_x"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_dataset_rejects_non_finite_features(split, value):
@@ -598,16 +613,6 @@ def test_stream_core_invariants(seed):
         assert len(np.unique(step.unlabeled_ids)) == len(step.unlabeled_ids)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_task_class_order_is_the_streams(seed):
-    main = small_main(seed)
-    for cfg in (config(seed=seed), config(seed=seed, n_tasks=2),
-                config(seed=seed, classes_per_task=1, variant="non_iid")):
-        stream = scenario.build_stream(cfg, main, [])
-        assert (scenario.task_class_order(cfg, main.n_classes)
-                == stream.task_classes)
-
-
 def test_stream_deterministic_per_seed():
     main, peri = small_main(0), small_peripheral(50)
     a = scenario.build_stream(config(seed=3), main, [peri])
@@ -688,11 +693,9 @@ def test_pool_exhaustion_raises():
 
 def test_too_many_tasks_raises():
     main = small_main(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need 10 classes, main dataset "
+                                         "has 8$"):
         scenario.build_stream(config(n_tasks=5, classes_per_task=2), main, [])
-    with pytest.raises(ValueError, match="need 10 classes, main dataset "
-                                         "has 8"):
-        scenario.task_class_order(config(n_tasks=5, classes_per_task=2), 8)
 
 
 def test_scenario_config_validation():
