@@ -41,8 +41,9 @@ log = logging.getLogger("osscl.cli")
 _SEG_FIELDS = ("n_unlabeled", "n_u_hat", "n_t_hat", "tau_id", "tau_pl",
                "score_mean", "score_spread", "auroc", "precision",
                "pseudo_accuracy")
-# recorded in version.json as launched; `run --threads N` workers start
-# with each unset one at 1
+# recorded in version.json as launched. No run is steered by them: each
+# computes at one BLAS thread, and its CPU affinity decides whether it walks
+# and feeds ahead (trainer._spare_core)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                "NUMEXPR_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_THREAD_LIMIT")
@@ -246,40 +247,42 @@ def _run_seed_job(resolved, seed, seed_dir):
     return metrics
 
 
-def _worker_thread_vars(environ):
-    """What `run --threads N` adds to environ for its workers: each of
-    THREAD_VARS that environ leaves unset, at "1"; a value the user set is
-    kept. Every run computes at one BLAS thread whatever the pool, so this
-    changes no byte; it keeps each worker's pool at one thread, so no worker
-    forks a walk ahead (trainer._walks_ahead) on a core another worker
-    uses."""
-    return {var: "1" for var in THREAD_VARS if var not in environ}
+def _cpu_shares(cpus, workers):
+    """Each worker's share of `cpus`: every workers-th CPU from the i-th.
+    With at least as many CPUs as workers the shares are disjoint and cover
+    `cpus`; with more workers than CPUs each share is one CPU."""
+    return [cpus[i % len(cpus)::workers] for i in range(workers)]
+
+
+def _pin_worker(shares):
+    """Initializer of a pool worker: run on the next share that `shares`
+    (a SimpleQueue) holds, where the OS can pin, and configure logging."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, shares.get())
+    _configure_logging()
 
 
 def _run_pool(jobs, resolved, workers):
     """_run_seed_job over jobs in `workers` spawned processes, in job order.
 
-    A spawned worker is a fresh interpreter that copies os.environ as it is
-    at its start, before it loads numpy, so the pool runs while os.environ
-    holds _worker_thread_vars (a forked one would keep the BLAS pool numpy
-    loaded here with). os.environ is restored when the pool is done.
+    Each worker runs on its own share of this process's CPUs (_cpu_shares),
+    so a worker with one CPU walks in-process (trainer._spare_core) and no
+    worker forks a walk onto a CPU another worker uses.
     """
     # imported here: loading them costs every serial start about 30 ms
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pinned = _worker_thread_vars(os.environ)
-    os.environ.update(pinned)
-    try:
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=_configure_logging,
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            futures = [pool.submit(_run_seed_job, resolved, seed, seed_dir)
-                       for seed, seed_dir in jobs]
-            return [f.result() for f in futures]
-    finally:
-        for var in pinned:
-            del os.environ[var]
+    ctx = multiprocessing.get_context("spawn")
+    with contextlib.closing(ctx.SimpleQueue()) as shares, ProcessPoolExecutor(
+            max_workers=workers, mp_context=ctx, initializer=_pin_worker,
+            initargs=(shares,)) as pool:
+        if hasattr(os, "sched_getaffinity"):
+            for share in _cpu_shares(sorted(os.sched_getaffinity(0)), workers):
+                shares.put(share)
+        futures = [pool.submit(_run_seed_job, resolved, seed, seed_dir)
+                   for seed, seed_dir in jobs]
+        return [f.result() for f in futures]
 
 
 def cmd_run(args):
@@ -416,10 +419,10 @@ def build_parser():
                        help="allow writing into a non-empty directory")
     run_p.add_argument("--seeds", help="comma-separated seed override")
     run_p.add_argument("--threads", type=int, default=1,
-                       help="run seeds in up to N parallel processes; each "
-                            "walks in-process unless the thread variables "
-                            "are set (every run computes at one BLAS "
-                            "thread)")
+                       help="run seeds in up to N parallel processes, "
+                            "each on its own share of the CPUs; a worker "
+                            "with one CPU walks in-process (every run "
+                            "computes at one BLAS thread)")
     run_p.set_defaults(func=cmd_run)
 
     grad_p = sub.add_parser("gradcheck",

@@ -30,6 +30,8 @@ import json
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 
+import numpy as np
+
 from . import scenario as sc
 from .trainer import MethodConfig, NetArch
 
@@ -264,10 +266,11 @@ class Experiment:
         """Materialize (main, peripherals) from their specs.
 
         A file that is not an export or a malformed CIFAR batch, a main
-        dataset without test rows (a file export may have none), a
-        peripheral whose rows are not as wide as the main's and, in image
-        mode, a row that is not a 3 x image_hw x image_hw image are known
-        only here, so each is a ConfigError before any training.
+        dataset with a class that has no test rows (a file export may have
+        none at all, and evaluation scores every task), a peripheral whose
+        rows are not as wide as the main's and, in image mode, a row that is
+        not a 3 x image_hw x image_hw image are known only here, so each is
+        a ConfigError before any training.
         """
         hw = self.augmenter.image_hw
         built = []
@@ -276,9 +279,10 @@ class Experiment:
                 data = spec.build()
             except ValueError as exc:
                 _fail(f"config.datasets.{where}", str(exc))
-            if where == "main" and not len(data.test_y):
+            if where == "main" and (missing := np.setdiff1d(
+                    data.train_y, data.test_y).tolist()):
                 _fail("config.datasets.main",
-                      f"{data.name} has no test samples")
+                      f"{data.name} has no test samples of classes {missing}")
             if self.augmenter.mode == "image" and data.dim != 3 * hw * hw:
                 _fail("config.augmenter.image_hw",
                       f"image mode needs rows of 3*{hw}*{hw} = {3 * hw * hw} "

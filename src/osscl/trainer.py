@@ -28,13 +28,14 @@ its phase clock too), so it trains the reference for step t+1 while this
 process trains the learner for step t; a send blocks while the pipe is
 full, which keeps it about one step ahead. It does so when the reference
 trains after step 1 (_TaskWalk.trains_reference), the fork start method
-exists, this process runs no other thread and the BLAS pool had more than
-one thread on entry: a spare core. The child inherits the one thread.
-Otherwise the walk runs in-process, so OPENBLAS_NUM_THREADS=1, a
-single-core machine and `run --threads N` workers stay serial. It is a
-process and not a thread because a walk step trains the reference: its
-forward and backward are small numpy ops that hold the GIL, and they record
-on the tape stack (numcore._ACTIVE_TAPES), which is module-global.
+exists, this process runs no other thread and its CPU affinity holds more
+than one CPU (_spare_core): a spare core. The child inherits the one BLAS
+thread. Otherwise the walk runs in-process, so `taskset -c 0`, a
+single-core machine and a `run --threads N` worker pinned to one CPU stay
+serial; the BLAS/OpenMP thread variables play no part. It is a process and
+not a thread because a walk step trains the reference: its forward and
+backward are small numpy ops that hold the GIL, and they record on the tape
+stack (numcore._ACTIVE_TAPES), which is module-global.
 
 Each trainer's optimizer step is two parts (_optimize): prepare(idx) makes
 the batch's inputs (the batch draws and the augmented views), which read
@@ -249,8 +250,9 @@ class RunReport:
     learner side spent blocked on the walk. When batches are fed ahead
     (_feeds_ahead), `reference_feed_wait` (walk clock) and
     `learner_feed_wait` (run_continual's) hold the part of `reference` and
-    of `learner` that the trainer spent blocked on its feeder thread. When
-    the walk runs ahead (see the module docstring) its phases (reference,
+    of `learner` that the trainer spent blocked on its feeder thread. Both
+    need a spare core: a CPU affinity of more than one CPU. When the walk
+    runs ahead (see the module docstring) its phases (reference,
     segregation, memory) overlap `learner`, so the phases can sum to more
     than `total`.
     """
@@ -343,17 +345,18 @@ _FEED_DEPTH = 2
 _FEED_END = object()
 
 
-def _feeds_ahead(augmenter, threads):
+def _feeds_ahead(augmenter):
     """Whether a run's trainers prepare batches on a feeder thread
-    (_fed_ahead), given the BLAS thread count on entry (None if unknown):
-    image-mode augmentation and a spare core; see the module docstring."""
-    return augmenter.mode == "image" and _spare_core(threads)
+    (_fed_ahead): image-mode augmentation and a spare core; see the module
+    docstring."""
+    return augmenter.mode == "image" and _spare_core()
 
 
-def _spare_core(threads):
-    """Whether a BLAS pool of `threads` on entry (None if unknown) shows a
-    core the run's one BLAS thread leaves idle."""
-    return threads is not None and threads > 1
+def _spare_core():
+    """Whether this process may run on more than one CPU, per its affinity.
+    An OS without sched_getaffinity counts as one CPU, so a run there never
+    oversubscribes."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
 @contextlib.contextmanager
@@ -575,24 +578,21 @@ def evaluate(head, learner, class_ids, test_x, test_y, task_class_sets):
     """Class-incremental top-1 accuracy, overall and per task.
 
     Only test samples of observed classes are scored; no task identity is
-    given at test time (a single head over all observed classes).
+    given at test time (a single head over all observed classes). Raises
+    ValueError when a task has no test sample to score.
     """
     test_x = np.asarray(test_x)
     test_y = np.asarray(test_y)
     keep = np.isin(test_y, class_ids)
     test_x, test_y = test_x[keep], test_y[keep]
-    if len(test_y) == 0:
-        raise ValueError("no test samples for the observed classes")
+    masks = [np.isin(test_y, list(classes)) for classes in task_class_sets]
+    for classes, mask in zip(task_class_sets, masks):
+        if not mask.any():
+            raise ValueError(f"no test samples for task classes {list(classes)}")
     logits = head.classify(learner.encoder_features(test_x).data).data
     _require_finite("evaluation", "logits", logits)
-    pred = class_ids[logits.argmax(axis=1)]
-    correct = pred == test_y
-    final = float(correct.mean())
-    per_task = []
-    for classes in task_class_sets:
-        mask = np.isin(test_y, list(classes))
-        per_task.append(float(correct[mask].mean()) if mask.any() else 0.0)
-    return final, per_task
+    correct = class_ids[logits.argmax(axis=1)] == test_y
+    return float(correct.mean()), [float(correct[m].mean()) for m in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -772,17 +772,17 @@ def _openblas():
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the with-block at one thread of numpy's bundled OpenBLAS, and
-    yield the count found on entry, restored on the way out by error or not.
-    Without that library's thread control, set nothing and yield None."""
+    restore the count found on entry on the way out, by error or not.
+    Without that library's thread control, set nothing."""
     lib = _openblas()
     if lib is None:
         log.debug("no OpenBLAS thread control: the run keeps the pool's count")
-        yield None
+        yield
         return
     threads = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(1)
     try:
-        yield threads
+        yield
     finally:
         lib.scipy_openblas_set_num_threads64_(threads)
 
@@ -816,16 +816,16 @@ _WALK_HANDBACK = ("memory", "rngs", "reference_curves", "task_metrics",
                   "memory_counts", "clock")
 
 
-def _walks_ahead(walk, threads):
-    """Whether run_continual runs `walk` in a forked process, given the BLAS
-    thread count on entry (None if unknown); see the module docstring."""
+def _walks_ahead(walk):
+    """Whether run_continual runs `walk` in a forked process; see the module
+    docstring."""
     if not any(walk.trains_reference(s.index) for s in walk.stream.steps[1:]):
         return False
     import multiprocessing
 
     return (threading.active_count() == 1
             and "fork" in multiprocessing.get_all_start_methods()
-            and _spare_core(threads))
+            and _spare_core())
 
 
 def _walk_child(walk, outbox):
@@ -880,7 +880,7 @@ def _waited(items, clock, phase):
 
 
 @contextlib.contextmanager
-def _walk_feed(walk, threads):
+def _walk_feed(walk):
     """An iterator over walk's (step, labeled union, segregation pass) items
     that leaves `walk` as iterating it in-process does.
 
@@ -888,7 +888,7 @@ def _walk_feed(walk, threads):
     this one mirrors it over a pipe (_mirror); on the way out, by error or
     not, it is stopped and joined and the pipe closed.
     """
-    if not _walks_ahead(walk, threads):
+    if not _walks_ahead(walk):
         yield iter(walk)
         return
     import multiprocessing
@@ -935,17 +935,17 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
     and learner training; the classifier and evaluation follow the last
     step.
     """
-    with _one_blas_thread() as threads:
+    with _one_blas_thread():
         clock = _PhaseClock()
         start_total = time.perf_counter()
-        feed_ahead = _feeds_ahead(augmenter, threads)
+        feed_ahead = _feeds_ahead(augmenter)
         walk = _TaskWalk(cfg, stream, augmenter, seed, arch, feed_ahead)
         check_memory_quotas(cfg, stream.task_classes)
         learner = _encoder_projector(stream, arch, seed, _ROLE_LEARNER_INIT)
         rng = role_rng(seed, _ROLE_LEARNER_TRAIN)
         learner_curves = {}
 
-        with _walk_feed(walk, threads) as items:
+        with _walk_feed(walk) as items:
             steps = _waited(items, clock, "walk_wait")
             for step, (lab_x, lab_y, _), seg in steps:
                 t = step.index
@@ -1022,9 +1022,9 @@ def run_segregation_eval(cfg, stream, augmenter, seed, arch=NetArch()):
     """
     if not cfg.uses_segregation:
         raise ValueError(f"method {cfg.method!r} does not segregate its pool")
-    with _one_blas_thread() as threads:
+    with _one_blas_thread():
         walk = _TaskWalk(cfg, stream, augmenter, seed, arch,
-                         _feeds_ahead(augmenter, threads))
+                         _feeds_ahead(augmenter))
         samples = []
         for step, _, seg in walk:
             related, true_classes = step.provenance.reveal()

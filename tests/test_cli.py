@@ -128,12 +128,13 @@ class TestRun:
 
     def test_parallel_seeds_match_serial(self, workspace, tmp_path):
         out = tmp_path / "par"
-        environ = dict(os.environ)
+        environ, affinity = dict(os.environ), os.sched_getaffinity(0)
         rc = cli.main(["run", "--config", str(workspace["config"]),
                        "--out", str(out), "--seeds", "1,2", "--threads", "2"])
         assert rc == 0
-        # the workers' thread variables were set for the pool's life only
+        # only the workers were pinned to their CPU shares
         assert dict(os.environ) == environ
+        assert os.sched_getaffinity(0) == affinity
         for seed in (1, 2):
             a = (workspace["out"] / f"seed_{seed}" / "metrics.json").read_bytes()
             b = (out / f"seed_{seed}" / "metrics.json").read_bytes()
@@ -160,15 +161,45 @@ class TestRun:
         b = (out / "seed_1" / "metrics.json").read_bytes()
         assert a == b
 
-    def test_workers_get_one_blas_thread_unless_the_user_set_one(self):
-        pinned = cli._worker_thread_vars({"OPENBLAS_NUM_THREADS": "3",
-                                          "OMP_NUM_THREADS": "",
-                                          "PATH": "/bin"})
-        assert pinned == {var: "1" for var in cli.THREAD_VARS
-                          if var not in ("OPENBLAS_NUM_THREADS",
-                                         "OMP_NUM_THREADS")}
-        assert cli._worker_thread_vars(
-            {var: "2" for var in cli.THREAD_VARS}) == {}
+    @pytest.mark.parametrize("cpus,workers", [
+        ([0], 1), ([0, 1], 2), ([0, 1, 2, 3], 2), ([0, 1, 2, 3, 4], 3),
+        ([3, 5, 7, 8, 9, 10, 11, 12], 8), ([0], 3), ([0, 1], 3),
+        ([2, 4, 6], 7)])
+    def test_workers_get_cpu_shares(self, cpus, workers):
+        """Disjoint shares that cover the CPUs while there are at least as
+        many CPUs as workers, else one CPU each."""
+        shares = cli._cpu_shares(cpus, workers)
+        assert len(shares) == workers
+        if workers <= len(cpus):
+            assert sorted(c for share in shares for c in share) == cpus
+            assert all(shares)
+        else:
+            assert all(len(share) == 1 for share in shares)
+            assert {c for share in shares for c in share} == set(cpus)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_a_pool_worker_runs_on_its_share(self, width):
+        """A worker started by _pin_worker runs on the share it takes, and
+        reads a spare core only when the share has two CPUs or more."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) < width:
+            pytest.skip(f"needs {width} CPUs")
+        ctx = multiprocessing.get_context("spawn")
+        shares = ctx.SimpleQueue()
+        shares.put(cpus[-width:])
+        try:
+            with ProcessPoolExecutor(max_workers=1, mp_context=ctx,
+                                     initializer=cli._pin_worker,
+                                     initargs=(shares,)) as pool:
+                affinity = pool.submit(os.sched_getaffinity, 0).result()
+                spare = pool.submit(trainer._spare_core).result()
+        finally:
+            shares.close()
+        assert affinity == set(cpus[-width:])
+        assert spare is (width > 1)
 
     def test_config_echo_closure(self, workspace):
         echo = _read(workspace["out"] / "config.json")

@@ -5,7 +5,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -408,6 +408,30 @@ def test_file_main_without_test_rows_exits_2_before_training(tmp_path, capsys,
             in capsys.readouterr().err)
     assert not list(out.glob("seed_*"))
     assert not (out / "aggregate.json").exists()
+
+
+def test_file_main_with_a_class_without_test_rows_exits_2_before_any_output(
+        tmp_path, capsys):
+    """Task 2's classes (0 and 3) have no test rows: its accuracy would be
+    no measurement at all, so the run stops before it writes anything."""
+    data = sc.synth_dataset(4, 8, 40, 20, seed=7)
+    keep = np.isin(data.test_y, [1, 2])
+    export = tmp_path / "main.npz"
+    sc.save_dataset(replace(
+        data, test_x=data.test_x[keep], test_y=data.test_y[keep],
+        test_ids=data.test_ids[keep]), export)
+    spec = json.loads(json.dumps(TINY))
+    spec["datasets"]["main"] = {"kind": "file", "path": str(export)}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(spec))
+    out = tmp_path / "o"
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out),
+                   "--seeds", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: config.datasets.main: synth4x8s7 has no test samples "
+        "of classes [0, 3]\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,key", [

@@ -7,6 +7,7 @@ the orchestration: method reduction, variant equivalence, snapshot and
 gradient isolation, determinism, and the classifier/eval protocol.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -372,6 +373,23 @@ def test_evaluate_ignores_unobserved_classes():
     assert len(per_task) == 1
 
 
+def test_evaluate_raises_for_a_task_without_test_rows():
+    """A task none of whose classes has a test row has no accuracy: it is an
+    error, not 0.0."""
+    data = sc.synth_dataset(4, DIM, 30, 15, seed=23)
+    learner = EncoderProjector(DIM, (32, 32), 16, 8,
+                               rng=np.random.default_rng(2))
+    head, class_ids = tr.fit_classifier(
+        learner, data.train_x, data.train_y, [0, 1, 2, 3],
+        tiny_cfg(classifier_epochs=2), np.random.default_rng(0),
+        np.random.default_rng(1))
+    keep = np.isin(data.test_y, [1, 2])
+    with pytest.raises(ValueError,
+                       match=r"^no test samples for task classes \[0, 3\]$"):
+        tr.evaluate(head, learner, class_ids, data.test_x[keep],
+                    data.test_y[keep], [(1, 2), (0, 3)])
+
+
 # ---------------------------------------------------------------------------
 # Full runs
 # ---------------------------------------------------------------------------
@@ -439,55 +457,72 @@ def state_digest(state):
     return h.hexdigest()
 
 
-def stdout_at_blas_thread_counts(script, kernel=None):
-    """The words script prints, run in a fresh process whose BLAS/OpenMP
-    thread variables are all 1, then in one where they are all 2 (one
-    process at a time), with the source and test directories as arguments.
-    A kernel name ("Haswell") is set as OPENBLAS_CORETYPE in both."""
+def stdout_at_blas_thread_counts(script, kernel=None,
+                                 launches=(("1", None), ("2", None))):
+    """The words script prints in fresh processes, one at a time, with the
+    source and test directories as arguments: per launch (threads, cpus),
+    every BLAS/OpenMP thread variable at `threads` and, unless cpus is None,
+    the CPU affinity `cpus`, set in the child only, before it starts Python.
+    By default at 1 and then at 2 threads on this process's CPUs. A kernel
+    name ("Haswell") is set as OPENBLAS_CORETYPE in every launch."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
     tests = os.path.dirname(os.path.abspath(__file__))
     words = []
-    for threads in ("1", "2"):
+    for threads, cpus in launches:
         env = dict(os.environ)
         env.update({var: threads for var in THREAD_VARS})
         if kernel is not None:
             env["OPENBLAS_CORETYPE"] = kernel
         done = subprocess.run(
             [sys.executable, "-c", script, src, tests], env=env,
-            capture_output=True, text=True, timeout=300)
+            capture_output=True, text=True, timeout=300,
+            preexec_fn=None if cpus is None
+            else lambda: os.sched_setaffinity(0, cpus))
         assert done.returncode == 0, done.stderr
         words.append(done.stdout.split())
     return words
 
 
 def test_rerun_is_bitwise_identical_across_blas_thread_counts():
-    """The same run at one and at two BLAS threads gives byte-identical
-    metrics and final state. At one thread every walk runs in-process and
-    every batch is prepared inline; at two, each of the five ursl runs walks
+    """The same runs launched with every thread variable at 1 on two CPUs
+    and at 2 on one CPU give byte-identical metrics and final state. The
+    CPUs alone decide how they run: on two, each of the five ursl runs walks
     ahead in a forked process, and the two image runs feed their learner's
-    batches (and their walk's) ahead on a thread."""
-    serial, ahead = stdout_at_blas_thread_counts(_DIGEST_SCRIPT)
+    batches (and their walk's) ahead on a thread; on one, every walk runs
+    in-process and every batch is prepared inline. A one-CPU host runs the
+    second launch only."""
+    cpus = sorted(os.sched_getaffinity(0))
+    launches = [("1", cpus[:2])] if len(cpus) > 1 else []
+    *ahead, serial = stdout_at_blas_thread_counts(
+        _DIGEST_SCRIPT, launches=launches + [("2", cpus[:1])])
     assert len(serial) == 2 * 6 + 3
-    assert serial[:-3] == ahead[:-3]
     assert serial[-2:] == ["forks=0", "feeds=0"]
-    if tr._openblas() is not None and len(os.sched_getaffinity(0)) > 1:
-        assert ahead[-3:] == ["threads=2", "forks=5", "feeds=4"]
+    for words in ahead:
+        assert words[:-3] == serial[:-3]
+        assert words[-2:] == ["forks=5", "feeds=4"]
+
+
+@contextlib.contextmanager
+def on_one_cpu():
+    """Run the with-block on one of this process's CPUs; its affinity is
+    restored on the way out."""
+    affinity = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(affinity)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, affinity)
 
 
 @pytest.fixture
 def walk_ahead(monkeypatch):
-    """Two BLAS threads, so ursl runs walk ahead; yields the list os.fork
-    appends to, and checks on the way out that the run left no process and
-    the thread count it found."""
+    """A spare core, so ursl runs walk ahead; yields the list os.fork
+    appends to, and checks on the way out that the run left no process."""
     import multiprocessing
 
-    blas = blas_thread_control()
-    if blas is None or "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the walk runs ahead only with fork and numpy's bundled "
-                    "OpenBLAS")
-    get, put = blas
-    before = get()
-    put(2)
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or len(os.sched_getaffinity(0)) < 2):
+        pytest.skip("the walk runs ahead only with fork and two or more CPUs")
     forks, fork = [], os.fork
 
     def counted_fork():
@@ -495,12 +530,8 @@ def walk_ahead(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    try:
-        yield forks
-        assert multiprocessing.active_children() == []
-        assert get() == 2
-    finally:
-        put(before)
+    yield forks
+    assert multiprocessing.active_children() == []
 
 
 def test_walk_error_is_raised_with_its_type_and_message(tiny_world, walk_ahead,
@@ -977,12 +1008,8 @@ def test_walk_ahead_reports_the_phases_and_state_of_the_in_process_run(
     main, stream, aug = tiny_world
     ahead = tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
     assert walk_ahead == [1]
-    put = blas_thread_control()[1]
-    put(1)
-    try:
+    with on_one_cpu():
         serial = tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
-    finally:
-        put(2)
     assert walk_ahead == [1]
     assert sorted(ahead.wall_clock) == sorted(serial.wall_clock)
     # the walk's three roles; the learner's RNGs stay with run_continual
@@ -1038,7 +1065,7 @@ def epochs(monkeypatch):
 
 @pytest.fixture
 def in_process(monkeypatch):
-    monkeypatch.setattr(tr, "_walks_ahead", lambda walk, threads: False)
+    monkeypatch.setattr(tr, "_walks_ahead", lambda walk: False)
 
 
 def with_nan(stream, t, field, row, cols=0):
@@ -1083,7 +1110,7 @@ def test_walk_ahead_raises_the_in_process_message(tiny_world, walk_ahead,
     with pytest.raises(NonFiniteError) as ahead:
         tr.run_continual(tiny_cfg(), poisoned, main, aug, seed=5)
     assert walk_ahead == [1]
-    monkeypatch.setattr(tr, "_walks_ahead", lambda walk, threads: False)
+    monkeypatch.setattr(tr, "_walks_ahead", lambda walk: False)
     with pytest.raises(NonFiniteError) as serial:
         tr.run_continual(tiny_cfg(), poisoned, main, aug, seed=5)
     assert walk_ahead == [1]
@@ -1298,12 +1325,16 @@ def test_fed_ahead_keeps_the_order_and_stops_when_left():
     assert feeder_threads() == []
 
 
-def test_only_image_runs_with_a_spare_core_feed_ahead():
+def test_only_image_runs_with_a_spare_core_feed_ahead(monkeypatch):
+    """A spare core is a CPU affinity of two or more CPUs; an OS that cannot
+    tell the affinity counts one CPU."""
     image = sc.Augmenter(mode="image")
-    assert tr._feeds_ahead(image, 2)
-    assert not tr._feeds_ahead(image, 1)
-    assert not tr._feeds_ahead(image, None)
-    assert not tr._feeds_ahead(sc.Augmenter(mode="vector"), 2)
+    assert tr._feeds_ahead(image) is (len(os.sched_getaffinity(0)) > 1)
+    assert not tr._feeds_ahead(sc.Augmenter(mode="vector"))
+    with on_one_cpu():
+        assert not tr._feeds_ahead(image)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert not tr._feeds_ahead(image)
 
 
 @pytest.mark.parametrize("overrides,trainings", [
@@ -1317,8 +1348,7 @@ def test_feeding_ahead_moves_no_byte(image_world, in_process, feeds,
     main, stream, aug = image_world
     runs = []
     for ahead in (False, True):
-        monkeypatch.setattr(tr, "_feeds_ahead",
-                            lambda augmenter, threads: ahead)
+        monkeypatch.setattr(tr, "_feeds_ahead", lambda augmenter: ahead)
         rep = tr.run_continual(tiny_cfg(**overrides), stream, main, aug,
                                seed=5)
         runs.append((json.dumps(rep.metrics_dict(), sort_keys=True),
@@ -1334,8 +1364,7 @@ def test_feeder_waits_are_phases_of_their_trainers(image_world, in_process,
     main, stream, aug = image_world
     phases = []
     for ahead in (False, True):
-        monkeypatch.setattr(tr, "_feeds_ahead",
-                            lambda augmenter, threads: ahead)
+        monkeypatch.setattr(tr, "_feeds_ahead", lambda augmenter: ahead)
         rep = tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
         phases.append(rep.wall_clock)
     inline, fed = phases
@@ -1359,11 +1388,11 @@ def assert_next_ursl_run_walks_ahead(tiny_world, walk_ahead, feeds):
 def test_nan_image_names_the_reference_step_fed_ahead(
         image_world, tiny_world, walk_ahead, feeds, optimizers, epochs,
         monkeypatch):
-    """At two BLAS threads an image run feeds ahead. A NaN row in step 2's
+    """With a spare core an image run feeds ahead. A NaN row in step 2's
     pool fails the reference step that draws it, before Adam applies it."""
     main, stream, aug = image_world
     cfg, walks_ahead = tiny_cfg(), tr._walks_ahead
-    monkeypatch.setattr(tr, "_walks_ahead", lambda walk, threads: False)
+    monkeypatch.setattr(tr, "_walks_ahead", lambda walk: False)
     with pytest.raises(NonFiniteError) as caught:
         tr.run_continual(cfg, with_nan(stream, 2, "unlabeled_x", 5,
                                        cols=slice(None)),
@@ -1396,7 +1425,7 @@ def test_feeder_error_is_raised_with_its_type_and_message(
         return pair_views(self, xs, rng)
 
     monkeypatch.setattr(sc.Augmenter, "pair_views", fails_third_on_the_feeder)
-    monkeypatch.setattr(tr, "_walks_ahead", lambda walk, threads: False)
+    monkeypatch.setattr(tr, "_walks_ahead", lambda walk: False)
     with pytest.raises(PrepareFailed) as caught:
         tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
     assert type(caught.value) is PrepareFailed
