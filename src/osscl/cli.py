@@ -256,9 +256,16 @@ def _cpu_shares(cpus, workers):
 
 def _pin_worker(shares):
     """Initializer of a pool worker: run on the next share that `shares`
-    (a SimpleQueue) holds, where the OS can pin, and configure logging."""
+    (a SimpleQueue) holds, where the OS can pin, with numpy's OpenBLAS pool
+    at most as large as the share, and configure logging. The worker
+    imported numpy, which sized that pool from the parent's affinity,
+    before this runs."""
     if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, shares.get())
+        share = shares.get()
+        os.sched_setaffinity(0, share)
+        threads = trainer.blas_threads()
+        if threads is not None and threads > len(share):
+            trainer._openblas().scipy_openblas_set_num_threads64_(len(share))
     _configure_logging()
 
 

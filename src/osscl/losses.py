@@ -10,15 +10,25 @@ Conventions shared by every loss here:
     call to the fused op numcore.softmax_xent. Self-similarity never takes
     part in a softmax.
   * Z Z^T, here and inside softmax_xent, is numcore._gram's product.
+
+ntxent_loss, asym_supcon_loss, distillation_loss and combined_loss record on
+a numcore Tape. The trainers take the explicit step instead: ntxent_grad and
+learner_objective take plain arrays and return the loss with dL/dz per
+embedding. They build the same targets and call numcore.softmax_xent_grad,
+which runs each term's backward before it returns, at the loss gradient
+backprop would hand it, and they add the halves of dL/dz in backprop's
+order, so every loss and gradient is bitwise the tape composition's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import NonFiniteError, Tensor, _gram, _subtract_row_max, add, scale, softmax_xent
+from .numcore import (NonFiniteError, Tensor, _gram, _subtract_row_max, add,
+                      scale, softmax_xent, softmax_xent_grad)
 # pairwise_cosine stays a name of this module: the benchmark's tracer patches
 # and checks the bindings it finds here
 from .numcore import pairwise_cosine  # noqa: F401
@@ -79,12 +89,24 @@ def ntxent_loss(embeddings, tau):
         embeddings: Tensor [2N, d], unit rows, on the tape.
         tau: temperature > 0.
     """
-    v = embeddings.shape[0]
+    return softmax_xent(embeddings, *_ntxent_args(embeddings.shape[0], tau))
+
+
+def _ntxent_args(v, tau):
+    """softmax_xent's (tau, target, factor) for NT-Xent over v views."""
     if v < 2 or v % 2 != 0:
         raise ValueError(f"need an even number >= 2 of views, got {v}")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return softmax_xent(embeddings, tau, np.arange(v) ^ 1, -1.0 / v)
+    return tau, np.arange(v) ^ 1, -1.0 / v
+
+
+def ntxent_grad(z, tau):
+    """ntxent_loss of an array z [2N, d] as the explicit step takes it:
+    (loss, dL/dz) at loss gradient 1, bitwise ntxent_loss and backprop."""
+    loss, (a, b) = softmax_xent_grad(z, *_ntxent_args(z.shape[0], tau),
+                                     np.ones((), dtype=z.dtype))
+    return loss, a + b
 
 
 def supcon_anchors(labels, current_classes, pseudo_flags=None,
@@ -114,8 +136,7 @@ def supcon_anchors(labels, current_classes, pseudo_flags=None,
 
 
 def asym_supcon_loss(embeddings, labels, current_classes, tau,
-                     pseudo_flags=None, pseudo_anchor=False, pseudo_positive=True,
-                     *, _anchors=None):
+                     pseudo_flags=None, pseudo_anchor=False, pseudo_positive=True):
     """Supervised contrastive loss with anchors restricted to current-task views.
 
     Views whose label is in current_classes act as anchors; every same-label
@@ -133,29 +154,35 @@ def asym_supcon_loss(embeddings, labels, current_classes, tau,
         pseudo_flags: optional per-source bools, True = pseudo-labeled.
         pseudo_anchor: let pseudo-labeled views anchor.
         pseudo_positive: let pseudo-labeled views serve as positives.
-        _anchors: supcon_anchors of these arguments when the caller already
-            has them (learner_objective); not part of the public interface.
 
     Returns a 0-d Tensor; exactly 0 when no view anchors or no anchor has a
     positive.
     """
+    target = _supcon_target(embeddings.shape[0], embeddings.dtype, labels,
+                            current_classes, tau, pseudo_flags, pseudo_anchor,
+                            pseudo_positive)
+    return softmax_xent(embeddings, tau, target, -1.0)
+
+
+def _supcon_target(v, dtype, labels, current_classes, tau, pseudo_flags,
+                   pseudo_anchor, pseudo_positive, anchors=None):
+    """asym_supcon_loss's target W [v, v] in dtype, after its checks;
+    anchors are supcon_anchors of these arguments when the caller has them."""
     if labels is None:
         raise MissingLabelsError("asym_supcon_loss requires labels")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    v = embeddings.shape[0]
     if 2 * len(labels) != v:
         raise ValueError(f"labels length {len(labels)} != n_sources {v // 2}")
-    if _anchors is None:
-        _anchors = supcon_anchors(labels, current_classes, pseudo_flags,
-                                  pseudo_anchor, pseudo_positive)
-    active, positives = _anchors
-    # each active row in float64, then one rounding to the embedding dtype
-    weights = np.zeros((v, v), dtype=embeddings.dtype)
-    if active.any():
-        rows = positives[active]
-        weights[active] = rows / rows.sum(axis=1, keepdims=True) / v
-    return softmax_xent(embeddings, tau, weights, -1.0)
+    if anchors is None:
+        anchors = supcon_anchors(labels, current_classes, pseudo_flags,
+                                 pseudo_anchor, pseudo_positive)
+    active, positives = anchors
+    # each active row's share (1 / count) / v, in float64 and then one
+    # rounding to dtype, on its positives: 1 * share is share, 0 * share +0
+    share = np.zeros(v, dtype=dtype)
+    share[active] = 1.0 / positives.sum(axis=1)[active] / v
+    return positives * share[:, None]
 
 
 def similarity_distribution(embeddings, tau):
@@ -194,12 +221,17 @@ def distillation_loss(teacher_embeddings, student_embeddings, tau_teacher, tau_s
         tau_teacher: teacher temperature (sharper, e.g. 0.01).
         tau_student: student temperature (softer, e.g. 0.2).
     """
+    target = _distill_target(teacher_embeddings, student_embeddings.shape[0],
+                             tau_teacher)
+    return softmax_xent(student_embeddings, tau_student, target, -1.0)
+
+
+def _distill_target(teacher_embeddings, v, tau_teacher):
+    """distillation_loss's target: the teacher's similarity_distribution."""
     teacher = _as_constant(teacher_embeddings)
-    v = student_embeddings.shape[0]
     if teacher.shape[0] != v:
         raise ValueError(f"teacher has {teacher.shape[0]} views, student has {v}")
-    target = similarity_distribution(teacher, tau_teacher)
-    return softmax_xent(student_embeddings, tau_student, target, -1.0)
+    return similarity_distribution(teacher, tau_teacher)
 
 
 def combined_loss(l_sup, l_td, l_kd, weights, t, l_unsup=None):
@@ -218,10 +250,7 @@ def combined_loss(l_sup, l_td, l_kd, weights, t, l_unsup=None):
         t: 1-based time step; a TD term at t == 1 is rejected since there is
             no past learner to distill from.
     """
-    if t < 1:
-        raise ValueError("t is 1-based")
-    if l_td is not None and t == 1:
-        raise ValueError("time distillation needs a past learner, none exists at t=1")
+    _check_step(t, l_td is not None)
     total = None
     for name, term, weight in (("sup", l_sup, None),
                                ("td", l_td, weights.td_weight),
@@ -229,8 +258,7 @@ def combined_loss(l_sup, l_td, l_kd, weights, t, l_unsup=None):
                                ("unsup", l_unsup, None)):
         if term is None:
             continue
-        if not np.isfinite(term.data):
-            raise NonFiniteError(f"non-finite {name} term")
+        _require_finite_term(name, term.data)
         term = term if weight is None else scale(term, weight)
         total = term if total is None else add(total, term)
     if total is None:
@@ -238,28 +266,68 @@ def combined_loss(l_sup, l_td, l_kd, weights, t, l_unsup=None):
     return total
 
 
+def _check_step(t, distills_time):
+    if t < 1:
+        raise ValueError("t is 1-based")
+    if distills_time and t == 1:
+        raise ValueError("time distillation needs a past learner, none exists at t=1")
+
+
+def _require_finite_term(name, value):
+    if not np.isfinite(value):
+        raise NonFiniteError(f"non-finite {name} term")
+
+
+@dataclass(frozen=True)
+class Objective:
+    """learner_objective's result.
+
+    total: the 0-d loss.
+    terms: {name: (term, weighted)} for each term present, in the order sup,
+        td, kd, unsup: the per-anchor mean, and what it adds to total.
+    grads: {argument: dL/d(embedding)} for each of z, kd_student and
+        unsup_student that some term reads.
+    """
+
+    total: np.ndarray
+    terms: dict
+    grads: dict
+
+
 def learner_objective(z, t, weights, labels, current_classes, pseudo_flags=None,
                       pseudo_anchor=False, pseudo_positive=True, use_sup=True,
                       td_teacher=None, kd_teacher=None, kd_student=None,
-                      unsup=None):
-    """The learner's combined loss with every term a mean over its anchors.
+                      unsup_student=None):
+    """The learner's combined loss with every term a mean over its anchors,
+    and its gradient per embedding, without a tape; returns an Objective.
 
-    Each term is reduced to a per-anchor mean before combined_loss weights it:
+    Each term is reduced to a per-anchor mean before td_weight and
+    kd_weight apply:
       * supervised: asym_supcon_loss (normalized by 2N) times 2N / A, where A
         counts the active anchors of supcon_anchors (current-task, non-pseudo
         views with a positive); exactly 0 when A = 0;
       * time distillation: distillation_loss (summed over the 2N views of the
         supervised batch) divided by 2N;
       * reference distillation: distillation_loss over its own batch divided
-        by that batch's view count.
+        by that batch's view count;
+      * co2l_j's joint unsupervised term: ntxent_loss of its own batch (a
+        mean over its views already), added last and unweighted.
     So td_weight and kd_weight set the weight of one anchor's distillation
     against one anchor's supervision, whatever the batch size or the share of
     memory and pseudo-labeled views in it.
 
+    Everything is bitwise the tape composition: the unsupervised term, then
+    asym_supcon_loss, distillation_loss and the per-anchor scale of each,
+    combined_loss, and backprop from the total. Each term's softmax_xent
+    runs its backward at once (numcore.softmax_xent_grad), at the product of
+    the scale factors above it as backprop would hand it, and the halves of
+    dL/dz go into z last term first, as backprop adds them. The checks are
+    combined_loss's and the three losses'.
+
     Args:
-        z: Tensor [2N, d], the learner's unit embeddings of the supervised
-            batch, on the tape.
-        t: 1-based time step.
+        z: array [2N, d], the learner's unit embeddings of the supervised
+            batch.
+        t: 1-based time step; time distillation at t == 1 is rejected.
         weights: LossWeights.
         labels, current_classes, pseudo_flags, pseudo_anchor, pseudo_positive:
             as for asym_supcon_loss.
@@ -267,27 +335,68 @@ def learner_objective(z, t, weights, labels, current_classes, pseudo_flags=None,
         td_teacher: the past learner's embeddings of the same views, or None.
         kd_teacher, kd_student: the reference's and the learner's embeddings
             of the reference-distillation batch, or None.
-        unsup: co2l_j's joint unsupervised term (already a mean over its
-            views), or None; combined_loss adds it last, unweighted.
+        unsup_student: the learner's embeddings of co2l_j's unsupervised
+            batch, or None.
     """
+    _check_step(t, td_teacher is not None)
+    one = np.ones((), dtype=z.dtype)
+    terms, halves = {}, {}
+
+    def term(name, student, args, per_anchor=None, weight=None):
+        # backprop hands this term's softmax_xent the product of the scale
+        # factors above it, the weight first
+        if weight is not None and not math.isfinite(weight):
+            raise NonFiniteError("scale factor must be finite")
+        g = one if weight is None else one * float(weight)
+        if per_anchor is not None:
+            g = g * float(per_anchor)
+        loss, parts = softmax_xent_grad(student, *args, g)
+        if per_anchor is not None:
+            loss = loss * loss.dtype.type(per_anchor)
+        terms[name] = (loss, loss if weight is None
+                       else loss * loss.dtype.type(weight))
+        halves[name] = parts
+
+    if unsup_student is not None:
+        term("unsup", unsup_student,
+             _ntxent_args(unsup_student.shape[0], weights.tau))
     v = z.shape[0]
-    l_sup = l_td = l_kd = None
     if use_sup:
         anchors = supcon_anchors(labels, current_classes, pseudo_flags,
                                  pseudo_anchor, pseudo_positive)
-        l_sup = asym_supcon_loss(z, labels, current_classes, weights.tau,
-                                 pseudo_flags=pseudo_flags,
-                                 pseudo_anchor=pseudo_anchor,
-                                 pseudo_positive=pseudo_positive,
-                                 _anchors=anchors)
         n_active = int(anchors[0].sum())
-        if n_active:
-            l_sup = scale(l_sup, v / n_active)
+        target = _supcon_target(v, z.dtype, labels, current_classes,
+                                weights.tau, pseudo_flags, pseudo_anchor,
+                                pseudo_positive, anchors)
+        term("sup", z, (weights.tau, target, -1.0),
+             v / n_active if n_active else None)
     if td_teacher is not None:
-        l_td = scale(distillation_loss(td_teacher, z, weights.tau_teacher,
-                                       weights.tau_student), 1.0 / v)
+        target = _distill_target(td_teacher, v, weights.tau_teacher)
+        term("td", z, (weights.tau_student, target, -1.0), 1.0 / v,
+             weights.td_weight)
     if kd_teacher is not None:
-        l_kd = scale(distillation_loss(kd_teacher, kd_student,
-                                       weights.tau_teacher, weights.tau_student),
-                     1.0 / kd_student.shape[0])
-    return combined_loss(l_sup, l_td, l_kd, weights, t, l_unsup=unsup)
+        vk = kd_student.shape[0]
+        target = _distill_target(kd_teacher, vk, weights.tau_teacher)
+        term("kd", kd_student, (weights.tau_student, target, -1.0), 1.0 / vk,
+             weights.kd_weight)
+
+    total = None
+    order = [name for name in ("sup", "td", "kd", "unsup") if name in terms]
+    for name in order:
+        _require_finite_term(name, terms[name][0])
+        weighted = terms[name][1]
+        total = weighted if total is None else total + weighted
+    if total is None:
+        raise ValueError("learner_objective needs at least one term")
+
+    # per embedding, backprop adds the halves of the last-recorded term first
+    grads = {}
+    for arg, names in (("z", ("td", "sup")), ("kd_student", ("kd",)),
+                       ("unsup_student", ("unsup",))):
+        parts = [p for name in names if name in halves for p in halves[name]]
+        if parts:
+            grads[arg] = parts[0] + parts[1]
+            for p in parts[2:]:
+                grads[arg] += p
+    return Objective(np.asarray(total), {name: terms[name] for name in order},
+                     grads)

@@ -12,7 +12,7 @@ import copy
 
 import numpy as np
 
-from .numcore import Tensor, affine, mlp_embed, mlp_size, mlp_views
+from .numcore import Tensor, affine, mlp_embed, mlp_forward, mlp_size, mlp_views
 
 
 def kaiming_uniform(rng, fan_in, fan_out):
@@ -27,8 +27,9 @@ class EncoderProjector:
     All weights and biases live in one contiguous array, `params.data`, in
     construction order (w, b of each encoder layer, then of the two head
     layers; see numcore.mlp_views); `params` is the single leaf Tensor the
-    optimizer updates and backprop returns one flat gradient for. Both
-    forwards are one numcore.mlp_embed call.
+    optimizer updates. Both forwards are one numcore.mlp_embed call, and
+    forward is embed's numcore.mlp_forward on plain arrays, whose cache
+    numcore.mlp_backward turns into the one flat gradient.
 
     Args:
         input_dim: flat input dimensionality.
@@ -67,6 +68,11 @@ class EncoderProjector:
     def embed(self, x):
         """Forward through encoder and head; rows come back unit-normalized."""
         return mlp_embed(self._as_tensor(x), self.params, self.dims)
+
+    def forward(self, x):
+        """embed without a tape: (unit rows, cache for numcore.mlp_backward)."""
+        return mlp_forward(np.asarray(x, dtype=self.dtype), self.params.data,
+                           self.dims)
 
     def snapshot(self):
         """Frozen copy of the current parameters; see ParamSnapshot."""

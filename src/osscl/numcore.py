@@ -1,4 +1,4 @@
-"""Minimal reverse-mode autodiff on numpy arrays, plus the optimizer.
+"""Minimal reverse-mode autodiff on numpy arrays, its kernels, and the optimizer.
 
 Design constraints, in order of priority: correctness of gradients, bitwise
 determinism for a fixed graph, and debuggability. A Tensor wraps a float32 or
@@ -21,7 +21,13 @@ Besides generic ops, two fused ops each stand for a chain of generic ops
 with that chain's arithmetic, in one forward pass and one tape entry:
 mlp_embed runs a whole MLP off one flat parameter buffer, and softmax_xent
 computes the off-diagonal softmax cross-entropy that every contrastive loss
-is made of, with a closed-form backward.
+is made of, with a closed-form backward. Each is a thin tape adapter over
+plain-array kernels, which hold all of its arithmetic: mlp_forward returns
+the output and its cache, and mlp_backward turns the cache and the output
+gradient into one flat parameter gradient; softmax_xent_forward returns the
+loss and its backward, and softmax_xent_grad runs that backward at a given
+loss gradient before it returns. The trainers' explicit steps call the
+kernels with no tape: embed, the loss and dL/dz, the MLP backward, Adam.
 
 Every Gram product z z^T in the package (softmax_xent, pairwise_cosine of a
 tensor with itself, the teachers' similarity_distribution) goes through
@@ -246,39 +252,30 @@ def mlp_views(flat, dims):
     return views
 
 
-def mlp_embed(x, params, dims, unit=True):
-    """An MLP over one flat parameter buffer, recorded as one tape entry.
+def mlp_forward(x, flat, dims, unit=True):
+    """An MLP over one flat parameter buffer, on plain arrays: (y, cache).
 
-    Layer k computes h @ w_k + b_k with the views of mlp_views(params, dims).
+    Layer k computes h @ w_k + b_k with the views of mlp_views(flat, dims).
     With unit=True every layer but the last is followed by relu and the
     output rows are scaled to unit L2 norm (an embedding); with unit=False
     every layer is followed by relu (encoder features). The forward is the
     arithmetic of the chain affine -> relu -> ... -> affine ->
-    l2_normalize_rows, with its degenerate-norm check. The backward
-    computes that chain's products and writes each layer's weight and bias
-    gradient into its view of one flat gradient, zero past the layers used,
-    so the loss and every parameter gradient are bitwise the chain's. The
-    input takes no gradient: the first layer's x-gradient is never computed,
-    and an input that requires one is rejected.
+    l2_normalize_rows, with its degenerate-norm check. cache is what
+    mlp_backward needs, and it reads flat again: flat must not change
+    before then.
 
     Args:
-        x: Tensor [B, dims[0]] that does not require gradient.
-        params: 1-d Tensor of at least mlp_size(dims) values; the op's only
-            tape parent.
+        x: array [B, dims[0]].
+        flat: 1-d array of at least mlp_size(dims) values.
         dims: layer widths (d0, ..., dL), L >= 1.
         unit: end in a linear layer and row normalization.
 
-    Raises ValueError on an input that requires gradient, ShapeError on
-    shape errors, and DegenerateNormError. A NaN or inf in the input or the
-    parameters is not checked here; it reaches the output.
+    Raises ShapeError on shape errors and DegenerateNormError. A NaN or inf
+    in the input or the parameters is not checked here; it reaches the
+    output.
     """
-    if x.requires_grad:
-        raise ValueError("mlp_embed computes no input gradient; its input "
-                         "must not require gradient")
-    flat = params.data
-    used = mlp_size(dims)
     if (len(dims) < 2 or x.ndim != 2 or x.shape[1] != dims[0]
-            or flat.ndim != 1 or flat.size < used):
+            or flat.ndim != 1 or flat.size < mlp_size(dims)):
         raise ShapeError(f"mlp_embed shape mismatch: x {x.shape}, params "
                          f"{flat.shape}, dims {tuple(dims)}")
     layers = mlp_views(flat, dims)
@@ -286,38 +283,71 @@ def mlp_embed(x, params, dims, unit=True):
     # inputs[k] feeds layer k; after layer 0 it is a relu output, whose
     # positive entries are where the chain's relu passed gradient
     inputs = []
-    h = x.data
+    h = x
     for k, (w, b) in enumerate(layers):
         inputs.append(h)
         h = h @ w
         h += b
         if k < last or not unit:
             np.maximum(h, 0, out=h)
+    norms = None
     if unit:
         norms = np.sqrt((h * h).sum(axis=1, keepdims=True))
         if norms.min() < EPS_NORM:
             raise DegenerateNormError(
                 f"row norm {norms.min():g} below {EPS_NORM:g}")
-        y = h / norms
+        h = h / norms
+    return h, (flat, dims, layers, inputs, norms, h)
+
+
+def mlp_backward(cache, g):
+    """The flat parameter gradient of mlp_forward's output at gradient g.
+
+    It computes the chain's products and writes each layer's weight and
+    bias gradient into its view of one flat gradient, zero past the layers
+    used, so every parameter gradient is bitwise the chain's. The first
+    layer's input gradient is never computed.
+    """
+    flat, dims, layers, inputs, norms, y = cache
+    grad = np.empty_like(flat)
+    grad[mlp_size(dims):] = 0
+    if norms is not None:
+        # d(h/|h|) = (g - y * <g, y>) / |h| per row
+        inner = (g * y).sum(axis=1, keepdims=True)
+        g = (g - y * inner) / norms
     else:
-        y = h
+        g = g * (y > 0)
+    for k, (gw, gb) in reversed(list(enumerate(mlp_views(grad, dims)))):
+        np.matmul(inputs[k].T, g, out=gw)
+        np.sum(g, axis=0, out=gb)
+        if k:
+            g = g @ layers[k][0].T
+            g *= inputs[k] > 0
+    return grad
+
+
+def mlp_embed(x, params, dims, unit=True):
+    """mlp_forward of x over params, recorded as one tape entry whose
+    backward is mlp_backward, so the loss and every parameter gradient are
+    bitwise the chain's. The input takes no gradient, and an input that
+    requires one is rejected.
+
+    Args:
+        x: Tensor [B, dims[0]] that does not require gradient.
+        params: 1-d Tensor of at least mlp_size(dims) values; the op's only
+            tape parent.
+        dims, unit: as for mlp_forward.
+
+    Raises ValueError on an input that requires gradient, and what
+    mlp_forward raises.
+    """
+    if x.requires_grad:
+        raise ValueError("mlp_embed computes no input gradient; its input "
+                         "must not require gradient")
+    y, cache = mlp_forward(x.data, params.data, dims, unit)
 
     def backward(g):
-        grad = np.empty_like(flat)
-        grad[used:] = 0
-        if unit:
-            # d(h/|h|) = (g - y * <g, y>) / |h| per row
-            inner = (g * y).sum(axis=1, keepdims=True)
-            g = (g - y * inner) / norms
-        else:
-            g = g * (y > 0)
-        for k, (gw, gb) in reversed(list(enumerate(mlp_views(grad, dims)))):
-            np.matmul(inputs[k].T, g, out=gw)
-            np.sum(g, axis=0, out=gb)
-            if k:
-                g = g @ layers[k][0].T
-                g *= inputs[k] > 0
-        return (grad,)
+        return (mlp_backward(cache, g),)
 
     return _recorded(y, (params,), backward)
 
@@ -389,27 +419,29 @@ def row_log_softmax(logits):
     return _recorded(out_data, (logits,), backward)
 
 
-def softmax_xent(z, tau, target, factor):
-    """factor * sum_ij W_ij log p_ij, p_i = softmax_{k != i}(z_i . z_k / tau).
+def softmax_xent_forward(z, tau, target, factor):
+    """factor * sum_ij W_ij log p_ij, p_i = softmax_{k != i}(z_i . z_k / tau),
+    on plain arrays: (loss, backward).
 
     The fused form of pairwise_cosine(z, z) -> scale(1/tau) ->
     mask_fill(-inf) on the diagonal -> row_log_softmax ->
     (gather2d | mask_fill(0), mul) -> total_sum -> scale(factor): the same
     float arithmetic in the same order, so the loss and the gradient are
-    bitwise those of that chain, recorded as one tape entry. The backward is
-    dS = (W - rowsum(W) * p) * factor / tau times the output gradient,
-    returned as (dS @ z, dS.T @ z) to the parent pair (z, z) as
-    pairwise_cosine does.
+    bitwise those of that chain. backward(g), called at most once, maps the
+    loss's gradient g to dS = (W - rowsum(W) * p) * factor / tau times g,
+    and returns dL/dz as its two halves (dS @ z, dS.T @ z), which
+    pairwise_cosine(z, z) would hand its two parents. Until then the V x V
+    buffers stay alive.
 
     Args:
-        z: Tensor [V, d], V >= 2, unit rows (verified to 1e-4).
+        z: array [V, d], V >= 2, unit rows (verified to 1e-4).
         tau: temperature > 0.
         target: constant W, either an integer index vector [V] naming one
             off-diagonal column per row (W is its one-hot and the V picked
             log-probabilities are summed, as gather2d + total_sum do), or a
             dense float [V, V] matrix whose diagonal is ignored. A dense
             target of z's dtype with a zero diagonal is read in place, never
-            copied or written, so it must not change before backprop; any
+            copied or written, so it must not change before backward; any
             other is copied to z's dtype with its diagonal zeroed.
         factor: finite python scalar applied to the sum.
 
@@ -424,8 +456,7 @@ def softmax_xent(z, tau, target, factor):
     factor = float(factor)
     if not math.isfinite(factor):
         raise NonFiniteError("softmax_xent factor must be finite")
-    data = z.data
-    v = data.shape[0]
+    v = z.shape[0]
     rows = np.arange(v)
     target = np.asarray(target)
     if target.ndim == 1:
@@ -437,20 +468,20 @@ def softmax_xent(z, tau, target, factor):
         w = None
     elif target.shape == (v, v):
         w = target
-        if w.dtype != data.dtype or w.diagonal().any():
-            w = w.astype(data.dtype)
+        if w.dtype != z.dtype or w.diagonal().any():
+            w = w.astype(z.dtype)
             np.fill_diagonal(w, 0.0)
     else:
         raise ShapeError(f"softmax_xent target shape {target.shape} is neither "
                          f"({v},) nor ({v}, {v})")
-    norms = np.sqrt((data * data).sum(axis=1))
+    norms = np.sqrt((z * z).sum(axis=1))
     if np.abs(norms - 1.0).max() > 1e-4:
         raise ShapeError("softmax_xent input has non-unit rows")
 
     # a python float, so it rounds to the data dtype as scale's factor does
     inv_tau = float(1.0 / tau)
-    logp = _gram(data)
-    logp *= data.dtype.type(inv_tau)
+    logp = _gram(z)
+    logp *= z.dtype.type(inv_tau)
     diagonal = logp.reshape(-1)[::v + 1]
     diagonal[...] = -np.inf
     _subtract_row_max(logp)
@@ -469,13 +500,13 @@ def softmax_xent(z, tau, target, factor):
         total = logp.sum()
         # the backward writes g * w over it
         spent = logp
-    out_data = np.asarray(total * data.dtype.type(factor))
+    loss = np.asarray(total * z.dtype.type(factor))
 
     def backward(g):
         # the chain's off-diagonal masks are no-ops here: the diagonals of
         # dlogp and of the softmax are already signed zeros
         g = g * factor
-        # the tape runs this once, so ex can become the softmax in place
+        # this runs once, so ex can become the softmax in place
         ds = ex
         ds /= denom
         if w is None:
@@ -492,9 +523,32 @@ def softmax_xent(z, tau, target, factor):
             ds *= dlogp.sum(axis=1, keepdims=True)
             np.subtract(dlogp, ds, out=ds)
         ds *= inv_tau
-        return ds @ data, ds.T @ data
+        return ds @ z, ds.T @ z
 
-    return _recorded(out_data, (z, z), backward)
+    return loss, backward
+
+
+def softmax_xent_grad(z, tau, target, factor, g):
+    """softmax_xent_forward's loss and its backward at the loss gradient g:
+    (loss, (dS @ z, dS.T @ z)). The V x V buffers are freed on return.
+    dL/dz is the sum of the two halves; a caller that adds other terms'
+    halves into the same embedding adds them in backprop's order."""
+    loss, backward = softmax_xent_forward(z, tau, target, factor)
+    return loss, backward(g)
+
+
+def softmax_xent(z, tau, target, factor):
+    """softmax_xent_forward of a Tensor z [V, d], recorded as one tape entry
+    whose backward hands the two halves of dL/dz to the parent pair (z, z),
+    as pairwise_cosine does. Arguments and errors are softmax_xent_forward's.
+    """
+    loss, halves = softmax_xent_forward(z.data, tau, target, factor)
+
+    # a closure of this op, whose qualname names the op's backward
+    def backward(g):
+        return halves(g)
+
+    return _recorded(loss, (z, z), backward)
 
 
 def mask_fill(x, keep_mask, fill=0.0):

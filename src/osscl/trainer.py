@@ -33,15 +33,17 @@ than one CPU (_spare_core): a spare core. The child inherits the one BLAS
 thread. Otherwise the walk runs in-process, so `taskset -c 0`, a
 single-core machine and a `run --threads N` worker pinned to one CPU stay
 serial; the BLAS/OpenMP thread variables play no part. It is a process and
-not a thread because a walk step trains the reference: its forward and
-backward are small numpy ops that hold the GIL, and they record on the tape
-stack (numcore._ACTIVE_TAPES), which is module-global.
+not a thread because a walk step trains the reference, whose forward and
+backward are small numpy ops that hold the GIL.
 
 Each trainer's optimizer step is two parts (_optimize): prepare(idx) makes
 the batch's inputs (the batch draws and the augmented views), which read
-no parameter, and train(inputs) embeds the frozen teachers' views and runs
-the tape, loss, backprop and Adam. In image mode with a spare core
-(_feeds_ahead) a one-worker ThreadPoolExecutor, its thread named
+no parameter, and train(inputs) embeds the frozen teachers' views and takes
+the explicit step, with no tape: the net's embeddings and their caches
+(EncoderProjector.forward), the loss and dL/dz per embedding
+(L.ntxent_grad, L.learner_objective), the MLP backward of each into one
+flat gradient (numcore.mlp_backward), then Adam. In image mode with a
+spare core (_feeds_ahead) a one-worker ThreadPoolExecutor, its thread named
 "osscl-feed", runs the prepare side ahead (_fed_ahead), in the walk's
 process and in the learner's alike. A window of _FEED_DEPTH + 1 submitted
 batches bounds how far ahead it runs; leaving the loop cancels what has not
@@ -52,8 +54,9 @@ GIL-bound part, the per-image parameter draws, is decoded from raw PCG64
 words (scenario._PCG64Draws), at about half the cost of the Generator
 calls it replaces, so less of it contends with the training thread. The
 time a trainer waits for its feeder is the phase `reference_feed_wait` or
-`learner_feed_wait` of timings.json. The feeder touches no Tensor, so
-nothing it computes can reach the tape stack.
+`learner_feed_wait` of timings.json. The feeder shares nothing with the
+training but the queue of prepared batches: prepare reads no parameter, and
+only the feeder draws the trainer's Generator while the trainer runs.
 The teachers' embeddings stay on the training thread: they are GIL-free
 BLAS work too, but the learner's feeder, not its training, is the slower
 side, and keeping them off the feeder lowered image_cifar's wall time
@@ -90,7 +93,8 @@ from . import losses as L
 from . import scenario as sc
 from . import segregate as sg
 from .nets import EncoderProjector, LinearClassifier
-from .numcore import Adam, NonFiniteError, Tape, backprop, gather2d, row_log_softmax, scale, total_sum
+from .numcore import (Adam, NonFiniteError, Tape, backprop, gather2d,
+                      mlp_backward, row_log_softmax, scale, total_sum)
 
 log = logging.getLogger(__name__)
 
@@ -406,7 +410,8 @@ def _optimize(net, n, epochs, cfg, rng, prepare, train, where, feed_ahead,
     by _cosine_lr over `epochs` (each task step re-anneals). Each epoch
     walks sc.epoch_batches(n); per batch prepare(idx) makes the inputs
     (drawn from rng, reading no trained parameter) and train(inputs)
-    returns (loss, grads), and one Adam step follows once both are finite.
+    returns (loss, the flat gradient of net.params), and one Adam step
+    follows once both are finite.
     The batches come from _feed, inline or, with feed_ahead, from a feeder
     thread (_fed_ahead); rng is drawn in the same order either way; with a
     feeder and a clock, the time spent waiting for its batches is added to
@@ -426,11 +431,11 @@ def _optimize(net, n, epochs, cfg, rng, prepare, train, where, feed_ahead,
         for epoch, at, prepared in batches:
             opt.lr = _cosine_lr(cfg, epoch, epochs)
             with _named(at):
-                loss, grads = train(prepared)
-            _require_finite(at, "loss", loss.data)
-            _require_finite(at, "gradient", *grads.values())
-            opt.step(grads)
-            losses[epoch].append(float(loss.data))
+                loss, grad = train(prepared)
+            _require_finite(at, "loss", loss)
+            _require_finite(at, "gradient", grad)
+            opt.step({net.params: grad})
+            losses[epoch].append(float(loss))
     return [float(np.mean(epoch_losses)) for epoch_losses in losses]
 
 
@@ -450,9 +455,9 @@ def train_reference(net, pool_x, epochs, cfg, augmenter, rng,
         return augmenter.pair_views(pool_x[idx], rng)
 
     def train(views):
-        with Tape() as tape:
-            loss = L.ntxent_loss(net.embed(views), cfg.weights.tau)
-            return loss, backprop(tape, loss)
+        z, cache = net.forward(views)
+        loss, dz = L.ntxent_grad(z, cfg.weights.tau)
+        return loss, mlp_backward(cache, dz)
 
     return _optimize(net, len(pool_x), epochs, cfg, rng, prepare, train, where,
                      feed_ahead, clock, "reference_feed_wait")
@@ -478,14 +483,16 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
     Per optimizer step: supervised batch (also the past-distillation batch),
     then an independently drawn reference-distillation batch, then an
     independently drawn unsupervised batch; disabled terms draw nothing.
-    Every batch is drawn and both teachers embed theirs before the learner's
-    tape opens, so the tape holds only the learner's graph. Before the
-    weights apply, each term of the objective is reduced to a mean over the
-    views that anchor it (L.learner_objective): the supervised term over its
-    active anchors (current-task, non-pseudo views with a positive), each
-    distillation term over the views of its batch. The joint unsupervised
-    term is the NT-Xent mean over its 2N views, added last. Returns
-    per-epoch mean losses.
+    Both teachers embed their views as constants; the learner embeds its
+    own, L.learner_objective returns dL/dz for each, and their MLP
+    backwards add into one flat gradient in backprop's order, the last
+    embedding first. Before the weights apply, each term of the objective
+    is reduced to a mean over the views that anchor it
+    (L.learner_objective): the supervised term over its active anchors
+    (current-task, non-pseudo views with a positive), each distillation
+    term over the views of its batch. The joint unsupervised term is the
+    NT-Xent mean over its 2N views, added last. Returns per-epoch mean
+    losses.
 
     With feed_ahead the batches and their views are prepared on a feeder
     thread while this one embeds the teachers' views and trains; the time
@@ -515,19 +522,23 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
         idx, views, kviews, uviews = prepared
         td_z = td_teacher.embed(views) if td_teacher is not None else None
         kd_z = kd_teacher.embed(kviews) if kd_teacher is not None else None
-        zk = l_unsup = None
-        with Tape() as tape:
-            z = learner.embed(views)
-            if kviews is not None:
-                zk = learner.embed(kviews)
-            if uviews is not None:
-                l_unsup = L.ntxent_loss(learner.embed(uviews), cfg.weights.tau)
-            total = L.learner_objective(
-                z, t, cfg.weights, sup_y[idx], current,
-                pseudo_flags=sup_pseudo[idx], pseudo_anchor=cfg.pseudo_anchor,
-                pseudo_positive=cfg.pseudo_positive, use_sup=cfg.use_sup,
-                td_teacher=td_z, kd_teacher=kd_z, kd_student=zk, unsup=l_unsup)
-            return total, backprop(tape, total)
+        # the learner's (rows, cache) per embedding, in the tape's order
+        embedded = {name: learner.forward(x) for name, x in (
+            ("z", views), ("kd_student", kviews), ("unsup_student", uviews))
+            if x is not None}
+        rows = {name: y for name, (y, _) in embedded.items()}
+        out = L.learner_objective(
+            rows.pop("z"), t, cfg.weights, sup_y[idx], current,
+            pseudo_flags=sup_pseudo[idx], pseudo_anchor=cfg.pseudo_anchor,
+            pseudo_positive=cfg.pseudo_positive, use_sup=cfg.use_sup,
+            td_teacher=td_z, kd_teacher=kd_z, **rows)
+        # backprop's order: the last embedding's parameter gradient first
+        grad = None
+        for name, (_, cache) in reversed(embedded.items()):
+            if name in out.grads:
+                part = mlp_backward(cache, out.grads[name])
+                grad = part if grad is None else np.add(grad, part, out=grad)
+        return out.total, grad
 
     return _optimize(learner, len(sup_x), cfg.epochs_learner, cfg, rng,
                      prepare, train, f"learner, t={t}", feed_ahead,
@@ -774,17 +785,24 @@ def _one_blas_thread():
     """Run the with-block at one thread of numpy's bundled OpenBLAS, and
     restore the count found on entry on the way out, by error or not.
     Without that library's thread control, set nothing."""
-    lib = _openblas()
-    if lib is None:
+    threads = blas_threads()
+    if threads is None:
         log.debug("no OpenBLAS thread control: the run keeps the pool's count")
         yield
         return
-    threads = lib.scipy_openblas_get_num_threads64_()
+    lib = _openblas()
     lib.scipy_openblas_set_num_threads64_(1)
     try:
         yield
     finally:
         lib.scipy_openblas_set_num_threads64_(threads)
+
+
+def blas_threads():
+    """The thread count of numpy's bundled OpenBLAS, or None without its
+    thread control."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
 
 
 def blas_kernel():

@@ -14,12 +14,6 @@ def _environ():
     return {k: v for k, v in os.environ.items() if k != "PYTEST_CURRENT_TEST"}
 
 
-def _blas_threads():
-    """The thread count of numpy's bundled OpenBLAS, or None without it."""
-    lib = trainer._openblas()
-    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
-
-
 def _affinity():
     """The CPUs this process may run on, or None where the OS cannot say."""
     return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
@@ -34,11 +28,11 @@ def leaves_nothing_running_or_changed():
     affinity would switch later runs between walking ahead and running
     in-process (trainer._spare_core)."""
     environ = _environ()
-    blas_threads = _blas_threads()
+    blas_threads = trainer.blas_threads()
     affinity = _affinity()
     yield
     assert [t for t in threading.enumerate() if t.name == "osscl-feed"] == []
     assert multiprocessing.active_children() == []
     assert _environ() == environ
-    assert _blas_threads() == blas_threads
+    assert trainer.blas_threads() == blas_threads
     assert _affinity() == affinity

@@ -179,8 +179,9 @@ class TestRun:
 
     @pytest.mark.parametrize("width", [1, 2])
     def test_a_pool_worker_runs_on_its_share(self, width):
-        """A worker started by _pin_worker runs on the share it takes, and
-        reads a spare core only when the share has two CPUs or more."""
+        """A worker started by _pin_worker runs on the share it takes, with
+        an OpenBLAS pool no larger than the share, and reads a spare core
+        only when the share has two CPUs or more."""
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -196,10 +197,13 @@ class TestRun:
                                      initargs=(shares,)) as pool:
                 affinity = pool.submit(os.sched_getaffinity, 0).result()
                 spare = pool.submit(trainer._spare_core).result()
+                blas = pool.submit(trainer.blas_threads).result()
         finally:
             shares.close()
         assert affinity == set(cpus[-width:])
         assert spare is (width > 1)
+        if trainer.blas_threads() is not None:
+            assert 1 <= blas <= width
 
     def test_config_echo_closure(self, workspace):
         echo = _read(workspace["out"] / "config.json")

@@ -376,9 +376,8 @@ def dense_target(rng, v, dtype, diagonal):
     return w
 
 
-def backward_cells(tape):
-    """The free variables of the one softmax_xent entry's backward."""
-    (_, _, backward), = tape._entries
+def backward_cells(backward):
+    """The free variables of a softmax_xent_forward backward."""
     return dict(zip(backward.__code__.co_freevars,
                     (c.cell_contents for c in backward.__closure__)))
 
@@ -409,9 +408,8 @@ def test_fused_op_target_forms_are_bitwise_the_chain(kind, v, z_dtype):
     assert (loss_and_grad(fused, z)
             == loss_and_grad(lambda t: chain_loss(t, 0.15, target, -1.0), z))
     assert target.tobytes() == before
-    with nc.Tape() as tape:
-        fused(z)
-    w = backward_cells(tape)["w"]
+    w = backward_cells(
+        nc.softmax_xent_forward(z.data, 0.15, target, -1.0)[1])["w"]
     if kind == "index":
         assert w is None
     else:
@@ -557,42 +555,46 @@ def test_learner_objective_time_distillation_is_per_anchor_mean(n_views):
     # so each anchor contributes log(2N-1); summing would give 2N times that
     z = unit([[1, 0]] * n_views)
     w = losses.LossWeights(td_weight=0.2)
-    out = losses.learner_objective(
-        nc.Tensor(z, dtype=np.float64), 2, w, labels=None,
-        current_classes=frozenset(), use_sup=False, td_teacher=z)
-    assert float(out.data) == pytest.approx(0.2 * math.log(n_views - 1),
-                                            rel=1e-9)
+    out = losses.learner_objective(z, 2, w, labels=None,
+                                   current_classes=frozenset(), use_sup=False,
+                                   td_teacher=z)
+    assert float(out.total) == pytest.approx(0.2 * math.log(n_views - 1),
+                                             rel=1e-9)
+    term, weighted = out.terms["td"]
+    assert float(term) == pytest.approx(math.log(n_views - 1), rel=1e-9)
+    assert weighted == out.total
 
 
 def test_learner_objective_supervision_is_per_anchor_mean():
     # two of the four views anchor; the loss function itself divides by 4
-    z = tensor_views([[1, 0], [1, 0], [0, 1], [0, 1]])
+    z = unit([[1, 0], [1, 0], [0, 1], [0, 1]])
     out = losses.learner_objective(z, 1, losses.LossWeights(tau=1.0),
                                    labels=[0, 1], current_classes={0})
-    assert float(out.data) == pytest.approx(LOG_1P_2E, rel=1e-9)
-    raw = losses.asym_supcon_loss(z, [0, 1], {0}, tau=1.0)
+    assert float(out.total) == pytest.approx(LOG_1P_2E, rel=1e-9)
+    raw = losses.asym_supcon_loss(nc.Tensor(z), [0, 1], {0}, tau=1.0)
     assert float(raw.data) == pytest.approx(0.5 * LOG_1P_2E, rel=1e-9)
 
 
 def test_learner_objective_ignores_non_anchors_in_supervised_mean():
     # a past pair and a pseudo-labeled pair raise 2N to 6, yet only the two
     # current views anchor, so the objective is 6/2 times the function's value
-    z = tensor_views([[1, 0], [1, 0], [0, 1], [0, 1], [0, 1], [0, 1]])
+    z = unit([[1, 0], [1, 0], [0, 1], [0, 1], [0, 1], [0, 1]])
     out = losses.learner_objective(z, 1, losses.LossWeights(tau=1.0),
                                    labels=[0, 1, 0], current_classes={0},
                                    pseudo_flags=[False, False, True])
     active, _ = losses.supcon_anchors([0, 1, 0], {0}, [False, False, True])
-    raw = losses.asym_supcon_loss(z, [0, 1, 0], {0}, tau=1.0,
+    raw = losses.asym_supcon_loss(nc.Tensor(z), [0, 1, 0], {0}, tau=1.0,
                                   pseudo_flags=[False, False, True])
     assert active.tolist() == [True, True, False, False, False, False]
-    assert float(out.data) == pytest.approx(3.0 * float(raw.data), rel=1e-12)
+    assert float(out.total) == pytest.approx(3.0 * float(raw.data), rel=1e-12)
 
 
 def test_learner_objective_without_anchors_is_zero():
-    z = tensor_views([[1, 0], [1, 0], [0, 1], [0, 1]])
+    z = unit([[1, 0], [1, 0], [0, 1], [0, 1]])
     out = losses.learner_objective(z, 1, losses.LossWeights(), labels=[3, 4],
                                    current_classes={0, 1})
-    assert float(out.data) == 0.0
+    assert float(out.total) == 0.0
+    assert not out.grads["z"].any()
 
 
 def test_learner_objective_finds_the_anchors_once(monkeypatch):
@@ -604,15 +606,116 @@ def test_learner_objective_finds_the_anchors_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(losses, "supcon_anchors", counted)
-    z = tensor_views([[1, 0], [1, 0], [0, 1], [0, 1], [0, 1], [0, 1]])
+    z = unit([[1, 0], [1, 0], [0, 1], [0, 1], [0, 1], [0, 1]])
     out = losses.learner_objective(z, 1, losses.LossWeights(tau=1.0),
                                    labels=[0, 1, 0], current_classes={0},
                                    pseudo_flags=[False, False, True])
     assert len(calls) == 1
     monkeypatch.undo()
-    raw = losses.asym_supcon_loss(z, [0, 1, 0], {0}, tau=1.0,
+    raw = losses.asym_supcon_loss(nc.Tensor(z), [0, 1, 0], {0}, tau=1.0,
                                   pseudo_flags=[False, False, True])
-    assert out.data.tobytes() == nc.scale(raw, 6 / 2).data.tobytes()
+    assert out.total.tobytes() == nc.scale(raw, 6 / 2).data.tobytes()
+
+
+def tape_objective(z, t, weights, labels, current_classes, pseudo_flags=None,
+                   pseudo_anchor=False, pseudo_positive=True, use_sup=True,
+                   td_teacher=None, kd_teacher=None, kd_student=None,
+                   unsup_student=None):
+    """learner_objective composed of the tape ops, on Tensors: the unsupervised
+    term, asym_supcon_loss, distillation_loss and their per-anchor scales,
+    then combined_loss. Returns (total, {name: (term, weighted)})."""
+    v = z.shape[0]
+    l_unsup = (None if unsup_student is None
+               else losses.ntxent_loss(unsup_student, weights.tau))
+    l_sup = l_td = l_kd = None
+    if use_sup:
+        active, _ = losses.supcon_anchors(labels, current_classes, pseudo_flags,
+                                          pseudo_anchor, pseudo_positive)
+        l_sup = losses.asym_supcon_loss(
+            z, labels, current_classes, weights.tau, pseudo_flags=pseudo_flags,
+            pseudo_anchor=pseudo_anchor, pseudo_positive=pseudo_positive)
+        if active.any():
+            l_sup = nc.scale(l_sup, v / int(active.sum()))
+    if td_teacher is not None:
+        l_td = nc.scale(losses.distillation_loss(
+            td_teacher, z, weights.tau_teacher, weights.tau_student), 1.0 / v)
+    if kd_teacher is not None:
+        l_kd = nc.scale(losses.distillation_loss(
+            kd_teacher, kd_student, weights.tau_teacher, weights.tau_student),
+            1.0 / kd_student.shape[0])
+    total = losses.combined_loss(l_sup, l_td, l_kd, weights, t,
+                                 l_unsup=l_unsup)
+    terms = {}
+    for name, term, weight in (("sup", l_sup, None),
+                               ("td", l_td, weights.td_weight),
+                               ("kd", l_kd, weights.kd_weight),
+                               ("unsup", l_unsup, None)):
+        if term is not None:
+            terms[name] = (term.data, term.data if weight is None
+                           else nc.scale(term, weight).data)
+    return total, terms
+
+
+# (t, use_sup, td, kd, unsup, labels): labels 3 and 4 are past classes, so
+# "no_anchor" has no active anchor
+OBJECTIVE_CASES = {
+    "t1": (1, True, False, True, False, [0, 1, 0, 2, 1, 3, 4, 0]),
+    "t2": (2, True, True, True, False, [0, 1, 0, 2, 1, 3, 4, 0]),
+    "no_anchor": (2, True, True, True, False, [3, 3, 4, 4, 3, 4, 4, 3]),
+    "wo_sup": (2, False, True, True, False, [0, 1, 0, 2, 1, 3, 4, 0]),
+    "wo_sup_t1": (1, False, False, True, False, [0, 1, 0, 2, 1, 3, 4, 0]),
+    "wo_td": (2, True, False, True, False, [0, 1, 0, 2, 1, 3, 4, 0]),
+    "wo_kd": (2, True, True, False, False, [0, 1, 0, 2, 1, 3, 4, 0]),
+    "co2l_j": (2, True, True, False, True, [0, 1, 0, 2, 1, 3, 4, 0]),
+    "co2l_j_t1": (1, True, False, False, True, [0, 1, 0, 2, 1, 3, 4, 0]),
+    "unsup_only": (1, False, False, False, True, [0, 1, 0, 2, 1, 3, 4, 0]),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", OBJECTIVE_CASES)
+def test_learner_objective_is_bitwise_the_tape_composition(case, dtype):
+    """The total, each term before and after weighting, and dL/dz per
+    embedding are the bytes of the tape ops and backprop."""
+    t, use_sup, td, kd, unsup, labels = OBJECTIVE_CASES[case]
+    rng = np.random.default_rng(len(case))
+    rows = {name: unit(rng.standard_normal((v, 6))).astype(dtype)
+            for name, v in (("z", 16), ("td_teacher", 16), ("kd_teacher", 12),
+                            ("kd_student", 12), ("unsup_student", 20))}
+    weights = losses.LossWeights(tau=0.15, tau_teacher=0.02, tau_student=0.2,
+                                 td_weight=0.3, kd_weight=0.45)
+    kwargs = dict(pseudo_flags=[i % 5 == 4 for i in range(8)],
+                  use_sup=use_sup,
+                  td_teacher=rows["td_teacher"] if td else None,
+                  kd_teacher=rows["kd_teacher"] if kd else None)
+    students = {"z": rows["z"]}
+    if kd:
+        students["kd_student"] = rows["kd_student"]
+    if unsup:
+        students["unsup_student"] = rows["unsup_student"]
+    leaves = {name: nc.Tensor(y, requires_grad=True)
+              for name, y in students.items()}
+
+    with nc.Tape() as tape:
+        total, terms = tape_objective(
+            leaves["z"], t, weights, labels, {0, 1, 2},
+            **{k: v for k, v in leaves.items() if k != "z"}, **kwargs)
+        grads = nc.backprop(tape, total)
+    z = students.pop("z")
+    out = losses.learner_objective(z, t, weights, labels, {0, 1, 2},
+                                   **students, **kwargs)
+
+    assert out.total.dtype == dtype
+    assert out.total.tobytes() == total.data.tobytes()
+    assert list(out.terms) == list(terms)
+    for name, (term, weighted) in terms.items():
+        assert [np.asarray(a).tobytes() for a in out.terms[name]] == [
+            np.asarray(term).tobytes(), np.asarray(weighted).tobytes()]
+    assert set(out.grads) == {name for name, leaf in leaves.items()
+                              if leaf in grads}
+    for name, grad in out.grads.items():
+        assert grad.dtype == dtype
+        assert grad.tobytes() == grads[leaves[name]].tobytes()
 
 
 @pytest.mark.parametrize("labels", [[0, 1, 0, 2], [3, 3, 4, 4]],
@@ -621,8 +724,9 @@ def test_learner_objective_finds_the_anchors_once(monkeypatch):
 def test_learner_objective_gradient_check(seed, labels):
     """The objective the learner trains on: one z shared by supervision and
     time distillation, a separate zk for reference distillation, and every
-    per-anchor rescale, checked end to end (labels 3 and 4 are past classes,
-    so the second case has no active anchor)."""
+    per-anchor rescale, checked end to end through its tape composition,
+    whose total and dL/dz learner_objective's are, bit for bit (labels 3
+    and 4 are past classes, so the second case has no active anchor)."""
     rng = np.random.default_rng(seed)
     params = make_embedder(rng)
     views = rng.standard_normal((8, 5))
@@ -631,17 +735,28 @@ def test_learner_objective_gradient_check(seed, labels):
     kd_teacher = unit(rng.standard_normal((6, 4)))
     weights = losses.LossWeights(tau=0.3, tau_teacher=0.05, tau_student=0.2,
                                  td_weight=0.4, kd_weight=0.3)
+    kwargs = dict(pseudo_flags=[False, False, True, seed == 2],
+                  pseudo_anchor=seed == 1, pseudo_positive=seed != 2,
+                  td_teacher=td_teacher, kd_teacher=kd_teacher)
 
     def loss_fn():
-        z = embed_via_net(params, views)
-        return losses.learner_objective(
-            z, 2, weights, labels, {0, 1},
-            pseudo_flags=[False, False, True, seed == 2],
-            pseudo_anchor=seed == 1, pseudo_positive=seed != 2,
-            td_teacher=td_teacher, kd_teacher=kd_teacher,
-            kd_student=embed_via_net(params, kd_views))
+        return tape_objective(embed_via_net(params, views), 2, weights, labels,
+                              {0, 1}, kd_student=embed_via_net(params, kd_views),
+                              **kwargs)[0]
 
     assert nc.check_gradients(loss_fn, params) < 1e-6
+    z = embed_via_net(params, views).data
+    zk = embed_via_net(params, kd_views).data
+    z_leaf, zk_leaf = (nc.Tensor(a, requires_grad=True) for a in (z, zk))
+    with nc.Tape() as tape:
+        total = tape_objective(z_leaf, 2, weights, labels, {0, 1},
+                               kd_student=zk_leaf, **kwargs)[0]
+        grads = nc.backprop(tape, total)
+    out = losses.learner_objective(z, 2, weights, labels, {0, 1},
+                                   kd_student=zk, **kwargs)
+    assert out.total.tobytes() == total.data.tobytes()
+    assert out.grads["z"].tobytes() == grads[z_leaf].tobytes()
+    assert out.grads["kd_student"].tobytes() == grads[zk_leaf].tobytes()
 
 
 @pytest.mark.parametrize("nan_in,use_sup,named", [
@@ -649,7 +764,8 @@ def test_learner_objective_gradient_check(seed, labels):
     ("kd_teacher", True, "kd"), ("kd_student", True, "kd")])
 def test_a_nan_row_ends_in_an_error_naming_its_term(nan_in, use_sup, named):
     """The row max skips a NaN (np.fmax), yet a NaN learner or teacher row
-    still makes its term NaN, and combined_loss names the first such term."""
+    still makes its term NaN, and learner_objective names the first such
+    term, as combined_loss does."""
     rng = np.random.default_rng(4)
     rows = {name: unit(rng.standard_normal((v, 4))).astype(np.float32)
             for name, v in (("z", 8), ("td_teacher", 8), ("kd_teacher", 6),
@@ -657,10 +773,21 @@ def test_a_nan_row_ends_in_an_error_naming_its_term(nan_in, use_sup, named):
     rows[nan_in][2] = np.nan
     with pytest.raises(nc.NonFiniteError, match=f"^non-finite {named} term$"):
         losses.learner_objective(
-            nc.Tensor(rows["z"]), 2, losses.LossWeights(), [0, 1, 0, 2],
+            rows["z"], 2, losses.LossWeights(), [0, 1, 0, 2],
             {0, 1}, use_sup=use_sup, td_teacher=rows["td_teacher"],
-            kd_teacher=rows["kd_teacher"],
-            kd_student=nc.Tensor(rows["kd_student"]))
+            kd_teacher=rows["kd_teacher"], kd_student=rows["kd_student"])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ntxent_grad_is_bitwise_the_tape(dtype):
+    z = unit(np.random.default_rng(3).standard_normal((12, 5))).astype(dtype)
+    leaf = nc.Tensor(z, requires_grad=True)
+    with nc.Tape() as tape:
+        loss = losses.ntxent_loss(leaf, 0.1)
+        grads = nc.backprop(tape, loss)
+    got, dz = losses.ntxent_grad(z, 0.1)
+    assert got.tobytes() == loss.data.tobytes()
+    assert dz.tobytes() == grads[leaf].tobytes()
 
 
 def test_loss_weights_validation():

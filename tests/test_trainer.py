@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from osscl import losses as L
+from osscl import numcore as nc
 from osscl import scenario as sc
 from osscl import trainer as tr
 from osscl.cli import THREAD_VARS
@@ -262,19 +263,35 @@ def test_reference_and_learner_gradients_are_isolated(tiny_world):
     assert param_digest(reference) != ref_digest
 
 
-def test_teachers_stay_off_the_learner_tape(tiny_world, monkeypatch):
-    """No teacher forward pass is recorded on the learner's tape: nothing
-    there may descend from a reference parameter, whether the batches are
-    prepared inline or on a feeder thread."""
+def watch_tape_entries(monkeypatch, inside=lambda: True):
+    """Patch numcore._record to note, per entry it appends to a tape,
+    whether inside() held; returns that list."""
+    record, seen = nc._record, []
+
+    def watched(out, parents, backward):
+        if nc._ACTIVE_TAPES and out.requires_grad:
+            seen.append(inside())
+        record(out, parents, backward)
+
+    monkeypatch.setattr(nc, "_record", watched)
+    return seen
+
+
+def test_a_learner_step_records_nothing_and_steps_only_the_learner(
+        tiny_world, monkeypatch):
+    """The learner trains on explicit gradients, with no tape: whether the
+    batches are prepared inline or on a feeder thread, no op appends a tape
+    entry, and each Adam step takes the learner's parameters alone, so no
+    teacher forward pass can reach its gradient."""
     main, _, aug = tiny_world
-    tapes = []
+    appended = watch_tape_entries(monkeypatch)
+    step, stepped = nc.Adam.step, []
 
-    class KeptTape(Tape):
-        def __init__(self):
-            super().__init__()
-            tapes.append(self)
+    def watched_step(opt, grads):
+        stepped.append(list(grads))
+        return step(opt, grads)
 
-    monkeypatch.setattr(tr, "Tape", KeptTape)
+    monkeypatch.setattr(nc.Adam, "step", watched_step)
     learner = EncoderProjector(DIM, (32, 32), 16, 8,
                                rng=np.random.default_rng(0))
     reference = EncoderProjector(DIM, (32, 32), 16, 8,
@@ -288,15 +305,31 @@ def test_teachers_stay_off_the_learner_tape(tiny_world, monkeypatch):
                               td_teacher=learner.snapshot(),
                               kd_teacher=reference, kd_pool=main.train_x[:60],
                               feed_ahead=feed_ahead)
-    assert tapes and all(len(tape) for tape in tapes)
-    for tape in tapes:
-        from_reference = {id(reference.params)}
-        tainted = []
-        for out, parents, _ in tape._entries:
-            if any(id(p) in from_reference for p in parents):
-                from_reference.add(id(out))
-                tainted.append(out)
-        assert tainted == []
+    assert appended == []
+    assert stepped and all(keys == [learner.params] for keys in stepped)
+
+
+@pytest.mark.parametrize("method", ["ursl", "co2l_j", "co2l_p"])
+def test_only_the_classifier_records_on_a_tape(tiny_world, monkeypatch,
+                                               method):
+    """Every tape entry of a run is appended inside fit_classifier: the
+    reference (which trains in this process here) and the learner, with
+    co2l_j's unsupervised term, take explicit steps."""
+    main, stream, aug = tiny_world
+    fit, depth = tr.fit_classifier, []
+
+    def fit_classifier(*args, **kwargs):
+        depth.append(1)
+        try:
+            return fit(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(tr, "fit_classifier", fit_classifier)
+    monkeypatch.setattr(tr, "_walks_ahead", lambda walk: False)
+    appended = watch_tape_entries(monkeypatch, lambda: bool(depth))
+    tr.run_continual(tiny_cfg(method=method), stream, main, aug, seed=5)
+    assert appended and all(appended)
 
 
 # ---------------------------------------------------------------------------
