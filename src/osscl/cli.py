@@ -34,7 +34,8 @@ import numpy as np
 from . import __version__, gradcheck
 from . import scenario as sc
 from . import trainer
-from .config import ConfigError, check_seeds, from_dict, load_experiment
+from .config import (ConfigError, _read_json, check_seeds, from_dict,
+                     load_experiment)
 
 log = logging.getLogger("osscl.cli")
 
@@ -210,9 +211,10 @@ def _check_task_classes(exp, seeds, datasets, quotas):
 def _version_stamp():
     """The package version, the numpy and BLAS builds, the kernel the BLAS
     runs (None when unknown; trainer.blas_kernel), the BLAS thread count each
-    run computes at (trainer.blas_threads_per_run) and the BLAS/OpenMP thread
-    variables as launched (None when unset): what a float result of this run
-    can depend on besides its config."""
+    run computes at (1, trainer._one_blas_thread, or None without numpy's
+    bundled OpenBLAS thread control) and the BLAS/OpenMP thread variables as
+    launched (None when unset): what a float result of this run can depend
+    on besides its config."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # older numpy has no mode="dicts"
@@ -221,7 +223,8 @@ def _version_stamp():
             "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version"),
                      "kernel": trainer.blas_kernel(),
-                     "threads_per_run": trainer.blas_threads_per_run()},
+                     "threads_per_run":
+                         None if trainer._openblas() is None else 1},
             "thread_vars": {v: os.environ.get(v) for v in THREAD_VARS}}
 
 
@@ -368,29 +371,36 @@ def cmd_segregate_eval(args):
 
 
 def _load_result_dir(path):
+    """(method row, experiment column, final-accuracy cell text) of one
+    results directory; a missing file or key is a ConfigError naming it."""
     agg_path = os.path.join(path, "aggregate.json")
     cfg_path = os.path.join(path, "config.json")
     if not os.path.isfile(agg_path) or not os.path.isfile(cfg_path):
         raise ConfigError(f"{path}: not a results directory "
                           "(missing aggregate.json or config.json)")
-    with open(agg_path, "r", encoding="utf-8") as f:
-        agg = json.load(f)
-    with open(cfg_path, "r", encoding="utf-8") as f:
-        cfg = json.load(f)
-    row = agg["method"]
-    if agg["method"] == "ursl":
-        row = f"ursl/{agg['seg_variant']}"
-    return row, cfg.get("name", "experiment"), agg["final_accuracy"]
+    agg, cfg = _read_json(agg_path), _read_json(cfg_path)
+    for file, data in ((agg_path, agg), (cfg_path, cfg)):
+        if not isinstance(data, dict):
+            raise ConfigError(f"{file}: expected an object")
+    try:
+        row = agg["method"]
+        if row == "ursl":
+            row = f"ursl/{agg['seg_variant']}"
+        fa = agg["final_accuracy"]
+        text = f"{fa['mean']:.4f} +/- {fa['std']:.4f}"
+    except KeyError as exc:
+        raise ConfigError(f"{agg_path}: missing key {exc}") from None
+    return row, cfg.get("name", "experiment"), text
 
 
 def cmd_report(args):
     cells = {}  # (row, col) -> (path, text), in the order of args.results
     for path in args.results:
-        row, col, fa = _load_result_dir(path)
+        row, col, text = _load_result_dir(path)
         if (row, col) in cells:
             raise ConfigError(f"{cells[row, col][0]} and {path} both fill the "
                               f"cell of method {row!r}, experiment {col!r}")
-        cells[row, col] = path, f"{fa['mean']:.4f} +/- {fa['std']:.4f}"
+        cells[row, col] = path, text
     rows = list(dict.fromkeys(row for row, _ in cells))
     cols = list(dict.fromkeys(col for _, col in cells))
     table = [["method"] + cols]

@@ -343,13 +343,18 @@ def from_dict(data, path="config"):
     return exp
 
 
-def load_experiment(path):
-    """Read and validate a JSON experiment file."""
+def _read_json(path):
+    """The JSON value in the file at path; a file that cannot be read or
+    parsed is a ConfigError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
+            return json.load(f)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return from_dict(data)
+
+
+def load_experiment(path):
+    """Read and validate a JSON experiment file."""
+    return from_dict(_read_json(path))

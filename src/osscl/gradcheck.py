@@ -4,9 +4,10 @@ Each named loss gets a batch of randomized configurations (shapes, labels,
 temperatures, flag combinations). For each configuration the tape gradient
 of the loss with respect to the raw (pre-normalization) embeddings is
 compared against central differences in double precision. The last check,
-mlp_embed, differences an NT-Xent loss of a float64 EncoderProjector's
-embeddings with respect to the net's flat parameter buffer. The suite is
-the backing for the `gradcheck` CLI command and the acceptance gate.
+named mlp_embed, differences the step the trainers take without a tape:
+a float64 EncoderProjector's forward, losses.ntxent_grad's loss and dL/dz,
+and numcore.mlp_backward's flat parameter gradient. The suite is the
+backing for the `gradcheck` CLI command and the acceptance gate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 
 from . import losses as L
 from .nets import EncoderProjector
-from .numcore import Tensor, check_gradients, l2_normalize_rows
+from .numcore import (Tape, Tensor, backprop, check_gradients,
+                      l2_normalize_rows, mlp_backward)
 
 LOSS_NAMES = ("ntxent", "supcon", "distill_time", "distill_reference",
               "combined", "mlp_embed")
@@ -35,12 +37,21 @@ def _unit_rows(rng, n_rows, dim):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def _tape_check(fn, params):
+    """check_gradients of the loss fn records, at backprop's gradients; a
+    param the loss does not reach has a zero gradient."""
+    with Tape() as tape:
+        grads = backprop(tape, fn())
+    return check_gradients(lambda: fn().data, [p.data for p in params],
+                           [grads.get(p, np.zeros_like(p.data)) for p in params])
+
+
 def _ntxent_case(rng):
     n = int(rng.integers(2, 7))
     dim = int(rng.integers(3, 9))
     tau = float(rng.uniform(0.05, 0.5))
     x = _raw_embeddings(rng, n, dim)
-    return lambda: L.ntxent_loss(l2_normalize_rows(x), tau), [x]
+    return _tape_check(lambda: L.ntxent_loss(l2_normalize_rows(x), tau), [x])
 
 
 def _supcon_case(rng):
@@ -62,7 +73,7 @@ def _supcon_case(rng):
             l2_normalize_rows(x), labels, current, tau, pseudo_flags=pseudo,
             pseudo_anchor=pseudo_anchor, pseudo_positive=pseudo_positive)
 
-    return fn, [x]
+    return _tape_check(fn, [x])
 
 
 def _distill_case(rng):
@@ -72,8 +83,8 @@ def _distill_case(rng):
     tau_s = float(rng.uniform(0.1, 0.5))
     teacher = _unit_rows(rng, 2 * n, dim)
     x = _raw_embeddings(rng, n, dim)
-    return (lambda: L.distillation_loss(teacher, l2_normalize_rows(x),
-                                        tau_t, tau_s)), [x]
+    return _tape_check(lambda: L.distillation_loss(
+        teacher, l2_normalize_rows(x), tau_t, tau_s), [x])
 
 
 def _combined_case(rng):
@@ -103,7 +114,7 @@ def _combined_case(rng):
                                    weights.tau_student)
         return L.combined_loss(l_sup, l_td, l_kd, weights, t=2)
 
-    return fn, [x_sup, x_kd]
+    return _tape_check(fn, [x_sup, x_kd])
 
 
 def _mlp_embed_case(rng):
@@ -118,7 +129,10 @@ def _mlp_embed_case(rng):
         b[...] = rng.uniform(0.1, 0.5, size=b.shape)
     x = rng.normal(0.0, 1.0, size=(2 * n, input_dim))
     tau = float(rng.uniform(0.1, 0.5))
-    return lambda: L.ntxent_loss(net.embed(x), tau), [net.params]
+    z, cache = net.forward(x)
+    grad = mlp_backward(cache, L.ntxent_grad(z, tau)[1])
+    return check_gradients(lambda: L.ntxent_grad(net.embed(x), tau)[0],
+                           [net.params.data], [grad])
 
 
 _CASES = {
@@ -144,8 +158,7 @@ def run_suite(n_configs=20):
         worst = 0.0
         for i in range(n_configs):
             rng = np.random.default_rng([_SEED, LOSS_NAMES.index(name), i])
-            fn, params = _CASES[name](rng)
-            worst = max(worst, check_gradients(fn, params))
+            worst = max(worst, _CASES[name](rng))
         results[name] = worst
     return results
 

@@ -12,7 +12,7 @@ import copy
 
 import numpy as np
 
-from .numcore import Tensor, affine, mlp_embed, mlp_forward, mlp_size, mlp_views
+from .numcore import Tensor, affine, mlp_forward, mlp_size, mlp_views
 
 
 def kaiming_uniform(rng, fan_in, fan_out):
@@ -27,9 +27,10 @@ class EncoderProjector:
     All weights and biases live in one contiguous array, `params.data`, in
     construction order (w, b of each encoder layer, then of the two head
     layers; see numcore.mlp_views); `params` is the single leaf Tensor the
-    optimizer updates. Both forwards are one numcore.mlp_embed call, and
-    forward is embed's numcore.mlp_forward on plain arrays, whose cache
-    numcore.mlp_backward turns into the one flat gradient.
+    optimizer updates. Every forward is one numcore.mlp_forward call on
+    plain arrays, recorded on no tape: embed and encoder_features return
+    its output, and forward also its cache, which numcore.mlp_backward
+    turns into the one flat gradient.
 
     Args:
         input_dim: flat input dimensionality.
@@ -55,22 +56,17 @@ class EncoderProjector:
             b[...] = 0
         self.params = Tensor(flat, requires_grad=True)
 
-    def _as_tensor(self, x):
-        if isinstance(x, Tensor):
-            return x
-        return Tensor(np.asarray(x, dtype=self.dtype))
-
     def encoder_features(self, x):
         """Forward through the encoder only; relu after every layer."""
-        return mlp_embed(self._as_tensor(x), self.params,
-                         self.dims[:len(self.hidden) + 1], unit=False)
+        return mlp_forward(np.asarray(x, dtype=self.dtype), self.params.data,
+                           self.dims[:len(self.hidden) + 1], unit=False)[0]
 
     def embed(self, x):
         """Forward through encoder and head; rows come back unit-normalized."""
-        return mlp_embed(self._as_tensor(x), self.params, self.dims)
+        return self.forward(x)[0]
 
     def forward(self, x):
-        """embed without a tape: (unit rows, cache for numcore.mlp_backward)."""
+        """embed's rows and the cache numcore.mlp_backward takes."""
         return mlp_forward(np.asarray(x, dtype=self.dtype), self.params.data,
                            self.dims)
 

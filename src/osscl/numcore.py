@@ -17,22 +17,23 @@ outputs: a NaN or inf an op computes flows on into the loss and the
 gradients, which the trainer checks once per optimizer step, so the error
 names the network, task, epoch, batch and loss term rather than an op.
 
-Besides generic ops, two fused ops each stand for a chain of generic ops
-with that chain's arithmetic, in one forward pass and one tape entry:
-mlp_embed runs a whole MLP off one flat parameter buffer, and softmax_xent
-computes the off-diagonal softmax cross-entropy that every contrastive loss
-is made of, with a closed-form backward. Each is a thin tape adapter over
-plain-array kernels, which hold all of its arithmetic: mlp_forward returns
+Besides generic ops there is one fused op, softmax_xent: the off-diagonal
+softmax cross-entropy that every contrastive loss is made of, with the
+arithmetic of its chain of generic ops in one forward pass and one tape
+entry, and a closed-form backward. It is a thin tape adapter over
+plain-array kernels, which hold all of its arithmetic: softmax_xent_forward
+returns the loss and its backward, and softmax_xent_grad runs that backward
+at a given loss gradient before it returns. The networks run on plain arrays
+only: mlp_forward runs a whole MLP off one flat parameter buffer and returns
 the output and its cache, and mlp_backward turns the cache and the output
-gradient into one flat parameter gradient; softmax_xent_forward returns the
-loss and its backward, and softmax_xent_grad runs that backward at a given
-loss gradient before it returns. The trainers' explicit steps call the
-kernels with no tape: embed, the loss and dL/dz, the MLP backward, Adam.
+gradient into one flat parameter gradient, each bitwise the chain affine ->
+relu -> ... -> l2_normalize_rows. The trainers' explicit steps take no tape:
+mlp_forward, the loss and dL/dz, mlp_backward, Adam.
 
 Every Gram product z z^T in the package (softmax_xent, pairwise_cosine of a
 tensor with itself, the teachers' similarity_distribution) goes through
-_gram, so a fused op and the chain it stands for multiply alike on any BLAS
-build.
+_gram, so the fused op and the chain it stands for multiply alike on any
+BLAS build.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ def mlp_forward(x, flat, dims, unit=True):
     """
     if (len(dims) < 2 or x.ndim != 2 or x.shape[1] != dims[0]
             or flat.ndim != 1 or flat.size < mlp_size(dims)):
-        raise ShapeError(f"mlp_embed shape mismatch: x {x.shape}, params "
+        raise ShapeError(f"mlp_forward shape mismatch: x {x.shape}, params "
                          f"{flat.shape}, dims {tuple(dims)}")
     layers = mlp_views(flat, dims)
     last = len(layers) - 1
@@ -324,32 +325,6 @@ def mlp_backward(cache, g):
             g = g @ layers[k][0].T
             g *= inputs[k] > 0
     return grad
-
-
-def mlp_embed(x, params, dims, unit=True):
-    """mlp_forward of x over params, recorded as one tape entry whose
-    backward is mlp_backward, so the loss and every parameter gradient are
-    bitwise the chain's. The input takes no gradient, and an input that
-    requires one is rejected.
-
-    Args:
-        x: Tensor [B, dims[0]] that does not require gradient.
-        params: 1-d Tensor of at least mlp_size(dims) values; the op's only
-            tape parent.
-        dims, unit: as for mlp_forward.
-
-    Raises ValueError on an input that requires gradient, and what
-    mlp_forward raises.
-    """
-    if x.requires_grad:
-        raise ValueError("mlp_embed computes no input gradient; its input "
-                         "must not require gradient")
-    y, cache = mlp_forward(x.data, params.data, dims, unit)
-
-    def backward(g):
-        return (mlp_backward(cache, g),)
-
-    return _recorded(y, (params,), backward)
 
 
 def _gram(x):
@@ -690,28 +665,32 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 
-def check_gradients(loss_fn, params):
-    """Max relative error of tape gradients against central differences.
+def check_gradients(loss_fn, params, grads):
+    """Max relative error of analytic gradients against central differences.
+
+    Args:
+        loss_fn: zero-argument callable returning the scalar loss (a 0-d
+            array or a float) at the current values of params.
+        params: the arrays loss_fn reads; each is stepped in place and
+            restored.
+        grads: the caller's analytic gradient of the loss with respect to
+            each of params, in their order.
 
     Each element of each param is stepped by +-1e-5, and the error is
-    max |a - n| / max(1e-3, |a|, |n|) over all elements. Params absent from
-    the graph get zero tape gradients. Params should be float64 for the
-    differences to resolve below the comparison tolerance.
+    max |a - n| / max(1e-3, |a|, |n|) over all elements. Params should be
+    float64 for the differences to resolve below the comparison tolerance.
     """
     step, floor = 1e-5, 1e-3
-    with Tape() as tape:
-        grads = backprop(tape, loss_fn())
     worst = 0.0
-    for p in params:
-        analytic = grads.get(p, np.zeros_like(p.data))
-        numeric = np.zeros_like(p.data)
-        flat, nflat = p.data.reshape(-1), numeric.reshape(-1)
+    for p, analytic in zip(params, grads, strict=True):
+        numeric = np.zeros_like(p)
+        flat, nflat = p.reshape(-1), numeric.reshape(-1)
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + step
-            hi = float(loss_fn().data)
+            hi = float(loss_fn())
             flat[k] = orig - step
-            lo = float(loss_fn().data)
+            lo = float(loss_fn())
             flat[k] = orig
             nflat[k] = (hi - lo) / (2.0 * step)
         err = np.abs(analytic - numeric) / np.maximum(

@@ -83,10 +83,6 @@ class OodMetrics:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-def _embed_data(reference, xs):
-    return reference.embed(np.asarray(xs)).data
-
-
 def build_prototypes(reference, xs, ys, observed_classes, augmenter, rng, n_aug=2):
     """Average augmented reference embeddings per class into unit prototypes.
 
@@ -113,7 +109,7 @@ def build_prototypes(reference, xs, ys, observed_classes, augmenter, rng, n_aug=
         members = xs[ys == c]
         if members.shape[0] == 0:
             raise EmptyClassError(f"no labeled samples for class {c}")
-        acc = sum(_embed_data(reference, augmenter.apply_batch(members, rng))
+        acc = sum(reference.embed(augmenter.apply_batch(members, rng))
                   .sum(axis=0, dtype=np.float64) for _ in range(n_aug))
         centroid = acc / (n_aug * members.shape[0])
         norm = np.linalg.norm(centroid)
@@ -134,7 +130,7 @@ def score(prototypes, xs, reference=None):
     Returns:
         (scores [n], nearest_class_ids [n])
     """
-    z = _embed_data(reference, xs) if reference is not None else np.asarray(xs)
+    z = reference.embed(xs) if reference is not None else np.asarray(xs)
     sims = z @ prototypes.prototypes.T
     best = sims.argmax(axis=1)
     return sims[np.arange(len(z)), best], prototypes.class_ids[best]

@@ -559,7 +559,7 @@ def fit_classifier(learner, xs, ys, observed_classes, cfg, rng_init, rng_train):
         raise ValueError(f"classes missing from classifier data: {missing}")
     class_index = {c: i for i, c in enumerate(observed)}
     targets = np.array([class_index[int(c)] for c in ys], dtype=np.int64)
-    features = learner.encoder_features(np.asarray(xs)).data
+    features = learner.encoder_features(xs)
 
     counts = np.bincount(targets, minlength=len(observed))
     weights = 1.0 / counts[targets]
@@ -600,7 +600,7 @@ def evaluate(head, learner, class_ids, test_x, test_y, task_class_sets):
     for classes, mask in zip(task_class_sets, masks):
         if not mask.any():
             raise ValueError(f"no test samples for task classes {list(classes)}")
-    logits = head.classify(learner.encoder_features(test_x).data).data
+    logits = head.classify(learner.encoder_features(test_x)).data
     _require_finite("evaluation", "logits", logits)
     correct = class_ids[logits.argmax(axis=1)] == test_y
     return float(correct.mean()), [float(correct[m].mean()) for m in masks]
@@ -816,12 +816,6 @@ def blas_kernel():
         return None
     corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
-
-
-def blas_threads_per_run():
-    """1, the BLAS thread count of every run (_one_blas_thread), or None
-    without numpy's bundled OpenBLAS thread control."""
-    return None if _openblas() is None else 1
 
 
 # ---------------------------------------------------------------------------

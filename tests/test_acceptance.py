@@ -182,8 +182,8 @@ def test_criterion_2_loss_oracles(capsys):
 
 class _NormalizingEmbedder:
     def embed(self, xs):
-        return nc.l2_normalize_rows(nc.Tensor(np.asarray(xs,
-                                                         dtype=np.float64)))
+        return nc.l2_normalize_rows(
+            nc.Tensor(np.asarray(xs, dtype=np.float64))).data
 
 
 def test_criterion_3_segregation_matches_brute_force(capsys):
@@ -201,7 +201,7 @@ def test_criterion_3_segregation_matches_brute_force(capsys):
         ys = np.repeat(np.arange(n_classes), 12)
         protos = segregate.build_prototypes(ref, xs, ys, set(range(n_classes)),
                                             null_aug, rng, n_aug=2)
-        labeled_z = ref.embed(xs).data
+        labeled_z = ref.embed(xs)
         labeled_scores, _ = segregate.score(protos, labeled_z)
         stats = segregate.compute_thresholds(labeled_scores, eta_id, eta_pl)
         pool = rng.standard_normal((pool_n, dim)) * 2.0
@@ -209,7 +209,7 @@ def test_criterion_3_segregation_matches_brute_force(capsys):
             *segregate.score(protos, pool, reference=ref), stats)
 
         # independent loop-based re-derivation
-        pool_z = ref.embed(pool).data
+        pool_z = ref.embed(pool)
         def best(z):
             sims = [float(np.dot(p, z)) for p in protos.prototypes]
             k = int(np.argmax(sims))

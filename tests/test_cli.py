@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from osscl import cli, config, trainer
+from osscl import cli, config, gradcheck, losses, trainer
 from osscl import scenario as sc
 from osscl.segregate import auroc_from_scores
 from test_trainer import (_PINNED_BLAS, _PINNED_KERNEL, _PINNED_NUMPY,
@@ -253,11 +253,10 @@ class TestRun:
             "numpy": np.__version__,
             "blas": {"name": blas["name"], "version": blas["version"],
                      "kernel": trainer.blas_kernel(),
-                     "threads_per_run": trainer.blas_threads_per_run()},
+                     "threads_per_run":
+                         None if trainer._openblas() is None else 1},
             "thread_vars": {v: os.environ.get(v) for v in cli.THREAD_VARS}}
         assert "OPENBLAS_NUM_THREADS" in stamp["thread_vars"]
-        if trainer._openblas() is not None:
-            assert stamp["blas"]["threads_per_run"] == 1
 
     def test_version_stamp_records_the_kernel_that_runs(self):
         """Not the build target that np.show_config names: OpenBLAS runs the
@@ -609,6 +608,18 @@ class TestGradcheck:
                         f"{build[2]} kernel")
         assert out == _GRADCHECK_STDOUT
 
+    def test_network_line_checks_the_trainers_step(self, monkeypatch):
+        """The mlp_embed line differences the explicit step the trainers
+        take, so a wrong dL/dz from losses.ntxent_grad fails it."""
+        ntxent_grad = losses.ntxent_grad
+
+        def doubled(z, tau):
+            loss, dz = ntxent_grad(z, tau)
+            return loss, 2 * dz
+
+        monkeypatch.setattr(losses, "ntxent_grad", doubled)
+        assert gradcheck.run_suite(1)["mlp_embed"] >= gradcheck.DEFAULT_TOL
+
 
 @pytest.fixture(scope="module")
 def seg_out(workspace, tmp_path_factory):
@@ -700,6 +711,29 @@ class TestReport:
         rc = cli.main(["report", str(tmp_path)])
         assert rc == 2
         assert "aggregate.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,damaged,named", [
+        ("aggregate.json", b'{"method": "ursl", "seg_vari', "invalid JSON"),
+        ("aggregate.json", b'{"method": "ursl"}', "'seg_variant'"),
+        ("config.json", b"[]", "expected an object"),
+        ("config.json", b'{"name": "\xff"}', "invalid JSON")],
+        ids=["truncated", "missing_key", "not_an_object", "not_utf8"])
+    def test_damaged_results_dir_exit_2_naming_file_and_key(
+            self, tmp_path, capsys, name, damaged, named):
+        files = {"aggregate.json": {"method": "ursl", "seg_variant": "v4",
+                                    "final_accuracy": {"mean": 0.5,
+                                                       "std": 0.1}},
+                 "config.json": {"name": "tiny"}}
+        for file, content in files.items():
+            (tmp_path / file).write_text(json.dumps(content))
+        assert cli.main(["report", str(tmp_path)]) == 0
+        capsys.readouterr()
+        (tmp_path / name).write_bytes(damaged)
+        assert cli.main(["report", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(tmp_path / name) in captured.err
+        assert named in captured.err
 
     def test_two_dirs_in_one_cell_exit_2_before_any_output(
             self, workspace, tmp_path, capsys):

@@ -22,12 +22,24 @@ def make_net(seed=0, dtype=np.float32):
                                  rng=np.random.default_rng(seed), dtype=dtype)
 
 
+def output_grad(z, seed):
+    """A fixed random array of z's shape and dtype, for the gradient a loss
+    hands an embedding z."""
+    return np.random.default_rng(seed).standard_normal(z.shape).astype(z.dtype)
+
+
+def flat_grad(net, x, seed):
+    """The flat parameter gradient of net's embedding of x at output_grad."""
+    z, cache = net.forward(x)
+    return nc.mlp_backward(cache, output_grad(z, seed))
+
+
 def test_embed_rows_are_unit():
     net = make_net()
     x = np.random.default_rng(1).standard_normal((10, 8)).astype(np.float32)
     z = net.embed(x)
-    assert z.shape == (10, 4)
-    np.testing.assert_allclose((z.data ** 2).sum(axis=1), 1.0, atol=1e-5)
+    assert isinstance(z, np.ndarray) and z.shape == (10, 4)
+    np.testing.assert_allclose((z ** 2).sum(axis=1), 1.0, atol=1e-5)
 
 
 def test_init_is_seed_deterministic():
@@ -56,28 +68,22 @@ def test_rng_is_required_and_keyword_only():
 def test_gradients_reach_every_parameter():
     net = make_net(dtype=np.float64)
     x = np.random.default_rng(2).standard_normal((6, 8))
-    with nc.Tape() as tape:
-        z = net.embed(x)
-        loss = nc.total_sum(nc.mul(z, z))
-        grads = nc.backprop(tape, loss)
+    z, cache = net.forward(x)
+    grad = nc.mlp_backward(cache, output_grad(z, 0))
     # one flat gradient covers every weight and bias
-    assert list(grads) == [net.params]
-    assert grads[net.params].shape == net.params.data.shape
+    assert grad.shape == net.params.data.shape
+    assert all(view.any() for view in flat_grad_views(grad, net))
 
 
 def test_snapshot_matches_net_then_freezes():
     net = make_net()
     x = np.random.default_rng(3).standard_normal((5, 8)).astype(np.float32)
     snap = net.snapshot()
-    np.testing.assert_array_equal(snap.embed(x).data, net.embed(x).data)
+    np.testing.assert_array_equal(snap.embed(x), net.embed(x))
     digest_before = param_digest(snap)
 
     # train the live net a little; the snapshot must not move
-    opt = nc.Adam([net.params], lr=0.05)
-    with nc.Tape() as tape:
-        loss = nc.total_sum(net.embed(x))
-        grads = nc.backprop(tape, loss)
-    opt.step(grads)
+    nc.Adam([net.params], lr=0.05).step({net.params: flat_grad(net, x, 0)})
     assert param_digest(snap) == digest_before
     assert any((a != b).any() for a, b in zip(net.param_arrays(), snap.param_arrays()))
 
@@ -94,7 +100,7 @@ def test_snapshot_forward_takes_no_gradient():
     x = np.random.default_rng(4).standard_normal((4, 8))
     with nc.Tape() as tape:
         z = snap.embed(x)
-        assert not z.requires_grad
+        assert isinstance(z, np.ndarray)
         assert len(tape) == 0
 
 
@@ -128,14 +134,14 @@ def test_classifier_shapes_and_gradients():
 
 
 # ---------------------------------------------------------------------------
-# The flat parameter buffer and the fused embed op
+# The flat parameter buffer and the MLP kernels
 # ---------------------------------------------------------------------------
 
 
 def chain_embed(x, params, unit=True):
-    """The generic-op chain the fused op stands for, over separate parameter
-    tensors: affine -> relu -> ... -> affine -> l2_normalize_rows (every
-    affine followed by relu when not unit)."""
+    """The generic-op chain the MLP kernels stand for, over separate
+    parameter tensors: affine -> relu -> ... -> affine -> l2_normalize_rows
+    (every affine followed by relu when not unit)."""
     h = nc.Tensor(x)
     last = len(params) // 2 - 1
     for k in range(last + 1):
@@ -150,9 +156,8 @@ def leaf_copies(net):
 
 
 def weighted_sum(z, seed):
-    """A scalar loss whose gradient with respect to z is a fixed random array."""
-    c = np.random.default_rng(seed).standard_normal(z.shape).astype(z.dtype)
-    return nc.total_sum(nc.mul(z, nc.Tensor(c)))
+    """A scalar loss whose gradient with respect to z is output_grad(z, seed)."""
+    return nc.total_sum(nc.mul(z, nc.Tensor(output_grad(z, seed))))
 
 
 def flat_grad_views(grad, net):
@@ -163,24 +168,27 @@ def flat_grad_views(grad, net):
 @pytest.mark.parametrize("width", [8, 3072])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fused_embed_is_bitwise_the_chain(dtype, width, batch):
+    """mlp_forward and mlp_backward, which every forward of the nets runs,
+    compute the chain's output and parameter gradients bit for bit."""
     net = nets.EncoderProjector(width, hidden=(64, 64), proj_hidden=32,
                                 embed_dim=16, rng=np.random.default_rng(batch),
                                 dtype=dtype)
     x = np.random.default_rng(width).standard_normal((batch, width)).astype(dtype)
-    for unit, forward in ((True, net.embed), (False, net.encoder_features)):
+    encoder = net.dims[:len(net.hidden) + 1]
+    for unit, dims, forward in ((True, net.dims, net.embed),
+                                (False, encoder, net.encoder_features)):
         params = leaf_copies(net)
         if not unit:
             params = params[:2 * len(net.hidden)]
         with nc.Tape() as tape:
             z = chain_embed(x, params, unit)
             grads = nc.backprop(tape, weighted_sum(z, 5))
-        with nc.Tape() as tape:
-            zf = forward(x)
-            assert len(tape) == 1
-            fgrads = nc.backprop(tape, weighted_sum(zf, 5))
-        assert zf.data.dtype == z.data.dtype
-        assert zf.data.tobytes() == z.data.tobytes()
-        views = flat_grad_views(fgrads[net.params], net)
+        zf, cache = nc.mlp_forward(x, net.params.data, dims, unit)
+        assert zf.dtype == z.data.dtype
+        assert zf.tobytes() == z.data.tobytes()
+        assert forward(x).tobytes() == zf.tobytes()
+        views = flat_grad_views(nc.mlp_backward(cache, output_grad(zf, 5)),
+                                net)
         for view, p in zip(views, params):
             assert view.tobytes() == grads[p].tobytes()
         # the head takes no gradient from the encoder features
@@ -188,6 +196,8 @@ def test_fused_embed_is_bitwise_the_chain(dtype, width, batch):
 
 
 def test_two_embeddings_sum_flat_gradients_in_tape_order():
+    """Flat gradients of three embeddings, added the later one first as the
+    trainers add them, are the chain's gradients as backprop sums them."""
     net = make_net(3)
     rng = np.random.default_rng(4)
     x1, x2, x3 = (rng.standard_normal((6, 8)).astype(np.float32)
@@ -198,39 +208,18 @@ def test_two_embeddings_sum_flat_gradients_in_tape_order():
                              weighted_sum(chain_embed(x2, params), 2)),
                       weighted_sum(chain_embed(x3, params), 3))
         grads = nc.backprop(tape, loss)
-    with nc.Tape() as tape:
-        loss = nc.add(nc.add(weighted_sum(net.embed(x1), 1),
-                             weighted_sum(net.embed(x2), 2)),
-                      weighted_sum(net.embed(x3), 3))
-        assert len(tape) == 3 + 3 * 2 + 2
-        flat = nc.backprop(tape, loss)[net.params]
+    alone = [flat_grad(net, x, seed) for x, seed in ((x1, 1), (x2, 2), (x3, 3))]
+    flat = (alone[2] + alone[1]) + alone[0]
     for view, p in zip(flat_grad_views(flat, net), params):
         assert view.tobytes() == grads[p].tobytes()
-    # the reverse walk adds the later embedding's gradient first
-    alone = []
-    for x, seed in ((x1, 1), (x2, 2), (x3, 3)):
-        with nc.Tape() as tape:
-            alone.append(nc.backprop(tape, weighted_sum(net.embed(x), seed))
-                         [net.params])
-    assert flat.tobytes() == ((alone[2] + alone[1]) + alone[0]).tobytes()
-
-
-def test_fused_embed_rejects_an_input_that_requires_grad():
-    net = make_net()
-    x = nc.Tensor(np.ones((3, 8), dtype=np.float32), requires_grad=True)
-    with pytest.raises(ValueError, match="input"):
-        net.embed(x)
-    with pytest.raises(ValueError, match="input"):
-        net.encoder_features(x)
 
 
 def test_fused_embed_checks_shapes_and_norms():
     net = make_net()
-    with pytest.raises(nc.ShapeError):
+    with pytest.raises(nc.ShapeError, match="mlp_forward"):
         net.embed(np.ones((3, 7), dtype=np.float32))
-    with pytest.raises(nc.ShapeError):
-        nc.mlp_embed(nc.Tensor(np.ones((3, 8))), nc.Tensor(np.ones(10)),
-                     net.dims)
+    with pytest.raises(nc.ShapeError, match="mlp_forward"):
+        nc.mlp_forward(np.ones((3, 8)), np.ones(10), net.dims)
     dead = make_net()
     dead.params.data[...] = 0
     with pytest.raises(nc.DegenerateNormError):
@@ -247,10 +236,9 @@ def test_weights_are_views_of_the_flat_buffer():
     assert (np.concatenate([a.ravel() for a in arrays]).tobytes()
             == net.params.data.tobytes())
     # the optimizer writes in place, so views taken before a step see it
-    with nc.Tape() as tape:
-        grads = nc.backprop(tape, weighted_sum(net.embed(np.ones((2, 8))), 0))
+    grad = flat_grad(net, np.ones((2, 8)), 0)
     before = arrays[0].copy()
-    nc.Adam([net.params], lr=0.05).step(grads)
+    nc.Adam([net.params], lr=0.05).step({net.params: grad})
     assert (arrays[0] != before).any()
     assert arrays[0].tobytes() == net.param_arrays()[0].tobytes()
 

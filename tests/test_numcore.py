@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osscl import losses, numcore as nc
+from osscl.gradcheck import _tape_check
 from osscl.trainer import MethodConfig, _cosine_lr
 
 
@@ -99,7 +100,7 @@ def test_affine_matches_finite_differences(seed):
     def loss_fn():
         return nc.total_sum(nc.mul(nc.affine(x, w, b), nc.affine(x, w, b)))
 
-    assert nc.check_gradients(loss_fn, [x, w, b]) < 1e-6
+    assert _tape_check(loss_fn, [x, w, b]) < 1e-6
 
 
 def test_affine_shape_error():
@@ -111,22 +112,21 @@ def test_affine_shape_error():
 
 
 def test_check_gradients_measures_a_wrong_backward():
-    # forward sum(k * x), backward 2 * k: the tape gradient is twice the
-    # true one, so each element's error is |2k - k| / max(1e-3, 2k, k) = 0.5;
-    # at k = 1e-4 the 1e-3 floor sets the denominator: 1e-4 / 1e-3 = 0.1
-    x = nc.Tensor(np.array([0.3, -1.2, 2.0]), requires_grad=True)
-    unused = nc.Tensor(np.ones(2), requires_grad=True)
+    # the loss sum(k * x) checked at the gradient 2k: each element's error is
+    # |2k - k| / max(1e-3, 2k, k) = 0.5; at k = 1e-4 the 1e-3 floor sets the
+    # denominator: 1e-4 / 1e-3 = 0.1. A param the loss does not read, at a
+    # zero gradient, adds no error.
+    x = np.array([0.3, -1.2, 2.0])
+    unused = np.ones(2)
 
-    def doubled(k):
-        def loss_fn():
-            out = nc.Tensor(np.asarray(k * x.data.sum()), requires_grad=True)
-            nc._record(out, (x,), lambda g: (2.0 * k * g * np.ones(3),))
-            return out
-        return loss_fn
+    def loss(k):
+        return lambda: k * x.sum()
 
-    assert nc.check_gradients(doubled(1.0), [x, unused]) == pytest.approx(0.5)
-    assert nc.check_gradients(doubled(1e-4), [x]) == pytest.approx(0.1)
-    assert x.data.tolist() == [0.3, -1.2, 2.0]
+    assert nc.check_gradients(loss(1.0), [x, unused],
+                              [np.full(3, 2.0), np.zeros(2)]) == pytest.approx(0.5)
+    assert nc.check_gradients(loss(1e-4), [x],
+                              [np.full(3, 2e-4)]) == pytest.approx(0.1)
+    assert x.tolist() == [0.3, -1.2, 2.0]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -140,7 +140,7 @@ def test_relu_matches_finite_differences(seed):
     def loss_fn():
         return nc.total_sum(nc.relu(x))
 
-    assert nc.check_gradients(loss_fn, [x]) < 1e-6
+    assert _tape_check(loss_fn, [x]) < 1e-6
 
 
 def test_relu_subgradient_at_zero_is_zero():
@@ -161,7 +161,7 @@ def test_l2_normalize_matches_finite_differences(seed):
     def loss_fn():
         return nc.total_sum(nc.mul(nc.l2_normalize_rows(x), nc.Tensor(direction)))
 
-    assert nc.check_gradients(loss_fn, [x]) < 1e-6
+    assert _tape_check(loss_fn, [x]) < 1e-6
 
 
 def test_l2_normalize_unit_rows():
@@ -198,7 +198,7 @@ def test_pairwise_cosine_matches_finite_differences(seed):
         sim = nc.pairwise_cosine(nc.l2_normalize_rows(a), nc.l2_normalize_rows(b))
         return nc.total_sum(nc.mul(sim, nc.Tensor(direction)))
 
-    assert nc.check_gradients(loss_fn, [a, b]) < 1e-6
+    assert _tape_check(loss_fn, [a, b]) < 1e-6
 
 
 def test_pairwise_cosine_same_tensor_accumulates():
@@ -209,7 +209,7 @@ def test_pairwise_cosine_same_tensor_accumulates():
         z = nc.l2_normalize_rows(a)
         return nc.total_sum(nc.pairwise_cosine(z, z))
 
-    assert nc.check_gradients(loss_fn, [a]) < 1e-6
+    assert _tape_check(loss_fn, [a]) < 1e-6
 
 
 def test_pairwise_cosine_rejects_non_unit_rows():
@@ -370,7 +370,7 @@ def test_row_log_softmax_matches_finite_differences(seed):
         logp = nc.mask_fill(logp, mask, 0.0)
         return nc.total_sum(nc.mul(logp, nc.Tensor(direction)))
 
-    assert nc.check_gradients(loss_fn, [x]) < 1e-6
+    assert _tape_check(loss_fn, [x]) < 1e-6
 
 
 def test_row_log_softmax_rows_sum_to_one():

@@ -15,7 +15,8 @@ class IdentityEmbedder:
 
     def embed(self, xs):
         from osscl import numcore as nc
-        return nc.l2_normalize_rows(nc.Tensor(np.asarray(xs, dtype=np.float64)))
+        return nc.l2_normalize_rows(
+            nc.Tensor(np.asarray(xs, dtype=np.float64))).data
 
 
 def null_augmenter():
@@ -71,7 +72,7 @@ def test_prototypes_match_brute_force_without_augmentation():
     protos = segregate.build_prototypes(ref, xs, ys, {0, 1, 2},
                                         null_augmenter(), rng, n_aug=3)
     for k, c in enumerate(protos.class_ids):
-        z = ref.embed(xs[ys == c]).data.astype(np.float64)
+        z = ref.embed(xs[ys == c]).astype(np.float64)
         centroid = z.mean(axis=0)
         expected = centroid / np.linalg.norm(centroid)
         np.testing.assert_allclose(protos.prototypes[k], expected, atol=1e-6)
@@ -190,13 +191,13 @@ def test_segregation_matches_brute_force(seed):
     xs, ys = blobs(rng, n_classes, 12, dim)
     protos = segregate.build_prototypes(ref, xs, ys, set(range(n_classes)),
                                         null_augmenter(), rng, n_aug=2)
-    labeled_z = ref.embed(xs).data
+    labeled_z = ref.embed(xs)
     labeled_scores, _ = segregate.score(protos, labeled_z)
     eta_id, eta_pl = -4.0, -2.0
     stats = segregate.compute_thresholds(labeled_scores, eta_id, eta_pl)
 
     pool = rng.standard_normal((pool_n, dim)) * 2.0
-    pool_z = ref.embed(pool).data
+    pool_z = ref.embed(pool)
     out = segregate.segregate_scores(
         *segregate.score(protos, pool, reference=ref), stats)
     scores_u, _ = segregate.score(protos, pool_z)

@@ -27,7 +27,7 @@ from osscl import scenario as sc
 from osscl import trainer as tr
 from osscl.cli import THREAD_VARS
 from osscl.nets import EncoderProjector
-from osscl.numcore import NonFiniteError, Tape
+from osscl.numcore import NonFiniteError
 from test_nets import param_digest
 
 
@@ -68,8 +68,7 @@ def blas_thread_control():
 
 
 def probe_ntxent(net, views, tau=0.1):
-    with Tape():
-        return float(L.ntxent_loss(net.embed(views), tau).data)
+    return float(L.ntxent_grad(net.embed(views), tau)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +229,15 @@ def test_snapshot_is_frozen_during_learner_training(tiny_world):
     net = EncoderProjector(DIM, (32, 32), 16, 8, rng=np.random.default_rng(0))
     snap = net.snapshot()
     probe = main.train_x[:20]
-    frozen_before = snap.embed(probe).data.copy()
-    live_before = net.embed(probe).data.copy()
+    frozen_before = snap.embed(probe)
+    live_before = net.embed(probe)
     sel = np.isin(main.train_y, [0, 1])
     flags = np.zeros(sel.sum(), dtype=bool)
     tr.train_learner_task(net, main.train_x[sel], main.train_y[sel], flags,
                           (0, 1), 2, tiny_cfg(), aug,
                           np.random.default_rng(3), td_teacher=snap)
-    assert np.array_equal(snap.embed(probe).data, frozen_before)
-    assert not np.array_equal(net.embed(probe).data, live_before)
+    assert np.array_equal(snap.embed(probe), frozen_before)
+    assert not np.array_equal(net.embed(probe), live_before)
 
 
 def test_reference_and_learner_gradients_are_isolated(tiny_world):
@@ -373,7 +372,7 @@ def test_evaluate_matches_confusion_matrix_trace():
     final, per_task = tr.evaluate(head, learner, class_ids, data.test_x,
                                   data.test_y, [(0, 1), (2, 3)])
 
-    logits = head.classify(learner.encoder_features(data.test_x).data).data
+    logits = head.classify(learner.encoder_features(data.test_x)).data
     pred = class_ids[logits.argmax(axis=1)]
     confusion = np.zeros((4, 4), dtype=np.int64)
     for true, hat in zip(data.test_y, pred):
@@ -399,8 +398,7 @@ def test_evaluate_ignores_unobserved_classes():
     final, per_task = tr.evaluate(head, learner, class_ids, data.test_x,
                                   data.test_y, [(0, 1)])
     keep = np.isin(data.test_y, [0, 1])
-    logits = head.classify(
-        learner.encoder_features(data.test_x[keep]).data).data
+    logits = head.classify(learner.encoder_features(data.test_x[keep])).data
     pred = class_ids[logits.argmax(axis=1)]
     assert final == pytest.approx(float((pred == data.test_y[keep]).mean()))
     assert len(per_task) == 1
@@ -654,9 +652,10 @@ def test_walk_process_runs_no_other_thread(tiny_world, walk_ahead,
 
 # One NT-Xent step at desk scale, where the tiny world's 64 x 64 Grams are
 # 16x smaller than the products BLAS splits across threads: 256 float32 views
-# through a 16-64-64-32-16 net (mlp_embed), the loss and its backward, at the
-# BLAS thread count a run computes at; prints the loss bytes and a digest of
-# the flat parameter gradient.
+# through a 16-64-64-32-16 net, the explicit step the reference takes
+# (forward, ntxent_grad, mlp_backward) at the BLAS thread count a run
+# computes at; prints the loss bytes and a digest of the flat parameter
+# gradient.
 _DESK_STEP_SCRIPT = """
 import hashlib, sys
 sys.path[:0] = sys.argv[1:3]
@@ -664,12 +663,12 @@ import numpy as np
 from osscl import losses, nets, numcore as nc, trainer as tr
 rng = np.random.default_rng(0)
 net = nets.EncoderProjector(16, rng=rng)
-x = nc.Tensor(rng.standard_normal((256, 16)).astype(np.float32))
-with tr._one_blas_thread(), nc.Tape() as tape:
-    loss = losses.ntxent_loss(net.embed(x), 0.1)
-    grads = nc.backprop(tape, loss)
-print(loss.data.tobytes().hex(),
-      hashlib.sha256(grads[net.params].tobytes()).hexdigest())
+x = rng.standard_normal((256, 16)).astype(np.float32)
+with tr._one_blas_thread():
+    z, cache = net.forward(x)
+    loss, dz = losses.ntxent_grad(z, 0.1)
+    grad = nc.mlp_backward(cache, dz)
+print(loss.tobytes().hex(), hashlib.sha256(grad.tobytes()).hexdigest())
 """
 
 # A short co2l run at desk scale (the frozen acceptance world: 8 x 16-d
@@ -1160,7 +1159,7 @@ class PoisonedTeacher:
 
     def embed(self, x):
         self.calls += 1
-        z = self.teacher.embed(x).data
+        z = self.teacher.embed(x)
         return np.full_like(z, np.nan) if self.calls >= self.at else z
 
 
