@@ -372,7 +372,8 @@ def cmd_segregate_eval(args):
 
 def _load_result_dir(path):
     """(method row, experiment column, final-accuracy cell text) of one
-    results directory; a missing file or key is a ConfigError naming it."""
+    results directory; a missing file, or a missing key or one of the wrong
+    type, is a ConfigError naming it."""
     agg_path = os.path.join(path, "aggregate.json")
     cfg_path = os.path.join(path, "config.json")
     if not os.path.isfile(agg_path) or not os.path.isfile(cfg_path):
@@ -382,15 +383,25 @@ def _load_result_dir(path):
     for file, data in ((agg_path, agg), (cfg_path, cfg)):
         if not isinstance(data, dict):
             raise ConfigError(f"{file}: expected an object")
-    try:
-        row = agg["method"]
-        if row == "ursl":
-            row = f"ursl/{agg['seg_variant']}"
-        fa = agg["final_accuracy"]
-        text = f"{fa['mean']:.4f} +/- {fa['std']:.4f}"
-    except KeyError as exc:
-        raise ConfigError(f"{agg_path}: missing key {exc}") from None
-    return row, cfg.get("name", "experiment"), text
+
+    def read(file, data, key, kind, what):
+        if key not in data:
+            raise ConfigError(f"{file}: missing key {key!r}")
+        value = data[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ConfigError(f"{file}: key {key!r} must be {what}, "
+                              f"not {type(value).__name__}")
+        return value
+
+    row = read(agg_path, agg, "method", str, "a string")
+    if row == "ursl":
+        row = f"ursl/{read(agg_path, agg, 'seg_variant', str, 'a string')}"
+    fa = read(agg_path, agg, "final_accuracy", dict, "an object")
+    mean, std = (read(agg_path, fa, key, (int, float), "a number")
+                 for key in ("mean", "std"))
+    col = (read(cfg_path, cfg, "name", str, "a string") if "name" in cfg
+           else "experiment")
+    return row, col, f"{mean:.4f} +/- {std:.4f}"
 
 
 def cmd_report(args):

@@ -213,29 +213,18 @@ class Augmenter:
     treats rows as channel-major 3 x hw x hw images and applies random
     resized crop, horizontal flip, color jitter, and grayscale.
 
-    Reproducibility contract of image mode: for each image in row order the
-    generator is drawn exactly as uniform(*crop_scale) for the crop area,
-    integers(0, hw - side + 1) for the top and then the left edge,
-    random() < flip_p, random() < jitter_p, then only when jittered
-    uniform(1 +/- brightness), uniform(1 +/- contrast), uniform(1 +/-
-    saturation) and uniform(-hue, hue), and last random() < gray_p. Each
-    uniform(a, b) is computed as a + (b - a) * random(), the formula and the
-    single draw of Generator.uniform, so it gives that call's value. Views
-    and the generator state after a call are fixed by that sequence; the
-    array work runs on the whole batch afterwards, in the rows' dtype
-    (float32 for every dataset the loaders make), and consumes no draws.
-    pair_views draws all first views, then all second views.
-
-    The draws are not Generator calls: they are decoded from one block of
-    the bit generator's raw 64-bit words (_PCG64Draws), as numpy's PCG64
-    Generator makes them. random() is (w >> 11) * 2**-53 of the next word
-    w; integers(0, k) draws nothing when k == 1, and otherwise maps PCG64's
-    next 32-bit half (a fresh word's low half first, its high half kept for
-    the next such draw, across random() calls) to [0, k) by Lemire's
-    multiply-shift and rejection. The generator is then left exactly where
-    those calls would leave it, kept half included. So image mode needs a
-    Generator over PCG64 (np.random.default_rng makes one) and raises
-    TypeError for any other bit generator.
+    Reproducibility contract of image mode: each view of a batch of n
+    images draws, as whole-batch Generator calls in this order,
+    uniform(*crop_scale, size=n) for the crop area, from which side =
+    clip(rint(hw * sqrt(area)), 1, hw); integers(0, hw - side + 1) for the
+    top and then the left edge; random(n) < flip_p, then random(n) <
+    jitter_p; uniform(1 +/- brightness), uniform(1 +/- contrast), uniform(1
+    +/- saturation) and uniform(-hue, hue), each of size n and read only by
+    jittered images; and last random(n) < gray_p. pair_views draws all first
+    views, then all second views. Views and the generator state after a call
+    are fixed by that sequence, for any bit generator; the array work runs
+    on the whole batch afterwards, in the rows' dtype (float32 for every
+    dataset the loaders make), and consumes no draws.
 
     Every field is range-checked in __post_init__; a config's `augmenter`
     section holds these fields with these defaults. That dataset rows are
@@ -342,120 +331,25 @@ class Augmenter:
 
         Returns [n, 6] ints (side, top, left, flip, jittered, grayed) and
         [n, 5] floats, the jitter factors (brightness, contrast, saturation,
-        cos and sin of the hue angle; zero for an image not jittered).
+        cos and sin of the hue angle), which only jittered images read.
         """
         hw = self.image_hw
         sb, sc, ss, sh = self.jitter_strengths
-        # each uniform(a, b) is drawn as a + (b - a) * random(), the formula
-        # of Generator.uniform, with (a, b - a) worked out once per batch
-        (crop_lo, crop_span), (b_lo, b_span), (c_lo, c_span), (s_lo, s_span), \
-            (h_lo, h_span) = [(a, b - a) for a, b in (
-                self.crop_scale, (1 - sb, 1 + sb), (1 - sc, 1 + sc),
-                (1 - ss, 1 + ss), (-sh, sh))]
-        draws = _PCG64Draws(rng, _WORDS_PER_IMAGE * n)
-        random, integers = draws.random, draws.integers
-        ints, factors = [], []
-        for _ in range(n):
-            area_scale = crop_lo + crop_span * random()
-            side = max(1, min(hw, round(hw * math.sqrt(area_scale))))
-            top = integers(hw - side + 1)
-            left = integers(hw - side + 1)
-            flip = random() < self.flip_p
-            jittered = random() < self.jitter_p
-            if jittered:
-                bright = b_lo + b_span * random()
-                contrast = c_lo + c_span * random()
-                sat = s_lo + s_span * random()
-                # hue: a rotation of the chroma plane in YIQ space
-                theta = 2.0 * math.pi * (h_lo + h_span * random())
-                factors.append((bright, contrast, sat, math.cos(theta),
-                                math.sin(theta)))
-            else:
-                factors.append((0.0,) * 5)
-            ints.append((side, top, left, flip, jittered,
-                         random() < self.gray_p))
-        draws.close()
-        return (np.array(ints, dtype=np.int64).reshape(n, 6),
-                np.array(factors, dtype=np.float64).reshape(n, 5))
-
-
-# raw words one image's draws take unless a bounded draw rejects: eight
-# random() and two 32-bit halves
-_WORDS_PER_IMAGE = 9
-_LOW_HALF = 0xFFFFFFFF
-
-
-class _PCG64Draws:
-    """Generator.random() and Generator.integers(0, k) of a Generator whose
-    bit generator is PCG64, decoded from blocks of its raw 64-bit words.
-    close() leaves the generator as those calls would have.
-
-    random() is (w >> 11) * 2**-53 of the next word w. integers(k) for
-    1 <= k < 2**32 draws nothing when k == 1; otherwise it takes the next
-    32-bit half, the low half of a fresh word, whose high half PCG64 then
-    keeps (has_uint32 / uinteger; random() leaves a kept half alone) for the
-    next one, and maps it to [0, k) by Lemire's multiply-shift with its
-    rejection loop (Lemire 2019), taking another half per rejection.
-    """
-
-    def __init__(self, rng, block):
-        """Draw `block` words from rng's bit generator; more follow if the
-        calls need them."""
-        bitgen = rng.bit_generator
-        if type(bitgen) is not np.random.PCG64:
-            raise TypeError(f"image augmentation decodes the raw words of a "
-                            f"PCG64 generator, not {type(bitgen).__name__}")
-        self._bitgen = bitgen
-        self._entry = bitgen.state
-        self._kept = self._entry["has_uint32"]
-        self._half = self._entry["uinteger"]
-        self._used = 0
-        self._units, self._words = [], []
-        self._draw(block)
-
-    def _draw(self, count):
-        """Append the generator's next `count` words."""
-        words = self._bitgen.random_raw(count)
-        self._units += ((words >> np.uint64(11)) * 2.0 ** -53).tolist()
-        self._words += words.tolist()
-
-    def _next(self):
-        """Index of the next word, drawing more once these are spent."""
-        used = self._used
-        if used == len(self._words):
-            self._draw(max(used, 1))
-        self._used = used + 1
-        return used
-
-    def random(self):
-        return self._units[self._next()]
-
-    def _next_half(self):
-        if self._kept:
-            self._kept = 0
-            return self._half
-        word = self._words[self._next()]
-        self._kept, self._half = 1, word >> 32
-        return word & _LOW_HALF
-
-    def integers(self, k):
-        if k == 1:
-            return 0
-        m = self._next_half() * k
-        if m & _LOW_HALF < k:
-            threshold = (1 << 32) % k
-            while m & _LOW_HALF < threshold:
-                m = self._next_half() * k
-        return m >> 32
-
-    def close(self):
-        """Put the generator where the decoded calls left it."""
-        bitgen = self._bitgen
-        bitgen.state = self._entry
-        bitgen.advance(self._used)  # which clears the kept half
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = self._kept, self._half
-        bitgen.state = state
+        area_scale = rng.uniform(*self.crop_scale, size=n)
+        side = np.clip(np.rint(hw * np.sqrt(area_scale)), 1, hw).astype(
+            np.int64)
+        top = rng.integers(0, hw - side + 1)
+        left = rng.integers(0, hw - side + 1)
+        flip = rng.random(n) < self.flip_p
+        jittered = rng.random(n) < self.jitter_p
+        bright, contrast, sat = [rng.uniform(1 - s, 1 + s, size=n)
+                                 for s in (sb, sc, ss)]
+        # hue: a rotation of the chroma plane in YIQ space
+        theta = 2.0 * math.pi * rng.uniform(-sh, sh, size=n)
+        grayed = rng.random(n) < self.gray_p
+        return (np.stack([side, top, left, flip, jittered, grayed], axis=1),
+                np.stack([bright, contrast, sat, np.cos(theta), np.sin(theta)],
+                         axis=1))
 
 
 # output rows per gather-and-jitter chunk: 32 float32 32x32 images are 384

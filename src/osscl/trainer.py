@@ -50,13 +50,13 @@ batches bounds how far ahead it runs; leaving the loop cancels what has not
 started and joins the thread, so it is no daemon thread and never outlives
 its trainer. Image preparation is mostly array work that releases the GIL
 (np.take, the jitter passes, BLAS), so it overlaps the training. Its
-GIL-bound part, the per-image parameter draws, is decoded from raw PCG64
-words (scenario._PCG64Draws), at about half the cost of the Generator
-calls it replaces, so less of it contends with the training thread. The
-time a trainer waits for its feeder is the phase `reference_feed_wait` or
-`learner_feed_wait` of timings.json. The feeder shares nothing with the
-training but the queue of prepared batches: prepare reads no parameter, and
-only the feeder draws the trainer's Generator while the trainer runs.
+GIL-bound part, the parameter draws, is ten whole-batch Generator calls
+per view (scenario.Augmenter), so little of it contends with the training
+thread. The time a trainer waits for its feeder is the phase
+`reference_feed_wait` or `learner_feed_wait` of timings.json. The feeder
+shares nothing with the training but the queue of prepared batches:
+prepare reads no parameter, and only the feeder draws the trainer's
+Generator while the trainer runs.
 The teachers' embeddings stay on the training thread: they are GIL-free
 BLAS work too, but the learner's feeder, not its training, is the slower
 side, and keeping them off the feeder lowered image_cifar's wall time
@@ -440,11 +440,11 @@ def _optimize(net, n, epochs, cfg, rng, prepare, train, where, feed_ahead,
 
 
 def train_reference(net, pool_x, epochs, cfg, augmenter, rng,
-                    where="reference", feed_ahead=False, clock=None):
+                    where="reference", clock=None):
     """Contrastive training of the reference on the raw unlabeled pool.
 
     Returns per-epoch mean losses (see _optimize; a NonFiniteError starts
-    with `where`); epochs=0 leaves the net untouched. With feed_ahead the
+    with `where`); epochs=0 leaves the net untouched. When _feeds_ahead the
     views are augmented on a feeder thread, and the time spent waiting for
     them is added to the `reference_feed_wait` phase of `clock`, if given.
     """
@@ -460,13 +460,12 @@ def train_reference(net, pool_x, epochs, cfg, augmenter, rng,
         return loss, mlp_backward(cache, dz)
 
     return _optimize(net, len(pool_x), epochs, cfg, rng, prepare, train, where,
-                     feed_ahead, clock, "reference_feed_wait")
+                     _feeds_ahead(augmenter), clock, "reference_feed_wait")
 
 
 def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
                        augmenter, rng, td_teacher=None, kd_teacher=None,
-                       kd_pool=None, unsup_pool=None, feed_ahead=False,
-                       clock=None):
+                       kd_pool=None, unsup_pool=None, clock=None):
     """One task's learner training under the combined objective.
 
     Args:
@@ -494,7 +493,7 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
     NT-Xent mean over its 2N views, added last. Returns per-epoch mean
     losses.
 
-    With feed_ahead the batches and their views are prepared on a feeder
+    When _feeds_ahead the batches and their views are prepared on a feeder
     thread while this one embeds the teachers' views and trains; the time
     spent waiting for them is added to the `learner_feed_wait` phase of
     `clock`, if given.
@@ -541,8 +540,8 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
         return out.total, grad
 
     return _optimize(learner, len(sup_x), cfg.epochs_learner, cfg, rng,
-                     prepare, train, f"learner, t={t}", feed_ahead,
-                     clock, "learner_feed_wait")
+                     prepare, train, f"learner, t={t}",
+                     _feeds_ahead(augmenter), clock, "learner_feed_wait")
 
 
 def fit_classifier(learner, xs, ys, observed_classes, cfg, rng_init, rng_train):
@@ -681,17 +680,16 @@ class _TaskWalk:
     `clock` it times its own phases on and its records (reference_curves,
     task_metrics, memory_counts). It pretrains the reference when
     cfg.pretrain_reference, trains it when trains_reference(t) (feeding
-    its batches ahead when `feed_ahead`) and segregates each step's pool
+    its batches ahead when _feeds_ahead) and segregates each step's pool
     when the method does. Iterating yields one
     (step, labeled union, segregation pass or None) per step; once the
     caller hands control back, memory takes in the step's labeled set.
     """
 
-    def __init__(self, cfg, stream, augmenter, seed, arch, feed_ahead):
+    def __init__(self, cfg, stream, augmenter, seed, arch):
         if not stream.steps:
             raise ValueError("stream is empty")
         self.cfg, self.stream, self.augmenter = cfg, stream, augmenter
-        self.feed_ahead = feed_ahead
         self.clock = _PhaseClock()
         self.reference = (_encoder_projector(stream, arch, seed, _ROLE_REF_INIT)
                           if cfg.uses_reference else None)
@@ -719,7 +717,7 @@ class _TaskWalk:
             with clock.timed("reference"):
                 train_reference(self.reference, pooled, cfg.epochs_first, cfg,
                                 self.augmenter, self.rngs["ref"],
-                                "pretraining", self.feed_ahead, clock)
+                                "pretraining", clock)
         observed = []
         for step in self.stream.steps:
             t = step.index
@@ -730,7 +728,7 @@ class _TaskWalk:
                     self.reference_curves[f"t{t}"] = train_reference(
                         self.reference, step.unlabeled_x, epochs, cfg,
                         self.augmenter, self.rngs["ref"], f"reference, t={t}",
-                        self.feed_ahead, clock)
+                        clock)
 
             labeled = _labeled_union(step, self.memory)
             seg = None
@@ -950,8 +948,7 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
     with _one_blas_thread():
         clock = _PhaseClock()
         start_total = time.perf_counter()
-        feed_ahead = _feeds_ahead(augmenter)
-        walk = _TaskWalk(cfg, stream, augmenter, seed, arch, feed_ahead)
+        walk = _TaskWalk(cfg, stream, augmenter, seed, arch)
         check_memory_quotas(cfg, stream.task_classes)
         learner = _encoder_projector(stream, arch, seed, _ROLE_LEARNER_INIT)
         rng = role_rng(seed, _ROLE_LEARNER_TRAIN)
@@ -993,8 +990,7 @@ def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):
                         learner, sup_x, sup_y, sup_pseudo, step.task_classes,
                         t, cfg, augmenter, rng,
                         td_teacher=snapshot, kd_teacher=kd_teacher,
-                        kd_pool=kd_pool, unsup_pool=unsup_pool,
-                        feed_ahead=feed_ahead, clock=clock)
+                        kd_pool=kd_pool, unsup_pool=unsup_pool, clock=clock)
 
         final_x, final_y, _ = _labeled_union(stream.steps[-1], walk.memory)
         with clock.timed("classifier"):
@@ -1035,8 +1031,7 @@ def run_segregation_eval(cfg, stream, augmenter, seed, arch=NetArch()):
     if not cfg.uses_segregation:
         raise ValueError(f"method {cfg.method!r} does not segregate its pool")
     with _one_blas_thread():
-        walk = _TaskWalk(cfg, stream, augmenter, seed, arch,
-                         _feeds_ahead(augmenter))
+        walk = _TaskWalk(cfg, stream, augmenter, seed, arch)
         samples = []
         for step, _, seg in walk:
             related, true_classes = step.provenance.reveal()

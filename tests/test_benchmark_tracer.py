@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 
+from osscl import losses
 from osscl import numcore as nc
 from osscl import scenario as sc
 from osscl import trainer as tr
@@ -43,6 +44,10 @@ def test_tracer_installs_and_restores_every_binding():
         tracer.restore()
     assert all(owner.__dict__[attr] is original
                for owner, attr, original in patched)
+    # the tracer binds losses' alias of pairwise_cosine and Adam.step by name
+    assert losses.pairwise_cosine is nc.pairwise_cosine
+    assert nc.Adam.step.__name__ == "step"
+    assert not hasattr(nc.Adam.step, "__wrapped__")
 
 
 RECORDING_OPS = ("affine", "relu", "l2_normalize_rows", "pairwise_cosine",

@@ -716,8 +716,19 @@ class TestReport:
         ("aggregate.json", b'{"method": "ursl", "seg_vari', "invalid JSON"),
         ("aggregate.json", b'{"method": "ursl"}', "'seg_variant'"),
         ("config.json", b"[]", "expected an object"),
-        ("config.json", b'{"name": "\xff"}', "invalid JSON")],
-        ids=["truncated", "missing_key", "not_an_object", "not_utf8"])
+        ("config.json", b'{"name": "\xff"}', "invalid JSON"),
+        ("aggregate.json", b'{"method": "co2l", "final_accuracy": '
+                           b'{"mean": "x", "std": 0}}',
+         "key 'mean' must be a number, not str"),
+        ("aggregate.json", b'{"method": "co2l", "final_accuracy": 0.5}',
+         "key 'final_accuracy' must be an object, not float"),
+        ("aggregate.json", b'{"method": ["co2l"], "final_accuracy": '
+                           b'{"mean": 0.5, "std": 0.1}}',
+         "key 'method' must be a string, not list"),
+        ("config.json", b'{"name": 5}', "key 'name' must be a string, not int")],
+        ids=["truncated", "missing_key", "not_an_object", "not_utf8",
+             "mean_not_a_number", "accuracy_not_an_object",
+             "method_not_a_string", "name_not_a_string"])
     def test_damaged_results_dir_exit_2_naming_file_and_key(
             self, tmp_path, capsys, name, damaged, named):
         files = {"aggregate.json": {"method": "ursl", "seg_variant": "v4",

@@ -1,6 +1,7 @@
 """Tests for datasets, augmentation, stream invariants, and exemplar memory."""
 
 import dataclasses
+import json
 import math
 import struct
 
@@ -371,50 +372,65 @@ def test_augmenter_accepts_edge_image_settings():
                        jitter_strengths=(0.0, 0.0, 0.0, 0.0))
 
 
-# The per-image loop the batched image path replaced, kept as its oracle:
-# the batched path must give the same bytes and leave the generator in the
-# same state. It works in the rows' dtype, as the batched path does, and its
-# crop is C-ordered, so each image's mean is summed in the batch's order.
+# The per-image path the batched one replaced, kept as its oracle: it draws
+# each parameter of the batch by one scalar Generator call per image, in the
+# Augmenter's contract order, then crops, resizes, flips, jitters and grays
+# one image at a time. The batched path must give the same bytes and leave
+# the generator in the same state. It works in the rows' dtype, as the
+# batched path does, and its crop is C-ordered, so each image's mean is
+# summed in the batch's order.
 
 def _oracle_images(aug, xs, rng):
     hw = aug.image_hw
     imgs = xs.reshape(len(xs), 3, hw, hw)
     out = np.empty_like(imgs)
-    for i in range(len(imgs)):
-        out[i] = _oracle_one(aug, imgs[i], rng)
+    for i, params in enumerate(_oracle_draws(aug, len(imgs), rng)):
+        out[i] = _oracle_one(aug, imgs[i], *params)
     return out.reshape(len(xs), 3 * hw * hw)
 
 
-def _oracle_one(aug, img, rng):
+def _oracle_draws(aug, n, rng):
+    """Per image: (side, top, left, flip, jitter factors or None, gray)."""
     hw = aug.image_hw
-    area_scale = rng.uniform(*aug.crop_scale)
-    side = max(1, min(hw, round(hw * math.sqrt(area_scale))))
-    top = rng.integers(0, hw - side + 1)
-    left = rng.integers(0, hw - side + 1)
+    sides = [max(1, min(hw, round(hw * math.sqrt(rng.uniform(
+        *aug.crop_scale))))) for _ in range(n)]
+    tops = [rng.integers(0, hw - side + 1) for side in sides]
+    lefts = [rng.integers(0, hw - side + 1) for side in sides]
+    flips = [rng.random() < aug.flip_p for _ in range(n)]
+    jittered = [rng.random() < aug.jitter_p for _ in range(n)]
+    sb, sc, ss, sh = aug.jitter_strengths
+    factors = [[rng.uniform(lo, hi) for _ in range(n)] for lo, hi in (
+        (1 - sb, 1 + sb), (1 - sc, 1 + sc), (1 - ss, 1 + ss), (-sh, sh))]
+    grays = [rng.random() < aug.gray_p for _ in range(n)]
+    jitters = [image if j else None for j, image in zip(jittered,
+                                                       zip(*factors))]
+    return list(zip(sides, tops, lefts, flips, jitters, grays))
+
+
+def _oracle_one(aug, img, side, top, left, flip, factors, gray):
+    hw = aug.image_hw
     crop = img[:, top:top + side, left:left + side]
     idx = np.clip((np.arange(hw) * side) // hw, 0, side - 1)
     img = crop[:, idx][:, :, idx]
-    if rng.random() < aug.flip_p:
+    if flip:
         img = img[:, :, ::-1]
     img = np.ascontiguousarray(img)
-    if rng.random() < aug.jitter_p:
-        img = _oracle_jitter(aug, img, rng)
-    if rng.random() < aug.gray_p:
+    if factors is not None:
+        img = _oracle_jitter(img, *factors)
+    if gray:
         luma = 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
         img = np.stack([luma, luma, luma])
     return img
 
 
-def _oracle_jitter(aug, img, rng):
+def _oracle_jitter(img, bright, contrast, sat, hue):
     # each python-float factor rounds to the image dtype where it is used
-    sb, sc, ss, sh = aug.jitter_strengths
-    img = img * rng.uniform(1 - sb, 1 + sb)
+    img = img * bright
     mean = img.mean()
-    img = mean + (img - mean) * rng.uniform(1 - sc, 1 + sc)
+    img = mean + (img - mean) * contrast
     luma = 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
-    sat = rng.uniform(1 - ss, 1 + ss)
     img = luma[None] + (img - luma[None]) * sat
-    theta = 2.0 * math.pi * rng.uniform(-sh, sh)
+    theta = 2.0 * math.pi * hue
     yiq = np.tensordot(scenario._RGB2YIQ.astype(img.dtype), img, axes=1)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     i_rot = yiq[1] * cos_t - yiq[2] * sin_t
@@ -471,7 +487,14 @@ def assert_views_match_the_oracle(views, aug, x, got_rng, want_rng, case=""):
         want[1::2] = _oracle_images(aug, x, want_rng)
     assert got.dtype == want.dtype == x.dtype, case
     assert got.tobytes() == want.tobytes(), case
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state, case
+    assert _state(got_rng) == _state(want_rng), case
+
+
+def _state(rng):
+    """The bit generator's state, comparable with == (MT19937's holds an
+    array)."""
+    return json.dumps(rng.bit_generator.state, sort_keys=True,
+                      default=np.ndarray.tolist)
 
 
 @pytest.mark.parametrize("views", ["apply_batch", "pair_views"])
@@ -489,84 +512,21 @@ def test_image_views_entered_with_a_kept_half_match_the_oracle(views, dtype):
     assert_views_match_the_oracle(views, aug, x, got_rng, want_rng)
 
 
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _pcg64_whose_second_word_is(word):
-    """A PCG64 Generator whose second raw word from now is `word`.
-
-    PCG64 steps its 128-bit LCG state, then outputs the state's two 64-bit
-    halves xor-ed and rotated right by its top 6 bits. So the state giving
-    `word` is built from a chosen high half, and two LCG steps are undone.
-    """
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    inc = state["state"]["inc"]
-    high = 0xC3A5C85C97CB3127
-    rot = high >> 58
-    low = (((word << rot) | (word >> (64 - rot))) & (2**64 - 1)) ^ high
-    lcg = (high << 64) | low
-    for _ in range(2):
-        lcg = (lcg - inc) * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
-    rng.bit_generator.state = dict(state, state={"state": lcg, "inc": inc})
-    return rng
-
-
-@pytest.mark.parametrize("views", ["apply_batch", "pair_views"])
-def test_image_views_through_a_rejected_crop_edge_match_the_oracle(views):
-    """The first image's crop edges come from a word whose low half is 0:
-    Lemire's product then falls below the rejection threshold, so the top
-    edge draws again, from the word's high half."""
-    hw = 32
-    aug = scenario.Augmenter(mode="image", image_hw=hw,
-                             crop_scale=(0.2, 0.2))
-    k = hw - round(hw * math.sqrt(0.2)) + 1  # positions of a crop edge
-    assert (1 << 32) % k > 0  # so a zero product is rejected
-    x = np.random.default_rng(4).standard_normal((5, 3 * hw * hw)).astype(
-        np.float32)
-    # word 0 is the crop area, word 1 gives the edges
-    word = 0x9E3779B9 << 32
-    probe = _pcg64_whose_second_word_is(word)
-    assert probe.bit_generator.random_raw(2)[1] == word
-    got_rng, want_rng = (_pcg64_whose_second_word_is(word) for _ in range(2))
-    assert_views_match_the_oracle(views, aug, x, got_rng, want_rng)
-
-
-def test_pcg64_draws_match_the_generator_call_for_call():
-    """Mixed random() and integers(0, k) calls, k up to 2**32 - 1 (where
-    about half the bounded draws reject), from a one-word first block that
-    must grow, give the Generator's values and leave its state."""
-    plan = np.random.default_rng(11)
-    ks = [1, 2, 3, 7, 32, 1000, 2**31 + 1, 2**32 - 1]
-    calls = [None if plan.random() < 0.4 else int(plan.choice(ks))
-             for _ in range(3000)]
-    for pre in (False, True):
-        want_rng, got_rng = np.random.default_rng(6), np.random.default_rng(6)
-        if pre:
-            want_rng.integers(0, 9)
-            got_rng.integers(0, 9)
-        draws = scenario._PCG64Draws(got_rng, 1)
-        for k in calls:
-            if k is None:
-                assert draws.random() == want_rng.random()
-            else:
-                assert draws.integers(k) == want_rng.integers(0, k), k
-        draws.close()
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-        assert got_rng.random() == want_rng.random()
-
-
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937,
                                            np.random.PCG64DXSM])
-def test_image_views_need_a_pcg64_generator(bit_generator):
-    aug = scenario.Augmenter(mode="image", image_hw=4)
-    x = np.zeros((2, 48), dtype=np.float32)
-    rng = np.random.Generator(bit_generator(0))
-    for views in (aug.apply_batch, aug.pair_views):
-        with pytest.raises(TypeError, match=bit_generator.__name__):
-            views(x, rng)
-    # vector mode calls the Generator and takes any bit generator
-    scenario.Augmenter(mode="vector").pair_views(x, rng)
+def test_image_views_take_any_bit_generator(bit_generator):
+    """The views are Generator calls, so any bit generator gives the
+    oracle's bytes and state, and the same views again from the same seed."""
+    aug = scenario.Augmenter(mode="image", image_hw=8)
+    x = np.random.default_rng(2).standard_normal((17, 3 * 8 * 8)).astype(
+        np.float32)
+    for views in ("apply_batch", "pair_views"):
+        got_rng, want_rng = (np.random.Generator(bit_generator(0))
+                             for _ in range(2))
+        assert_views_match_the_oracle(views, aug, x, got_rng, want_rng)
+        first, again = (getattr(aug, views)(
+            x, np.random.Generator(bit_generator(0))) for _ in range(2))
+        assert first.tobytes() == again.tobytes()
 
 
 def test_image_mode_rejects_rows_of_the_wrong_width():
