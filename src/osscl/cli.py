@@ -272,8 +272,9 @@ def _pin_worker(shares):
     _configure_logging()
 
 
-def _run_pool(jobs, resolved, workers):
-    """_run_seed_job over jobs in `workers` spawned processes, in job order.
+def _run_pool(job, jobs, workers):
+    """job(*args) for each tuple `args` of jobs in `workers` spawned
+    processes; the results in job order. `job` must pickle by name.
 
     Each worker runs on its own share of this process's CPUs (_cpu_shares),
     so a worker with one CPU walks in-process (trainer._spare_core) and no
@@ -290,8 +291,7 @@ def _run_pool(jobs, resolved, workers):
         if hasattr(os, "sched_getaffinity"):
             for share in _cpu_shares(sorted(os.sched_getaffinity(0)), workers):
                 shares.put(share)
-        futures = [pool.submit(_run_seed_job, resolved, seed, seed_dir)
-                   for seed, seed_dir in jobs]
+        futures = [pool.submit(job, *args) for args in jobs]
         return [f.result() for f in futures]
 
 
@@ -302,12 +302,14 @@ def cmd_run(args):
     # each seed job builds its own datasets: keep no copy here meanwhile
     exp = _resolve_run(args)[0]
     resolved, seeds, out = exp.resolved(), exp.seeds, exp.output_dir
-    jobs = [(seed, os.path.join(out, f"seed_{seed}")) for seed in seeds]
+    jobs = [(resolved, seed, os.path.join(out, f"seed_{seed}"))
+            for seed in seeds]
+    # _run_seed_job is looked up here, so that a stand-in set on this
+    # module (the benchmark's tracer) runs in its place
     if args.threads > 1 and len(jobs) > 1:
-        results = _run_pool(jobs, resolved, min(args.threads, len(jobs)))
+        results = _run_pool(_run_seed_job, jobs, min(args.threads, len(jobs)))
     else:
-        results = [_run_seed_job(resolved, seed, seed_dir)
-                   for seed, seed_dir in jobs]
+        results = [_run_seed_job(*job) for job in jobs]
     for seed, metrics in zip(seeds, results):
         log.info("seed %d final accuracy %.4f", seed,
                  metrics["final_accuracy"])

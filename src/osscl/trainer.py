@@ -21,16 +21,18 @@ some kernels (Haswell, Zen) gemm bytes move with the thread count, and at
 these sizes a second thread buys no wall time.
 
 The walk never reads learner state, so run_continual can run it ahead of
-the learner (_walk_feed): a forked child process iterates the walk and
-sends over a one-way pipe each step's labeled union, segregation pass and
-reference parameters, then the rest of what the walk owns (_WALK_HANDBACK,
-its phase clock too), so it trains the reference for step t+1 while this
-process trains the learner for step t; a send blocks while the pipe is
-full, which keeps it about one step ahead. It does so when the reference
-trains after step 1 (_TaskWalk.trains_reference), the fork start method
-exists, this process runs no other thread and its CPU affinity holds more
-than one CPU (_spare_core): a spare core. The child inherits the one BLAS
-thread. Otherwise the walk runs in-process, so `taskset -c 0`, a
+the learner (_walk_feed): a child process started by os.fork iterates the
+walk and writes into a pipe one pickle record per step (its labeled union,
+segregation pass and reference parameters), then one of the rest of what
+the walk owns (_WALK_HANDBACK, its phase clock too), so it trains the
+reference for step t+1 while this process trains the learner for step t; a
+write blocks while the pipe is full, which keeps it about one step ahead.
+It does so when the reference trains after step 1
+(_TaskWalk.trains_reference), os.fork exists, this process runs no other
+thread and its CPU affinity holds more than one CPU (_spare_core): a spare
+core. The child inherits the one BLAS thread, and leaves only through
+os._exit; on the way out, by error or not, this process sends it SIGTERM
+and reaps it. Otherwise the walk runs in-process, so `taskset -c 0`, a
 single-core machine and a `run --threads N` worker pinned to one CPU stay
 serial; the BLAS/OpenMP thread variables play no part. It is a process and
 not a thread because a walk step trains the reference, whose forward and
@@ -82,6 +84,9 @@ import functools
 import logging
 import math
 import os
+import pickle
+import signal
+import sys
 import threading
 import time
 import traceback
@@ -827,42 +832,91 @@ _WALK_HANDBACK = ("memory", "rngs", "reference_curves", "task_metrics",
 
 
 def _walks_ahead(walk):
-    """Whether run_continual runs `walk` in a forked process; see the module
-    docstring."""
+    """Whether run_continual runs `walk` in a process of its own, started by
+    os.fork: the reference trains after step 1, os.fork exists, this
+    process runs one thread and has a spare core (module docstring)."""
     if not any(walk.trains_reference(s.index) for s in walk.stream.steps[1:]):
         return False
-    import multiprocessing
-
-    return (threading.active_count() == 1
-            and "fork" in multiprocessing.get_all_start_methods()
+    return (threading.active_count() == 1 and hasattr(os, "fork")
             and _spare_core())
 
 
 def _walk_child(walk, outbox):
-    """Body of the walk's process: send each item of the walk, then what it
-    owns at the end. An exception is sent, for the learner side to raise."""
+    """Pickle each item of the walk to outbox, then what it owns at the end,
+    one record each. An exception is sent, for the learner side to raise."""
+    def send(item):
+        # flushed before it returns, so the next step may train these
+        # parameters in place
+        pickle.dump(item, outbox, pickle.HIGHEST_PROTOCOL)
+        outbox.flush()
+
     try:
         for _, labeled, seg in walk:
-            # send pickles before it returns, so the next step may train
-            # these parameters in place
-            outbox.send((labeled, seg, walk.reference.params.data))
-        outbox.send({name: getattr(walk, name) for name in _WALK_HANDBACK})
+            send((labeled, seg, walk.reference.params.data))
+        send({name: getattr(walk, name) for name in _WALK_HANDBACK})
     except Exception as exc:  # noqa: BLE001 - raised again by the learner side
         if hasattr(exc, "add_note"):  # Python 3.11+
             exc.add_note(
                 f"raised in the walk process:\n{traceback.format_exc()}")
-        outbox.send(exc)
+        send(exc)
+
+
+def _flush_std_streams():
+    """Flush sys.stdout and sys.stderr, where they can be."""
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(AttributeError, ValueError):
+            stream.flush()
+
+
+def _walk_process(walk, fd):
+    """Body of the forked walk process: _walk_child into the pipe's write
+    end `fd`. It leaves only through os._exit, never into the caller's
+    stack: with 0 once all is sent, with n for a SystemExit(n) of an int n,
+    and with 1, its traceback on stderr, for anything else that escapes (an
+    exception pickle cannot send, say)."""
+    code = 1
+    try:
+        with os.fdopen(fd, "wb") as outbox:
+            _walk_child(walk, outbox)
+        code = 0
+    except BaseException as exc:  # noqa: BLE001 - reported by the exit code
+        if isinstance(exc, SystemExit) and isinstance(exc.code, int):
+            code = exc.code
+        else:
+            traceback.print_exc()
+    finally:
+        _flush_std_streams()
+        os._exit(code)
+
+
+class _Child:
+    """A forked process, reaped once."""
+
+    def __init__(self, pid):
+        self.pid, self.exitcode = pid, None
+
+    def join(self):
+        """Wait for the process to exit; its exit code, or -signal."""
+        if self.exitcode is None:
+            status = os.waitpid(self.pid, 0)[1]
+            self.exitcode = os.waitstatus_to_exitcode(status)
+        return self.exitcode
+
+    def stop(self):
+        """SIGTERM the process unless it has been reaped, then reap it."""
+        if self.exitcode is None:
+            os.kill(self.pid, signal.SIGTERM)  # it may have exited: a zombie
+            self.join()
 
 
 def _receive(inbox, child, what):
-    """The walk process's next message. An exception it sent is raised here;
+    """The walk process's next record. An exception it sent is raised here;
     if it exits without sending, RuntimeError names its exit code."""
     try:
-        item = inbox.recv()
+        item = pickle.load(inbox)
     except EOFError:  # the child held the pipe's only write end
-        child.join()
         raise RuntimeError(f"the walk process exited with code "
-                           f"{child.exitcode} before sending {what}") from None
+                           f"{child.join()} before sending {what}") from None
     if isinstance(item, BaseException):
         raise item
     return item
@@ -894,28 +948,28 @@ def _walk_feed(walk):
     """An iterator over walk's (step, labeled union, segregation pass) items
     that leaves `walk` as iterating it in-process does.
 
-    When _walks_ahead, a forked process iterates the walk (_walk_child) and
-    this one mirrors it over a pipe (_mirror); on the way out, by error or
-    not, it is stopped and joined and the pipe closed.
+    When _walks_ahead, os.fork starts the walk's process (_walk_process),
+    which pickles one record per item into a pipe, and this one mirrors it
+    (_mirror). On the way out, by error or not, the child is sent SIGTERM
+    and reaped, then the pipe closed.
     """
     if not _walks_ahead(walk):
         yield iter(walk)
         return
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    inbox, outbox = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_walk_child, args=(walk, outbox),
-                        name="osscl-walk", daemon=True)
-    with inbox, outbox:
-        child.start()
-        # the child's copy is then the only write end: its exit is EOF
-        outbox.close()
+    inbox_fd, outbox_fd = os.pipe()
+    _flush_std_streams()  # or the child would write this process's buffers
+    pid = os.fork()
+    if pid == 0:
+        os.close(inbox_fd)
+        _walk_process(walk, outbox_fd)
+    # the child's copy is then the only write end: its exit is EOF
+    os.close(outbox_fd)
+    child = _Child(pid)
+    with os.fdopen(inbox_fd, "rb") as inbox:
         try:
             yield _mirror(walk, inbox, child)
         finally:
-            child.terminate()  # a no-op once it has exited
-            child.join()
+            child.stop()
 
 
 def check_memory_quotas(cfg, task_classes):

@@ -30,8 +30,10 @@ red here is first a question of seed noise and of the terms' scales, never a
 cue to retune a weight or the tolerance.
 """
 
+import functools
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -85,29 +87,41 @@ def _scenario_config(seed):
                              n_unrelated=900, seed=seed)
 
 
-@pytest.fixture(scope="module")
-def world():
+@functools.cache
+def _world():
     main = sc.synth_dataset(8, 16, 500, 100, seed=11)
     peripherals = [sc.synth_dataset(8, 16, 1000, 0, seed=900)]
     return main, peripherals
 
 
 @pytest.fixture(scope="module")
-def runs(world):
-    """All benchmark runs: 9 variants x 3 seeds, with per-variant timing."""
-    main, peripherals = world
-    augmenter = _augmenter()
+def world():
+    return _world()
+
+
+def _timed_run(name, seed):
+    """(report, seconds) of one benchmark run: variant `name` at `seed`; a
+    pool job."""
+    main, peripherals = _world()
+    start = time.perf_counter()
+    report = trainer.run_continual(
+        trainer.MethodConfig(**VARIANTS[name]),
+        sc.build_stream(_scenario_config(seed), main, peripherals), main,
+        _augmenter(), seed)
+    return report, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """All benchmark runs: 9 variants x 3 seeds, with per-variant timing (the
+    sum of its runs' own times). They run through `osscl run --threads N`'s
+    pool, one worker per CPU."""
+    jobs = [(name, seed) for name in VARIANTS for seed in SEEDS]
+    done = cli._run_pool(_timed_run, jobs, len(os.sched_getaffinity(0)))
     reports, timing = {}, {}
-    for name, overrides in VARIANTS.items():
-        cfg = trainer.MethodConfig(**overrides)
-        start = time.perf_counter()
-        reports[name] = [
-            trainer.run_continual(
-                cfg, sc.build_stream(_scenario_config(seed), main,
-                                     peripherals),
-                main, augmenter, seed)
-            for seed in SEEDS]
-        timing[name] = time.perf_counter() - start
+    for (name, _), (report, seconds) in zip(jobs, done):
+        reports.setdefault(name, []).append(report)
+        timing[name] = timing.get(name, 0.0) + seconds
     return {"reports": reports, "timing": timing}
 
 

@@ -28,6 +28,7 @@ from osscl import trainer as tr
 from osscl.cli import THREAD_VARS
 from osscl.nets import EncoderProjector
 from osscl.numcore import NonFiniteError
+from conftest import child_pids
 from test_nets import param_digest
 
 
@@ -545,15 +546,20 @@ def on_one_cpu():
         os.sched_setaffinity(0, affinity)
 
 
+def skip_unless_walks_ahead():
+    if not hasattr(os, "fork") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the walk runs ahead only with os.fork and two or more "
+                    "CPUs")
+
+
 @pytest.fixture
 def walk_ahead(monkeypatch):
     """A spare core, so ursl runs walk ahead; yields the list os.fork
-    appends to, and checks on the way out that the run left no process."""
+    appends to, and checks on the way out that the run left no process,
+    running or unreaped."""
     import multiprocessing
 
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or len(os.sched_getaffinity(0)) < 2):
-        pytest.skip("the walk runs ahead only with fork and two or more CPUs")
+    skip_unless_walks_ahead()
     forks, fork = [], os.fork
 
     def counted_fork():
@@ -563,6 +569,7 @@ def walk_ahead(monkeypatch):
     monkeypatch.setattr(os, "fork", counted_fork)
     yield forks
     assert multiprocessing.active_children() == []
+    assert child_pids() == set()
 
 
 def test_walk_error_is_raised_with_its_type_and_message(tiny_world, walk_ahead,
@@ -602,6 +609,72 @@ def test_walk_process_death_is_a_runtime_error(tiny_world, walk_ahead,
     with pytest.raises(RuntimeError, match="exited with code 3 before"):
         tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
     assert walk_ahead == [1]
+
+
+class Unpicklable(Exception):
+    """An exception pickle cannot send: it holds a lock."""
+
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
+
+
+@pytest.mark.parametrize("exc,code,printed", [
+    (Unpicklable(), 1, "cannot pickle '_thread.lock' object"),
+    (SystemExit(5), 5, None),
+], ids=["unpicklable", "system_exit"])
+def test_walk_process_exit_code_is_kept(tiny_world, walk_ahead, monkeypatch,
+                                        capfd, exc, code, printed):
+    """The walk's process exits 1, its traceback on stderr, when pickle
+    cannot send the error it meets, and n on a SystemExit(n)."""
+    main, stream, aug = tiny_world
+    train_reference, calls = tr.train_reference, []
+
+    def raises_at_t2(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise exc
+        return train_reference(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "train_reference", raises_at_t2)
+    with pytest.raises(RuntimeError) as caught:
+        tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
+    assert str(caught.value) == (f"the walk process exited with code {code} "
+                                 f"before sending step 2")
+    assert walk_ahead == [1]
+    err = capfd.readouterr().err
+    if printed is None:
+        assert "Traceback" not in err
+    else:
+        assert "Traceback (most recent call last)" in err and printed in err
+
+
+# Runs the tiny world's vector ursl in a fresh interpreter, where it walks
+# ahead; prints how many processes it forked and whether any module loaded
+# multiprocessing.
+_NO_MULTIPROCESSING_SCRIPT = """
+import os, sys
+sys.path[:0] = sys.argv[1:3]
+import test_trainer as T
+from osscl import scenario as sc, trainer as tr
+forks, fork = [], os.fork
+def counted_fork():
+    forks.append(1)
+    return fork()
+os.fork = counted_fork
+main, stream, aug = T.build_tiny_world(sc.Augmenter(mode="vector", sigma=0.5,
+                                                    dropout=0.1))
+tr.run_continual(T.tiny_cfg(), stream, main, aug, seed=5)
+print(f"forks={len(forks)}", f"multiprocessing={'multiprocessing' in sys.modules}")
+"""
+
+
+def test_a_run_that_walks_ahead_imports_no_multiprocessing():
+    skip_unless_walks_ahead()
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    [words] = stdout_at_blas_thread_counts(_NO_MULTIPROCESSING_SCRIPT,
+                                           launches=(("1", cpus),))
+    assert words == ["forks=1", "multiprocessing=False"]
 
 
 def test_learner_error_stops_the_walk_process(tiny_world, walk_ahead,
