@@ -159,6 +159,8 @@ class SyntheticData:
                            ("test_per_class", 0), ("seed", 0)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}")
+        if not np.isfinite([self.mean_radius, self.noise_sigma]).all():
+            raise ValueError("mean_radius and noise_sigma must be finite")
 
     def build(self):
         return sc.synth_dataset(

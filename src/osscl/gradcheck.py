@@ -1,13 +1,18 @@
 """Finite-difference verification of every loss gradient and of the network.
 
-Each named loss gets a batch of randomized configurations (shapes, labels,
-temperatures, flag combinations). For each configuration the tape gradient
-of the loss with respect to the raw (pre-normalization) embeddings is
-compared against central differences in double precision. The last check,
-named mlp_embed, differences the step the trainers take without a tape:
-a float64 EncoderProjector's forward, losses.ntxent_grad's loss and dL/dz,
-and numcore.mlp_backward's flat parameter gradient. The suite is the
-backing for the `gradcheck` CLI command and the acceptance gate.
+Each line checks a kernel that training runs, in double precision, on a
+batch of randomized configurations (shapes, labels, temperatures, flag
+combinations). The loss lines take raw (pre-normalization) embeddings
+through numcore.unit_rows, so they cover its backward (unit_rows_grad) as
+well, and compare the resulting gradient with central differences of the
+loss: ntxent differences losses.ntxent_grad; supcon and the two distill
+lines numcore.softmax_xent_grad at the supervised and distillation targets;
+combined losses.learner_objective at t=2 with time and reference
+distillation. The last line, mlp_embed, differences the whole step the
+trainers take: a float64 EncoderProjector's forward, losses.ntxent_grad's
+loss and dL/dz, and numcore.mlp_backward's flat parameter gradient. The
+suite is the backing for the `gradcheck` CLI command and the acceptance
+gate.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ import numpy as np
 
 from . import losses as L
 from .nets import EncoderProjector
-from .numcore import (Tape, Tensor, backprop, check_gradients,
-                      l2_normalize_rows, mlp_backward)
+from .numcore import (check_gradients, mlp_backward, softmax_xent_grad,
+                      unit_rows, unit_rows_grad)
 
 LOSS_NAMES = ("ntxent", "supcon", "distill_time", "distill_reference",
               "combined", "mlp_embed")
@@ -26,32 +31,39 @@ _SEED = 2024
 
 
 def _raw_embeddings(rng, n_sources, dim):
-    """Unnormalized float64 view embeddings; the closure normalizes them so
-    the check covers the normalization backward as well."""
-    return Tensor(rng.normal(0.0, 1.0, size=(2 * n_sources, dim)),
-                  requires_grad=True)
+    """Unnormalized float64 view embeddings [2 * n_sources, dim]."""
+    return rng.normal(0.0, 1.0, size=(2 * n_sources, dim))
 
 
-def _unit_rows(rng, n_rows, dim):
-    z = rng.normal(0.0, 1.0, size=(n_rows, dim))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+def _raw_check(grad_fn, *raws):
+    """check_gradients of a loss of the unit rows of each of the raw arrays.
+
+    grad_fn(*units) returns the loss and then its gradient with respect to
+    each of its arguments; the gradient of each raw array is unit_rows_grad
+    of its unit rows' gradient."""
+    units = [unit_rows(x) for x in raws]
+    grads = grad_fn(*(y for y, _ in units))[1:]
+    return check_gradients(
+        lambda: grad_fn(*(unit_rows(x)[0] for x in raws))[0], raws,
+        [unit_rows_grad(g, y, norms) for g, (y, norms) in zip(grads, units)])
 
 
-def _tape_check(fn, params):
-    """check_gradients of the loss fn records, at backprop's gradients; a
-    param the loss does not reach has a zero gradient."""
-    with Tape() as tape:
-        grads = backprop(tape, fn())
-    return check_gradients(lambda: fn().data, [p.data for p in params],
-                           [grads.get(p, np.zeros_like(p.data)) for p in params])
+def _xent_check(x, tau, target):
+    """_raw_check of one contrastive term of x's unit rows: softmax_xent_grad
+    of target at factor -1 and loss gradient 1."""
+    def grad_fn(z):
+        loss, (a, b) = softmax_xent_grad(z, tau, target, -1.0, np.ones(()))
+        return loss, a + b
+
+    return _raw_check(grad_fn, x)
 
 
 def _ntxent_case(rng):
     n = int(rng.integers(2, 7))
     dim = int(rng.integers(3, 9))
     tau = float(rng.uniform(0.05, 0.5))
-    x = _raw_embeddings(rng, n, dim)
-    return _tape_check(lambda: L.ntxent_loss(l2_normalize_rows(x), tau), [x])
+    return _raw_check(lambda z: L.ntxent_grad(z, tau),
+                      _raw_embeddings(rng, n, dim))
 
 
 def _supcon_case(rng):
@@ -67,13 +79,9 @@ def _supcon_case(rng):
     pseudo_anchor = bool(rng.integers(0, 2))
     pseudo_positive = bool(rng.integers(0, 2))
     x = _raw_embeddings(rng, n, dim)
-
-    def fn():
-        return L.asym_supcon_loss(
-            l2_normalize_rows(x), labels, current, tau, pseudo_flags=pseudo,
-            pseudo_anchor=pseudo_anchor, pseudo_positive=pseudo_positive)
-
-    return _tape_check(fn, [x])
+    target = L._supcon_target(2 * n, x.dtype, labels, current, tau, pseudo,
+                              pseudo_anchor, pseudo_positive)
+    return _xent_check(x, tau, target)
 
 
 def _distill_case(rng):
@@ -81,10 +89,9 @@ def _distill_case(rng):
     dim = int(rng.integers(3, 9))
     tau_t = float(rng.uniform(0.02, 0.1))
     tau_s = float(rng.uniform(0.1, 0.5))
-    teacher = _unit_rows(rng, 2 * n, dim)
+    teacher = unit_rows(_raw_embeddings(rng, n, dim))[0]
     x = _raw_embeddings(rng, n, dim)
-    return _tape_check(lambda: L.distillation_loss(
-        teacher, l2_normalize_rows(x), tau_t, tau_s), [x])
+    return _xent_check(x, tau_s, L._distill_target(teacher, 2 * n, tau_t))
 
 
 def _combined_case(rng):
@@ -99,22 +106,18 @@ def _combined_case(rng):
     n_classes = 3
     labels = rng.integers(0, n_classes, size=n)
     current = frozenset(int(c) for c in labels[:max(1, n // 2)])
-    td_teacher = _unit_rows(rng, 2 * n, dim)
-    kd_teacher = _unit_rows(rng, 2 * n, dim)
+    td_teacher = unit_rows(_raw_embeddings(rng, n, dim))[0]
+    kd_teacher = unit_rows(_raw_embeddings(rng, n, dim))[0]
     x_sup = _raw_embeddings(rng, n, dim)
     x_kd = _raw_embeddings(rng, n, dim)
 
-    def fn():
-        z = l2_normalize_rows(x_sup)
-        l_sup = L.asym_supcon_loss(z, labels, current, weights.tau)
-        l_td = L.distillation_loss(td_teacher, z, weights.tau_teacher,
-                                   weights.tau_student)
-        zk = l2_normalize_rows(x_kd)
-        l_kd = L.distillation_loss(kd_teacher, zk, weights.tau_teacher,
-                                   weights.tau_student)
-        return L.combined_loss(l_sup, l_td, l_kd, weights, t=2)
+    def grad_fn(z, zk):
+        out = L.learner_objective(z, 2, weights, labels, current,
+                                  td_teacher=td_teacher, kd_teacher=kd_teacher,
+                                  kd_student=zk)
+        return out.total, out.grads["z"], out.grads["kd_student"]
 
-    return _tape_check(fn, [x_sup, x_kd])
+    return _raw_check(grad_fn, x_sup, x_kd)
 
 
 def _mlp_embed_case(rng):
@@ -132,7 +135,7 @@ def _mlp_embed_case(rng):
     z, cache = net.forward(x)
     grad = mlp_backward(cache, L.ntxent_grad(z, tau)[1])
     return check_gradients(lambda: L.ntxent_grad(net.embed(x), tau)[0],
-                           [net.params.data], [grad])
+                           [net.params], [grad])
 
 
 _CASES = {

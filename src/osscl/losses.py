@@ -14,12 +14,14 @@ Conventions shared by every loss here:
   * Z Z^T, here and inside softmax_xent, is numcore._gram's product.
 
 ntxent_loss, asym_supcon_loss, distillation_loss and combined_loss record on
-a numcore Tape. The trainers take the explicit step instead: ntxent_grad and
+a numcore Tape; no run calls them, and the tests compare the explicit step
+against them. The trainers take the explicit step: ntxent_grad and
 learner_objective take plain arrays and return the loss with dL/dz per
 embedding. They build the same targets and call numcore.softmax_xent_grad,
 which runs each term's backward before it returns, at the loss gradient
 backprop would hand it, and they add the halves of dL/dz in backprop's
 order, so every loss and gradient is bitwise the tape composition's.
+`osscl gradcheck` differences these explicit functions, not the tape losses.
 """
 
 from __future__ import annotations
@@ -60,12 +62,13 @@ class LossWeights:
     kd_weight: float = 0.2
 
     def __post_init__(self):
+        # NaN fails every comparison
         for name in ("tau", "tau_teacher", "tau_student"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("td_weight", "kd_weight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 def expand_per_view(values):

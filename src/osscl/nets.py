@@ -24,13 +24,12 @@ def kaiming_uniform(rng, fan_in, fan_out):
 class EncoderProjector:
     """MLP encoder plus projection head with unit-norm embeddings.
 
-    All weights and biases live in one contiguous array, `params.data`, in
+    All weights and biases live in one contiguous ndarray, `params`, in
     construction order (w, b of each encoder layer, then of the two head
-    layers; see numcore.mlp_views); `params` is the single leaf Tensor the
-    optimizer updates. Every forward is one numcore.mlp_forward call on
-    plain arrays, recorded on no tape: embed and encoder_features return
-    its output, and forward also its cache, which numcore.mlp_backward
-    turns into the one flat gradient.
+    layers; see numcore.mlp_views), which the optimizer updates in place.
+    Every forward is one numcore.mlp_forward call on plain arrays: embed and
+    encoder_features return its output, and forward also its cache, which
+    numcore.mlp_backward turns into the one flat gradient.
 
     Args:
         input_dim: flat input dimensionality.
@@ -54,11 +53,11 @@ class EncoderProjector:
         for w, b in mlp_views(flat, self.dims):
             w[...] = kaiming_uniform(rng, *w.shape).astype(self.dtype)
             b[...] = 0
-        self.params = Tensor(flat, requires_grad=True)
+        self.params = flat
 
     def encoder_features(self, x):
         """Forward through the encoder only; relu after every layer."""
-        return mlp_forward(np.asarray(x, dtype=self.dtype), self.params.data,
+        return mlp_forward(np.asarray(x, dtype=self.dtype), self.params,
                            self.dims[:len(self.hidden) + 1], unit=False)[0]
 
     def embed(self, x):
@@ -67,7 +66,7 @@ class EncoderProjector:
 
     def forward(self, x):
         """embed's rows and the cache numcore.mlp_backward takes."""
-        return mlp_forward(np.asarray(x, dtype=self.dtype), self.params.data,
+        return mlp_forward(np.asarray(x, dtype=self.dtype), self.params,
                            self.dims)
 
     def snapshot(self):
@@ -80,11 +79,11 @@ class EncoderProjector:
         theirs = [a.shape for a in other.param_arrays()]
         if ours != theirs:
             raise ValueError(f"parameter shape mismatch: {ours} vs {theirs}")
-        np.copyto(self.params.data, other.params.data)
+        np.copyto(self.params, other.params)
 
     def param_arrays(self):
         """Views of each weight and bias in construction order."""
-        return [a for layer in mlp_views(self.params.data, self.dims)
+        return [a for layer in mlp_views(self.params, self.dims)
                 for a in layer]
 
 
@@ -93,15 +92,14 @@ class ParamSnapshot:
 
     Used as the frozen teacher for distillation: forward passes share the
     live net's code path (so snapshot.embed equals net.embed bitwise at the
-    moment of capture) but `params` is a copy that is not writable and takes
-    no gradient.
+    moment of capture) but `params` is a copy that is not writable.
     """
 
     def __init__(self, net):
-        frozen = net.params.data.copy()
+        frozen = net.params.copy()
         frozen.flags.writeable = False
         self._net = copy.copy(net)
-        self._net.params = Tensor(frozen)
+        self._net.params = frozen
 
     @property
     def params(self):
@@ -115,22 +113,28 @@ class ParamSnapshot:
 
 
 class LinearClassifier:
-    """Linear head over encoder features, one logit per observed class."""
+    """Linear head over encoder features, one logit per observed class.
+
+    Its weight [feature_dim, n_classes] and then its bias live in one flat
+    ndarray, `params`, laid out by numcore.mlp_views(params, (feature_dim,
+    n_classes)), which the optimizer updates in place; `weight` and `bias`
+    are the leaf Tensors of classify's tape entry, views into it.
+    """
 
     def __init__(self, feature_dim, n_classes, rng, dtype=np.float32):
         if feature_dim < 1 or n_classes < 1:
             raise ValueError("feature_dim and n_classes must be positive")
-        self.weight = Tensor(kaiming_uniform(rng, feature_dim, n_classes).astype(dtype),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(n_classes, dtype=dtype), requires_grad=True)
-
-    @property
-    def params(self):
-        return [self.weight, self.bias]
+        dims = (feature_dim, n_classes)
+        self.params = np.empty(mlp_size(dims), dtype=dtype)
+        ((w, b),) = mlp_views(self.params, dims)
+        w[...] = kaiming_uniform(rng, *dims).astype(dtype)
+        b[...] = 0
+        self.weight = Tensor(w, requires_grad=True)
+        self.bias = Tensor(b, requires_grad=True)
 
     def classify(self, features):
-        """Logits [B, n_classes] from features [B, feature_dim]."""
-        if not isinstance(features, Tensor):
-            features = Tensor(np.asarray(features, dtype=self.weight.data.dtype))
-        return affine(features, self.weight, self.bias)
+        """Logits [B, n_classes], a Tensor, from an array of features
+        [B, feature_dim]."""
+        return affine(Tensor(features, dtype=self.weight.dtype), self.weight,
+                      self.bias)
 

@@ -1,11 +1,13 @@
-"""Minimal reverse-mode autodiff on numpy arrays, its kernels, and the optimizer.
+"""Plain-array kernels, the optimizer, and a minimal reverse-mode autodiff.
 
 Design constraints, in order of priority: correctness of gradients, bitwise
 determinism for a fixed graph, and debuggability. A Tensor wraps a float32 or
 float64 ndarray; ops executed inside a `with Tape()` block append entries to
 the tape in forward order, and `backprop` walks them once in reverse. There is
 no graph object beyond the tape, no broadcasting beyond what each op states,
-and no in-place mutation of op inputs.
+and no in-place mutation of op inputs. In a run only the classifier head
+records on a tape; the tape ops and the losses built on them are otherwise
+the tests' reference implementations of the kernels.
 
 Every op ends in one record step, _recorded: it builds the output Tensor,
 which requires gradient if a parent it records does, and if so appends it
@@ -17,18 +19,20 @@ outputs: a NaN or inf an op computes flows on into the loss and the
 gradients, which the trainer checks once per optimizer step, so the error
 names the network, task, epoch, batch and loss term rather than an op.
 
-Besides generic ops there is one fused op, softmax_xent: the off-diagonal
-softmax cross-entropy that every contrastive loss is made of, with the
-arithmetic of its chain of generic ops in one forward pass and one tape
-entry, and a closed-form backward. It is a thin tape adapter over
-plain-array kernels, which hold all of its arithmetic: softmax_xent_forward
-returns the loss and its backward, and softmax_xent_grad runs that backward
-at a given loss gradient before it returns. The networks run on plain arrays
-only: mlp_forward runs a whole MLP off one flat parameter buffer and returns
-the output and its cache, and mlp_backward turns the cache and the output
-gradient into one flat parameter gradient, each bitwise the chain affine ->
-relu -> ... -> l2_normalize_rows. The trainers' explicit steps take no tape:
-mlp_forward, the loss and dL/dz, mlp_backward, Adam.
+Two ops are thin tape adapters over plain-array kernels, which hold all of
+their arithmetic. l2_normalize_rows is unit_rows, whose backward is
+unit_rows_grad. softmax_xent, the off-diagonal softmax cross-entropy that
+every contrastive loss is made of, has the arithmetic of its chain of
+generic ops in one forward pass and one tape entry, and a closed-form
+backward: softmax_xent_forward returns the loss and its backward, and
+softmax_xent_grad runs that backward at a given loss gradient before it
+returns. The networks run on plain arrays only: mlp_forward runs a whole MLP
+off one flat parameter buffer and returns the output and its cache, and
+mlp_backward turns the cache and the output gradient into one flat
+parameter gradient, each bitwise the chain affine -> relu -> ... ->
+l2_normalize_rows. The trainers' explicit steps take no tape: mlp_forward,
+the loss and dL/dz, mlp_backward, then Adam, which steps one flat array in
+place.
 
 Every Gram product z z^T in the package (softmax_xent, pairwise_cosine of a
 tensor with itself, the teachers' similarity_distribution) goes through
@@ -60,7 +64,8 @@ class TapeConsumedError(RuntimeError):
 
 
 class DegenerateNormError(ValueError):
-    """l2_normalize_rows received a row with norm below EPS_NORM."""
+    """unit_rows (so l2_normalize_rows and mlp_forward) received a row with
+    norm below EPS_NORM."""
 
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -210,22 +215,32 @@ def relu(x):
     return _recorded(np.maximum(x.data, 0), (x,), backward)
 
 
-def l2_normalize_rows(x):
-    """Scale each row of x [B, D] to unit L2 norm.
-
-    Raises DegenerateNormError if any row norm falls below EPS_NORM.
-    """
-    if x.ndim != 2:
-        raise ShapeError("l2_normalize_rows expects a 2-d input")
-    norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
+def unit_rows(h):
+    """Each row of a 2-d array h scaled to unit L2 norm: (y, norms), with
+    norms [B, 1]. Raises DegenerateNormError if a row norm falls below
+    EPS_NORM."""
+    norms = np.sqrt((h * h).sum(axis=1, keepdims=True))
     if norms.min() < EPS_NORM:
         raise DegenerateNormError(f"row norm {norms.min():g} below {EPS_NORM:g}")
-    y = x.data / norms
+    return h / norms, norms
+
+
+def unit_rows_grad(g, y, norms):
+    """The gradient of unit_rows' input at the gradient g of its output y:
+    d(h/|h|) = (g - y * <g, y>) / |h| per row."""
+    inner = (g * y).sum(axis=1, keepdims=True)
+    return (g - y * inner) / norms
+
+
+def l2_normalize_rows(x):
+    """unit_rows of a Tensor x [B, D], recorded as one tape entry whose
+    backward is unit_rows_grad."""
+    if x.ndim != 2:
+        raise ShapeError("l2_normalize_rows expects a 2-d input")
+    y, norms = unit_rows(x.data)
 
     def backward(g):
-        # d(x/|x|) = (g - y * <g, y>) / |x| per row
-        inner = (g * y).sum(axis=1, keepdims=True)
-        return ((g - y * inner) / norms,)
+        return (unit_rows_grad(g, y, norms),)
 
     return _recorded(y, (x,), backward)
 
@@ -293,11 +308,7 @@ def mlp_forward(x, flat, dims, unit=True):
             np.maximum(h, 0, out=h)
     norms = None
     if unit:
-        norms = np.sqrt((h * h).sum(axis=1, keepdims=True))
-        if norms.min() < EPS_NORM:
-            raise DegenerateNormError(
-                f"row norm {norms.min():g} below {EPS_NORM:g}")
-        h = h / norms
+        h, norms = unit_rows(h)
     return h, (flat, dims, layers, inputs, norms, h)
 
 
@@ -313,9 +324,7 @@ def mlp_backward(cache, g):
     grad = np.empty_like(flat)
     grad[mlp_size(dims):] = 0
     if norms is not None:
-        # d(h/|h|) = (g - y * <g, y>) / |h| per row
-        inner = (g * y).sum(axis=1, keepdims=True)
-        g = (g - y * inner) / norms
+        g = unit_rows_grad(g, y, norms)
     else:
         g = g * (y > 0)
     for k, (gw, gb) in reversed(list(enumerate(mlp_views(grad, dims)))):
@@ -612,52 +621,48 @@ def total_sum(x):
 
 
 class Adam:
-    """Adam with bias correction over a fixed parameter list.
+    """Adam with bias correction over one flat parameter array.
 
-    Update order follows the parameter list, so steps are deterministic.
-    Each parameter is updated in place (views into it stay live) through two
-    scratch arrays of its shape, with the elementwise arithmetic of
+    param is updated in place (views into it stay live) through two scratch
+    arrays of its shape, with the elementwise arithmetic of
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
     p = p - lr (m / bc1) / (sqrt(v / bc2) + eps).
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr=0.01):
-        self.params = list(params)
+    def __init__(self, param, lr=0.01):
+        self.param = param
         self.lr = float(lr)
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [(np.empty_like(p.data), np.empty_like(p.data))
-                         for p in self.params]
+        self._m = np.zeros_like(param)
+        self._v = np.zeros_like(param)
+        self._scratch = np.empty_like(param), np.empty_like(param)
 
-    def step(self, grads):
-        """Apply one update from a dict {Tensor: ndarray} as backprop returns."""
+    def step(self, g):
+        """Apply one update from the gradient g of param."""
+        if g.shape != self.param.shape:
+            raise ShapeError(
+                f"gradient shape {g.shape} != parameter shape {self.param.shape}")
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p, m, v, (s1, s2) in zip(self.params, self._m, self._v,
-                                     self._scratch):
-            g = grads[p]
-            if g.shape != p.data.shape:
-                raise ShapeError(
-                    f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-            m *= b1
-            np.multiply(1.0 - b1, g, out=s1)
-            m += s1
-            v *= b2
-            np.multiply(g, g, out=s1)
-            s1 *= 1.0 - b2
-            v += s1
-            np.divide(m, bc1, out=s1)
-            s1 *= self.lr
-            np.divide(v, bc2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += self.EPS
-            s1 /= s2
-            p.data -= s1
+        m, v, (s1, s2) = self._m, self._v, self._scratch
+        m *= b1
+        np.multiply(1.0 - b1, g, out=s1)
+        m += s1
+        v *= b2
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - b2
+        v += s1
+        np.divide(m, bc1, out=s1)
+        s1 *= self.lr
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.EPS
+        s1 /= s2
+        self.param -= s1
 
 
 # ---------------------------------------------------------------------------

@@ -246,8 +246,8 @@ class Augmenter:
             raise ValueError(f"unknown augmenter mode {self.mode!r}")
         if self.image_hw < 1:
             raise ValueError("image_hw must be >= 1")
-        if self.sigma < 0 or not 0 <= self.dropout <= 1:
-            raise ValueError("sigma must be >= 0 and dropout in [0, 1]")
+        if not 0 <= self.sigma < math.inf or not 0 <= self.dropout <= 1:
+            raise ValueError("sigma must be in [0, inf) and dropout in [0, 1]")
         low, high = self.crop_scale
         if not 0 <= low <= high < math.inf:
             raise ValueError(f"crop_scale must be finite (low, high) with "
@@ -440,6 +440,8 @@ class ScenarioConfig:
             raise ValueError("pool sizes must be non-negative")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        if not math.isfinite(self.non_iid_fraction):
+            raise ValueError("non_iid_fraction must be finite")
         if self.variant == "non_iid" and not 0 < self.non_iid_fraction <= 1:
             raise ValueError("non_iid_fraction must be in (0, 1]")
 

@@ -226,6 +226,9 @@ class MethodConfig:
         for name in ("lr", "classifier_lr"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be > 0")
+        for name in ("eta_id", "eta_pl", "lr", "classifier_lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def uses_reference(self):
@@ -323,8 +326,8 @@ class _PhaseClock:
 # ---------------------------------------------------------------------------
 
 
-def _require_finite(where, what, *arrays):
-    if not all(np.isfinite(a).all() for a in arrays):
+def _require_finite(where, what, array):
+    if not np.isfinite(array).all():
         raise NonFiniteError(f"{where}: non-finite {what}")
 
 
@@ -426,7 +429,7 @@ def _optimize(net, n, epochs, cfg, rng, prepare, train, where, feed_ahead,
     """
     if epochs == 0:
         return []
-    opt = Adam([net.params], lr=cfg.lr)
+    opt = Adam(net.params, lr=cfg.lr)
     losses = [[] for _ in range(epochs)]
     feed = _feed(n, epochs, cfg, rng, prepare, where)
     fed = _fed_ahead(feed) if feed_ahead else contextlib.nullcontext(feed)
@@ -439,7 +442,7 @@ def _optimize(net, n, epochs, cfg, rng, prepare, train, where, feed_ahead,
                 loss, grad = train(prepared)
             _require_finite(at, "loss", loss)
             _require_finite(at, "gradient", grad)
-            opt.step({net.params: grad})
+            opt.step(grad)
             losses[epoch].append(float(loss))
     return [float(np.mean(epoch_losses)) for epoch_losses in losses]
 
@@ -553,8 +556,11 @@ def fit_classifier(learner, xs, ys, observed_classes, cfg, rng_init, rng_train):
     """Linear head on frozen encoder features, class-weighted sampling.
 
     Mini-batches are drawn with replacement with per-sample probability
-    inversely proportional to class frequency. Raises if any observed class
-    is missing from the training data; steps are checked as in _optimize.
+    inversely proportional to class frequency. Each batch's loss is recorded
+    on a tape, and Adam steps the head's flat parameter array with the
+    weight and bias gradients backprop returns, laid out as the array is.
+    Raises if any observed class is missing from the training data; steps
+    are checked as in _optimize.
     """
     observed = sorted(int(c) for c in observed_classes)
     present = set(int(c) for c in np.unique(ys))
@@ -582,10 +588,11 @@ def fit_classifier(learner, xs, ys, observed_classes, cfg, rng_init, rng_train):
                 picked = gather2d(logp, np.arange(len(rows)), targets[rows])
                 loss = scale(total_sum(picked), -1.0 / len(rows))
                 grads = backprop(tape, loss)
+            grad = np.concatenate([grads[head.weight].ravel(), grads[head.bias]])
             at = f"classifier, epoch {epoch}, batch {batch}"
             _require_finite(at, "loss", loss.data)
-            _require_finite(at, "gradient", *grads.values())
-            opt.step(grads)
+            _require_finite(at, "gradient", grad)
+            opt.step(grad)
     return head, np.asarray(observed, dtype=np.int64)
 
 
@@ -852,7 +859,7 @@ def _walk_child(walk, outbox):
 
     try:
         for _, labeled, seg in walk:
-            send((labeled, seg, walk.reference.params.data))
+            send((labeled, seg, walk.reference.params))
         send({name: getattr(walk, name) for name in _WALK_HANDBACK})
     except Exception as exc:  # noqa: BLE001 - raised again by the learner side
         if hasattr(exc, "add_note"):  # Python 3.11+
@@ -927,7 +934,7 @@ def _mirror(walk, inbox, child):
     reference and _WALK_HANDBACK) as iterating it here would."""
     for step in walk.stream.steps:
         labeled, seg, reference = _receive(inbox, child, f"step {step.index}")
-        np.copyto(walk.reference.params.data, reference)
+        np.copyto(walk.reference.params, reference)
         yield step, labeled, seg
     vars(walk).update(_receive(inbox, child, "its final state"))
     child.join()

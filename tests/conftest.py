@@ -19,11 +19,18 @@ def child_pids():
     """Pids of this process's child processes, exited but unreaped ones too,
     as /proc/self/task/*/children lists them (none where there is no /proc),
     leaving out multiprocessing's resource tracker: a spawn pool starts it
-    once, and it lives as long as this process."""
-    pids = set()
-    for path in glob.glob("/proc/self/task/*/children"):
-        with open(path, encoding="ascii") as f:
-            pids.update(int(pid) for pid in f.read().split())
+    once, and it lives as long as this process. A thread that exits
+    between the listing and the read takes its file with it, and its
+    children pass to another thread, so the files are then read again."""
+    while True:
+        pids = set()
+        try:
+            for path in glob.glob("/proc/self/task/*/children"):
+                with open(path, encoding="ascii") as f:
+                    pids.update(int(pid) for pid in f.read().split())
+            break
+        except (FileNotFoundError, ProcessLookupError):
+            pass  # a thread exited: list and read the files again
     tracker = sys.modules.get("multiprocessing.resource_tracker")
     if tracker is not None:
         pids.discard(tracker._resource_tracker._pid)

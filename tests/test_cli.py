@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, output files, determinism, round-trips."""
 
 import csv
+import dataclasses
 import gc
 import json
 import os
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from osscl import cli, config, gradcheck, losses, trainer
+from osscl import numcore as nc
 from osscl import scenario as sc
 from osscl.segregate import auroc_from_scores
 from test_trainer import (_PINNED_BLAS, _PINNED_KERNEL, _PINNED_NUMPY,
@@ -586,7 +588,7 @@ ntxent: max rel err 2.367e-07 (tol 0.0001) PASS
 supcon: max rel err 3.642e-08 (tol 0.0001) PASS
 distill_time: max rel err 2.172e-08 (tol 0.0001) PASS
 distill_reference: max rel err 2.111e-07 (tol 0.0001) PASS
-combined: max rel err 8.130e-08 (tol 0.0001) PASS
+combined: max rel err 8.187e-08 (tol 0.0001) PASS
 mlp_embed: max rel err 9.090e-08 (tol 0.0001) PASS
 gradcheck PASS
 """
@@ -619,6 +621,35 @@ class TestGradcheck:
 
         monkeypatch.setattr(losses, "ntxent_grad", doubled)
         assert gradcheck.run_suite(1)["mlp_embed"] >= gradcheck.DEFAULT_TOL
+
+    @pytest.mark.parametrize("owner,kernel,double,lines", [
+        (losses, "ntxent_grad", lambda out: (out[0], 2 * out[1]),
+         {"ntxent", "mlp_embed"}),
+        (gradcheck, "softmax_xent_grad",
+         lambda out: (out[0], tuple(2 * half for half in out[1])),
+         {"supcon", "distill_time", "distill_reference"}),
+        (losses, "learner_objective",
+         lambda out: dataclasses.replace(out, grads={
+             name: 2 * g for name, g in out.grads.items()}),
+         {"combined"}),
+    ], ids=["ntxent_grad", "softmax_xent_grad", "learner_objective"])
+    def test_each_loss_line_checks_the_kernel_it_names(
+            self, monkeypatch, owner, kernel, double, lines):
+        """A kernel that returns a doubled dL/dz fails exactly the lines
+        that difference it, and no other."""
+        original = getattr(owner, kernel)
+        monkeypatch.setattr(owner, kernel,
+                            lambda *args, **kwargs: double(original(*args, **kwargs)))
+        results = gradcheck.run_suite(1)
+        assert {name for name, err in results.items()
+                if err >= gradcheck.DEFAULT_TOL} == lines
+
+    def test_the_suite_records_nothing_on_a_tape(self, monkeypatch):
+        def refuse(tape):
+            raise AssertionError("gradcheck entered a tape")
+
+        monkeypatch.setattr(nc.Tape, "__enter__", refuse)
+        assert gradcheck.suite_passes(gradcheck.run_suite(1))
 
 
 @pytest.fixture(scope="module")

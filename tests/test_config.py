@@ -286,6 +286,34 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys, section, key, text,
     assert not out.exists()
 
 
+# each config dataclass with the fields it needs to build
+_SECTIONS = (
+    (config.SyntheticData, dict(classes=2, dim=2, train_per_class=1,
+                                test_per_class=0, seed=0)),
+    (sc.ScenarioConfig, dict(n_tasks=1, classes_per_task=1,
+                             labeled_fraction=0.5, n_related=0,
+                             n_unrelated=0, seed=0)),
+    (sc.Augmenter, {}),
+    (MethodConfig, {}),
+    (LossWeights, {}),
+)
+_FLOAT_FIELDS = [(cls, given, f.name) for cls, given in _SECTIONS
+                 for f in fields(cls) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize(
+    "cls,given,key", _FLOAT_FIELDS,
+    ids=[f"{cls.__name__}.{key}" for cls, _, key in _FLOAT_FIELDS])
+def test_direct_construction_rejects_non_finite_floats(cls, given, key, value):
+    """The config reader rejects NaN and the infinities before a section is
+    built; a dataclass built directly rejects them in every float field."""
+    cls(**given)
+    with pytest.raises(ValueError, match=key):
+        cls(**{**given, key: value})
+
+
 @pytest.mark.parametrize("kwargs", [
     {"min_lr": 0.5}, {"lr": -1.0}, {"min_lr": -1e-4},
     {"min_lr": float("nan")}, {"lr": float("nan")},

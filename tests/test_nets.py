@@ -44,9 +44,9 @@ def test_embed_rows_are_unit():
 
 def test_init_is_seed_deterministic():
     a, b = make_net(5), make_net(5)
-    np.testing.assert_array_equal(a.params.data, b.params.data)
+    np.testing.assert_array_equal(a.params, b.params)
     c = make_net(6)
-    assert (a.params.data != c.params.data).any()
+    assert (a.params != c.params).any()
 
 
 def test_zero_width_rejected():
@@ -71,7 +71,7 @@ def test_gradients_reach_every_parameter():
     z, cache = net.forward(x)
     grad = nc.mlp_backward(cache, output_grad(z, 0))
     # one flat gradient covers every weight and bias
-    assert grad.shape == net.params.data.shape
+    assert grad.shape == net.params.shape
     assert all(view.any() for view in flat_grad_views(grad, net))
 
 
@@ -83,7 +83,7 @@ def test_snapshot_matches_net_then_freezes():
     digest_before = param_digest(snap)
 
     # train the live net a little; the snapshot must not move
-    nc.Adam([net.params], lr=0.05).step({net.params: flat_grad(net, x, 0)})
+    nc.Adam(net.params, lr=0.05).step(flat_grad(net, x, 0))
     assert param_digest(snap) == digest_before
     assert any((a != b).any() for a, b in zip(net.param_arrays(), snap.param_arrays()))
 
@@ -107,10 +107,10 @@ def test_snapshot_forward_takes_no_gradient():
 def test_copy_params_from_net_and_snapshot():
     a, b = make_net(1), make_net(2)
     b.copy_params_from(a)
-    np.testing.assert_array_equal(a.params.data, b.params.data)
+    np.testing.assert_array_equal(a.params, b.params)
     c = make_net(3)
     c.copy_params_from(a.snapshot())
-    np.testing.assert_array_equal(a.params.data, c.params.data)
+    np.testing.assert_array_equal(a.params, c.params)
 
 
 def test_copy_params_shape_mismatch():
@@ -131,6 +131,19 @@ def test_classifier_shapes_and_gradients():
         loss = nc.total_sum(nc.mul(logits, logits))
         grads = nc.backprop(tape, loss)
     assert head.weight in grads and head.bias in grads
+
+
+def test_classifier_weight_and_bias_are_views_of_one_flat_buffer():
+    head = nets.LinearClassifier(16, 5, np.random.default_rng(3))
+    ((w, b),) = nc.mlp_views(head.params, (16, 5))
+    assert head.params.shape == (16 * 5 + 5,)
+    assert head.weight.data.base is head.params
+    assert head.bias.data.base is head.params
+    assert head.weight.data.tobytes() == w.tobytes()
+    assert head.bias.data.tobytes() == b.tobytes() == bytes(5 * 4)
+    # the init draws are kaiming_uniform's, rounded once to the dtype
+    drawn = nets.kaiming_uniform(np.random.default_rng(3), 16, 5)
+    assert w.tobytes() == drawn.astype(np.float32).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +196,7 @@ def test_fused_embed_is_bitwise_the_chain(dtype, width, batch):
         with nc.Tape() as tape:
             z = chain_embed(x, params, unit)
             grads = nc.backprop(tape, weighted_sum(z, 5))
-        zf, cache = nc.mlp_forward(x, net.params.data, dims, unit)
+        zf, cache = nc.mlp_forward(x, net.params, dims, unit)
         assert zf.dtype == z.data.dtype
         assert zf.tobytes() == z.data.tobytes()
         assert forward(x).tobytes() == zf.tobytes()
@@ -221,7 +234,7 @@ def test_fused_embed_checks_shapes_and_norms():
     with pytest.raises(nc.ShapeError, match="mlp_forward"):
         nc.mlp_forward(np.ones((3, 8)), np.ones(10), net.dims)
     dead = make_net()
-    dead.params.data[...] = 0
+    dead.params[...] = 0
     with pytest.raises(nc.DegenerateNormError):
         dead.embed(np.ones((2, 8), dtype=np.float32))
 
@@ -231,14 +244,14 @@ def test_weights_are_views_of_the_flat_buffer():
     arrays = net.param_arrays()
     assert [a.shape for a in arrays] == [(8, 16), (16,), (16, 16), (16,),
                                          (16, 8), (8,), (8, 4), (4,)]
-    assert all(np.shares_memory(a, net.params.data) for a in arrays)
-    assert sum(a.size for a in arrays) == net.params.data.size
+    assert all(np.shares_memory(a, net.params) for a in arrays)
+    assert sum(a.size for a in arrays) == net.params.size
     assert (np.concatenate([a.ravel() for a in arrays]).tobytes()
-            == net.params.data.tobytes())
+            == net.params.tobytes())
     # the optimizer writes in place, so views taken before a step see it
     grad = flat_grad(net, np.ones((2, 8)), 0)
     before = arrays[0].copy()
-    nc.Adam([net.params], lr=0.05).step({net.params: grad})
+    nc.Adam(net.params, lr=0.05).step(grad)
     assert (arrays[0] != before).any()
     assert arrays[0].tobytes() == net.param_arrays()[0].tobytes()
 
@@ -246,7 +259,7 @@ def test_weights_are_views_of_the_flat_buffer():
 def test_snapshot_params_are_one_frozen_copy():
     net = make_net(4)
     snap = net.snapshot()
-    assert not snap.params.requires_grad
-    assert not snap.params.data.flags.writeable
-    assert not np.shares_memory(snap.params.data, net.params.data)
-    assert snap.params.data.tobytes() == net.params.data.tobytes()
+    assert isinstance(snap.params, np.ndarray)
+    assert not snap.params.flags.writeable
+    assert not np.shares_memory(snap.params, net.params)
+    assert snap.params.tobytes() == net.params.tobytes()

@@ -9,6 +9,7 @@ gradient isolation, determinism, and the classifier/eval protocol.
 
 import contextlib
 import dataclasses
+import glob
 import hashlib
 import json
 import os
@@ -287,9 +288,9 @@ def test_a_learner_step_records_nothing_and_steps_only_the_learner(
     appended = watch_tape_entries(monkeypatch)
     step, stepped = nc.Adam.step, []
 
-    def watched_step(opt, grads):
-        stepped.append(list(grads))
-        return step(opt, grads)
+    def watched_step(opt, grad):
+        stepped.append(opt.param)
+        return step(opt, grad)
 
     monkeypatch.setattr(nc.Adam, "step", watched_step)
     learner = EncoderProjector(DIM, (32, 32), 16, 8,
@@ -306,7 +307,7 @@ def test_a_learner_step_records_nothing_and_steps_only_the_learner(
                               td_teacher=learner.snapshot(),
                               kd_teacher=reference, kd_pool=main.train_x[:60])
     assert appended == []
-    assert stepped and all(keys == [learner.params] for keys in stepped)
+    assert stepped and all(param is learner.params for param in stepped)
 
 
 @pytest.mark.parametrize("method", ["ursl", "co2l_j", "co2l_p"])
@@ -481,7 +482,7 @@ def state_digest(state):
     h = hashlib.sha256()
     for net in (state.reference, state.learner):
         if net is not None:
-            h.update(net.params.data.tobytes())
+            h.update(net.params.tobytes())
     for array in state.memory.items():
         h.update(array.tobytes())
     for role in ("ref", "proto", "memory"):
@@ -570,6 +571,21 @@ def walk_ahead(monkeypatch):
     yield forks
     assert multiprocessing.active_children() == []
     assert child_pids() == set()
+
+
+def test_child_pids_reads_again_when_a_thread_file_vanishes(monkeypatch):
+    """A thread that exits between the listing of the children files and
+    their reading makes child_pids list them again, not raise."""
+    listing, listed = glob.glob, []
+
+    def with_a_vanished_thread(pattern):
+        listed.append(pattern)
+        gone = ["/proc/self/task/0/children"] if len(listed) == 1 else []
+        return gone + listing(pattern)
+
+    monkeypatch.setattr(glob, "glob", with_a_vanished_thread)
+    assert child_pids() == set()
+    assert len(listed) == 2
 
 
 def test_walk_error_is_raised_with_its_type_and_message(tiny_world, walk_ahead,
@@ -1135,23 +1151,22 @@ def optimizers(monkeypatch):
     made = []
 
     class Recording(tr.Adam):
-        def __init__(self, params, lr):
-            super().__init__(params, lr)
-            self.last = [p.data.copy() for p in self.params]
+        def __init__(self, param, lr):
+            super().__init__(param, lr)
+            self.last = param.copy()
             made.append(self)
 
-        def step(self, grads):
-            assert all(np.isfinite(g).all() for g in grads.values())
-            super().step(grads)
-            self.last = [p.data.copy() for p in self.params]
+        def step(self, g):
+            assert np.isfinite(g).all()
+            super().step(g)
+            self.last = self.param.copy()
 
     monkeypatch.setattr(tr, "Adam", Recording)
     return made
 
 
 def left_as_its_last_step_left_it(opt):
-    return all(p.data.tobytes() == last.tobytes()
-               for p, last in zip(opt.params, opt.last))
+    return opt.param.tobytes() == opt.last.tobytes()
 
 
 @pytest.fixture
