@@ -211,7 +211,8 @@ class Augmenter:
     vector mode adds isotropic Gaussian noise then zeroes coordinates
     independently; with sigma=0 and dropout=0 it is the identity. image mode
     treats rows as channel-major 3 x hw x hw images and applies random
-    resized crop, horizontal flip, color jitter, and grayscale.
+    resized crop, horizontal flip, and colour jitter and grayscale as one
+    affine map of each image's RGB (_draw_images).
 
     Reproducibility contract of image mode: each view of a batch of n
     images draws, as whole-batch Generator calls in this order,
@@ -255,10 +256,14 @@ class Augmenter:
         for name in ("flip_p", "jitter_p", "gray_p"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if len(self.jitter_strengths) != 4 or not all(
-                0 <= s < math.inf for s in self.jitter_strengths):
-            raise ValueError("jitter_strengths must be four finite values "
-                             ">= 0 (brightness, contrast, saturation, hue)")
+        # ColorJitter's ranges: a factor uniform(1 +/- s) stays >= 0, and
+        # the hue turns by at most half a turn either way
+        if len(self.jitter_strengths) != 4 or not (all(
+                0 <= s <= 1 for s in self.jitter_strengths)
+                and self.jitter_strengths[3] <= 0.5):
+            raise ValueError("jitter_strengths must be four values in "
+                             "[0, 1] (brightness, contrast, saturation, hue), "
+                             "the hue <= 0.5")
 
     def apply_batch(self, xs, rng):
         """One augmented view per row of xs; consumes rng deterministically."""
@@ -288,20 +293,23 @@ class Augmenter:
 
     def _apply_images(self, xs, rng, views=1):
         """`views` views of each image, interleaved: row views*k + v is view
-        v of xs[k]. Every image's parameters are drawn first (all of view 0,
-        then all of view 1, ..., each in the class docstring order); then
-        each chunk of output rows is cropped, resized and flipped by one
-        gather straight into its rows and jittered in place while it is in
-        cache, and the grayed rows are grayed in one pass, all in the rows'
-        dtype."""
+        v of xs[k]. Every image's parameters and colour map are drawn first
+        (all of view 0, then all of view 1, ..., each in the class docstring
+        order). Then each chunk of output rows is cropped, resized and
+        flipped by one gather into a scratch buffer, and each image x of it,
+        of mean m, is written as M x + o m by one batched matmul and one add,
+        in the rows' dtype; an image neither jittered nor grayed keeps its
+        gathered bytes."""
         hw = self.image_hw
         n = len(xs)
         xs = xs.reshape(n, 3 * hw * hw)
         drawn = [self._draw_images(n, rng) for _ in range(views)]
         # interleaved like the output rows
         ints = np.stack([d[0] for d in drawn], axis=1).reshape(-1, 6)
-        factors = np.stack([d[1] for d in drawn], axis=1).reshape(-1, 5)
-        side, top, left, flip, jittered, grayed = ints.T
+        maps = np.stack([d[1] for d in drawn], axis=1).reshape(-1, 3, 4)
+        maps = maps.astype(xs.dtype)
+        side, top, left, flip = ints[:, :4].T
+        plain = ~ints[:, 4:].any(axis=1)
         # random resized crop (square, nearest neighbour) and flip as a
         # gather: output pixel (r, c) reads crop pixel (r*side//hw, c*side//hw);
         # `rows` are rows of channel 0 in xs seen as [3 n hw, hw]
@@ -311,27 +319,36 @@ class Augmenter:
         cols = left[:, None] + steps
         cols = np.where(flip[:, None], cols[:, ::-1], cols)
         planes = np.arange(3)[:, None, None] * (hw * hw)
-        imgs = np.empty((views * n, 3, hw, hw), dtype=xs.dtype)
-        factors = factors.T.astype(imgs.dtype)
+        imgs = np.empty((views * n, 3, hw * hw), dtype=xs.dtype)
+        gathered = np.empty_like(imgs[:_CHUNK_ROWS])
         for k in range(0, views * n, _CHUNK_ROWS):
             chunk = slice(k, k + _CHUNK_ROWS)
             out = imgs[chunk]
+            got = gathered[:len(out)]
             # every offset is in range; mode "clip" lets np.take write into
-            # `out` itself, where "raise" would gather into a buffer first
+            # `got` itself, where "raise" would gather into a buffer first
             np.take(xs, rows[chunk, None, :, None] * hw + planes
-                    + cols[chunk, None, None, :], out=out, mode="clip")
-            sel = np.flatnonzero(jittered[chunk])
-            out[sel] = _jitter(out[sel], *factors[:, k + sel])
-        grayed = np.flatnonzero(grayed)
-        imgs[grayed] = _luma(imgs[grayed])[:, None]
+                    + cols[chunk, None, None, :], mode="clip",
+                    out=got.reshape(-1, 3, hw, hw))
+            mean = got.sum(axis=(1, 2)) / (3 * hw * hw)
+            np.matmul(maps[chunk, :, :3], got, out=out)
+            out += (maps[chunk, :, 3] * mean[:, None])[:, :, None]
+            out[plain[chunk]] = got[plain[chunk]]
         return imgs.reshape(views * n, 3 * hw * hw)
 
     def _draw_images(self, n, rng):
         """Per-image parameters of one batch, drawn in the contract order.
 
         Returns [n, 6] ints (side, top, left, flip, jittered, grayed) and
-        [n, 5] floats, the jitter factors (brightness, contrast, saturation,
-        cos and sin of the hue angle), which only jittered images read.
+        each image's colour jitter and grayscale as one affine map of its
+        RGB, float64 [n, 3, 4]: [M | o] takes an image x of mean m to
+        M x + o m. A jittered image's map is the product of its steps,
+        YIQ2RGB R RGB2YIQ (s I + (1-s) 1 w^T) [c b I | (1-c) b 1]:
+        brightness b, contrast c about the mean (b m after brightness),
+        saturation s about the luma (w the Rec. 601 weights) and the hue as
+        a rotation R of the chroma plane in YIQ space. Any other map is
+        [I | 0], and a grayed image's is then 1 w^T times it. The products
+        are stacked np.matmul calls, left to right.
         """
         hw = self.image_hw
         sb, sc, ss, sh = self.jitter_strengths
@@ -344,65 +361,37 @@ class Augmenter:
         jittered = rng.random(n) < self.jitter_p
         bright, contrast, sat = [rng.uniform(1 - s, 1 + s, size=n)
                                  for s in (sb, sc, ss)]
-        # hue: a rotation of the chroma plane in YIQ space
         theta = 2.0 * math.pi * rng.uniform(-sh, sh, size=n)
         grayed = rng.random(n) < self.gray_p
+        hue = np.zeros((n, 3, 3))
+        hue[:, 0, 0] = 1.0
+        hue[:, 1, 1] = hue[:, 2, 2] = np.cos(theta)
+        hue[:, 2, 1] = np.sin(theta)
+        hue[:, 1, 2] = -hue[:, 2, 1]
+        saturate = (sat[:, None, None] * np.eye(3)
+                    + (1.0 - sat)[:, None, None] * _GRAY)
+        scale = np.eye(3, 4) * (contrast * bright)[:, None, None]
+        scale[:, :, 3] = ((1.0 - contrast) * bright)[:, None]
+        maps = _YIQ2RGB @ hue @ _RGB2YIQ @ saturate @ scale
+        maps[~jittered] = np.eye(3, 4)
+        maps[grayed] = _GRAY @ maps[grayed]
         return (np.stack([side, top, left, flip, jittered, grayed], axis=1),
-                np.stack([bright, contrast, sat, np.cos(theta), np.sin(theta)],
-                         axis=1))
+                maps)
 
 
-# output rows per gather-and-jitter chunk: 32 float32 32x32 images are 384
-# KiB, so a chunk stays in L2 from its gather through its dozen-odd
-# elementwise jitter passes, and its gather index (int64) is 768 KiB. On a
-# 2-core Xeon VM at one BLAS thread, pair_views on 64 such images took a
-# median 3.6 ms at 32 against 5.3 ms at 64, and 16 and 32 split 100
-# alternating rounds 36/64; the chunk size moves no byte
+# output rows per gather-and-map chunk: 32 float32 32x32 images are 384 KiB,
+# in the scratch buffer and again in the output, and the gather index (int64)
+# is 768 KiB. On a 2-core Xeon VM at one BLAS thread, pair_views on 64 such
+# images took a median 1.59 ms at 32, 1.52 ms at 16 and 2.87 ms at 64 (40
+# alternating rounds), and 32 beat 16 in 64 of 100; the size moves no byte
 _CHUNK_ROWS = 32
 
 _RGB2YIQ = np.array([[0.299, 0.587, 0.114],
                      [0.596, -0.274, -0.322],
                      [0.211, -0.523, 0.312]])
 _YIQ2RGB = np.linalg.inv(_RGB2YIQ)
-
-
-def _luma(imgs):
-    """Rec. 601 luma of [m, 3, hw, hw] images, [m, hw, hw], in their dtype
-    (the python-float weights round to it)."""
-    return 0.299 * imgs[:, 0] + 0.587 * imgs[:, 1] + 0.114 * imgs[:, 2]
-
-
-def _jitter(imgs, bright, contrast, sat, cos_t, sin_t):
-    """Brightness, contrast, saturation and hue of [m, 3, hw, hw] C-ordered
-    images, in place, with per-image factors [m] of their dtype; returns the
-    result.
-
-    Each image goes through the same operations, in the images' dtype, in
-    the same order as the one-image-at-a-time reference kept in
-    tests/test_scenario.py: scale, the mean as sum / size (summed in memory
-    order), mean-centred scale, luma-centred scale, and the YIQ round trip as
-    one 3x3 matrix product per image (one BLAS gemm each, the call
-    np.tensordot makes for one image), with the YIQ matrices rounded to that
-    dtype.
-    """
-    m, _, hw, _ = imgs.shape
-    per_image = (slice(None), None, None, None)
-    imgs *= bright[per_image]
-    mean = (imgs.sum(axis=(1, 2, 3)) / (3 * hw * hw))[per_image]
-    imgs -= mean
-    imgs *= contrast[per_image]
-    imgs += mean
-    luma = _luma(imgs)[:, None]
-    imgs -= luma
-    imgs *= sat[per_image]
-    imgs += luma
-    yiq = np.matmul(_RGB2YIQ.astype(imgs.dtype),
-                    imgs.reshape(m, 3, hw * hw))
-    cos_t, sin_t = cos_t[:, None], sin_t[:, None]
-    i_rot = yiq[:, 1] * cos_t - yiq[:, 2] * sin_t
-    yiq[:, 2] = yiq[:, 1] * sin_t + yiq[:, 2] * cos_t
-    yiq[:, 1] = i_rot
-    return np.matmul(_YIQ2RGB.astype(imgs.dtype), yiq).reshape(imgs.shape)
+# 1 w^T: every channel becomes the luma
+_GRAY = np.repeat(_RGB2YIQ[:1], 3, axis=0)
 
 
 # ---------------------------------------------------------------------------

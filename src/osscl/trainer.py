@@ -39,33 +39,39 @@ not a thread because a walk step trains the reference, whose forward and
 backward are small numpy ops that hold the GIL.
 
 Each trainer's optimizer step is two parts (_optimize): prepare(idx) makes
-the batch's inputs (the batch draws and the augmented views), which read
-no parameter, and train(inputs) embeds the frozen teachers' views and takes
-the explicit step, with no tape: the net's embeddings and their caches
-(EncoderProjector.forward), the loss and dL/dz per embedding
-(L.ntxent_grad, L.learner_objective), the MLP backward of each into one
-flat gradient (numcore.mlp_backward), then Adam. In image mode with a
-spare core (_feeds_ahead) a one-worker ThreadPoolExecutor, its thread named
-"osscl-feed", runs the prepare side ahead (_fed_ahead), in the walk's
-process and in the learner's alike. A window of _FEED_DEPTH + 1 submitted
-batches bounds how far ahead it runs; leaving the loop cancels what has not
-started and joins the thread, so it is no daemon thread and never outlives
-its trainer. Image preparation is mostly array work that releases the GIL
-(np.take, the jitter passes, BLAS), so it overlaps the training. Its
-GIL-bound part, the parameter draws, is ten whole-batch Generator calls
-per view (scenario.Augmenter), so little of it contends with the training
-thread. The time a trainer waits for its feeder is the phase
-`reference_feed_wait` or `learner_feed_wait` of timings.json. The feeder
-shares nothing with the training but the queue of prepared batches:
-prepare reads no parameter, and only the feeder draws the trainer's
-Generator while the trainer runs.
-The teachers' embeddings stay on the training thread: they are GIL-free
-BLAS work too, but the learner's feeder, not its training, is the slower
-side, and keeping them off the feeder lowered image_cifar's wall time
-(1.64 -> 1.52 s median, 8 pairs on a 2-core VM). Vector mode stays inline: its steps are
-about a millisecond of small GIL-holding numpy calls, and feeding them
-ahead made the desk_vector benchmark slower (2 of 6 pairs won, median 4.98
--> 5.20 s on the same VM).
+the batch's inputs (the batch draws, the augmented views and the frozen
+teachers' embeddings of them), which read no trained parameter, and
+train(inputs) takes the explicit step, with no tape: the net's embeddings
+and their caches (EncoderProjector.forward), the loss and dL/dz per
+embedding (L.ntxent_grad, L.learner_objective), the MLP backward of each
+into one flat gradient (numcore.mlp_backward), then Adam. In image mode
+with a spare core (_feeds_ahead) a one-worker ThreadPoolExecutor, its
+thread named "osscl-feed", runs the prepare side ahead (_fed_ahead), in
+the walk's process and in the learner's alike. A window of _FEED_DEPTH + 1
+submitted batches bounds how far ahead it runs; leaving the loop cancels
+what has not started and joins the thread, so it is no daemon thread and
+never outlives its trainer. Image preparation is mostly array work that
+releases the GIL (np.take, the views' colour maps as one batched matmul,
+the teachers' BLAS products), so it overlaps the training. Its GIL-bound
+part, the parameter draws, is ten whole-batch Generator calls per view and
+the composition of the colour maps (scenario.Augmenter), so little of it
+contends with the training thread. The time a trainer waits for its
+feeder is the phase `reference_feed_wait` or `learner_feed_wait` of
+timings.json. The feeder shares nothing with the training but the queue of
+prepared batches, and only it draws the trainer's Generator while the
+trainer runs. The teachers it embeds with are frozen for the whole
+_optimize call: the past learner is a read-only snapshot, and the
+reference changes only after _optimize returns and its feeder is joined
+(by _mirror's np.copyto when the walk runs ahead, by the walk's own
+training when it runs in-process). Once the views' colour maps made image
+preparation cheap, moving the teachers there shortened the learner phase
+(image_cifar: 0.74 -> 0.62 s median per seed run, with the maps). Their
+similarity targets (L.similarity_distribution) stay with the training: a
+prototype that moved them to the feeder too made the learner wait longer
+for it (0.07 -> 0.12 s of learner_feed_wait on one image seed). Vector
+mode stays inline: its steps are about a millisecond of small GIL-holding
+numpy calls, and feeding them ahead made the desk_vector benchmark slower
+(2 of 6 pairs won, median 4.98 -> 5.20 s on a 2-core VM).
 
 Determinism: every stochastic role draws from its own seeded Generator, so
 disabling a component (a loss term, the confident set) leaves the remaining
@@ -501,10 +507,11 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
     NT-Xent mean over its 2N views, added last. Returns per-epoch mean
     losses.
 
-    When _feeds_ahead the batches and their views are prepared on a feeder
-    thread while this one embeds the teachers' views and trains; the time
-    spent waiting for them is added to the `learner_feed_wait` phase of
-    `clock`, if given.
+    When _feeds_ahead the batches, their views and the teachers'
+    embeddings of them are prepared on a feeder thread while this one
+    trains; the time spent waiting for them is added to the
+    `learner_feed_wait` phase of `clock`, if given. Both teachers must stay
+    unchanged until this returns.
     """
     if len(sup_x) == 0:
         raise ValueError("empty supervised union")
@@ -516,19 +523,21 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
 
     def prepare(idx):
         views = augmenter.pair_views(sup_x[idx], rng)
-        kviews = uviews = None
+        # the teachers stay frozen for the whole call, so their embeddings
+        # are inputs like the views
+        td_z = td_teacher.embed(views) if td_teacher is not None else None
+        kviews = kd_z = uviews = None
         if kd_teacher is not None:
             kidx = sc.sample_batch(len(kd_pool), cfg.batch_size, rng)
             kviews = augmenter.pair_views(kd_pool[kidx], rng)
+            kd_z = kd_teacher.embed(kviews)
         if unsup_pool is not None:
             uidx = sc.sample_batch(len(unsup_pool), cfg.batch_size, rng)
             uviews = augmenter.pair_views(unsup_pool[uidx], rng)
-        return idx, views, kviews, uviews
+        return idx, views, kviews, uviews, td_z, kd_z
 
     def train(prepared):
-        idx, views, kviews, uviews = prepared
-        td_z = td_teacher.embed(views) if td_teacher is not None else None
-        kd_z = kd_teacher.embed(kviews) if kd_teacher is not None else None
+        idx, views, kviews, uviews, td_z, kd_z = prepared
         # the learner's (rows, cache) per embedding, in the tape's order
         embedded = {name: learner.forward(x) for name, x in (
             ("z", views), ("kd_student", kviews), ("unsup_student", uviews))

@@ -372,20 +372,46 @@ def test_augmenter_accepts_edge_image_settings():
                        jitter_strengths=(0.0, 0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("strengths", [
+    (1.0001, 0.4, 0.4, 0.1), (0.4, 1.5, 0.4, 0.1), (0.4, 0.4, 2.0, 0.1),
+    (0.4, 0.4, 0.4, 0.5001), (0.4, 0.4, 0.4, 1.0),
+    (0.4, 0.4, float("inf"), 0.1), (0.4, 0.4, 0.4, float("nan"))])
+def test_augmenter_rejects_jitter_strengths_outside_colorjitter(strengths):
+    """Above 1, uniform(1 +/- s) draws negative factors; above 0.5, the hue
+    turns past half a turn."""
+    with pytest.raises(ValueError, match="jitter_strengths"):
+        scenario.Augmenter(mode="image", jitter_strengths=strengths)
+
+
+@pytest.mark.parametrize("strengths", [
+    (1.0, 1.0, 1.0, 0.5), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.5),
+    (0.4, 0.4, 0.4, 0.1)])
+def test_augmenter_accepts_jitter_strengths_at_colorjitter_bounds(strengths):
+    aug = scenario.Augmenter(mode="image", image_hw=4,
+                             jitter_strengths=strengths)
+    x = np.random.default_rng(0).standard_normal((9, 48)).astype(np.float32)
+    assert np.isfinite(aug.pair_views(x, np.random.default_rng(1))).all()
+
+
 # The per-image path the batched one replaced, kept as its oracle: it draws
 # each parameter of the batch by one scalar Generator call per image, in the
-# Augmenter's contract order, then crops, resizes, flips, jitters and grays
-# one image at a time. The batched path must give the same bytes and leave
-# the generator in the same state. It works in the rows' dtype, as the
-# batched path does, and its crop is C-ordered, so each image's mean is
-# summed in the batch's order.
+# Augmenter's contract order, then crops, resizes and flips one image at a
+# time and composes and applies its colour map [M | o] on its own. The
+# batched path must give the same bytes and leave the generator in the same
+# state. It works in the rows' dtype, as the batched path does, and its crop
+# is C-ordered, so each image's mean is summed in the batch's order.
 
-def _oracle_images(aug, xs, rng):
+_GRAY = np.array([[0.299, 0.587, 0.114]] * 3)
+
+
+def _oracle_images(aug, xs, rng, colour=None):
+    """The views of xs; `colour(img, factors, gray)` recolours one cropped
+    image, by default with its composed map (_oracle_affine)."""
     hw = aug.image_hw
     imgs = xs.reshape(len(xs), 3, hw, hw)
     out = np.empty_like(imgs)
     for i, params in enumerate(_oracle_draws(aug, len(imgs), rng)):
-        out[i] = _oracle_one(aug, imgs[i], *params)
+        out[i] = _oracle_one(aug, imgs[i], *params, colour or _oracle_affine)
     return out.reshape(len(xs), 3 * hw * hw)
 
 
@@ -407,7 +433,7 @@ def _oracle_draws(aug, n, rng):
     return list(zip(sides, tops, lefts, flips, jitters, grays))
 
 
-def _oracle_one(aug, img, side, top, left, flip, factors, gray):
+def _oracle_one(aug, img, side, top, left, flip, factors, gray, colour):
     hw = aug.image_hw
     crop = img[:, top:top + side, left:left + side]
     idx = np.clip((np.arange(hw) * side) // hw, 0, side - 1)
@@ -415,28 +441,58 @@ def _oracle_one(aug, img, side, top, left, flip, factors, gray):
     if flip:
         img = img[:, :, ::-1]
     img = np.ascontiguousarray(img)
+    if factors is None and not gray:
+        return img
+    return colour(img, factors, gray)
+
+
+def _oracle_affine(img, factors, gray):
+    """M x + o mean(x), with [M | o] composed in float64 and rounded to the
+    image dtype."""
+    affine = np.eye(3, 4)
     if factors is not None:
-        img = _oracle_jitter(img, *factors)
+        bright, contrast, sat, hue = factors
+        theta = 2.0 * math.pi * hue
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        rotate = np.array([[1.0, 0.0, 0.0], [0.0, cos_t, -sin_t],
+                           [0.0, sin_t, cos_t]])
+        saturate = sat * np.eye(3) + (1.0 - sat) * _GRAY
+        scale = np.eye(3, 4) * (contrast * bright)
+        scale[:, 3] = (1.0 - contrast) * bright
+        affine = (scenario._YIQ2RGB @ rotate @ scenario._RGB2YIQ @ saturate
+                  @ scale)
+    if gray:
+        affine = _GRAY @ affine
+    affine = affine.astype(img.dtype)
+    flat = img.reshape(3, -1)
+    out = affine[:, :3] @ flat + (affine[:, 3] * img.mean())[:, None]
+    return out.reshape(img.shape)
+
+
+def _sequential_colour(img, factors, gray):
+    """Colour jitter and grayscale as successive passes in the image dtype:
+    brightness, contrast about the mean, saturation about the luma, the hue
+    as a rotation in YIQ, then the luma in every channel. The composed map
+    must agree with it up to rounding."""
+    if factors is not None:
+        # each python-float factor rounds to the image dtype where it is used
+        bright, contrast, sat, hue = factors
+        img = img * bright
+        mean = img.mean()
+        img = mean + (img - mean) * contrast
+        luma = 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
+        img = luma[None] + (img - luma[None]) * sat
+        theta = 2.0 * math.pi * hue
+        yiq = np.tensordot(scenario._RGB2YIQ.astype(img.dtype), img, axes=1)
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        i_rot = yiq[1] * cos_t - yiq[2] * sin_t
+        q_rot = yiq[1] * sin_t + yiq[2] * cos_t
+        yiq = np.stack([yiq[0], i_rot, q_rot])
+        img = np.tensordot(scenario._YIQ2RGB.astype(img.dtype), yiq, axes=1)
     if gray:
         luma = 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
         img = np.stack([luma, luma, luma])
     return img
-
-
-def _oracle_jitter(img, bright, contrast, sat, hue):
-    # each python-float factor rounds to the image dtype where it is used
-    img = img * bright
-    mean = img.mean()
-    img = mean + (img - mean) * contrast
-    luma = 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
-    img = luma[None] + (img - luma[None]) * sat
-    theta = 2.0 * math.pi * hue
-    yiq = np.tensordot(scenario._RGB2YIQ.astype(img.dtype), img, axes=1)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    i_rot = yiq[1] * cos_t - yiq[2] * sin_t
-    q_rot = yiq[1] * sin_t + yiq[2] * cos_t
-    yiq = np.stack([yiq[0], i_rot, q_rot])
-    return np.tensordot(scenario._YIQ2RGB.astype(img.dtype), yiq, axes=1)
 
 
 def _image_settings():
@@ -475,6 +531,27 @@ def test_image_views_match_the_per_image_oracle(hw, batch, crop_scale, dtype):
                                           want_rng, case)
 
 
+@pytest.mark.parametrize("hw", [4, 8, 32])
+@pytest.mark.parametrize("dtype,atol", [(np.float32, 4e-6),
+                                        (np.float64, 1e-12)])
+def test_image_views_agree_with_the_sequential_colour_passes(hw, dtype, atol):
+    """The composed map is the jitter passes' arithmetic up to rounding."""
+    x = np.random.default_rng(hw).standard_normal((65, 3 * hw * hw)).astype(
+        dtype)
+    for probs in _image_settings():
+        for strengths in ((0.0, 0.0, 0.0, 0.0), (0.4, 0.4, 0.4, 0.1)):
+            aug = scenario.Augmenter(mode="image", image_hw=hw,
+                                     jitter_strengths=strengths, **probs)
+            got = aug.pair_views(x, np.random.default_rng(hw + 1))
+            rng = np.random.default_rng(hw + 1)
+            first, second = (_oracle_images(aug, x, rng, _sequential_colour)
+                             for _ in range(2))
+            np.testing.assert_allclose(got[0::2], first, rtol=0, atol=atol,
+                                       err_msg=f"{probs} {strengths}")
+            np.testing.assert_allclose(got[1::2], second, rtol=0, atol=atol,
+                                       err_msg=f"{probs} {strengths}")
+
+
 def assert_views_match_the_oracle(views, aug, x, got_rng, want_rng, case=""):
     """`views` ("apply_batch" or "pair_views", all first views then all
     second views, interleaved) equal the oracle's in bytes and in the
@@ -495,6 +572,20 @@ def _state(rng):
     array)."""
     return json.dumps(rng.bit_generator.state, sort_keys=True,
                       default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_plain_images_keep_their_gathered_bytes(dtype):
+    """An image neither jittered nor grayed is its crop, -0.0 included,
+    which an identity map would turn into +0.0."""
+    x = np.random.default_rng(4).standard_normal((33, 3 * 8 * 8)).astype(
+        dtype)
+    x[:, ::3] = -0.0
+    aug = scenario.Augmenter(mode="image", image_hw=8, jitter_p=0.5,
+                             gray_p=0.5)
+    assert_views_match_the_oracle("pair_views", aug, x,
+                                  np.random.default_rng(1),
+                                  np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("views", ["apply_batch", "pair_views"])

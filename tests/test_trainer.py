@@ -866,14 +866,14 @@ _PINNED_DIGESTS = [
     ("vector", {"pretrain_reference": True}, "5f4472a70960499b"),
     ("vector", {"memory_policy": "rainbow"}, "3827dbfcb2d99993"),
     ("vector", {"memory_policy": "high_confidence"}, "c71f882a2a14ee0c"),
-    ("image", {}, "c2474fc2df08b1fc"),
-    ("image", {"method": "co2l_j"}, "732da9d8f8374460"),
+    ("image", {}, "9cf1e74702e19c14"),
+    ("image", {"method": "co2l_j"}, "4898102d98d400ed"),
 ]
 # sha256[:16] of state_digest(report.state) of the image runs, by method:
 # their metrics are one-batch float32 epoch losses and accuracies, which can
 # round to the same values while the training under them moves
-_PINNED_STATE_DIGESTS = {"ursl": "f493d7f33f145db6",
-                         "co2l_j": "02b611e464ca3b9f"}
+_PINNED_STATE_DIGESTS = {"ursl": "710664ce9c28a721",
+                         "co2l_j": "8d65487bf2201f6a"}
 
 
 def _blas_configuration():
@@ -1474,6 +1474,45 @@ def test_feeding_ahead_moves_no_byte(image_world, in_process, feeds,
         runs.append((json.dumps(rep.metrics_dict(), sort_keys=True),
                      rep.loss_curves, state_digest(rep.state)))
     assert len(feeds) == trainings
+    assert runs[0] == runs[1]
+
+
+def test_the_teachers_embed_on_the_feeder(image_world, in_process, feeds,
+                                          monkeypatch):
+    """Fed ahead, both frozen teachers embed their views on the feeder
+    thread; inline, on this one. The two runs are byte for byte equal."""
+    main, stream, aug = image_world
+    train_learner_task = tr.train_learner_task
+
+    class Recorded:
+        def __init__(self, teacher, role):
+            self.teacher, self.role = teacher, role
+
+        def embed(self, x):
+            calls.append((self.role, threading.current_thread().name))
+            return self.teacher.embed(x)
+
+    def recorded(*args, td_teacher=None, kd_teacher=None, **kwargs):
+        teachers = {role: None if teacher is None else Recorded(teacher, role)
+                    for role, teacher in (("td_teacher", td_teacher),
+                                          ("kd_teacher", kd_teacher))}
+        return train_learner_task(*args, **teachers, **kwargs)
+
+    monkeypatch.setattr(tr, "train_learner_task", recorded)
+    runs, names = [], []
+    for ahead in (False, True):
+        monkeypatch.setattr(tr, "_feeds_ahead", lambda augmenter: ahead)
+        calls = []
+        rep = tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
+        runs.append((json.dumps(rep.metrics_dict(), sort_keys=True),
+                     state_digest(rep.state)))
+        names.append(calls)
+    inline, fed = names
+    assert [role for role, _ in inline] == [role for role, _ in fed]
+    assert {role for role, _ in fed} == {"td_teacher", "kd_teacher"}
+    assert {name for _, name in inline} == {threading.current_thread().name}
+    assert {name for _, name in fed} == {"osscl-feed"}
+    assert len(feeds) == 4
     assert runs[0] == runs[1]
 
 
