@@ -138,7 +138,11 @@ def _prepare_out_dir(out, force):
             if any(entries):
                 raise ConfigError(f"output directory {out} is not empty "
                                   "(use --force to overwrite)")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a file at out or above it, say
+        raise ConfigError(f"cannot make output directory {out} "
+                          f"({exc.strerror})") from None
     if force:
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out, "aggregate.json"))
@@ -191,18 +195,22 @@ def _resolve_run(args, segregates=False):
 def _check_task_classes(exp, seeds, datasets, quotas):
     """Each seed's stream over the built (main, peripherals), one at a time,
     failing as a ConfigError when the datasets hold too few classes or too
-    few rows for its pools and, with quotas, where
-    trainer.check_memory_quotas rejects its class order."""
+    few rows for its pools, where trainer.check_trainable rejects it and,
+    with quotas, where trainer.check_memory_quotas rejects its class
+    order."""
     for seed in seeds:
         try:
-            order = sc.build_stream(exp.scenario_config(seed),
-                                    *datasets).task_classes
+            stream = sc.build_stream(exp.scenario_config(seed), *datasets)
         except (ValueError, sc.PoolExhaustedError) as exc:
             raise ConfigError(f"config.scenario: {exc}") from None
+        try:
+            trainer.check_trainable(exp.method, stream)
+        except ValueError as exc:
+            raise ConfigError(f"config.scenario: seed {seed}: {exc}") from None
         if not quotas:
             continue
         try:
-            trainer.check_memory_quotas(exp.method, order)
+            trainer.check_memory_quotas(exp.method, stream.task_classes)
         except ValueError as exc:
             raise ConfigError(f"config.method.memory_size: seed {seed}: "
                               f"{exc}") from None

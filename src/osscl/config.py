@@ -19,9 +19,10 @@ their errors are reported under the section path. Two rules that no one
 section knows stay here: the main dataset needs a test split (peripherals
 need none), and method.memory_size must cover the classes seen before the
 last task. What needs the data (that the files exist and load, that every
-row is as wide as the main's, 3 x image_hw x image_hw in image mode, and
-that each seed's stream can be drawn) is checked by
-Experiment.build_datasets and the CLI before anything is written.
+row is as wide as the main's and, in image mode, 3 x hw x hw for some
+hw >= 1, which gives the image side, and that each seed's stream can be
+drawn and trained on) is checked by Experiment.build_datasets and the CLI
+before anything is written.
 """
 
 from __future__ import annotations
@@ -270,25 +271,22 @@ class Experiment:
         A file that is not an export or a malformed CIFAR batch, a main
         dataset with a class that has no test rows (a file export may have
         none at all, and evaluation scores every task), a peripheral whose
-        rows are not as wide as the main's and, in image mode, a row that is
-        not a 3 x image_hw x image_hw image are known only here, so each is
-        a ConfigError before any training.
+        rows are not as wide as the main's and, in image mode, rows that are
+        not 3 x hw x hw images (scenario.image_side) are known only here, so
+        each is a ConfigError before any training.
         """
-        hw = self.augmenter.image_hw
         built = []
         for where, spec in self.dataset_specs():
             try:
                 data = spec.build()
+                if self.augmenter.mode == "image":
+                    sc.image_side(data.dim)
             except ValueError as exc:
                 _fail(f"config.datasets.{where}", str(exc))
             if where == "main" and (missing := np.setdiff1d(
                     data.train_y, data.test_y).tolist()):
                 _fail("config.datasets.main",
                       f"{data.name} has no test samples of classes {missing}")
-            if self.augmenter.mode == "image" and data.dim != 3 * hw * hw:
-                _fail("config.augmenter.image_hw",
-                      f"image mode needs rows of 3*{hw}*{hw} = {3 * hw * hw} "
-                      f"values, datasets.{where} has {data.dim}")
             if built and data.dim != built[0].dim:
                 _fail(f"config.datasets.{where}",
                       f"{data.name} has rows of {data.dim} values, "

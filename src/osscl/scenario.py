@@ -210,9 +210,10 @@ class Augmenter:
 
     vector mode adds isotropic Gaussian noise then zeroes coordinates
     independently; with sigma=0 and dropout=0 it is the identity. image mode
-    treats rows as channel-major 3 x hw x hw images and applies random
-    resized crop, horizontal flip, and colour jitter and grayscale as one
-    affine map of each image's RGB (_draw_images).
+    treats rows as channel-major 3 x hw x hw images, hw given by their width
+    (image_side), and applies random resized crop, horizontal flip, and
+    colour jitter and grayscale as one affine map of each image's RGB
+    (_draw_images).
 
     Reproducibility contract of image mode: each view of a batch of n
     images draws, as whole-batch Generator calls in this order,
@@ -228,8 +229,7 @@ class Augmenter:
     dataset the loaders make), and consumes no draws.
 
     Every field is range-checked in __post_init__; a config's `augmenter`
-    section holds these fields with these defaults. That dataset rows are
-    3 x image_hw x image_hw wide is checked by config.Experiment.build_datasets.
+    section holds these fields with these defaults.
     """
 
     mode: str = "vector"
@@ -240,13 +240,10 @@ class Augmenter:
     jitter_p: float = 0.8
     jitter_strengths: tuple = (0.4, 0.4, 0.4, 0.1)
     gray_p: float = 0.2
-    image_hw: int = 32
 
     def __post_init__(self):
         if self.mode not in ("vector", "image"):
             raise ValueError(f"unknown augmenter mode {self.mode!r}")
-        if self.image_hw < 1:
-            raise ValueError("image_hw must be >= 1")
         if not 0 <= self.sigma < math.inf or not 0 <= self.dropout <= 1:
             raise ValueError("sigma must be in [0, inf) and dropout in [0, 1]")
         low, high = self.crop_scale
@@ -300,10 +297,8 @@ class Augmenter:
         of mean m, is written as M x + o m by one batched matmul and one add,
         in the rows' dtype; an image neither jittered nor grayed keeps its
         gathered bytes."""
-        hw = self.image_hw
-        n = len(xs)
-        xs = xs.reshape(n, 3 * hw * hw)
-        drawn = [self._draw_images(n, rng) for _ in range(views)]
+        n, hw = len(xs), image_side(xs.shape[1])
+        drawn = [self._draw_images(n, hw, rng) for _ in range(views)]
         # interleaved like the output rows
         ints = np.stack([d[0] for d in drawn], axis=1).reshape(-1, 6)
         maps = np.stack([d[1] for d in drawn], axis=1).reshape(-1, 3, 4)
@@ -336,8 +331,9 @@ class Augmenter:
             out[plain[chunk]] = got[plain[chunk]]
         return imgs.reshape(views * n, 3 * hw * hw)
 
-    def _draw_images(self, n, rng):
-        """Per-image parameters of one batch, drawn in the contract order.
+    def _draw_images(self, n, hw, rng):
+        """Per-image parameters of a batch of n hw x hw images, drawn in the
+        contract order.
 
         Returns [n, 6] ints (side, top, left, flip, jittered, grayed) and
         each image's colour jitter and grayscale as one affine map of its
@@ -350,7 +346,6 @@ class Augmenter:
         [I | 0], and a grayed image's is then 1 w^T times it. The products
         are stacked np.matmul calls, left to right.
         """
-        hw = self.image_hw
         sb, sc, ss, sh = self.jitter_strengths
         area_scale = rng.uniform(*self.crop_scale, size=n)
         side = np.clip(np.rint(hw * np.sqrt(area_scale)), 1, hw).astype(
@@ -377,6 +372,15 @@ class Augmenter:
         maps[grayed] = _GRAY @ maps[grayed]
         return (np.stack([side, top, left, flip, jittered, grayed], axis=1),
                 maps)
+
+
+def image_side(width):
+    """hw for image rows of width 3 x hw x hw, hw >= 1; any other width
+    raises ValueError naming it."""
+    hw = math.isqrt(width // 3)
+    if hw < 1 or 3 * hw * hw != width:
+        raise ValueError(f"rows of {width} values are not 3 x hw x hw images")
+    return hw
 
 
 # output rows per gather-and-map chunk: 32 float32 32x32 images are 384 KiB,

@@ -708,8 +708,7 @@ class _TaskWalk:
     """
 
     def __init__(self, cfg, stream, augmenter, seed, arch):
-        if not stream.steps:
-            raise ValueError("stream is empty")
+        check_trainable(cfg, stream)
         self.cfg, self.stream, self.augmenter = cfg, stream, augmenter
         self.clock = _PhaseClock()
         self.reference = (_encoder_projector(stream, arch, seed, _ROLE_REF_INIT)
@@ -857,26 +856,6 @@ def _walks_ahead(walk):
             and _spare_core())
 
 
-def _walk_child(walk, outbox):
-    """Pickle each item of the walk to outbox, then what it owns at the end,
-    one record each. An exception is sent, for the learner side to raise."""
-    def send(item):
-        # flushed before it returns, so the next step may train these
-        # parameters in place
-        pickle.dump(item, outbox, pickle.HIGHEST_PROTOCOL)
-        outbox.flush()
-
-    try:
-        for _, labeled, seg in walk:
-            send((labeled, seg, walk.reference.params))
-        send({name: getattr(walk, name) for name in _WALK_HANDBACK})
-    except Exception as exc:  # noqa: BLE001 - raised again by the learner side
-        if hasattr(exc, "add_note"):  # Python 3.11+
-            exc.add_note(
-                f"raised in the walk process:\n{traceback.format_exc()}")
-        send(exc)
-
-
 def _flush_std_streams():
     """Flush sys.stdout and sys.stderr, where they can be."""
     for stream in (sys.stdout, sys.stderr):
@@ -885,15 +864,31 @@ def _flush_std_streams():
 
 
 def _walk_process(walk, fd):
-    """Body of the forked walk process: _walk_child into the pipe's write
-    end `fd`. It leaves only through os._exit, never into the caller's
-    stack: with 0 once all is sent, with n for a SystemExit(n) of an int n,
-    and with 1, its traceback on stderr, for anything else that escapes (an
+    """Body of the forked walk process: pickle each item of the walk into
+    the pipe's write end `fd`, then what the walk owns at the end, one
+    record each; an exception is sent instead, for the learner side to
+    raise. It leaves only through os._exit, never into the caller's stack:
+    with 0 once all is sent, with n for a SystemExit(n) of an int n, and
+    with 1, its traceback on stderr, for anything else that escapes (an
     exception pickle cannot send, say)."""
+    def send(item):
+        # flushed before it returns, so the next step may train these
+        # parameters in place
+        pickle.dump(item, outbox, pickle.HIGHEST_PROTOCOL)
+        outbox.flush()
+
     code = 1
     try:
         with os.fdopen(fd, "wb") as outbox:
-            _walk_child(walk, outbox)
+            try:
+                for _, labeled, seg in walk:
+                    send((labeled, seg, walk.reference.params))
+                send({name: getattr(walk, name) for name in _WALK_HANDBACK})
+            except Exception as exc:  # noqa: BLE001 - the learner raises it
+                if hasattr(exc, "add_note"):  # Python 3.11+
+                    exc.add_note(f"raised in the walk process:\n"
+                                 f"{traceback.format_exc()}")
+                send(exc)
         code = 0
     except BaseException as exc:  # noqa: BLE001 - reported by the exit code
         if isinstance(exc, SystemExit) and isinstance(exc.code, int):
@@ -927,10 +922,14 @@ class _Child:
 
 def _receive(inbox, child, what):
     """The walk process's next record. An exception it sent is raised here;
-    if it exits without sending, RuntimeError names its exit code."""
+    if it exits before the record's last byte, between records or within
+    one, RuntimeError names its exit code."""
     try:
         item = pickle.load(inbox)
-    except EOFError:  # the child held the pipe's only write end
+    # the child held the pipe's only write end: its exit ends the data,
+    # which pickle reports as EOFError between records and as
+    # UnpicklingError ("pickle data was truncated") within one
+    except (EOFError, pickle.UnpicklingError):
         raise RuntimeError(f"the walk process exited with code "
                            f"{child.join()} before sending {what}") from None
     if isinstance(item, BaseException):
@@ -1002,6 +1001,26 @@ def check_memory_quotas(cfg, task_classes):
     if lost := [c for c, q in quotas.items() if q == 0 and c not in last]:
         raise ValueError(f"memory_size {cfg.memory_size} keeps no exemplar of "
                          f"classes {lost}, which the classifier needs")
+
+
+def check_trainable(cfg, stream):
+    """Raise ValueError, naming the step, when cfg's method cannot train on
+    the stream: it is empty, an unlabeled pool the method trains on is
+    empty (every step's for ursl and co2l_j, step 1's for co2l_p), or a
+    method that segregates has fewer than two labeled rows at step 1 to
+    set its thresholds from (later steps add memory's exemplars, at least
+    one under a config's memory_size floor)."""
+    if not stream.steps:
+        raise ValueError("stream is empty")
+    for step in stream.steps:
+        if not len(step.unlabeled_x) and (
+                cfg.method in ("ursl", "co2l_j")
+                or (cfg.method == "co2l_p" and step.index == 1)):
+            raise ValueError(f"step {step.index}: the unlabeled pool is "
+                             f"empty, and {cfg.method} trains on it")
+    if cfg.uses_segregation and (n := len(stream.steps[0].labeled_y)) < 2:
+        raise ValueError(f"step 1: {n} labeled row, and segregation needs "
+                         f"at least two")
 
 
 def run_continual(cfg, stream, dataset, augmenter, seed, arch=NetArch()):

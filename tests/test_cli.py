@@ -385,9 +385,22 @@ class TestErrors:
         rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out),
                        "--threads", threads])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert "config.augmenter.image_hw" in err
-        assert "3072" in err and "has 8" in err
+        assert ("config.datasets.main: rows of 8 values are not 3 x hw x hw "
+                "images") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_image_hw_is_an_unknown_key_exit_2(self, tmp_path, capsys):
+        """The rows give the image side; a config that still states it
+        fails at load."""
+        spec = json.loads(json.dumps(TINY))
+        spec["augmenter"] = {"mode": "image", "image_hw": 32}
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(spec))
+        out = tmp_path / "never"
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert ("config error: config.augmenter.image_hw: unknown key"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("where,spec,key", [
@@ -546,6 +559,51 @@ class TestErrors:
         assert rc == 2
         assert f"config.scenario: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method,scenario,message", [
+        ("ursl", {"n_related": 0, "n_unrelated": 0},
+         "step 1: the unlabeled pool is empty, and ursl trains on it"),
+        ("co2l_j", {"n_related": 0, "n_unrelated": 0},
+         "step 1: the unlabeled pool is empty, and co2l_j trains on it"),
+        ("ursl", {"classes_per_task": 1, "labeled_fraction": 0.05,
+                  "n_related": 10},
+         "step 1: 1 labeled row, and segregation needs at least two"),
+    ], ids=["ursl_empty_pool", "co2l_j_empty_pool", "ursl_one_labeled_row"])
+    def test_untrainable_stream_exit_2_before_any_output(
+            self, tmp_path, capsys, method, scenario, message):
+        """A pool the method trains on that is empty, or one labeled row at
+        step 1 to segregate by (20 rows per class at 5%), is a config error
+        naming the seed and the step, for segregate-eval too."""
+        cfg = json.loads(json.dumps(TINY))
+        cfg["datasets"]["main"]["train_per_class"] = 20
+        cfg["method"]["method"] = method
+        cfg["scenario"].update(scenario)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "never"
+        commands = ["run"] + (["segregate-eval"] if method == "ursl" else [])
+        for command in commands:
+            rc = cli.main([command, "--config", str(cfg_path), "--out",
+                           str(out), "--seeds", "2,1"])
+            assert rc == 2, command
+            assert (f"config error: config.scenario: seed 2: {message}"
+                    in capsys.readouterr().err), command
+            assert not out.exists(), command
+
+    @pytest.mark.parametrize("force", [[], ["--force"]],
+                             ids=["plain", "force"])
+    @pytest.mark.parametrize("command", ["run", "segregate-eval"])
+    def test_out_naming_a_file_exit_2(self, workspace, tmp_path, capsys,
+                                      command, force):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        rc = cli.main([command, "--config", str(workspace["config"]),
+                       "--out", str(afile), *force])
+        assert rc == 2
+        assert (f"config error: cannot make output directory {afile} "
+                f"(File exists)") in capsys.readouterr().err
+        assert afile.read_text() == "kept"
+        assert os.listdir(tmp_path) == ["afile"]
 
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -710,7 +768,7 @@ class TestSegregateEval:
             expected = "config.datasets.peripheral[0]: "
         else:
             cfg["augmenter"] = {"mode": "image"}
-            expected = "config.augmenter.image_hw: "
+            expected = "config.datasets.main: rows of 8 values are not "
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "never"

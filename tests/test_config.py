@@ -31,8 +31,7 @@ MAINS = {"synthetic": TINY["datasets"]["main"],
 NON_DEFAULT = {
     "augmenter": {"mode": "image", "sigma": 0.25, "dropout": 0.3,
                   "crop_scale": [0.5, 0.75], "flip_p": 0.25, "jitter_p": 0.5,
-                  "jitter_strengths": [0.1, 0.2, 0.3, 0.05], "gray_p": 0.1,
-                  "image_hw": 8},
+                  "jitter_strengths": [0.1, 0.2, 0.3, 0.05], "gray_p": 0.1},
     "arch": {"hidden": [7, 5, 3], "proj_hidden": 9, "embed_dim": 6},
     "method": {"method": "co2l", "seg_variant": "v2", "use_sup": False,
                "use_td": False, "use_kd": False, "pretrain_reference": True,
@@ -72,8 +71,7 @@ TINY_RESOLVED = {
                  "variant": "standard", "non_iid_fraction": 0.5},
     "augmenter": {"mode": "vector", "sigma": 0.5, "dropout": 0.1,
                   "crop_scale": [0.2, 1.0], "flip_p": 0.5, "jitter_p": 0.8,
-                  "jitter_strengths": [0.4, 0.4, 0.4, 0.1], "gray_p": 0.2,
-                  "image_hw": 32},
+                  "jitter_strengths": [0.4, 0.4, 0.4, 0.1], "gray_p": 0.2},
     "arch": {"hidden": [64, 64], "proj_hidden": 32, "embed_dim": 16},
     "method": {"method": "ursl", "seg_variant": "v4", "use_sup": True,
                "use_td": True, "use_kd": True, "pretrain_reference": False,
@@ -213,7 +211,6 @@ def test_errors_name_the_key_path(section, key, value, message):
     (NetArch, {"hidden": (8, 0)}, "arch", "hidden must be a non-empty list"),
     (NetArch, {"proj_hidden": 0}, "arch", "proj_hidden must be >= 1"),
     (NetArch, {"embed_dim": 0}, "arch", "embed_dim must be >= 1"),
-    (sc.Augmenter, {"image_hw": 0}, "augmenter", "image_hw must be >= 1"),
 ])
 def test_range_checks_live_in_the_dataclass(tmp_path, capsys, cls, kwargs,
                                              section, message):
@@ -231,11 +228,11 @@ def test_range_checks_live_in_the_dataclass(tmp_path, capsys, cls, kwargs,
     assert not out.exists()
 
 
-def _image_spec(main_dim, peripheral_dim, hw=2):
+def _image_spec(main_dim, peripheral_dim):
     spec = json.loads(json.dumps(TINY))
     spec["datasets"]["main"]["dim"] = main_dim
     spec["datasets"]["peripheral"][0]["dim"] = peripheral_dim
-    spec["augmenter"] = {"mode": "image", "image_hw": hw}
+    spec["augmenter"] = {"mode": "image"}
     return spec
 
 
@@ -245,17 +242,28 @@ def _image_spec(main_dim, peripheral_dim, hw=2):
 ])
 def test_image_row_width_is_checked_with_the_datasets(main_dim,
                                                       peripheral_dim, where):
+    """Rows of 12 values are 3 x 2 x 2 images; rows of 8 are no image."""
     exp = config.from_dict(_image_spec(main_dim, peripheral_dim))
-    with pytest.raises(config.ConfigError,
-                       match=rf"^config.augmenter.image_hw: .*= 12 .*{where}"):
+    key, width = where.split(" has ")
+    with pytest.raises(config.ConfigError, match=rf"^config.{key}: rows of "
+                       rf"{width} values are not 3 x hw x hw images$"):
         exp.build_datasets()
 
 
 def test_image_rows_of_the_right_width_build():
-    main, peripherals = config.from_dict(_image_spec(12, 12)).build_datasets()
-    assert main.dim == peripherals[0].dim == 12
-    vector = config.from_dict(tiny_with("augmenter", "image_hw", 2))
-    assert vector.build_datasets()[0].dim == 8
+    for hw in (1, 2, 3):
+        exp = config.from_dict(_image_spec(3 * hw * hw, 3 * hw * hw))
+        main, peripherals = exp.build_datasets()
+        assert main.dim == peripherals[0].dim == 3 * hw * hw
+    assert config.from_dict(TINY).build_datasets()[0].dim == 8  # vector mode
+
+
+def test_image_hw_is_an_unknown_key():
+    """The rows give the image side; a config that still states it fails
+    at load."""
+    with pytest.raises(config.ConfigError,
+                       match=r"^config.augmenter.image_hw: unknown key$"):
+        config.from_dict(tiny_with("augmenter", "image_hw", 32))
 
 
 @pytest.mark.parametrize("section,key,text,where", [

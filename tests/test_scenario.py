@@ -330,7 +330,7 @@ def test_pair_views_interleaved():
 
 
 def test_image_augment_shape_and_determinism():
-    aug = scenario.Augmenter(mode="image", image_hw=8)
+    aug = scenario.Augmenter(mode="image")
     x = np.random.default_rng(1).random((4, 3 * 64)).astype(np.float32)
     a = aug.apply_batch(x, np.random.default_rng(2))
     b = aug.apply_batch(x, np.random.default_rng(2))
@@ -340,8 +340,8 @@ def test_image_augment_shape_and_determinism():
 
 
 def test_image_grayscale_equalizes_channels():
-    aug = scenario.Augmenter(mode="image", image_hw=4, crop_scale=(1.0, 1.0),
-                             flip_p=0.0, jitter_p=0.0, gray_p=1.0)
+    aug = scenario.Augmenter(mode="image", crop_scale=(1.0, 1.0), flip_p=0.0,
+                             jitter_p=0.0, gray_p=1.0)
     x = np.random.default_rng(5).random((2, 48))
     out = aug.apply_batch(x, np.random.default_rng(6)).reshape(2, 3, 4, 4)
     np.testing.assert_allclose(out[:, 0], out[:, 1], atol=1e-12)
@@ -387,8 +387,7 @@ def test_augmenter_rejects_jitter_strengths_outside_colorjitter(strengths):
     (1.0, 1.0, 1.0, 0.5), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.5),
     (0.4, 0.4, 0.4, 0.1)])
 def test_augmenter_accepts_jitter_strengths_at_colorjitter_bounds(strengths):
-    aug = scenario.Augmenter(mode="image", image_hw=4,
-                             jitter_strengths=strengths)
+    aug = scenario.Augmenter(mode="image", jitter_strengths=strengths)
     x = np.random.default_rng(0).standard_normal((9, 48)).astype(np.float32)
     assert np.isfinite(aug.pair_views(x, np.random.default_rng(1))).all()
 
@@ -405,19 +404,21 @@ _GRAY = np.array([[0.299, 0.587, 0.114]] * 3)
 
 
 def _oracle_images(aug, xs, rng, colour=None):
-    """The views of xs; `colour(img, factors, gray)` recolours one cropped
-    image, by default with its composed map (_oracle_affine)."""
-    hw = aug.image_hw
+    """The views of xs, whose width gives the image side; `colour(img,
+    factors, gray)` recolours one cropped image, by default with its
+    composed map (_oracle_affine)."""
+    hw = math.isqrt(xs.shape[1] // 3)
+    assert 3 * hw * hw == xs.shape[1]
     imgs = xs.reshape(len(xs), 3, hw, hw)
     out = np.empty_like(imgs)
-    for i, params in enumerate(_oracle_draws(aug, len(imgs), rng)):
-        out[i] = _oracle_one(aug, imgs[i], *params, colour or _oracle_affine)
+    for i, params in enumerate(_oracle_draws(aug, len(imgs), hw, rng)):
+        out[i] = _oracle_one(imgs[i], *params, colour or _oracle_affine)
     return out.reshape(len(xs), 3 * hw * hw)
 
 
-def _oracle_draws(aug, n, rng):
-    """Per image: (side, top, left, flip, jitter factors or None, gray)."""
-    hw = aug.image_hw
+def _oracle_draws(aug, n, hw, rng):
+    """Per hw x hw image: (side, top, left, flip, jitter factors or None,
+    gray)."""
     sides = [max(1, min(hw, round(hw * math.sqrt(rng.uniform(
         *aug.crop_scale))))) for _ in range(n)]
     tops = [rng.integers(0, hw - side + 1) for side in sides]
@@ -433,8 +434,8 @@ def _oracle_draws(aug, n, rng):
     return list(zip(sides, tops, lefts, flips, jitters, grays))
 
 
-def _oracle_one(aug, img, side, top, left, flip, factors, gray, colour):
-    hw = aug.image_hw
+def _oracle_one(img, side, top, left, flip, factors, gray, colour):
+    hw = img.shape[-1]
     crop = img[:, top:top + side, left:left + side]
     idx = np.clip((np.arange(hw) * side) // hw, 0, side - 1)
     img = crop[:, idx][:, :, idx]
@@ -514,8 +515,7 @@ def test_image_views_match_the_per_image_oracle(hw, batch, crop_scale, dtype):
         (batch, 3 * hw * hw)).astype(dtype)
     for probs in _image_settings():
         for strengths in ((0.0, 0.0, 0.0, 0.0), (0.4, 0.4, 0.4, 0.1)):
-            aug = scenario.Augmenter(mode="image", image_hw=hw,
-                                     crop_scale=crop_scale,
+            aug = scenario.Augmenter(mode="image", crop_scale=crop_scale,
                                      jitter_strengths=strengths, **probs)
             got_rng = np.random.default_rng(batch + 17)
             want_rng = np.random.default_rng(batch + 17)
@@ -540,8 +540,8 @@ def test_image_views_agree_with_the_sequential_colour_passes(hw, dtype, atol):
         dtype)
     for probs in _image_settings():
         for strengths in ((0.0, 0.0, 0.0, 0.0), (0.4, 0.4, 0.4, 0.1)):
-            aug = scenario.Augmenter(mode="image", image_hw=hw,
-                                     jitter_strengths=strengths, **probs)
+            aug = scenario.Augmenter(mode="image", jitter_strengths=strengths,
+                                     **probs)
             got = aug.pair_views(x, np.random.default_rng(hw + 1))
             rng = np.random.default_rng(hw + 1)
             first, second = (_oracle_images(aug, x, rng, _sequential_colour)
@@ -581,8 +581,7 @@ def test_plain_images_keep_their_gathered_bytes(dtype):
     x = np.random.default_rng(4).standard_normal((33, 3 * 8 * 8)).astype(
         dtype)
     x[:, ::3] = -0.0
-    aug = scenario.Augmenter(mode="image", image_hw=8, jitter_p=0.5,
-                             gray_p=0.5)
+    aug = scenario.Augmenter(mode="image", jitter_p=0.5, gray_p=0.5)
     assert_views_match_the_oracle("pair_views", aug, x,
                                   np.random.default_rng(1),
                                   np.random.default_rng(1))
@@ -595,7 +594,7 @@ def test_image_views_entered_with_a_kept_half_match_the_oracle(views, dtype):
     which the first crop edge must take."""
     x = np.random.default_rng(3).standard_normal((33, 3 * 8 * 8)).astype(
         dtype)
-    aug = scenario.Augmenter(mode="image", image_hw=8)
+    aug = scenario.Augmenter(mode="image")
     got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
     for rng in (got_rng, want_rng):
         rng.integers(0, 5)
@@ -608,7 +607,7 @@ def test_image_views_entered_with_a_kept_half_match_the_oracle(views, dtype):
 def test_image_views_take_any_bit_generator(bit_generator):
     """The views are Generator calls, so any bit generator gives the
     oracle's bytes and state, and the same views again from the same seed."""
-    aug = scenario.Augmenter(mode="image", image_hw=8)
+    aug = scenario.Augmenter(mode="image")
     x = np.random.default_rng(2).standard_normal((17, 3 * 8 * 8)).astype(
         np.float32)
     for views in ("apply_batch", "pair_views"):
@@ -621,10 +620,20 @@ def test_image_views_take_any_bit_generator(bit_generator):
 
 
 def test_image_mode_rejects_rows_of_the_wrong_width():
-    aug = scenario.Augmenter(mode="image", image_hw=8)
-    with pytest.raises(ValueError):
-        aug.apply_batch(np.zeros((2, 100), dtype=np.float32),
-                        np.random.default_rng(0))
+    """Rows of width 3 x hw x hw give the side hw; any other width, 0
+    included, is a ValueError naming it, before any draw."""
+    aug = scenario.Augmenter(mode="image")
+    for width in (0, 1, 2, 3 * 8 * 8 + 3, 100, 3072 + 1):
+        rng = np.random.default_rng(0)
+        state = _state(rng)
+        for views in ("apply_batch", "pair_views"):
+            with pytest.raises(ValueError,
+                               match=rf"^rows of {width} values are not "):
+                getattr(aug, views)(np.zeros((2, width), dtype=np.float32),
+                                    rng)
+        assert _state(rng) == state
+    assert [scenario.image_side(3 * hw * hw) for hw in (1, 2, 4, 8, 32)] == [
+        1, 2, 4, 8, 32]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import glob
 import hashlib
 import json
 import os
+import pickle
 import platform
 import subprocess
 import sys
@@ -463,8 +464,7 @@ blas = T.blas_thread_control()
 threads = blas[0]() if blas else None
 vector = T.build_tiny_world(sc.Augmenter(mode="vector", sigma=0.5,
                                          dropout=0.1))
-image = T.build_tiny_world(sc.Augmenter(mode="image", image_hw=8),
-                           dim=3 * 8 * 8)
+image = T.build_tiny_world(sc.Augmenter(mode="image"), dim=3 * 8 * 8)
 for (main, stream, aug), overrides in (
         (vector, {}), (vector, {"seg_variant": "v1"}),
         (vector, {"memory_policy": "rainbow"}), (vector, {"method": "co2l_p"}),
@@ -624,6 +624,32 @@ def test_walk_process_death_is_a_runtime_error(tiny_world, walk_ahead,
     monkeypatch.setattr(tr, "train_reference", dies_at_t2)
     with pytest.raises(RuntimeError, match="exited with code 3 before"):
         tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
+    assert walk_ahead == [1]
+
+
+def test_walk_process_death_within_a_record_is_a_runtime_error(
+        tiny_world, walk_ahead, monkeypatch):
+    """A walk process that dies part way through writing a record (an image
+    step's is 1-2 MB, far past a pipe's buffer) reads like one that died
+    between records."""
+    main, stream, aug = tiny_world
+    dump, parent, sent = pickle.dump, os.getpid(), []
+
+    def dies_within_step_2(item, file, protocol=None):
+        if os.getpid() != parent:
+            sent.append(1)
+            if len(sent) == 2:
+                data = pickle.dumps(item, protocol)
+                file.write(data[:len(data) // 2])
+                file.flush()
+                os._exit(9)
+        return dump(item, file, protocol)
+
+    monkeypatch.setattr(pickle, "dump", dies_within_step_2)
+    with pytest.raises(RuntimeError) as caught:
+        tr.run_continual(tiny_cfg(), stream, main, aug, seed=5)
+    assert str(caught.value) == ("the walk process exited with code 9 "
+                                 "before sending step 2")
     assert walk_ahead == [1]
 
 
@@ -886,8 +912,7 @@ def _blas_configuration():
 
 @pytest.fixture(scope="module")
 def image_world():
-    return build_tiny_world(sc.Augmenter(mode="image", image_hw=8),
-                            dim=3 * 8 * 8)
+    return build_tiny_world(sc.Augmenter(mode="image"), dim=3 * 8 * 8)
 
 
 @pytest.mark.parametrize(
@@ -1197,6 +1222,57 @@ def with_nan(stream, t, field, row, cols=0):
     steps = list(stream.steps)
     steps[t - 1] = dataclasses.replace(step, **{field: x})
     return dataclasses.replace(stream, steps=tuple(steps))
+
+
+def with_rows(stream, t, labeled=None, unlabeled=None):
+    """stream with step t's labeled set cut to its first `labeled` rows or
+    its unlabeled pool to its first `unlabeled`."""
+    step = stream.steps[t - 1]
+    if labeled is not None:
+        step = dataclasses.replace(
+            step, labeled_x=step.labeled_x[:labeled],
+            labeled_y=step.labeled_y[:labeled],
+            labeled_ids=step.labeled_ids[:labeled])
+    if unlabeled is not None:
+        related, true_classes = step.provenance.reveal()
+        step = dataclasses.replace(
+            step, unlabeled_x=step.unlabeled_x[:unlabeled],
+            unlabeled_ids=step.unlabeled_ids[:unlabeled],
+            provenance=sc.SealedProvenance(related[:unlabeled],
+                                           true_classes[:unlabeled]))
+    steps = list(stream.steps)
+    steps[t - 1] = step
+    return dataclasses.replace(stream, steps=tuple(steps))
+
+
+@pytest.mark.parametrize("method,t,rows,message,passes", [
+    ("ursl", 2, {"unlabeled": 0},
+     "step 2: the unlabeled pool is empty, and ursl trains on it", "co2l_p"),
+    ("co2l_j", 2, {"unlabeled": 0},
+     "step 2: the unlabeled pool is empty, and co2l_j trains on it", "co2l"),
+    ("co2l_p", 1, {"unlabeled": 0},
+     "step 1: the unlabeled pool is empty, and co2l_p trains on it", "co2l"),
+    ("ursl", 1, {"labeled": 1},
+     "step 1: 1 labeled row, and segregation needs at least two", "co2l_j"),
+])
+def test_a_stream_the_method_cannot_train_on_fails_before_training(
+        tiny_world, monkeypatch, method, t, rows, message, passes):
+    """The same stream passes the check under a method (`passes`) that
+    does not train on that pool or segregate."""
+    main, stream, aug = tiny_world
+    stream = with_rows(stream, t, **rows)
+    trained = []
+    for name in ("train_reference", "train_learner_task"):
+        monkeypatch.setattr(tr, name, lambda *a, **k: trained.append(a))
+    cfg = tiny_cfg(method=method)
+    runs = [lambda: tr.run_continual(cfg, stream, main, aug, seed=5)]
+    if cfg.uses_segregation:
+        runs.append(lambda: tr.run_segregation_eval(cfg, stream, aug, seed=5))
+    for run in runs:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run()
+    assert trained == []
+    tr.check_trainable(tiny_cfg(method=passes), stream)
 
 
 def batch_holding(batches, row):
