@@ -39,9 +39,6 @@ from .config import (ConfigError, _read_json, check_seeds, from_dict,
 
 log = logging.getLogger("osscl.cli")
 
-_SEG_FIELDS = ("n_unlabeled", "n_u_hat", "n_t_hat", "tau_id", "tau_pl",
-               "score_mean", "score_spread", "auroc", "precision",
-               "pseudo_accuracy")
 # recorded in version.json as launched. No run is steered by them: each
 # computes at one BLAS thread, and its CPU affinity decides whether it walks
 # and feeds ahead (trainer._spare_core)
@@ -102,7 +99,7 @@ def _per_task_rows(metrics):
             "accuracy": float(acc),
         }
         seg = seg_by_task.get(i + 1, {})
-        for name in _SEG_FIELDS:
+        for name in trainer.SEG_FIELDS:
             row[name] = seg.get(name)
         rows.append(row)
     return rows
@@ -253,7 +250,7 @@ def _run_seed_job(resolved, seed, seed_dir):
     write_json(os.path.join(seed_dir, "metrics.json"), metrics)
     write_json(os.path.join(seed_dir, "timings.json"), report.wall_clock)
     write_csv(os.path.join(seed_dir, "per_task.csv"),
-              ("task", "classes", "accuracy") + _SEG_FIELDS,
+              ("task", "classes", "accuracy") + trainer.SEG_FIELDS,
               _per_task_rows(metrics))
     return metrics
 
@@ -365,7 +362,7 @@ def cmd_segregate_eval(args):
         seed_dir = os.path.join(exp.output_dir, f"seed_{seed}")
         os.makedirs(seed_dir, exist_ok=True)
         write_csv(os.path.join(seed_dir, "segregation.csv"),
-                  ("task",) + _SEG_FIELDS, rows)
+                  ("task",) + trainer.SEG_FIELDS, rows)
         write_csv(os.path.join(seed_dir, "scores.csv"), _SCORE_FIELDS,
                   samples)
         for row in rows:
@@ -428,13 +425,18 @@ def cmd_report(args):
     for row in rows:
         table.append([row] + [cells.get((row, col), ("", ""))[1]
                               for col in cols])
+    if args.out:  # written before the table prints, so a bad path exits 2
+        try:
+            _write_atomic(args.out, lambda f: csv.writer(f).writerows(table),
+                          newline="")
+        except OSError as exc:  # a directory at out, or none above it
+            raise ConfigError(f"cannot write {args.out} "
+                              f"({exc.strerror})") from None
     widths = [max(len(line[i]) for line in table)
               for i in range(len(table[0]))]
     for line in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)))
     if args.out:
-        _write_atomic(args.out, lambda f: csv.writer(f).writerows(table),
-                      newline="")
         print(f"wrote {args.out}")
     return 0
 

@@ -160,6 +160,8 @@ class SyntheticData:
                            ("test_per_class", 0), ("seed", 0)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}")
+        if self.seed >= sc.SYNTH_SEED_BOUND:
+            raise ValueError(f"seed must be < {sc.SYNTH_SEED_BOUND}")
         if not np.isfinite([self.mean_radius, self.noise_sigma]).all():
             raise ValueError("mean_radius and noise_sigma must be finite")
 

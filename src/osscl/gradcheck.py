@@ -76,11 +76,8 @@ def _supcon_case(rng):
                         rng.choice(n_classes, size=max(1, n_classes // 2),
                                    replace=False))
     pseudo = rng.random(n) < 0.3
-    pseudo_anchor = bool(rng.integers(0, 2))
-    pseudo_positive = bool(rng.integers(0, 2))
     x = _raw_embeddings(rng, n, dim)
-    target = L._supcon_target(2 * n, x.dtype, labels, current, tau, pseudo,
-                              pseudo_anchor, pseudo_positive)
+    target = L._supcon_target(2 * n, x.dtype, labels, current, tau, pseudo)
     return _xent_check(x, tau, target)
 
 

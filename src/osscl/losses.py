@@ -107,14 +107,13 @@ def ntxent_grad(z, tau):
     return loss, a + b
 
 
-def supcon_anchors(labels, current_classes, pseudo_flags=None,
-                   pseudo_anchor=False, pseudo_positive=True):
+def supcon_anchors(labels, current_classes, pseudo_flags=None):
     """Which views anchor asym_supcon_loss, and each anchor's positive set.
 
     Returns (active [2N] bool, positives [2N, 2N] bool). A view is active
-    when its label is in current_classes, it is not pseudo-labeled (unless
-    pseudo_anchor), and it has at least one positive: another view with the
-    same label, pseudo-labeled views included only if pseudo_positive.
+    when its label is in current_classes, it is not pseudo-labeled, and it
+    has at least one positive: another view with the same label,
+    pseudo-labeled views included.
     """
     view_labels = expand_per_view(labels)
     v = len(view_labels)
@@ -123,18 +122,14 @@ def supcon_anchors(labels, current_classes, pseudo_flags=None,
     else:
         view_pseudo = expand_per_view(np.asarray(pseudo_flags, dtype=bool))
     current = np.asarray(list(current_classes), dtype=view_labels.dtype)
-    anchors = (view_labels[:, None] == current).any(axis=1)
-    if not pseudo_anchor:
-        anchors &= ~view_pseudo
+    anchors = (view_labels[:, None] == current).any(axis=1) & ~view_pseudo
     positives = view_labels[:, None] == view_labels[None, :]
     np.fill_diagonal(positives, False)
-    if not pseudo_positive:
-        positives &= ~view_pseudo[None, :]
     return anchors & positives.any(axis=1), positives
 
 
 def asym_supcon_loss(embeddings, labels, current_classes, tau,
-                     pseudo_flags=None, pseudo_anchor=False, pseudo_positive=True):
+                     pseudo_flags=None):
     """Supervised contrastive loss with anchors restricted to current-task views.
 
     Views whose label is in current_classes act as anchors; every same-label
@@ -142,7 +137,7 @@ def asym_supcon_loss(embeddings, labels, current_classes, tau,
     log-probabilities of its positive set, and the total is normalized by the
     view count 2N regardless of how many views anchor (learner_objective
     rescales it to a mean over the active anchors). Pseudo-labeled views are
-    positive-eligible by default but never anchor unless pseudo_anchor.
+    positives but never anchor.
 
     Args:
         embeddings: Tensor [2N, d], unit rows, on the tape.
@@ -150,20 +145,17 @@ def asym_supcon_loss(embeddings, labels, current_classes, tau,
         current_classes: iterable of class ids of the current task.
         tau: temperature > 0.
         pseudo_flags: optional per-source bools, True = pseudo-labeled.
-        pseudo_anchor: let pseudo-labeled views anchor.
-        pseudo_positive: let pseudo-labeled views serve as positives.
 
     Returns a 0-d Tensor; exactly 0 when no view anchors or no anchor has a
     positive.
     """
     target = _supcon_target(embeddings.shape[0], embeddings.dtype, labels,
-                            current_classes, tau, pseudo_flags, pseudo_anchor,
-                            pseudo_positive)
+                            current_classes, tau, pseudo_flags)
     return softmax_xent(embeddings, tau, target, -1.0)
 
 
 def _supcon_target(v, dtype, labels, current_classes, tau, pseudo_flags,
-                   pseudo_anchor, pseudo_positive, anchors=None):
+                   anchors=None):
     """asym_supcon_loss's target W [v, v] in dtype, after its checks;
     anchors are supcon_anchors of these arguments when the caller has them."""
     if labels is None:
@@ -173,8 +165,7 @@ def _supcon_target(v, dtype, labels, current_classes, tau, pseudo_flags,
     if 2 * len(labels) != v:
         raise ValueError(f"labels length {len(labels)} != n_sources {v // 2}")
     if anchors is None:
-        anchors = supcon_anchors(labels, current_classes, pseudo_flags,
-                                 pseudo_anchor, pseudo_positive)
+        anchors = supcon_anchors(labels, current_classes, pseudo_flags)
     active, positives = anchors
     # each active row's share (1 / count) / v, in float64 and then one
     # rounding to dtype, on its positives: 1 * share is share, 0 * share +0
@@ -292,9 +283,8 @@ class Objective:
 
 
 def learner_objective(z, t, weights, labels, current_classes, pseudo_flags=None,
-                      pseudo_anchor=False, pseudo_positive=True, use_sup=True,
-                      td_teacher=None, kd_teacher=None, kd_student=None,
-                      unsup_student=None):
+                      use_sup=True, td_teacher=None, kd_teacher=None,
+                      kd_student=None, unsup_student=None):
     """The learner's combined loss with every term a mean over its anchors,
     and its gradient per embedding, without a tape; returns an Objective.
 
@@ -326,8 +316,7 @@ def learner_objective(z, t, weights, labels, current_classes, pseudo_flags=None,
             batch.
         t: 1-based time step; time distillation at t == 1 is rejected.
         weights: LossWeights.
-        labels, current_classes, pseudo_flags, pseudo_anchor, pseudo_positive:
-            as for asym_supcon_loss.
+        labels, current_classes, pseudo_flags: as for asym_supcon_loss.
         use_sup: include the supervised term.
         td_teacher: the past learner's embeddings of the same views, or None.
         kd_teacher, kd_student: the reference's and the learner's embeddings
@@ -359,12 +348,10 @@ def learner_objective(z, t, weights, labels, current_classes, pseudo_flags=None,
              _ntxent_args(unsup_student.shape[0], weights.tau))
     v = z.shape[0]
     if use_sup:
-        anchors = supcon_anchors(labels, current_classes, pseudo_flags,
-                                 pseudo_anchor, pseudo_positive)
+        anchors = supcon_anchors(labels, current_classes, pseudo_flags)
         n_active = int(anchors[0].sum())
         target = _supcon_target(v, z.dtype, labels, current_classes,
-                                weights.tau, pseudo_flags, pseudo_anchor,
-                                pseudo_positive, anchors)
+                                weights.tau, pseudo_flags, anchors)
         term("sup", z, (weights.tau, target, -1.0),
              v / n_active if n_active else None)
     if td_teacher is not None:

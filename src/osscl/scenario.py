@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 VARIANTS = ("standard", "after", "before", "only_related", "only_unrelated", "non_iid")
-MEMORY_POLICIES = ("random", "low_confidence", "high_confidence", "rainbow")
+SYNTH_SEED_BOUND = 1 << 43  # synth_dataset's seed << 20 stays within int64
 
 # the arrays of a save_dataset export and their dtypes
 _DATASET_ARRAYS = dict(train_x=np.float32, train_y=np.int64, train_ids=np.int64,
@@ -92,10 +92,12 @@ def synth_dataset(n_classes, dim, train_per_class, test_per_class, seed,
 
     With noise_sigma=0 every sample equals its class mean exactly. Sample ids
     are (seed << 20) + running index to keep differently seeded datasets
-    id-disjoint.
+    id-disjoint; they are int64, so seed must be below SYNTH_SEED_BOUND.
     """
     if n_classes < 1 or dim < 1 or train_per_class < 1 or test_per_class < 0:
         raise ValueError("n_classes, dim, train_per_class must be positive")
+    if not 0 <= seed < SYNTH_SEED_BOUND:
+        raise ValueError(f"seed must be >= 0 and < {SYNTH_SEED_BOUND}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_classes, dim))
     means *= mean_radius / np.linalg.norm(means, axis=1, keepdims=True)
@@ -606,26 +608,19 @@ class MemoryBuffer:
     """Class-balanced exemplar store with a fixed capacity.
 
     Quotas are floor(capacity / n_classes) per stored class with the
-    remainder spread one-per-class over the lowest class ids. Selection
-    within a class follows the policy: random keeps a uniform subset,
-    low/high_confidence keep the least/most confident samples under the
-    provided scorer, rainbow keeps an evenly spaced sweep of the
-    confidence-sorted class (head to tail).
+    remainder spread one-per-class over the lowest class ids. Each class
+    keeps a uniform random subset of its stored and new rows.
 
-    The store is three class-sorted arrays (rows, labels, scores) and the
-    sorted list of every class ever stored, whose quota may have fallen to 0.
+    The store is two class-sorted arrays (rows, labels) and the sorted list
+    of every class ever stored, whose quota may have fallen to 0.
     """
 
-    def __init__(self, capacity, policy="random"):
+    def __init__(self, capacity):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
-        if policy not in MEMORY_POLICIES:
-            raise ValueError(f"policy must be one of {MEMORY_POLICIES}")
         self.capacity = int(capacity)
-        self.policy = policy
         self._x = np.zeros((0, 0), dtype=np.float32)
         self._y = np.zeros(0, dtype=np.int64)
-        self._conf = np.zeros(0)
         self._classes = []
 
     def __len__(self):
@@ -647,52 +642,31 @@ class MemoryBuffer:
         base, rem = divmod(self.capacity, max(1, len(classes)))
         return {c: base + (1 if i < rem else 0) for i, c in enumerate(classes)}
 
-    def update(self, xs, ys, rng, confidence=None):
+    def update(self, xs, ys, rng):
         """Fold a new labeled set in and rebalance to the enlarged class set.
 
         Args:
             xs, ys: the new task's labeled samples.
-            rng: Generator; consumed by every policy (selection order is
-                deterministic given the stream).
-            confidence: per-sample scores aligned with xs, required by the
-                confidence-ranked policies. Existing exemplars keep their
-                stored score for re-ranking.
+            rng: Generator; each class with a quota draws its subset from it
+                (selection order is deterministic given the stream).
         """
         xs = np.asarray(xs)
         ys = np.asarray(ys, dtype=np.int64)
-        if self.policy != "random" and confidence is None:
-            raise ValueError(f"policy {self.policy} requires confidence scores")
-        conf = np.asarray(confidence, dtype=np.float64) if confidence is not None \
-            else np.zeros(len(ys))
         # a class selects from its stored rows, then its new ones; before the
         # first rows are stored, _x has no width to concatenate with
         if len(self._y):
-            xs, ys, conf = (np.concatenate(pair) for pair in (
-                (self._x, xs), (self._y, ys), (self._conf, conf)))
+            xs, ys = np.concatenate((self._x, xs)), np.concatenate((self._y, ys))
         self._classes = sorted(set(self._classes) | set(ys.tolist()))
         quotas = self.quotas(self._classes)
         keep = [np.zeros(0, dtype=np.int64)]  # concatenate needs one array
         for c in self._classes:
             rows = np.flatnonzero(ys == c)
             quota = min(quotas[c], len(rows))
-            keep.append(rows[self._select(conf[rows], quota, rng)])
+            if quota:
+                picked = rng.choice(len(rows), size=quota, replace=False)
+                keep.append(rows[np.sort(picked)])
         keep = np.concatenate(keep)
-        self._x, self._y, self._conf = xs[keep], ys[keep], conf[keep]
-
-    def _select(self, conf, quota, rng):
-        if quota == 0:
-            return np.zeros(0, dtype=np.int64)
-        if self.policy == "random":
-            picked = rng.choice(len(conf), size=quota, replace=False)
-            return np.sort(picked)
-        order = np.argsort(conf, kind="stable")
-        if self.policy == "low_confidence":
-            return order[:quota]
-        if self.policy == "high_confidence":
-            return order[::-1][:quota]
-        # rainbow: even sweep across the sorted confidence range
-        pos = np.linspace(0, len(conf) - 1, quota).round().astype(np.int64)
-        return order[pos]
+        self._x, self._y = xs[keep], ys[keep]
 
 
 def epoch_batches(n, batch_size, rng):

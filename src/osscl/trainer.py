@@ -162,8 +162,11 @@ class MethodConfig:
     pretrain_reference trains the reference once on all pools up front and
     freezes it. use_kd, when not given (None), resolves to whether the
     method has a live reference to distill from (ursl); only ursl may set
-    it true. Epoch defaults are desk scale; full-scale values are
-    epochs_first=400, epochs_later=100, epochs_learner=200, batch 512.
+    it true. The memory keeps a class-balanced random subset of each step's
+    labeled set (scenario.MemoryBuffer), and pseudo-labeled views are
+    positives that never anchor (losses.supcon_anchors). Epoch defaults
+    are desk scale; full-scale values are epochs_first=400,
+    epochs_later=100, epochs_learner=200, batch 512.
 
     A config's `method` section holds these fields with these defaults;
     every range and cross-field rule is checked in __post_init__.
@@ -175,15 +178,12 @@ class MethodConfig:
     use_td: bool = True
     use_kd: bool | None = None
     pretrain_reference: bool = False
-    pseudo_anchor: bool = False
-    pseudo_positive: bool = True
     weights: L.LossWeights = field(default_factory=L.LossWeights)
     eta_id: float = -4.0
     eta_pl: float = -2.0
     spread_mode: str = "variance"
     n_aug: int = 2
     memory_size: int = 48
-    memory_policy: str = "random"
     epochs_first: int = 100
     epochs_later: int = 25
     epochs_learner: int = 50
@@ -201,8 +201,6 @@ class MethodConfig:
             raise ValueError(f"seg_variant must be one of {SEG_VARIANTS}")
         if self.spread_mode not in sg.SPREAD_MODES:
             raise ValueError(f"spread_mode must be one of {sg.SPREAD_MODES}")
-        if self.memory_policy not in sc.MEMORY_POLICIES:
-            raise ValueError(f"memory_policy must be one of {sc.MEMORY_POLICIES}")
         if self.use_kd is None:
             object.__setattr__(self, "use_kd", self.method == "ursl")
         if self.method != "ursl":
@@ -211,9 +209,6 @@ class MethodConfig:
                 raise ValueError("use_kd applies to ursl only")
             if self.pretrain_reference:
                 raise ValueError("pretrain_reference applies to ursl only")
-            if self.memory_policy != "random":
-                raise ValueError(
-                    "confidence-ranked memory needs the reference; use random")
         if not (self.use_sup or self.use_td or self.use_kd
                 or self.method == "co2l_j"):
             raise ValueError("at least one loss term must be enabled")
@@ -545,8 +540,7 @@ def train_learner_task(learner, sup_x, sup_y, sup_pseudo, task_classes, t, cfg,
         rows = {name: y for name, (y, _) in embedded.items()}
         out = L.learner_objective(
             rows.pop("z"), t, cfg.weights, sup_y[idx], current,
-            pseudo_flags=sup_pseudo[idx], pseudo_anchor=cfg.pseudo_anchor,
-            pseudo_positive=cfg.pseudo_positive, use_sup=cfg.use_sup,
+            pseudo_flags=sup_pseudo[idx], use_sup=cfg.use_sup,
             td_teacher=td_z, kd_teacher=kd_z, **rows)
         # backprop's order: the last embedding's parameter gradient first
         grad = None
@@ -664,26 +658,25 @@ def _segregation_pass(walk, step, labeled, observed):
         "stats": stats,
         "pool_scores": pool_scores,
         "nearest": nearest,
-        "labeled_scores": labeled_scores,
         "quality": quality,
     }
 
 
+# the per-task segregation row after its "task": metrics.json's task_metrics
+# and the columns of per_task.csv and segregation.csv
+SEG_FIELDS = ("n_unlabeled", "n_u_hat", "n_t_hat", "tau_id", "tau_pl",
+              "score_mean", "score_spread", "auroc", "precision",
+              "pseudo_accuracy")
+
+
 def _metrics_row(t, step, seg):
     out, stats, q = seg["output"], seg["stats"], seg["quality"]
-    return {
-        "task": t,
-        "n_unlabeled": int(len(step.unlabeled_x)),
-        "n_u_hat": int(out.u_hat_indices.size),
-        "n_t_hat": int(out.t_hat_indices.size),
-        "tau_id": float(stats.tau_id),
-        "tau_pl": float(stats.tau_pl),
-        "score_mean": float(stats.mean),
-        "score_spread": float(stats.spread),
-        "auroc": float(q.auroc),
-        "precision": float(q.precision),
-        "pseudo_accuracy": float(q.pseudo_accuracy),
-    }
+    counts = (len(step.unlabeled_x), out.u_hat_indices.size,
+              out.t_hat_indices.size)
+    scores = (stats.tau_id, stats.tau_pl, stats.mean, stats.spread, q.auroc,
+              q.precision, q.pseudo_accuracy)
+    values = (*map(int, counts), *map(float, scores))
+    return {"task": t, **dict(zip(SEG_FIELDS, values, strict=True))}
 
 
 def _encoder_projector(stream, arch, seed, role):
@@ -713,7 +706,7 @@ class _TaskWalk:
         self.clock = _PhaseClock()
         self.reference = (_encoder_projector(stream, arch, seed, _ROLE_REF_INIT)
                           if cfg.uses_reference else None)
-        self.memory = sc.MemoryBuffer(cfg.memory_size, cfg.memory_policy)
+        self.memory = sc.MemoryBuffer(cfg.memory_size)
         self.rngs = {
             "ref": role_rng(seed, _ROLE_REF_TRAIN),
             "proto": role_rng(seed, _ROLE_PROTO),
@@ -763,11 +756,8 @@ class _TaskWalk:
             yield step, labeled, seg
 
             with clock.timed("memory"):
-                # a ranked policy implies ursl (MethodConfig), so seg is set
-                conf = (None if cfg.memory_policy == "random"
-                        else seg["labeled_scores"][:labeled[2]])
                 self.memory.update(step.labeled_x, step.labeled_y,
-                                   self.rngs["memory"], confidence=conf)
+                                   self.rngs["memory"])
             self.memory_counts.append(
                 {str(k): int(v) for k, v in self.memory.class_counts().items()})
 

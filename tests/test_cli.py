@@ -643,7 +643,7 @@ class TestAtomicWrites:
 # `osscl gradcheck` stdout on the build test_trainer pins the digests on
 _GRADCHECK_STDOUT = """\
 ntxent: max rel err 2.367e-07 (tol 0.0001) PASS
-supcon: max rel err 3.642e-08 (tol 0.0001) PASS
+supcon: max rel err 3.702e-08 (tol 0.0001) PASS
 distill_time: max rel err 2.172e-08 (tol 0.0001) PASS
 distill_reference: max rel err 2.111e-07 (tol 0.0001) PASS
 combined: max rel err 8.187e-08 (tol 0.0001) PASS
@@ -834,6 +834,22 @@ class TestReport:
         assert captured.out == ""
         assert str(tmp_path / name) in captured.err
         assert named in captured.err
+
+    @pytest.mark.parametrize("target,reason", [
+        ("adir", "Is a directory"),
+        ("nodir/report.csv", "No such file or directory")],
+        ids=["directory", "missing_directory"])
+    def test_unwritable_out_exit_2_naming_it_before_any_output(
+            self, workspace, tmp_path, capsys, target, reason):
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / target
+        rc = cli.main(["report", str(workspace["out"]), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: cannot write {out} ({reason})\n"
+        assert os.listdir(tmp_path) == ["adir"]
+        assert os.listdir(tmp_path / "adir") == []
 
     def test_two_dirs_in_one_cell_exit_2_before_any_output(
             self, workspace, tmp_path, capsys):

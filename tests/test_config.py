@@ -35,9 +35,8 @@ NON_DEFAULT = {
     "arch": {"hidden": [7, 5, 3], "proj_hidden": 9, "embed_dim": 6},
     "method": {"method": "co2l", "seg_variant": "v2", "use_sup": False,
                "use_td": False, "use_kd": False, "pretrain_reference": True,
-               "pseudo_anchor": True, "pseudo_positive": False,
                "eta_id": -3.0, "eta_pl": -1.5, "spread_mode": "stddev",
-               "n_aug": 3, "memory_size": 20, "memory_policy": "rainbow",
+               "n_aug": 3, "memory_size": 20,
                "epochs_first": 7, "epochs_later": 6, "epochs_learner": 5,
                "batch_size": 16, "lr": 0.05, "min_lr": 0.001,
                "classifier_epochs": 9, "classifier_lr": 0.01,
@@ -75,12 +74,11 @@ TINY_RESOLVED = {
     "arch": {"hidden": [64, 64], "proj_hidden": 32, "embed_dim": 16},
     "method": {"method": "ursl", "seg_variant": "v4", "use_sup": True,
                "use_td": True, "use_kd": True, "pretrain_reference": False,
-               "pseudo_anchor": False, "pseudo_positive": True,
                "weights": {"tau": 0.1, "tau_teacher": 0.01,
                            "tau_student": 0.2, "td_weight": 0.2,
                            "kd_weight": 0.2},
                "eta_id": -4.0, "eta_pl": -2.0, "spread_mode": "variance",
-               "n_aug": 2, "memory_size": 12, "memory_policy": "random",
+               "n_aug": 2, "memory_size": 12,
                "epochs_first": 4, "epochs_later": 2, "epochs_learner": 3,
                "batch_size": 32, "lr": 0.01, "min_lr": 0.0001,
                "classifier_epochs": 20, "classifier_lr": 0.001,
@@ -194,6 +192,8 @@ def test_tiny_resolved_is_pinned():
      "config.scenario: pool sizes must be non-negative"),
     ("synthetic", "classes", 0, "config.datasets.main: classes must be >= 1"),
     ("synthetic", "seed", -1, "config.datasets.main: seed must be >= 0"),
+    ("synthetic", "seed", 2**43,
+     "config.datasets.main: seed must be < 8796093022208"),
     ("synthetic", "mystery", 1, "config.datasets.main.mystery: unknown key"),
     ("cifar", "train_path", 3,
      "config.datasets.main.train_path: expected a string"),
@@ -226,6 +226,29 @@ def test_range_checks_live_in_the_dataclass(tmp_path, capsys, cls, kwargs,
     assert rc == 2
     assert f"config.{section}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section,key,value,message", [
+    ("method", "memory_policy", "random",
+     "config.method.memory_policy: unknown key"),
+    ("method", "pseudo_anchor", False,
+     "config.method.pseudo_anchor: unknown key"),
+    ("method", "pseudo_positive", True,
+     "config.method.pseudo_positive: unknown key"),
+    ("synthetic", "seed", 2**43,
+     "config.datasets.main: seed must be < 8796093022208"),
+], ids=["memory_policy", "pseudo_anchor", "pseudo_positive", "synth_seed"])
+def test_run_exits_2_before_any_output(tmp_path, capsys, section, key, value,
+                                       message):
+    """The deleted method keys, even at their old defaults, and a synthetic
+    seed whose sample ids would overflow int64."""
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(tiny_with(section, key, value)))
+    out = tmp_path / "never"
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.json"]
 
 
 def _image_spec(main_dim, peripheral_dim):

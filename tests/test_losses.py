@@ -135,14 +135,14 @@ def test_asym_supcon_pseudo_views_never_anchor_by_default():
     labels = [0, 0, 1, 1]
     pseudo = [False, True, False, True]
     base = losses.asym_supcon_loss(z, labels, {0, 1}, tau=0.5, pseudo_flags=pseudo)
-    # anchoring pseudo views changes the objective
-    anchored = losses.asym_supcon_loss(z, labels, {0, 1}, tau=0.5,
-                                       pseudo_flags=pseudo, pseudo_anchor=True)
-    assert float(base.data) != pytest.approx(float(anchored.data))
-    # with pseudo positives disabled too, pseudo views only pad the denominator
-    stripped = losses.asym_supcon_loss(z, labels, {0, 1}, tau=0.5,
-                                       pseudo_flags=pseudo, pseudo_positive=False)
-    assert float(stripped.data) != pytest.approx(float(base.data))
+    # the pseudo views' rows do not anchor, yet every view is a positive of
+    # its same-label views
+    active, positives = losses.supcon_anchors(labels, {0, 1}, pseudo)
+    np.testing.assert_array_equal(active, np.repeat(np.logical_not(pseudo), 2))
+    assert positives[0, 2:4].all() and positives[4, 6:8].all()
+    # so the flags change the objective
+    unflagged = losses.asym_supcon_loss(z, labels, {0, 1}, tau=0.5)
+    assert float(base.data) != pytest.approx(float(unflagged.data))
 
 
 def test_asym_supcon_all_pseudo_is_zero():
@@ -597,9 +597,8 @@ def test_learner_objective_finds_the_anchors_once(monkeypatch):
 
 
 def tape_objective(z, t, weights, labels, current_classes, pseudo_flags=None,
-                   pseudo_anchor=False, pseudo_positive=True, use_sup=True,
-                   td_teacher=None, kd_teacher=None, kd_student=None,
-                   unsup_student=None):
+                   use_sup=True, td_teacher=None, kd_teacher=None,
+                   kd_student=None, unsup_student=None):
     """learner_objective composed of the tape ops, on Tensors: the unsupervised
     term, asym_supcon_loss, distillation_loss and their per-anchor scales,
     then combined_loss. Returns (total, {name: (term, weighted)})."""
@@ -608,11 +607,9 @@ def tape_objective(z, t, weights, labels, current_classes, pseudo_flags=None,
                else losses.ntxent_loss(unsup_student, weights.tau))
     l_sup = l_td = l_kd = None
     if use_sup:
-        active, _ = losses.supcon_anchors(labels, current_classes, pseudo_flags,
-                                          pseudo_anchor, pseudo_positive)
+        active, _ = losses.supcon_anchors(labels, current_classes, pseudo_flags)
         l_sup = losses.asym_supcon_loss(
-            z, labels, current_classes, weights.tau, pseudo_flags=pseudo_flags,
-            pseudo_anchor=pseudo_anchor, pseudo_positive=pseudo_positive)
+            z, labels, current_classes, weights.tau, pseudo_flags=pseudo_flags)
         if active.any():
             l_sup = nc.scale(l_sup, v / int(active.sum()))
     if td_teacher is not None:
@@ -715,7 +712,6 @@ def test_learner_objective_gradient_check(seed, labels):
     weights = losses.LossWeights(tau=0.3, tau_teacher=0.05, tau_student=0.2,
                                  td_weight=0.4, kd_weight=0.3)
     kwargs = dict(pseudo_flags=[False, False, True, seed == 2],
-                  pseudo_anchor=seed == 1, pseudo_positive=seed != 2,
                   td_teacher=td_teacher, kd_teacher=kd_teacher)
 
     def loss_fn():

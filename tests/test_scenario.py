@@ -60,6 +60,15 @@ def test_synth_ids_disjoint_across_seeds():
     assert np.intersect1d(a.train_ids, b.train_ids).size == 0
 
 
+def test_synth_seed_must_keep_ids_in_int64():
+    """ids are (seed << 20) + index: the last seed below 2**43 still fits."""
+    top = scenario.SYNTH_SEED_BOUND - 1
+    assert scenario.synth_dataset(2, 3, 2, 1, seed=top).train_ids[0] == top << 20
+    for seed in (-1, scenario.SYNTH_SEED_BOUND):
+        with pytest.raises(ValueError, match="^seed must be >= 0 and < 8796093022208$"):
+            scenario.synth_dataset(2, 3, 2, 1, seed=seed)
+
+
 def test_synth_mean_radius():
     ds = scenario.synth_dataset(4, 8, 200, 0, seed=5, mean_radius=4.0,
                                 noise_sigma=0.0)
@@ -824,61 +833,21 @@ def test_memory_random_policy_deterministic():
     np.testing.assert_array_equal(ya, yb)
 
 
-def test_memory_confidence_policies():
-    rng = np.random.default_rng(2)
-    xs = np.arange(10, dtype=np.float64)[:, None]
-    ys = np.zeros(10, dtype=np.int64)
-    conf = np.arange(10, dtype=np.float64)  # confidence equals the sample value
-
-    low = scenario.MemoryBuffer(3, policy="low_confidence")
-    low.update(xs, ys, rng, confidence=conf)
-    np.testing.assert_array_equal(np.sort(low.items()[0].ravel()), [0, 1, 2])
-
-    high = scenario.MemoryBuffer(3, policy="high_confidence")
-    high.update(xs, ys, rng, confidence=conf)
-    np.testing.assert_array_equal(np.sort(high.items()[0].ravel()), [7, 8, 9])
-
-    rainbow = scenario.MemoryBuffer(3, policy="rainbow")
-    rainbow.update(xs, ys, rng, confidence=conf)
-    # even sweep across the sorted range: ends plus middle
-    np.testing.assert_array_equal(np.sort(rainbow.items()[0].ravel()), [0, 4, 9])
-
-
-def test_memory_confidence_required():
-    buf = scenario.MemoryBuffer(4, policy="low_confidence")
-    with pytest.raises(ValueError):
-        buf.update(np.zeros((2, 2)), np.zeros(2, dtype=int),
-                   np.random.default_rng(0))
-
-
-def test_memory_preserves_stored_confidence_across_updates():
-    rng = np.random.default_rng(3)
-    buf = scenario.MemoryBuffer(2, policy="high_confidence")
-    buf.update(np.array([[1.0], [2.0]]), np.array([0, 0]), rng,
-               confidence=np.array([0.9, 0.1]))
-    buf.update(np.array([[3.0]]), np.array([0]), rng,
-               confidence=np.array([0.5]))
-    xs, _ = buf.items()
-    np.testing.assert_array_equal(np.sort(xs.ravel()), [1.0, 3.0])
-
-
 @pytest.mark.parametrize("capacity,tasks,counts", [
     (0, [[0, 1]], {0: 0, 1: 0}),
     (0, [[0, 1], [2, 3]], {0: 0, 1: 0, 2: 0, 3: 0}),
     (3, [[0, 1, 2, 3]], {0: 1, 1: 1, 2: 1, 3: 0}),
     (3, [[0, 1], [2, 3]], {0: 1, 1: 1, 2: 1, 3: 0}),
 ], ids=["cap0", "cap0_two_tasks", "cap3_four_classes", "cap3_two_tasks"])
-@pytest.mark.parametrize("policy", scenario.MEMORY_POLICIES)
 def test_class_counts_list_every_class_whose_quota_fell_to_zero(
-        capacity, tasks, counts, policy):
+        capacity, tasks, counts):
     """class_counts() is metrics.json's memory_counts: a class with a quota
     of 0 still appears, with count 0."""
     rng = np.random.default_rng(6)
-    buf = scenario.MemoryBuffer(capacity, policy=policy)
+    buf = scenario.MemoryBuffer(capacity)
     for classes in tasks:
         ys = np.repeat(classes, 3)
-        buf.update(rng.standard_normal((len(ys), 2)), ys, rng,
-                   confidence=rng.random(len(ys)))
+        buf.update(rng.standard_normal((len(ys), 2)), ys, rng)
     assert buf.class_counts() == counts
     assert len(buf) == sum(counts.values())
     xs, ys = buf.items()
@@ -886,18 +855,15 @@ def test_class_counts_list_every_class_whose_quota_fell_to_zero(
     np.testing.assert_array_equal(ys, np.repeat(list(counts), list(counts.values())))
 
 
-@pytest.mark.parametrize("policy", scenario.MEMORY_POLICIES)
-def test_memory_update_with_no_rows(policy):
+def test_memory_update_with_no_rows():
     rng = np.random.default_rng(8)
-    buf = scenario.MemoryBuffer(4, policy=policy)
-    none_x, none_y, none_c = np.zeros((0, 3)), np.zeros(0, dtype=np.int64), \
-        np.zeros(0)
-    buf.update(none_x, none_y, rng, confidence=none_c)
+    buf = scenario.MemoryBuffer(4)
+    none_x, none_y = np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
+    buf.update(none_x, none_y, rng)
     assert len(buf) == 0 and buf.class_counts() == {}
-    buf.update(rng.standard_normal((6, 3)), np.repeat([0, 1], 3), rng,
-               confidence=rng.random(6))
+    buf.update(rng.standard_normal((6, 3)), np.repeat([0, 1], 3), rng)
     before = [a.copy() for a in buf.items()]
-    buf.update(none_x, none_y, rng, confidence=none_c)
+    buf.update(none_x, none_y, rng)
     assert buf.class_counts() == {0: 2, 1: 2}
     for got, want in zip(buf.items(), before):
         np.testing.assert_array_equal(got, want)

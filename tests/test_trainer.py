@@ -93,8 +93,13 @@ class TestMethodConfig:
             tr.MethodConfig(spread_mode="range")
 
     def test_rejects_unknown_memory_policy(self):
-        with pytest.raises(ValueError):
-            tr.MethodConfig(memory_policy="fifo")
+        """memory_policy and the two pseudo-label switches are gone: memory
+        is a random class-balanced subset, pseudo-labeled views positives
+        that never anchor."""
+        for key, value in (("memory_policy", "random"),
+                           ("pseudo_anchor", False), ("pseudo_positive", True)):
+            with pytest.raises(TypeError, match=key):
+                tr.MethodConfig(**{key: value})
 
     def test_non_ursl_forces_kd_off(self):
         """Not given, use_kd is on for ursl only; given true, only ursl
@@ -110,11 +115,6 @@ class TestMethodConfig:
     def test_pretrained_reference_is_ursl_only(self):
         with pytest.raises(ValueError):
             tr.MethodConfig(method="co2l", pretrain_reference=True)
-
-    def test_ranked_memory_needs_reference(self):
-        with pytest.raises(ValueError):
-            tr.MethodConfig(method="co2l", memory_policy="high_confidence")
-        tr.MethodConfig(method="ursl", memory_policy="high_confidence")
 
     def test_all_losses_off_rejected(self):
         with pytest.raises(ValueError):
@@ -439,7 +439,7 @@ def test_rerun_is_bitwise_identical(tiny_world):
     assert param_digest(a.state.learner) == param_digest(b.state.learner)
 
 
-# Runs the tiny world under ursl v4, v1, rainbow memory and co2l_p, and its
+# Runs the tiny world under ursl v4, v1, without use_td and co2l_p, and its
 # image-mode twin (8x8 RGB rows) under ursl v4 and v1, seed 5. Prints per run
 # the metrics digest and a digest of report.state (both nets' parameters, the
 # memory arrays and the walk's three RNG states), then the BLAS thread count
@@ -467,7 +467,7 @@ vector = T.build_tiny_world(sc.Augmenter(mode="vector", sigma=0.5,
 image = T.build_tiny_world(sc.Augmenter(mode="image"), dim=3 * 8 * 8)
 for (main, stream, aug), overrides in (
         (vector, {}), (vector, {"seg_variant": "v1"}),
-        (vector, {"memory_policy": "rainbow"}), (vector, {"method": "co2l_p"}),
+        (vector, {"use_td": False}), (vector, {"method": "co2l_p"}),
         (image, {}), (image, {"seg_variant": "v1"})):
     rep = tr.run_continual(T.tiny_cfg(**overrides), stream, main, aug, seed=5)
     text = json.dumps(rep.metrics_dict(), sort_keys=True)
@@ -890,8 +890,6 @@ _PINNED_DIGESTS = [
     ("vector", {"use_kd": False}, "6faf86086e7f6df6"),
     ("vector", {"use_sup": False}, "4f03b37d3be39b29"),
     ("vector", {"pretrain_reference": True}, "5f4472a70960499b"),
-    ("vector", {"memory_policy": "rainbow"}, "3827dbfcb2d99993"),
-    ("vector", {"memory_policy": "high_confidence"}, "c71f882a2a14ee0c"),
     ("image", {}, "9cf1e74702e19c14"),
     ("image", {"method": "co2l_j"}, "4898102d98d400ed"),
 ]
